@@ -92,7 +92,7 @@ def _applicable(n_sets: int):
 
 def cmd_verify(args, argv) -> int:
     sets = [load_set(p) for p in args.sets]
-    if args.relation == "--all" or args.all:
+    if args.all:
         names = list(_applicable(len(sets)))
     else:
         names = [args.relation]

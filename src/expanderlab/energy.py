@@ -24,14 +24,14 @@ from typing import Optional, Tuple
 
 from .errors import (
     BudgetExceeded,
+    InvalidPrecisionCap,
     PrecisionCapExceeded,
     TOutOfRange,
     ZeroElementPresent,
     ZeroTwist,
 )
-from .field import KIND_PRIME
 from .intervals import RatInterval, iroot_floor, pow_interval
-from .sets import FSet, _same_ctx
+from .sets import FSet, _from_ints, _pair_ints, _same_ctx
 
 HIST_KINDS = ("product", "ratio", "additive")
 
@@ -44,9 +44,19 @@ _REL_BITS = 64
 
 def precision_cap(explicit: Optional[int] = None) -> int:
     if explicit is not None:
-        return explicit
-    env = os.environ.get(PRECISION_CAP_ENV)
-    return int(env) if env else PRECISION_CAP_DEFAULT
+        cap = explicit
+    else:
+        env = os.environ.get(PRECISION_CAP_ENV)
+        if not env:
+            return PRECISION_CAP_DEFAULT
+        try:
+            cap = int(env)
+        except ValueError:
+            raise InvalidPrecisionCap(
+                f"{PRECISION_CAP_ENV}={env!r} is not an integer") from None
+    if cap < 0:
+        raise InvalidPrecisionCap(f"precision cap {cap} is negative")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -140,48 +150,23 @@ class EnergyValue:
         }
 
 
-def _pair_counter(a: FSet, b: FSet, kind: str) -> Counter:
-    ctx = _same_ctx(a, b)
-    av, bv = a.vals, b.vals
+_KIND_OPS = {"product": "prod", "ratio": "ratio", "additive": "sum"}
+
+
+def _pair_counter(a: FSet, b: FSet, kind: str) -> Tuple[Counter, int]:
+    """Pair counts keyed by the kernel's plain ints, with their scale."""
+    _same_ctx(a, b)
     if kind in ("product", "ratio") and (0 in a.member_set() or 0 in b.member_set()):
         raise ZeroElementPresent(f"{kind} spectrum needs 0 excluded from both sets")
-    counts: Counter = Counter()
-    if ctx.kind == KIND_PRIME:
-        p = ctx.p
-        if kind == "product":
-            for x in av:
-                for y in bv:
-                    counts[x * y % p] += 1
-        elif kind == "ratio":
-            invs = [pow(y, -1, p) for y in bv]
-            for x in av:
-                for iy in invs:
-                    counts[x * iy % p] += 1
-        else:
-            for x in av:
-                for y in bv:
-                    counts[(x + y) % p] += 1
-    else:
-        if kind == "product":
-            for x in av:
-                for y in bv:
-                    counts[x * y] += 1
-        elif kind == "ratio":
-            for x in av:
-                for y in bv:
-                    counts[x / y] += 1
-        else:
-            for x in av:
-                for y in bv:
-                    counts[x + y] += 1
-    return counts
+    ints, scale = _pair_ints(a, b, _KIND_OPS[kind])
+    return Counter(ints), scale
 
 
 def histogram(a: FSet, b: FSet, kind: str) -> MultiplicityHistogram:
     """Exact multiplicity spectrum of the chosen kind."""
     if kind not in HIST_KINDS:
         raise ValueError(f"unknown histogram kind {kind!r}")
-    counts = _pair_counter(a, b, kind)
+    counts, _ = _pair_counter(a, b, kind)
     spectrum = Counter(counts.values())
     return MultiplicityHistogram(
         kind=kind,
@@ -246,19 +231,19 @@ def rich_products(a: FSet, b: FSet, t: int) -> FSet:
     """S_t(a, b): products with at least t representations a_i * b_i."""
     if not 1 <= t <= min(len(a), len(b)):
         raise TOutOfRange(f"t = {t} outside [1, {min(len(a), len(b))}]")
-    counts = _pair_counter(a, b, "product")
-    return a.with_values(s for s, c in counts.items() if c >= t)
+    counts, scale = _pair_counter(a, b, "product")
+    return _from_ints(a.ctx, (k for k, c in counts.items() if c >= t), scale)
 
 
 def additive_energy(a: FSet, b: FSet) -> int:
     """Number of quadruples with a1 + b1 = a2 + b2."""
-    counts = _pair_counter(a, b, "additive")
+    counts, _ = _pair_counter(a, b, "additive")
     return sum(c * c for c in counts.values())
 
 
 def multiplicative_energy(a: FSet, b: FSet) -> int:
     """Number of quadruples with a1 * b1 = a2 * b2."""
-    counts = _pair_counter(a, b, "product")
+    counts, _ = _pair_counter(a, b, "product")
     return sum(c * c for c in counts.values())
 
 

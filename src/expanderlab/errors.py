@@ -73,6 +73,11 @@ class PrecisionCapExceeded(ExpanderlabError):
         self.achieved = achieved
 
 
+class InvalidPrecisionCap(ExpanderlabError):
+    """The precision cap (EXPANDERLAB_PRECISION_CAP or an explicit cap) is not
+    a non-negative integer."""
+
+
 class BudgetExceeded(ExpanderlabError):
     pass
 

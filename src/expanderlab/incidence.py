@@ -21,7 +21,7 @@ from .errors import (
     ZeroElementPresent,
 )
 from .field import KIND_RATIONAL
-from .sets import FSet, _same_ctx, expander_set
+from .sets import FSet, _lcd, _same_ctx, _scaled, expander_set
 
 Point = Tuple[Fraction, Fraction]
 
@@ -212,18 +212,24 @@ def expander_line_family(a: FSet, b: FSet) -> LineFamily:
         raise ZeroElementPresent("b = 0 degenerates every line to y = 0")
 
     alphas = expander_set(a, a)
+    sa, sb = _lcd(alphas.vals), _lcd(b.vals)
+    b_scaled = list(zip(b.vals, _scaled(b.vals, sb)))
+    # l_{alpha,b} has slope alpha*b = k*j/(sa*sb) and intercept -b = -j/sb, so
+    # (k*j, -j) is an integer key in the same order as (slope, intercept)
     seen: dict = {}
     dups = []
-    for alpha in alphas.vals:
-        for bv in b.vals:
-            line = Line.from_expander_params(alpha, bv)
-            key = (line.vertical, line.m, line.c)
+    for alpha, k in zip(alphas.vals, _scaled(alphas.vals, sa)):
+        for bv, j in b_scaled:
+            key = (k * j, -j)
             if key in seen:
                 dups.append((seen[key], (alpha, bv)))
             else:
                 seen[key] = (alpha, bv)
-    lines = tuple(sorted(Line(False, m, c, provenance=seen[(v, m, c)])
-                         for (v, m, c) in seen))
+    lines = []
+    for key in sorted(seen):
+        alpha, bv = prov = seen[key]
+        lines.append(Line(False, alpha * bv, -bv, provenance=prov))
+    lines = tuple(lines)
     return LineFamily(
         lines=lines,
         expected_size=len(alphas) * len(b),
@@ -257,7 +263,9 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
     s_t = rich_products(a, b, t)
     family = expander_line_family(a, b)
     family_keys = {(l.vertical, l.m, l.c) for l in family.lines}
-    alphas = expander_set(a, a).member_set()
+    alphas = expander_set(a, a).vals
+    scale = _lcd(alphas)
+    alpha_ints = set(_scaled(alphas, scale))
 
     # product representations s = a_i * b_i, keyed by s
     reps: dict = {}
@@ -268,6 +276,7 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
     min_lines = None
     witnesses = set()
     for s in s_t.vals:
+        shifts = [((s + bv) / bv * scale).as_integer_ratio() for bv in b.vals]
         for x in a.vals:
             pt = (1 / x, s)
             if pt in witnesses:
@@ -288,10 +297,13 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
                 raise WitnessFailure(
                     f"witness {pt} lies on {len(designated)} designated lines < t = {t}"
                 )
-            # independent recount: lines of the family through pt, one per b
+            # independent recount: lines of the family through pt, one per b;
+            # x*(s+b)/b is in A(A+1) iff x * scale*(s+b)/b is one of alpha_ints
+            xn, xd = x.as_integer_ratio()
             through = 0
-            for bv in b.vals:
-                if x * (s + bv) / bv in alphas:
+            for n, d in shifts:
+                k, rem = divmod(xn * n, xd * d)
+                if rem == 0 and k in alpha_ints:
                     through += 1
             if through < len(designated):
                 raise InvariantViolation("recount found fewer lines than designated")

@@ -4,12 +4,20 @@ bipartite graphs.
 
 FSet instances are immutable, canonically sorted and duplicate-free; all
 operations return new sets, so values can be shared freely across threads.
-Inner loops work on raw canonical values (ints mod p, Fractions over Q) for
-speed and only wrap Elem at the API boundary.
+Inner loops work on plain ints and only wrap Elem at the API boundary.
+
+Over F_p the ints are the residues.  Over Q the pair kernel clears
+denominators once per operand: for products each side is multiplied by its
+own positive LCD (for ratios, after inverting the right side), for sums and
+differences both sides by one common LCD, so a pair's result is k / scale
+for an int k.  Scaling one side by a nonzero constant is a bijection, so
+distinct results stay distinct and every multiplicity is unchanged; and as
+scale > 0, sorted ints give the results in Fraction order.
 """
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -45,6 +53,14 @@ class FSet:
         object.__setattr__(obj, "ctx", ctx)
         object.__setattr__(obj, "_vals", tuple(sorted(members)))
         object.__setattr__(obj, "_members", members)
+        return obj
+
+    @classmethod
+    def _from_sorted(cls, ctx: FieldCtx, vals: Tuple[RawValue, ...]) -> "FSet":
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "ctx", ctx)
+        object.__setattr__(obj, "_vals", vals)
+        object.__setattr__(obj, "_members", frozenset(vals))
         return obj
 
     @property
@@ -158,48 +174,71 @@ def _same_ctx(a: FSet, b: FSet) -> FieldCtx:
     return a.ctx
 
 
+def _lcd(vals: Iterable[Fraction]) -> int:
+    return math.lcm(*(v.denominator for v in vals))
+
+
+def _scaled(vals: Iterable[Fraction], scale: int) -> list:
+    return [v.numerator * (scale // v.denominator) for v in vals]
+
+
+def _pair_ints(a: FSet, b: FSet, op: str) -> Tuple[Iterator[int], int]:
+    """Every pairwise result of `op` over a x b as a plain int, one per pair.
+
+    `op` is a COMBINE_OPS name or "expand" (x(y+1)).  Returns the ints with
+    their scale: over F_p the int is the residue itself (scale 1); over Q the
+    result is Fraction(int, scale).  Callers reject 0 in b before a ratio.
+    """
+    ctx = _same_ctx(a, b)
+    av, bv = a.vals, b.vals
+    if ctx.kind == KIND_PRIME:
+        p = ctx.p
+        if op == "sum":
+            return ((x + y) % p for x in av for y in bv), 1
+        if op == "diff":
+            return ((x - y) % p for x in av for y in bv), 1
+        if op == "prod":
+            return ((x * y) % p for x in av for y in bv), 1
+        if op == "ratio":
+            invs = [pow(y, -1, p) for y in bv]
+            return ((x * iy) % p for x in av for iy in invs), 1
+        return ((x * (y + 1)) % p for x in av for y in bv), 1
+    if op in ("sum", "diff"):
+        scale = _lcd(av + bv)
+        ai, bi = _scaled(av, scale), _scaled(bv, scale)
+        if op == "sum":
+            return (x + y for x in ai for y in bi), scale
+        return (x - y for x in ai for y in bi), scale
+    if op == "ratio":
+        bv = [1 / y for y in bv]
+    elif op == "expand":
+        bv = [y + 1 for y in bv]
+    sa, sb = _lcd(av), _lcd(bv)
+    ai, bi = _scaled(av, sa), _scaled(bv, sb)
+    return (x * y for x in ai for y in bi), sa * sb
+
+
+def _from_ints(ctx: FieldCtx, ints: Iterable[int], scale: int) -> FSet:
+    """The FSet of the distinct values int/scale (residues over F_p)."""
+    ks = sorted(set(ints))
+    if ctx.kind == KIND_PRIME:
+        return FSet._from_sorted(ctx, tuple(ks))
+    return FSet._from_sorted(ctx, tuple(Fraction(k, scale) for k in ks))
+
+
 def combine(a: FSet, b: FSet, op: str) -> FSet:
     """All pairwise sums / differences / products / ratios of a and b."""
     ctx = _same_ctx(a, b)
     if op not in COMBINE_OPS:
         raise ValueError(f"unknown combine op {op!r}")
-    av, bv = a.vals, b.vals
-    if ctx.kind == KIND_PRIME:
-        p = ctx.p
-        if op == "sum":
-            out = {(x + y) % p for x in av for y in bv}
-        elif op == "diff":
-            out = {(x - y) % p for x in av for y in bv}
-        elif op == "prod":
-            out = {(x * y) % p for x in av for y in bv}
-        else:
-            if 0 in b.member_set():
-                raise DivisionByZero("ratio set with 0 in the denominator set")
-            invs = [pow(y, -1, p) for y in bv]
-            out = {(x * iy) % p for x in av for iy in invs}
-    else:
-        if op == "sum":
-            out = {x + y for x in av for y in bv}
-        elif op == "diff":
-            out = {x - y for x in av for y in bv}
-        elif op == "prod":
-            out = {x * y for x in av for y in bv}
-        else:
-            if 0 in b.member_set():
-                raise DivisionByZero("ratio set with 0 in the denominator set")
-            out = {x / y for x in av for y in bv}
-    return FSet._from_canonical(ctx, frozenset(out))
+    if op == "ratio" and 0 in b.member_set():
+        raise DivisionByZero("ratio set with 0 in the denominator set")
+    return _from_ints(ctx, *_pair_ints(a, b, op))
 
 
 def expander_set(a: FSet, b: FSet) -> FSet:
     """The expander set {x(y+1) : x in a, y in b}."""
-    ctx = _same_ctx(a, b)
-    if ctx.kind == KIND_PRIME:
-        p = ctx.p
-        out = {(x * (y + 1)) % p for x in a.vals for y in b.vals}
-    else:
-        out = {x * (y + 1) for x in a.vals for y in b.vals}
-    return FSet._from_canonical(ctx, frozenset(out))
+    return _from_ints(a.ctx, *_pair_ints(a, b, "expand"))
 
 
 def kfold_sum(a: FSet, k: int, signs: Sequence[int]) -> FSet:
@@ -291,9 +330,6 @@ class PairGraph:
 
     def __repr__(self):
         return f"PairGraph({len(self.left)}x{len(self.right)}, |G|={len(self.edges)})"
-
-    def degree_left(self, i: int) -> int:
-        return sum(1 for e in self.edges if e[0] == i)
 
     def left_degrees(self) -> list:
         degs = [0] * len(self.left)

@@ -121,6 +121,11 @@ def _exclude(a: FSet, values, label: str) -> None:
             )
 
 
+def _require_nonempty(a: FSet, label: str) -> None:
+    if len(a) == 0:
+        raise SideConditionViolated(f"{label} must be nonempty")
+
+
 def _require_rational(a: FSet) -> None:
     if a.ctx.kind != KIND_RATIONAL:
         raise FieldMismatch("relation runs over the rationals only")
@@ -144,8 +149,7 @@ def _ratio_slack(lhs, rhs):
 # -- registry checkers ---------------------------------------------------------
 
 def _check_r1(A: FSet, B: FSet, C: FSet, digest: str) -> InequalityReport:
-    if len(C) == 0:
-        raise SideConditionViolated("C must be nonempty")
+    _require_nonempty(C, "C")
     lhs = len(combine(A, B, "diff"))
     rhs = Fraction(len(combine(A, C, "diff")) * len(combine(B, C, "diff")), len(C))
     verdict = HOLDS if lhs <= rhs else FAILS
@@ -155,6 +159,7 @@ def _check_r1(A: FSet, B: FSet, C: FSet, digest: str) -> InequalityReport:
 
 def _check_r2(A: FSet, digest: str) -> InequalityReport:
     _exclude(A, (0, -1), "A")
+    _require_nonempty(A, "A")
     lhs = len(combine(A, A, "ratio"))
     rhs = Fraction(len(expander_set(A, A)) ** 2, len(A))
     verdict = HOLDS if lhs <= rhs else FAILS
@@ -168,6 +173,7 @@ def _e2_mixed(A: FSet, B: FSet) -> int:
 
 def _check_r3(A: FSet, digest: str) -> InequalityReport:
     _exclude(A, (0, 1, -1), "A")
+    _require_nonempty(A, "A")
     a1 = translate(A, 1)
     lhs = Fraction(len(A) ** 4, len(expander_set(A, A)))
     rhs = _e2_mixed(A, a1)
@@ -273,6 +279,8 @@ def _check_r7(A: FSet, B: FSet, t: int, digest: str) -> InequalityReport:
 
 
 def _check_r8(A: FSet, B: FSet, epsilon, digest: str) -> InequalityReport:
+    _require_nonempty(A, "A")
+    _require_nonempty(B, "B")
     res = cons.popular_ratio_graph(A, B, epsilon)
     lhs = len(res.partial_diff)
     return InequalityReport("R8", lhs, res.bound_rhs_shape, SLACK_ONLY, res.slack,
@@ -316,6 +324,7 @@ def _check_r11(A: FSet, digest: str) -> InequalityReport:
 
 def _check_r12(A: FSet, digest: str, cap: Optional[int] = None) -> InequalityReport:
     _exclude(A, (0, 1, -1), "A")
+    _require_nonempty(A, "A")
     a1 = translate(A, 1)
     lhs = Fraction(len(A) ** 11, len(expander_set(A, A)) ** 5)
     e15a = energy(histogram(A, A, "ratio"), Fraction(3, 2), cap=cap)

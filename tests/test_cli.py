@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from expanderlab.cli import main
 
 FP_SET = {"field": "fp", "p": 101, "elements": [3, 5, 9, 11, 17, 23]}
@@ -152,3 +154,23 @@ def test_inconclusive_exit_code(tmp_path, monkeypatch):
     a = write(tmp_path, "a.json", FP_SET)
     b = write(tmp_path, "b.json", FP_SET_B)
     assert main(["verify", a, b, "--relation", "R6"]) == 3
+
+
+@pytest.mark.parametrize("relation", ["R2", "R3", "R8", "R12"])
+def test_verify_empty_set_exits_64(tmp_path, capsys, relation):
+    empty = write(tmp_path, "empty.json", {"field": "q", "elements": []})
+    files = [empty, write(tmp_path, "b.json", Q_SET)] if relation == "R8" else [empty]
+    assert main(["verify", *files, "--relation", relation]) == 64
+    err = capsys.readouterr().err
+    assert "A must be nonempty" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap", ["abc", "1.5", "-5"])
+def test_bad_precision_cap_env_exits_64(tmp_path, capsys, monkeypatch, cap):
+    monkeypatch.setenv("EXPANDERLAB_PRECISION_CAP", cap)
+    a = write(tmp_path, "a.json", {"field": "q", "elements": ["2", "3", "5", "7"]})
+    assert main(["pipeline", a, "--mode", "real", "--out", str(tmp_path / "t.json")]) == 64
+    err = capsys.readouterr().err
+    assert "InvalidPrecisionCap" in err
+    assert "Traceback" not in err
