@@ -12,6 +12,7 @@ check is a theorem on the instance, so a failure is either a bug or news.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,17 @@ from .errors import (
     InvariantViolation,
     ZeroElementPresent,
 )
-from .sets import FSet, PairGraph, _same_ctx, combine, expander_set, partial_combine
+from .field import KIND_PRIME
+from .sets import (
+    FSet,
+    PairGraph,
+    _from_ints,
+    _pair_ints,
+    _same_ctx,
+    combine,
+    expander_set,
+    partial_combine,
+)
 
 
 def ge_one_minus_k_sqrt(value, scale, eps: Fraction, k: int = 1) -> bool:
@@ -82,22 +93,16 @@ def popular_ratio_graph(a: FSet, b: FSet, epsilon) -> PopularRatioResult:
     if 0 in a.member_set() or 0 in b.member_set():
         raise ZeroElementPresent("popular-ratio construction needs 0 excluded")
 
-    ratio_of = ctx.div
-    mult: Counter = Counter()
-    for x in a.vals:
-        for y in b.vals:
-            mult[ratio_of(x, y)] += 1
+    ints, scale = _pair_ints(a, b, "ratio")
+    ratios = list(ints)  # pair (i, j) at position i * |B| + j
+    mult = Counter(ratios)
     na, nb = len(a), len(b)
     threshold = eps * na * nb / len(mult)
-    popular = {r for r, c in mult.items() if c >= threshold}
+    least = math.ceil(threshold)  # c >= threshold iff c >= least, for ints c
+    popular = {r for r, c in mult.items() if c >= least}
 
-    x_set = a.with_values(popular)
-    edges = [
-        (i, j)
-        for i, av in enumerate(a.vals)
-        for j, bv in enumerate(b.vals)
-        if ratio_of(av, bv) in popular
-    ]
+    x_set = _from_ints(ctx, popular, scale)
+    edges = [divmod(k, nb) for k, r in enumerate(ratios) if r in popular]
     graph = PairGraph(a, b, edges)
 
     if sum(mult[r] for r in popular) != len(graph):
@@ -250,6 +255,10 @@ def greedy_cover(a: FSet, b: FSet, g: PairGraph, epsilon, sign: str = "+") -> Co
     bvals = b.vals
     bset = b.member_set()
     nb = len(b)
+    # translate t covers r in the remainder iff r = t + w (sign "+") or
+    # r = t - w (sign "-") for some w in b, so the pair counts of r - w (or
+    # r + w) over remainder x b give the coverage of every candidate shift
+    pair_op = "diff" if sign == "+" else "sum"
 
     remaining = set(a1.vals)
     n1 = len(a1)
@@ -257,16 +266,11 @@ def greedy_cover(a: FSet, b: FSet, g: PairGraph, epsilon, sign: str = "+") -> Co
     per_step = []
     while gt_k_sqrt(len(remaining), n1, eps):
         gstar = sum(len(adj[v]) for v in remaining)
-        best_cov, best_shift = -1, None
-        for x in sorted(remaining):
-            for y in bvals:
-                shift = ctx.sub(x, y) if sign == "+" else ctx.add(x, y)
-                if sign == "+":
-                    cov = sum(1 for w in bvals if ctx.add(shift, w) in remaining)
-                else:
-                    cov = sum(1 for w in bvals if ctx.sub(shift, w) in remaining)
-                if cov > best_cov or (cov == best_cov and shift < best_shift):
-                    best_cov, best_shift = cov, shift
+        rem = FSet._from_canonical(ctx, frozenset(remaining))
+        ints, scale = _pair_ints(rem, b, pair_op)
+        # the most coverage, ties to the smallest shift (ints sort as values)
+        best_int, best_cov = min(Counter(ints).items(), key=lambda kc: (-kc[1], kc[0]))
+        best_shift = best_int if ctx.kind == KIND_PRIME else Fraction(best_int, scale)
         # pigeonhole: the best translate covers at least the average, which the
         # Cauchy-Schwarz energy bound pushes up to |G*|^2 / (|A*||B| |A -_G B|)
         nstar = len(remaining)
@@ -319,6 +323,74 @@ class PartialTriangleResult:
     slack: Fraction                 # |A' - C'| |B| / (|A -_G B| |B -_H C|)
 
 
+def _least_passing(scale: int, eps: Fraction, k: int) -> int:
+    """The least int v with ge_one_minus_k_sqrt(v, scale, eps, k); the test is
+    monotone in v and holds at v = scale."""
+    lo, hi = 0, scale
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ge_one_minus_k_sqrt(mid, scale, eps, k):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _index_rows(g: PairGraph, side: FSet, part) -> list:
+    """[(v, B_v, row)] for v in `side`: B_v is the set of indices of the
+    right neighbours of v in g, and row maps the index j of each right
+    vertex w to part(v, w), leaving out the j where that is None."""
+    nbrs = {v: set() for v in side.vals}
+    lv = g.left.vals
+    for i, j in g.edges:
+        if lv[i] in nbrs:
+            nbrs[lv[i]].add(j)
+    out = []
+    for v in side.vals:
+        row = {}
+        for j, w in enumerate(g.right.vals):
+            key = part(v, w)
+            if key is not None:
+                row[j] = key
+        out.append((v, frozenset(nbrs[v]), row))
+    return out
+
+
+def _raise_first_failure(g, ht, a_side, c_side, nb, eps, pab, pbc) -> None:
+    """Replay the checks of `partial_ruzsa` on value tuples, in their order,
+    and raise the first failure with its message and witnesses."""
+    ctx = g.left.ctx
+    b_of_a = {v: frozenset(ns) for v, ns in g.neighbors_left().items()}
+    b_of_c = {v: frozenset(ns) for v, ns in ht.neighbors_left().items()}
+    for av in a_side.vals:
+        for cv in c_side.vals:
+            if not ge_one_minus_k_sqrt(len(b_of_a[av] & b_of_c[cv]), nb, eps, k=2):
+                raise InvariantViolation(
+                    f"overlap below (1 - 2 sqrt(eps))|B| at ({av}, {cv})"
+                )
+    reps = {}
+    for av in a_side.vals:
+        for cv in c_side.vals:
+            x = ctx.sub(av, cv)
+            if x not in reps:
+                reps[x] = (av, cv)
+    pab_set, pbc_set = pab.member_set(), pbc.member_set()
+    seen: dict = {}
+    for x in sorted(reps):
+        av, cv = reps[x]
+        common = b_of_a[av] & b_of_c[cv]
+        if not ge_one_minus_k_sqrt(len(common), nb, eps, k=2):
+            raise InvariantViolation("representative pair lost its overlap")
+        for bv in common:
+            image = (ctx.sub(av, bv), ctx.sub(bv, cv))
+            if image[0] not in pab_set or image[1] not in pbc_set:
+                raise InvariantViolation("witness image escapes the partial difference sets")
+            prior = seen.get(image)
+            if prior is not None:
+                raise CollisionFound(f"image {image} reached twice", prior, (x, bv))
+            seen[image] = (x, bv)
+
+
 def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
     """Triangle inequality through dense partial difference sets.
 
@@ -339,51 +411,55 @@ def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
     _check_density(g, eps)
     _check_density(h, eps)
     ctx = g.left.ctx
+    sub = ctx.sub
 
     a_side = dense_degree_subset(g, eps)
-    c_side = dense_degree_subset(h.transpose(), eps)
-
-    b_of_a = {v: frozenset(ns) for v, ns in g.neighbors_left().items()}
-    b_of_c = {v: frozenset(ns) for v, ns in h.transpose().neighbors_left().items()}
+    ht = h.transpose()
+    c_side = dense_degree_subset(ht, eps)
     nb = len(g.right)
-    for av in a_side.vals:
-        for cv in c_side.vals:
-            if not ge_one_minus_k_sqrt(len(b_of_a[av] & b_of_c[cv]), nb, eps, k=2):
-                raise InvariantViolation(
-                    f"overlap below (1 - 2 sqrt(eps))|B| at ({av}, {cv})"
-                )
-
-    # lexicographically smallest representatives per difference
-    reps = {}
-    for av in a_side.vals:
-        for cv in c_side.vals:
-            x = ctx.sub(av, cv)
-            if x not in reps:
-                reps[x] = (av, cv)
-
+    least = _least_passing(nb, eps, k=2)
     pab = partial_combine(g, "diff")
     pbc = partial_combine(h, "diff")
-    pab_set, pbc_set = pab.member_set(), pbc.member_set()
 
-    y_size = 0
-    seen: dict = {}
-    for x in sorted(reps):
-        av, cv = reps[x]
-        common = b_of_a[av] & b_of_c[cv]
-        if not ge_one_minus_k_sqrt(len(common), nb, eps, k=2):
-            raise InvariantViolation("representative pair lost its overlap")
-        for bv in common:
-            y_size += 1
-            image = (ctx.sub(av, bv), ctx.sub(bv, cv))
-            if image[0] not in pab_set or image[1] not in pbc_set:
-                raise InvariantViolation("witness image escapes the partial difference sets")
-            prior = seen.get(image)
-            if prior is not None:
-                raise CollisionFound(f"image {image} reached twice", prior, (x, bv))
-            seen[image] = (x, bv)
+    # a witness (x, b) maps to (a - b, b - c), keyed by the int i * |B -_H C| + j
+    # of its indices i, j in the sorted partial difference sets; rows hold
+    # the key parts per a and per c, keyed by the index of b in B
+    ab_index = {v: i * len(pbc) for i, v in enumerate(pab.vals)}
+    bc_index = {v: j for j, v in enumerate(pbc.vals)}
+    a_rows = _index_rows(g, a_side, lambda av, bv: ab_index.get(sub(av, bv)))
+    c_rows = _index_rows(ht, c_side, lambda cv, bv: bc_index.get(sub(bv, cv)))
+
+    def scan():
+        """(|A' - C'|, |Y|), or None if a check fails on any item.  The first
+        pair (a, c) of each difference is its representative, and its
+        overlap test is the "lost overlap" check."""
+        diffs = set()
+        seen = set()
+        y_size = 0
+        for av, b_a, a_row in a_rows:
+            for cv, b_c, c_row in c_rows:
+                common = b_a & b_c
+                if len(common) < least:
+                    return None
+                x = sub(av, cv)
+                if x in diffs:
+                    continue
+                diffs.add(x)
+                try:
+                    seen.update([a_row[j] + c_row[j] for j in common])
+                except KeyError:  # an image coordinate escapes
+                    return None
+                y_size += len(common)
+        return (len(diffs), y_size) if len(seen) == y_size else None
+
+    scanned = scan()
+    if scanned is None:
+        _raise_first_failure(g, ht, a_side, c_side, nb, eps, pab, pbc)
+        raise InvariantViolation("witness scan failed where its rescan passes")
+    n_diffs, y_size = scanned
 
     diff_ac = combine(a_side, c_side, "diff")
-    if len(diff_ac) != len(reps):
+    if len(diff_ac) != n_diffs:
         raise InvariantViolation("difference-set enumeration mismatch")
     # (1 - 2 sqrt(eps)) |B| |A' - C'| <= |Y| <= |A -_G B| |B -_H C|
     if not ge_one_minus_k_sqrt(y_size, nb * len(diff_ac), eps, k=2):

@@ -13,6 +13,18 @@ energy #{ab = a'b'}.  Higher self-energies E_alpha(A) use the ratio spectrum,
 the convention under which the third-moment inequalities verified in the
 `verify` registry are actual theorems.  Rich product sets S_t are always
 product-based.
+
+The twisted energy E_xi(A) = #{x + xi*y = z + xi*w} is a difference-ratio
+count.  Rewrite a solution as x - z = xi*(w - y) and let m(d) be the number
+of pairs of A with difference d.  Then
+
+  E_xi(A) = |A|^2 + #{(x, z, w, y) in A^4 : (x - z)/(w - y) = xi, w != y}
+          = |A|^2 + sum of m(delta) m(eta) over delta/eta = xi, delta, eta != 0.
+
+The w = y solutions (eta = 0) force x = z, as xi != 0; they are the |A|^2
+diagonal.  For eta != 0 we have delta = xi*eta != 0, so delta = 0 never
+meets a nonzero twist.  `twist_spectrum` reads E_xi for every nonzero xi off
+one pass over the pairs of nonzero differences.
 """
 from __future__ import annotations
 
@@ -20,16 +32,18 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import (
     BudgetExceeded,
+    FieldMismatch,
     InvalidPrecisionCap,
     PrecisionCapExceeded,
     TOutOfRange,
     ZeroElementPresent,
     ZeroTwist,
 )
+from .field import KIND_PRIME
 from .intervals import RatInterval, iroot_floor, pow_interval
 from .sets import FSet, _from_ints, _pair_ints, _same_ctx
 
@@ -258,6 +272,48 @@ def twisted_energy(a: FSet, xi) -> int:
         for y in a.vals:
             counts[ctx.add(x, ctx.mul(xv, y))] += 1
     return sum(c * c for c in counts.values())
+
+
+def twist_spectrum(a: FSet) -> Tuple[Dict[int, tuple], Dict[int, int]]:
+    """The difference-ratio set R(a) = {(x - z)/(w - y) : w != y} over F_p,
+    with a witness per ratio and the twisted energy of every nonzero ratio.
+
+    Returns (quads, energies).  `quads` maps each ratio to its
+    lexicographically first quadruple (x, z, w, y) of a.  `energies` maps
+    each nonzero ratio xi to E_xi(a); a nonzero xi outside R(a) has
+    E_xi(a) = |a|^2.  One pass over D = a - a: each difference keeps its
+    multiplicity and its first pair, and takes one inverse.  Differences
+    come in first-pair order, so the first time a ratio is reached, its
+    witness is the first quadruple.  The delta = 0 row reaches only the
+    ratio 0, first through the first nonzero difference.
+    """
+    ctx = a.ctx
+    if ctx.kind != KIND_PRIME:
+        raise FieldMismatch("the twist spectrum is defined over F_p")
+    p = ctx.p
+    first: Dict[int, tuple] = {}
+    mult: Counter = Counter()
+    for x in a.vals:
+        for z in a.vals:
+            d = (x - z) % p
+            mult[d] += 1
+            if d not in first:
+                first[d] = (x, z)
+    n2 = len(a) * len(a)
+    quads: Dict[int, tuple] = {}
+    energies: Dict[int, int] = {}
+    nonzero = [(d, pow(d, -1, p), first[d], mult[d]) for d in first if d]
+    if nonzero:
+        quads[0] = first[0] + nonzero[0][2]
+    for delta, _, rep, m in nonzero:
+        for _, inv_eta, rep_eta, m_eta in nonzero:
+            xi = delta * inv_eta % p
+            if xi in quads:
+                energies[xi] += m * m_eta
+            else:
+                quads[xi] = rep + rep_eta
+                energies[xi] = n2 + m * m_eta
+    return quads, energies
 
 
 # -- independent brute-force oracles ------------------------------------------

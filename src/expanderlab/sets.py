@@ -242,19 +242,23 @@ def expander_set(a: FSet, b: FSet) -> FSet:
 
 
 def kfold_sum(a: FSet, k: int, signs: Sequence[int]) -> FSet:
-    """The signed k-fold sum {s1*a1 + ... + sk*ak : ai in a}."""
+    """The signed k-fold sum {s1*a1 + ... + sk*ak : ai in a}.
+
+    Over F_p the sum stops growing once it is all of F_p: the whole field
+    plus or minus a nonempty set is the whole field again.
+    """
     if k < 1 or k != len(signs):
         raise ValueError("need k = len(signs) >= 1")
     if any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +1 or -1")
     ctx = a.ctx
-    acc = {ctx.zero}
+    full = ctx.p if ctx.kind == KIND_PRIME else None
+    acc = FSet._from_sorted(ctx, (ctx.zero,))
     for s in signs:
-        if s == 1:
-            acc = {ctx.add(x, y) for x in acc for y in a.vals}
-        else:
-            acc = {ctx.sub(x, y) for x in acc for y in a.vals}
-    return FSet._from_canonical(ctx, frozenset(acc))
+        acc = combine(acc, a, "sum" if s == 1 else "diff")
+        if len(acc) == full:
+            break
+    return acc
 
 
 def affine_image(a: FSet, x: ElemLike, y: ElemLike) -> FSet:
@@ -368,5 +372,6 @@ def partial_combine(g: PairGraph, op: str) -> FSet:
         if any(rv[j] == 0 for _, j in g.edges):
             raise DivisionByZero("ratio over an edge touching 0 on the right")
     fn = {"sum": ctx.add, "diff": ctx.sub, "prod": ctx.mul, "ratio": ctx.div}[op]
-    out = frozenset(fn(a, b) for a, b in g.value_edges())
+    lv, rv = g.left.vals, g.right.vals
+    out = frozenset(fn(lv[i], rv[j]) for i, j in g.edges)
     return FSet._from_canonical(ctx, out)

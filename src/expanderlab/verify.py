@@ -25,6 +25,7 @@ from .energy import (
     multiplicative_energy,
     precision_cap,
     rich_products,
+    twist_spectrum,
     twisted_energy,
 )
 from .errors import (
@@ -278,10 +279,12 @@ def _check_r7(A: FSet, B: FSet, t: int, digest: str) -> InequalityReport:
                             _ratio_slack(res.witness_count, rhs), digest, note)
 
 
-def _check_r8(A: FSet, B: FSet, epsilon, digest: str) -> InequalityReport:
+def _check_r8(A: FSet, B: FSet, epsilon, digest: str,
+              res: Optional[cons.PopularRatioResult] = None) -> InequalityReport:
     _require_nonempty(A, "A")
     _require_nonempty(B, "B")
-    res = cons.popular_ratio_graph(A, B, epsilon)
+    if res is None:
+        res = cons.popular_ratio_graph(A, B, epsilon)
     lhs = len(res.partial_diff)
     return InequalityReport("R8", lhs, res.bound_rhs_shape, SLACK_ONLY, res.slack,
                             digest,
@@ -503,8 +506,9 @@ def _fp_cover_symbol(A, A1, b0_shift_set, sym, sign, eps, ctx):
     """Covering step for one symbol: cover most of A1 so that sym * A_sym sits
     inside few translates of b0*A (sign +) or -b0*A (sign -).
 
-    Returns (A_sym, shifts, cover).  Membership of every covered element in
-    the claimed translate union is re-checked exactly by the caller.
+    Returns (B_sym, cover), where B_sym = {a in A : sym*(a + 1) in b0(A + 1)}
+    is the set the class is covered by.  Membership of every covered element
+    in the claimed translate union is re-checked exactly by the caller.
     """
     b_vals = [a for a in A.vals if (sym * (a + 1)) % ctx.p in b0_shift_set]
     b_n = A.with_values(b_vals)
@@ -549,7 +553,7 @@ def finite_field_pipeline(
     pop = cons.popular_ratio_graph(A, A, eps)
     steps.append(PipelineStep(
         "partial difference set of the popular-ratio graph on (A, A)",
-        _check_r8(A, A, eps, digest)))
+        _check_r8(A, A, eps, digest, pop)))
     tri = cons.partial_ruzsa(pop.graph, pop.graph, eps)
     steps.append(PipelineStep(
         "dense partial triangle inequality on the self graph",
@@ -599,19 +603,9 @@ def finite_field_pipeline(
                      f"N = {N}, |A1| = {len(A1)}, classes <= {n_classes}; "
                      f"membership in [N, 2N) verified for every element")))
 
-    # quotient set R(A1) with a stored witness quadruple per ratio
-    r_quads: Dict[int, tuple] = {}
-    a1v = A1.vals
-    for al in a1v:
-        for be in a1v:
-            num = (al - be) % p
-            for ga in a1v:
-                for de in a1v:
-                    if ga == de:
-                        continue
-                    xi = num * pow(ga - de, -1, p) % p
-                    if xi not in r_quads:
-                        r_quads[xi] = (al, be, ga, de)
+    # quotient set R(A1) with a stored witness quadruple per ratio, and the
+    # twisted energy of every nonzero ratio, from one pass over A1 - A1
+    r_quads, twist_energies = twist_spectrum(A1)
     r_set = set(r_quads)
     r_full = len(r_set) == p
     steps.append(PipelineStep(
@@ -653,14 +647,7 @@ def finite_field_pipeline(
             raise cons.InvariantViolation("no shiftable twist in a proper ratio set")
     else:
         branch = "ReqFp"
-        best = None
-        for cand in sorted(r_set):
-            if cand == 0:
-                continue
-            e_val = twisted_energy(A1, cand)
-            if best is None or e_val < best[0]:
-                best = (e_val, cand)
-        xi = best[1]
+        xi = min((twist_energies[c], c) for c in range(1, p))[1]
         quad = r_quads[xi]
     al, be, ga, de = quad
     selected.update({
@@ -671,6 +658,9 @@ def finite_field_pipeline(
 
     if branch == "ReqFp":
         e_star = twisted_energy(A1, xi)
+        if e_star != twist_energies[xi]:
+            raise cons.InvariantViolation(
+                f"twisted energy at xi = {xi} disagrees with the twist spectrum")
         n1 = len(A1)
         steps.append(PipelineStep(
             "twist selection by minimal twisted energy",
@@ -688,12 +678,12 @@ def finite_field_pipeline(
     # covering steps: alpha, beta, gamma by translates of b0*A, delta by -b0*A
     shape = Fraction(len(aa1) ** 2 * len(combine(A, A, "ratio")), N ** 2 * len(A1))
     b0_shift = shifted[b0]
+    b0a = dilate(A, b0).member_set()
     a_parts = []
     for label, sym, sign in (("alpha", al, "+"), ("beta", be, "+"),
                              ("gamma", ga, "+"), ("delta", de, "-")):
         b_n, cover = _fp_cover_symbol(A, A1, b0_shift, sym, sign, eps, ctx)
         target = "translates of b0*A" if sign == "+" else "translates of -(b0*A)"
-        b0a = dilate(A, b0).member_set()
         for v in cover.covered.vals:
             sv = sym * v % p
             if sign == "+":
@@ -766,7 +756,7 @@ def finite_field_pipeline(
         e2_sub = twisted_energy(A2, xi)
         steps.append(PipelineStep(
             "twisted energy is monotone under passing to the intersection",
-            _hold_report("fp-energy-monotone", e2_sub, twisted_energy(A1, xi), digest)))
+            _hold_report("fp-energy-monotone", e2_sub, e_star, digest)))
         twisted_diff = combine(A2, dilate(A2, xi), "diff")
         steps.append(PipelineStep(
             "Cauchy-Schwarz lower bound for the twisted difference set",
