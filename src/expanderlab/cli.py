@@ -3,7 +3,8 @@
 Every run writes a manifest next to its outputs recording the exact argv,
 input digests, configuration and output paths; `replay <manifest>` re-runs
 the recorded command, and regenerated outputs are byte-identical (nothing
-time- or machine-dependent is ever written).
+time- or machine-dependent is ever written).  `search` runs its stochastic
+restarts one after another, from restart seeds drawn up front from `--seed`.
 
 Exit codes: 0 all verdicts hold, 2 a constant-free relation failed
 (counterexample serialised), 3 an enclosure stayed inconclusive at the
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -98,23 +98,11 @@ def cmd_verify(args, argv) -> int:
         names = [args.relation]
     reports = []
     violations = []
+    labelled = dict(zip(("A", "B", "C"), sets))
     for name in names:
-        kwargs = {}
-        spec = REGISTRY.get(name)
-        if spec is None:
-            from .errors import UnknownRelation
-
-            raise UnknownRelation(f"no relation named {name!r}")
-        labels = ["A", "B", "C"]
-        for label, fset in zip(labels, sets):
-            if label in spec.inputs:
-                kwargs[label] = fset
-        if "t" in spec.inputs:
-            kwargs["t"] = args.t
-        if "epsilon" in spec.inputs:
-            kwargs["epsilon"] = args.epsilon
         try:
-            rep = check(name, cap=args.precision_cap, **kwargs)
+            rep = check(name, **labelled, t=args.t, epsilon=args.epsilon,
+                        cap=args.precision_cap)
         except ExpanderlabError as exc:
             violations.append({"name": name, "error": type(exc).__name__, "message": str(exc)})
             continue
@@ -202,7 +190,6 @@ def cmd_search(args, argv) -> int:
             restarts=args.restarts,
             rational_range=tuple(args.rational_range),
             exclude_degenerate=not args.admit_degenerate,
-            threads=args.threads,
         )
         if args.mode == "exhaustive":
             records.append(exhaustive_min(cfg))
@@ -215,8 +202,7 @@ def cmd_search(args, argv) -> int:
     _write_manifest(out.with_suffix(""), argv, [], [out],
                     {"p": args.p, "n": args.n, "mode": args.mode, "seed": args.seed,
                      "iterations": args.iterations, "budget": args.budget,
-                     "restarts": args.restarts, "rational_range": list(args.rational_range),
-                     "threads": args.threads})
+                     "restarts": args.restarts, "rational_range": list(args.rational_range)})
     for row in rows:
         print(",".join(str(row[c]) for c in
                        ("p", "n", "value", "certified", "witness")), file=sys.stderr)
@@ -295,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--restarts", type=int, default=20)
     p_search.add_argument("--admit-degenerate", action="store_true",
                           help="keep 0 and -1 in the candidate pool")
-    p_search.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p_search.add_argument("--out", default=None)
     p_search.set_defaults(fn=cmd_search)
 

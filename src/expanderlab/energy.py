@@ -32,7 +32,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import (
     BudgetExceeded,
@@ -71,6 +71,17 @@ def precision_cap(explicit: Optional[int] = None) -> int:
     if cap < 0:
         raise InvalidPrecisionCap(f"precision cap {cap} is negative")
     return cap
+
+
+def _precision_ladder(start: int, cap: int) -> Iterator[int]:
+    """The precisions an enclosure is refined through: min(start, cap), then
+    doubling, capped at `cap`; `cap` is the last rung.  `start` is positive."""
+    bits = min(start, cap)
+    while True:
+        yield bits
+        if bits >= cap:
+            return
+        bits = min(bits * 2, cap)
 
 
 @dataclass(frozen=True)
@@ -220,21 +231,14 @@ def energy(
     if all(r ** q == m for r, (m, _) in zip(roots, hist.entries)):
         total = sum(c * r ** alpha.numerator for r, (_, c) in zip(roots, hist.entries))
         return EnergyValue(alpha, Fraction(total), Fraction(total), 0)
-    cap = precision_cap(cap)
-    bits = min(max(PRECISION_START, min_bits or 0), cap)
-    best: Optional[EnergyValue] = None
-    while True:
+    for bits in _precision_ladder(max(PRECISION_START, min_bits or 0), precision_cap(cap)):
         acc = RatInterval.point(0)
         for m, c in hist.entries:
             acc = acc + pow_interval(m, alpha, bits) * c
         best = EnergyValue(alpha, acc.lo, acc.hi, bits)
         if acc.lo > 0 and (acc.hi - acc.lo) * (1 << _REL_BITS) < acc.lo:
             return best
-        if bits >= cap:
-            raise PrecisionCapExceeded(
-                f"enclosure still too wide at {bits} bits", achieved=best
-            )
-        bits = min(bits * 2, cap)
+    raise PrecisionCapExceeded(f"enclosure still too wide at {bits} bits", achieved=best)
 
 
 def energy_of(a: FSet, b: FSet, alpha, kind: str = "ratio", cap: Optional[int] = None) -> EnergyValue:

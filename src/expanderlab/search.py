@@ -4,8 +4,8 @@ scale.
 
 All randomness flows from one explicit 64-bit seed through random.Random
 (the stdlib Mersenne Twister); restart seeds are drawn up front from the
-master generator, so restarts can run in any order (or in parallel) and
-merge deterministically.  Ties between witnesses of equal objective value
+master generator and the restarts run one after another, so the result
+depends on the seed alone.  Ties between witnesses of equal objective value
 break toward the smaller element sum and then toward the colexicographically
 smaller witness, i.e. the one whose largest element is smallest.
 """
@@ -15,7 +15,6 @@ import csv
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -43,7 +42,6 @@ class SearchConfig:
     exclude_degenerate: bool = True   # drop 0 and -1 from the candidate pool
     density_guard: bool = True        # enforce |A|^2 < p over prime fields
     rational_range: Tuple[int, int] = (-10, 10)
-    threads: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -180,12 +178,7 @@ def stochastic_search(cfg: SearchConfig) -> ExtremalRecord:
     pool = candidate_pool(cfg)
     master = random.Random(cfg.seed)
     seeds = [master.getrandbits(64) for _ in range(cfg.restarts)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool_exec:
-            keys = list(pool_exec.map(lambda s: _one_restart(cfg, pool, s), seeds))
-    else:
-        keys = [_one_restart(cfg, pool, s) for s in seeds]
-    best = min(keys)
+    best = min(_one_restart(cfg, pool, s) for s in seeds)
     value = best[0]
     witness = FSet(cfg.ctx, sorted(best[2]))
     return ExtremalRecord(

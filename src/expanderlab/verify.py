@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from . import constructions as cons
 from .energy import (
     PRECISION_START,
+    _precision_ladder,
     energy,
     histogram,
     multiplicative_energy,
@@ -148,8 +150,10 @@ def _ratio_slack(lhs, rhs):
 
 
 # -- registry checkers ---------------------------------------------------------
+# Every checker takes its relation's inputs, the instance digest and the
+# precision cap as keywords, so `check` calls them all the same way.
 
-def _check_r1(A: FSet, B: FSet, C: FSet, digest: str) -> InequalityReport:
+def _check_r1(*, A: FSet, B: FSet, C: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _require_nonempty(C, "C")
     lhs = len(combine(A, B, "diff"))
     rhs = Fraction(len(combine(A, C, "diff")) * len(combine(B, C, "diff")), len(C))
@@ -158,7 +162,7 @@ def _check_r1(A: FSet, B: FSet, C: FSet, digest: str) -> InequalityReport:
                             "difference-set triangle inequality")
 
 
-def _check_r2(A: FSet, digest: str) -> InequalityReport:
+def _check_r2(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(A, (0, -1), "A")
     _require_nonempty(A, "A")
     lhs = len(combine(A, A, "ratio"))
@@ -168,70 +172,66 @@ def _check_r2(A: FSet, digest: str) -> InequalityReport:
                             "ratio set bounded by the expander set squared")
 
 
-def _e2_mixed(A: FSet, B: FSet) -> int:
-    return multiplicative_energy(A, B)
-
-
-def _check_r3(A: FSet, digest: str) -> InequalityReport:
+def _check_r3(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(A, (0, 1, -1), "A")
     _require_nonempty(A, "A")
     a1 = translate(A, 1)
     lhs = Fraction(len(A) ** 4, len(expander_set(A, A)))
-    rhs = _e2_mixed(A, a1)
+    rhs = multiplicative_energy(A, a1)
     verdict = HOLDS if lhs <= rhs else FAILS
     return InequalityReport("R3", lhs, rhs, verdict, _ratio_slack(lhs, rhs), digest,
                             "Cauchy-Schwarz lower bound on the mixed energy")
 
 
-def _check_r4(A: FSet, digest: str) -> InequalityReport:
+def _check_r4(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(A, (0, 1, -1), "A")
     a1 = translate(A, 1)
-    lhs = _e2_mixed(A, a1)
-    e2a = _e2_mixed(A, A)
-    e2b = _e2_mixed(a1, a1)
+    lhs = multiplicative_energy(A, a1)
+    e2a = multiplicative_energy(A, A)
+    e2b = multiplicative_energy(a1, a1)
     verdict = HOLDS if lhs * lhs <= e2a * e2b else FAILS
     rhs = root_interval(e2a * e2b, 2, PRECISION_START)
     return InequalityReport("R4", lhs, rhs, verdict, _ratio_slack(lhs, rhs), digest,
                             "mixed energy split by Cauchy-Schwarz; decided on squares")
 
 
-def _e15_capped(hist, cap: int, bits: int):
-    """3/2-energy at a demanded precision; at the cap, the widest achieved
-    enclosure is still usable for a (possibly inconclusive) comparison."""
+def _e15_capped(hist, cap: Optional[int], bits: int) -> RatInterval:
+    """3/2-energy enclosure at a demanded precision; at the cap, the widest
+    achieved enclosure is still usable for a (possibly inconclusive)
+    comparison."""
     try:
-        return energy(hist, Fraction(3, 2), cap=cap, min_bits=bits)
+        return energy(hist, Fraction(3, 2), cap=cap, min_bits=bits).interval
     except PrecisionCapExceeded as exc:
-        return exc.achieved
+        return exc.achieved.interval
 
 
-def _check_r5(A: FSet, B: FSet, digest: str, cap: Optional[int] = None) -> InequalityReport:
+def _decide(enclosure_at, power: int, rhs, cap: int) -> Tuple[str, RatInterval]:
+    """Refine the enclosure `enclosure_at(bits)` of a left side along the
+    precision ladder up to `cap` until its `power`-th power lies at or below
+    the exact `rhs` (Holds) or wholly above it (Fails); Inconclusive if the
+    cap is reached first.  Raising the left side to a power keeps an
+    irrational right side, such as a cube root, exact.  Returns the verdict
+    and the last enclosure."""
+    for bits in _precision_ladder(PRECISION_START, cap):
+        enclosure = enclosure_at(bits)
+        decided = enclosure.power(power)
+        if decided.hi <= rhs:
+            return HOLDS, enclosure
+        if decided.lo > rhs:
+            return FAILS, enclosure
+    return INCONCLUSIVE, enclosure
+
+
+def _check_r5(*, A: FSet, B: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(A, (0,), "A")
     _exclude(B, (0,), "B")
     cap = precision_cap(cap)
-    ab = combine(A, B, "prod")
-    e2_mixed = _e2_mixed(A, ab)
-    e3a = energy(histogram(A, A, "ratio"), 3).exact
-    e3b = energy(histogram(B, B, "ratio"), 3).exact
-    rhs_cubed = e2_mixed ** 3 * e3a ** 2 * e3b
+    e2_mixed = multiplicative_energy(A, combine(A, B, "prod"))
     hist_a = histogram(A, A, "ratio")
-
-    bits = min(PRECISION_START, cap)
-    verdict = INCONCLUSIVE
-    e15 = None
-    while True:
-        e15 = _e15_capped(hist_a, cap, bits)
-        lhs_cubed = e15.interval.power(6) * (len(B) ** 6)
-        if lhs_cubed.hi <= rhs_cubed:
-            verdict = HOLDS
-            break
-        if lhs_cubed.lo > rhs_cubed:
-            verdict = FAILS
-            break
-        if bits >= cap:
-            break
-        bits = min(bits * 2, cap)
-
-    lhs = e15.interval.power(2) * (len(B) ** 2)
+    e3a = energy(hist_a, 3).exact
+    e3b = energy(histogram(B, B, "ratio"), 3).exact
+    verdict, lhs = _decide(lambda bits: _e15_capped(hist_a, cap, bits).power(2) * len(B) ** 2,
+                           3, e2_mixed ** 3 * e3a ** 2 * e3b, cap)
     rhs = (
         RatInterval.point(e2_mixed)
         * root_interval(e3a ** 2, 3, PRECISION_START)
@@ -241,7 +241,7 @@ def _check_r5(A: FSet, B: FSet, digest: str, cap: Optional[int] = None) -> Inequ
     return InequalityReport("R5", lhs, rhs, verdict, _ratio_slack(lhs, rhs), digest, note)
 
 
-def _check_r6(A: FSet, B: FSet, digest: str) -> InequalityReport:
+def _check_r6(*, A: FSet, B: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(A, (0,), "A")
     _exclude(B, (0,), "B")
     support = combine(A, B, "ratio")
@@ -262,7 +262,7 @@ def _check_r6(A: FSet, B: FSet, digest: str) -> InequalityReport:
                             "pair-counting identity over the ratio support")
 
 
-def _check_r7(A: FSet, B: FSet, t: int, digest: str) -> InequalityReport:
+def _check_r7(*, A: FSet, B: FSet, t: int, digest: str, cap: Optional[int]) -> InequalityReport:
     _require_rational(A)
     try:
         res = st_lower_bound_check(A, B, t)
@@ -279,19 +279,20 @@ def _check_r7(A: FSet, B: FSet, t: int, digest: str) -> InequalityReport:
                             _ratio_slack(res.witness_count, rhs), digest, note)
 
 
-def _check_r8(A: FSet, B: FSet, epsilon, digest: str,
-              res: Optional[cons.PopularRatioResult] = None) -> InequalityReport:
-    _require_nonempty(A, "A")
-    _require_nonempty(B, "B")
-    if res is None:
-        res = cons.popular_ratio_graph(A, B, epsilon)
-    lhs = len(res.partial_diff)
-    return InequalityReport("R8", lhs, res.bound_rhs_shape, SLACK_ONLY, res.slack,
-                            digest,
+def _r8_report(res: cons.PopularRatioResult, digest: str) -> InequalityReport:
+    return InequalityReport("R8", len(res.partial_diff), res.bound_rhs_shape, SLACK_ONLY,
+                            res.slack, digest,
                             f"partial difference set vs expander shape; |G| = {len(res.graph)}")
 
 
-def _check_r9(A: FSet, B: FSet, t: int, digest: str) -> InequalityReport:
+def _check_r8(*, A: FSet, B: FSet, epsilon: Fraction, digest: str,
+              cap: Optional[int]) -> InequalityReport:
+    _require_nonempty(A, "A")
+    _require_nonempty(B, "B")
+    return _r8_report(cons.popular_ratio_graph(A, B, epsilon), digest)
+
+
+def _check_r9(*, A: FSet, B: FSet, t: int, digest: str, cap: Optional[int]) -> InequalityReport:
     _require_rational(A)
     _exclude(A, (0, 1, -1), "A")
     _exclude(B, (0,), "B")
@@ -302,7 +303,7 @@ def _check_r9(A: FSet, B: FSet, t: int, digest: str) -> InequalityReport:
                             "rich-product count vs incidence shape")
 
 
-def _check_r10(A: FSet, digest: str) -> InequalityReport:
+def _check_r10(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(A, (0, 1, -1), "A")
     a1 = translate(A, 1)
     e3a = energy(histogram(A, A, "ratio"), 3).exact
@@ -313,31 +314,30 @@ def _check_r10(A: FSet, digest: str) -> InequalityReport:
     return InequalityReport("R10", lhs, rhs, SLACK_ONLY, _ratio_slack(lhs, rhs), digest, note)
 
 
-def _check_r11(A: FSet, digest: str) -> InequalityReport:
+def _check_r11(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(A, (0, 1, -1), "A")
     a1 = translate(A, 1)
     aa1 = expander_set(A, A)
-    e2a = _e2_mixed(A, aa1)
-    e2b = _e2_mixed(a1, aa1)
+    e2a = multiplicative_energy(A, aa1)
+    e2b = multiplicative_energy(a1, aa1)
     lhs = max(e2a, e2b)
     rhs = root_interval(len(aa1) ** 5, 2, PRECISION_START)
     note = f"mixed energies {e2a} and {e2b} vs expander set to the 5/2"
     return InequalityReport("R11", lhs, rhs, SLACK_ONLY, _ratio_slack(lhs, rhs), digest, note)
 
 
-def _check_r12(A: FSet, digest: str, cap: Optional[int] = None) -> InequalityReport:
+def _check_r12(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(A, (0, 1, -1), "A")
     _require_nonempty(A, "A")
     a1 = translate(A, 1)
     lhs = Fraction(len(A) ** 11, len(expander_set(A, A)) ** 5)
-    e15a = energy(histogram(A, A, "ratio"), Fraction(3, 2), cap=cap)
-    e15b = energy(histogram(a1, a1, "ratio"), Fraction(3, 2), cap=cap)
-    rhs = e15a.interval * e15b.interval
+    rhs = (_e15_capped(histogram(A, A, "ratio"), cap, PRECISION_START)
+           * _e15_capped(histogram(a1, a1, "ratio"), cap, PRECISION_START))
     return InequalityReport("R12", lhs, rhs, SLACK_ONLY, _ratio_slack(lhs, rhs), digest,
                             "lower shape for the product of 3/2-energies")
 
 
-def _check_r13(A: FSet, digest: str) -> InequalityReport:
+def _check_r13(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(A, (0, 1, -1), "A")
     lhs = len(A) ** 24
     rhs = len(expander_set(A, A)) ** 19
@@ -345,7 +345,7 @@ def _check_r13(A: FSet, digest: str) -> InequalityReport:
                             "final exponent comparison, 24 against 19")
 
 
-def _check_r14(A: FSet, digest: str) -> InequalityReport:
+def _check_r14(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(A, (0, 1, -1), "A")
     lhs = root_interval(len(A) ** 57, 56, PRECISION_START)
     rhs = len(expander_set(A, A))
@@ -359,37 +359,38 @@ class RelationSpec:
     inputs: Tuple[str, ...]
     klass: str       # "exact" | "certified" | "slack"
     description: str
+    checker: Callable[..., InequalityReport]
 
 
 REGISTRY: Dict[str, RelationSpec] = {
     "R1": RelationSpec("R1", ("A", "B", "C"), "exact",
-                       "|A-B| <= |A-C||B-C|/|C| (triangle)"),
+                       "|A-B| <= |A-C||B-C|/|C| (triangle)", _check_r1),
     "R2": RelationSpec("R2", ("A",), "exact",
-                       "|A/A| <= |A(A+1)|^2/|A| (multiplicative triangle)"),
+                       "|A/A| <= |A(A+1)|^2/|A| (multiplicative triangle)", _check_r2),
     "R3": RelationSpec("R3", ("A",), "exact",
-                       "|A|^4/|A(A+1)| <= E2(A, A+1) (Cauchy-Schwarz)"),
+                       "|A|^4/|A(A+1)| <= E2(A, A+1) (Cauchy-Schwarz)", _check_r3),
     "R4": RelationSpec("R4", ("A",), "exact",
-                       "E2(A, A+1) <= sqrt(E2(A) E2(A+1)) (decided on squares)"),
+                       "E2(A, A+1) <= sqrt(E2(A) E2(A+1)) (decided on squares)", _check_r4),
     "R5": RelationSpec("R5", ("A", "B"), "certified",
-                       "E1.5(A)^2 |B|^2 <= E2(A, AB) E3(A)^(2/3) E3(B)^(1/3)"),
+                       "E1.5(A)^2 |B|^2 <= E2(A, AB) E3(A)^(2/3) E3(B)^(1/3)", _check_r5),
     "R6": RelationSpec("R6", ("A", "B"), "exact",
-                       "sum over A/B of |A ∩ xB| equals |A||B|"),
+                       "sum over A/B of |A ∩ xB| equals |A||B|", _check_r6),
     "R7": RelationSpec("R7", ("A", "B", "t"), "exact",
-                       "|P_t| >= |S_t(A,B)||A| for the slope family"),
+                       "|P_t| >= |S_t(A,B)||A| for the slope family", _check_r7),
     "R8": RelationSpec("R8", ("A", "B", "epsilon"), "slack",
-                       "|A -_G B| vs |A(B+1)||B(A+1)||A/B|/(|A||B|)"),
+                       "|A -_G B| vs |A(B+1)||B(A+1)||A/B|/(|A||B|)", _check_r8),
     "R9": RelationSpec("R9", ("A", "B", "t"), "slack",
-                       "|S_t(A,B)| vs |A(A+1)|^2|B|^2/(|A| t^3)"),
+                       "|S_t(A,B)| vs |A(A+1)|^2|B|^2/(|A| t^3)", _check_r9),
     "R10": RelationSpec("R10", ("A",), "slack",
-                        "E3(A), E3(A+1) vs |A(A+1)|^2 |A|"),
+                        "E3(A), E3(A+1) vs |A(A+1)|^2 |A|", _check_r10),
     "R11": RelationSpec("R11", ("A",), "slack",
-                        "E2(A, A(A+1)), E2(A+1, A(A+1)) vs |A(A+1)|^(5/2)"),
+                        "E2(A, A(A+1)), E2(A+1, A(A+1)) vs |A(A+1)|^(5/2)", _check_r11),
     "R12": RelationSpec("R12", ("A",), "slack",
-                        "|A|^11/|A(A+1)|^5 vs E1.5(A) E1.5(A+1)"),
+                        "|A|^11/|A(A+1)|^5 vs E1.5(A) E1.5(A+1)", _check_r12),
     "R13": RelationSpec("R13", ("A",), "slack",
-                        "|A|^24 vs |A(A+1)|^19"),
+                        "|A|^24 vs |A(A+1)|^19", _check_r13),
     "R14": RelationSpec("R14", ("A",), "slack",
-                        "|A|^(57/56) vs |A(A+1)|"),
+                        "|A|^(57/56) vs |A(A+1)|", _check_r14),
 }
 
 SLACK_KEYS = tuple(k for k, spec in REGISTRY.items() if spec.klass == "slack")
@@ -404,47 +405,21 @@ def check(
     epsilon=None,
     cap: Optional[int] = None,
 ) -> InequalityReport:
-    """Certify one registry relation on one instance."""
-    if name not in REGISTRY:
+    """Certify one registry relation on one instance.
+
+    Only the inputs the relation takes are used; they, with the relation
+    name, make up the instance digest."""
+    spec = REGISTRY.get(name)
+    if spec is None:
         raise UnknownRelation(f"no relation named {name!r}")
-    spec = REGISTRY[name]
-    given = {"A": A, "B": B, "C": C, "t": t, "epsilon": epsilon}
+    given = {"A": A, "B": B, "C": C, "t": t,
+             "epsilon": Fraction(epsilon) if epsilon is not None else None}
+    inputs = {}
     for needed in spec.inputs:
         if given[needed] is None:
             raise SideConditionViolated(f"{name} needs input {needed}")
-    digest = instance_digest(
-        relation=name, A=A, B=B, C=C, t=t,
-        epsilon=Fraction(epsilon) if epsilon is not None else None,
-    )
-    if name == "R1":
-        return _check_r1(A, B, C, digest)
-    if name == "R2":
-        return _check_r2(A, digest)
-    if name == "R3":
-        return _check_r3(A, digest)
-    if name == "R4":
-        return _check_r4(A, digest)
-    if name == "R5":
-        return _check_r5(A, B, digest, cap)
-    if name == "R6":
-        return _check_r6(A, B, digest)
-    if name == "R7":
-        return _check_r7(A, B, t, digest)
-    if name == "R8":
-        return _check_r8(A, B, Fraction(epsilon), digest)
-    if name == "R9":
-        return _check_r9(A, B, t, digest)
-    if name == "R10":
-        return _check_r10(A, digest)
-    if name == "R11":
-        return _check_r11(A, digest)
-    if name == "R12":
-        return _check_r12(A, digest, cap)
-    if name == "R13":
-        return _check_r13(A, digest)
-    if name == "R14":
-        return _check_r14(A, digest)
-    raise UnknownRelation(name)
+        inputs[needed] = given[needed]
+    return spec.checker(digest=instance_digest(relation=name, **inputs), cap=cap, **inputs)
 
 
 # -- pipeline traces -----------------------------------------------------------
@@ -548,12 +523,13 @@ def finite_field_pipeline(
     digest = instance_digest(pipeline="fp", A=A, epsilon=eps)
     steps = []
     aa1 = expander_set(A, A)
+    eighth_shape = Fraction(len(aa1) ** 8, n ** 7)
 
     # constructive difference-set evidence (self graphs)
     pop = cons.popular_ratio_graph(A, A, eps)
     steps.append(PipelineStep(
         "partial difference set of the popular-ratio graph on (A, A)",
-        _check_r8(A, A, eps, digest, pop)))
+        _r8_report(pop, digest)))
     tri = cons.partial_ruzsa(pop.graph, pop.graph, eps)
     steps.append(PipelineStep(
         "dense partial triangle inequality on the self graph",
@@ -568,16 +544,18 @@ def finite_field_pipeline(
         "difference set of the extracted core against the eighth-power shape",
         _slack_report("fp-difference-shape",
                       len(diff_core),
-                      Fraction(len(aa1) ** 8, n ** 7),
+                      eighth_shape,
                       digest,
                       f"|core| = {len(a_core)}; subset passage carries hidden log factors")))
-    steps.append(PipelineStep("ratio-set bound on A", _check_r2(A, digest)))
+    steps.append(PipelineStep("ratio-set bound on A",
+                              _check_r2(A=A, digest=digest, cap=cap)))
 
-    # b0 selection by maximal total intersection with a(A+1)
+    # b0 selection by maximal total intersection with a(A+1): the total for b
+    # is sum over a of |a(A+1) & b(A+1)| = sum over x in b(A+1) of m(x), with
+    # m(x) = #{a : x in a(A+1)}
     shifted = {a: frozenset((a * (b + 1)) % p for b in A.vals) for a in A.vals}
-    best_total, b0 = max(
-        (sum(len(shifted[a] & shifted[b]) for a in A.vals), -b) for b in A.vals
-    )
+    mult = Counter(x for s in shifted.values() for x in s)
+    best_total, b0 = max((sum(mult[x] for x in shifted[b]), -b) for b in A.vals)
     b0 = -b0
     steps.append(PipelineStep(
         "pair-intersection mass of the selected base point",
@@ -732,6 +710,11 @@ def finite_field_pipeline(
         "iterated-sumset witness for the three-fold dilate sum",
         _slack_report("fp-plunnecke", pl_slack, 1, digest, pl_note)))
 
+    # the four-fold dilate sum: the ReqFp embedding target, and the left side
+    # of the translate-product bound
+    four_fold = combine(combine(dilate(A2, al), dilate(A2, be), "diff"),
+                        combine(dilate(A2, ga), dilate(A2, de), "diff"), "diff")
+
     if branch == "RneqFp":
         lhs_nr = len(combine(a3, dilate(a3, (xi - 1) % p), "sum"))
         steps.append(PipelineStep(
@@ -762,20 +745,17 @@ def finite_field_pipeline(
             "Cauchy-Schwarz lower bound for the twisted difference set",
             _hold_report("fp-twisted-cs", len(A2) ** 4,
                          e2_sub * len(twisted_diff), digest)))
-        four_mix = combine(combine(dilate(A2, al), dilate(A2, be), "diff"),
-                           combine(dilate(A2, ga), dilate(A2, de), "diff"), "diff")
         steps.append(PipelineStep(
             "twisted difference set embeds into the four-fold dilate sum",
-            _hold_report("fp-twisted-embed", len(twisted_diff), len(four_mix), digest)))
+            _hold_report("fp-twisted-embed", len(twisted_diff), len(four_fold), digest)))
 
     # translate-product bound: the four-fold dilate sum against shift counts
-    four_fold = combine(combine(dilate(A2, al), dilate(A2, be), "diff"),
-                        combine(dilate(A2, ga), dilate(A2, de), "diff"), "diff")
     counts_product = 1
     for step in steps:
         if step.report.name.startswith("fp-cover-"):
             counts_product *= int(step.report.lhs)
     aaaa = kfold_sum(A, 4, (1, -1, -1, -1))
+    diff_size = len(combine(A, A, "diff"))
     steps.append(PipelineStep(
         "four-fold dilate sum against the translate-count product",
         _hold_report("fp-translate-product", len(four_fold),
@@ -783,12 +763,10 @@ def finite_field_pipeline(
                      f"translate counts multiply to {counts_product}")))
     steps.append(PipelineStep(
         "four-fold difference set against the cubed-difference shape",
-        _slack_report("fp-fourfold", len(aaaa),
-                      Fraction(len(combine(A, A, "diff")) ** 3, n ** 2), digest)))
+        _slack_report("fp-fourfold", len(aaaa), Fraction(diff_size ** 3, n ** 2), digest)))
     steps.append(PipelineStep(
         "difference set against the eighth-power shape",
-        _slack_report("fp-diff-assumed", len(combine(A, A, "diff")),
-                      Fraction(len(aa1) ** 8, n ** 7), digest,
+        _slack_report("fp-diff-assumed", diff_size, eighth_shape, digest,
                       "assumed on A itself; subset passage hides log factors")))
     steps.append(PipelineStep(
         "final growth probe",
@@ -813,38 +791,25 @@ def real_pipeline(A: FSet, cap: Optional[int] = None) -> PipelineTrace:
     aa1 = expander_set(A, A)
     steps = [
         PipelineStep("Cauchy-Schwarz lower bound on the mixed energy",
-                     _check_r3(A, digest)),
+                     _check_r3(A=A, digest=digest, cap=cap)),
         PipelineStep("mixed energy split between the two self energies",
-                     _check_r4(A, digest)),
+                     _check_r4(A=A, digest=digest, cap=cap)),
         PipelineStep("third-moment inequality for (A, A+1)",
-                     _check_r5(A, a1, digest, cap)),
+                     _check_r5(A=A, B=a1, digest=digest, cap=cap)),
         PipelineStep("third-moment inequality for (A+1, A)",
-                     _check_r5(a1, A, digest, cap)),
+                     _check_r5(A=a1, B=A, digest=digest, cap=cap)),
     ]
 
     # combined product form, decided on squares
-    e2a = _e2_mixed(A, aa1)
-    e2b = _e2_mixed(a1, aa1)
-    e3a = energy(histogram(A, A, "ratio"), 3).exact
-    e3b = energy(histogram(a1, a1, "ratio"), 3).exact
-    rhs_sq = e2a * e2b * e3a * e3b
+    hist_a = histogram(A, A, "ratio")
+    hist_b = histogram(a1, a1, "ratio")
+    rhs_sq = (multiplicative_energy(A, aa1) * multiplicative_energy(a1, aa1)
+              * energy(hist_a, 3).exact * energy(hist_b, 3).exact)
     capv = precision_cap(cap)
-    bits = min(PRECISION_START, capv)
-    verdict = INCONCLUSIVE
-    while True:
-        e15a = _e15_capped(histogram(A, A, "ratio"), capv, bits)
-        e15b = _e15_capped(histogram(a1, a1, "ratio"), capv, bits)
-        lhs_sq = (e15a.interval * e15b.interval * len(A) ** 2).power(2)
-        if lhs_sq.hi <= rhs_sq:
-            verdict = HOLDS
-            break
-        if lhs_sq.lo > rhs_sq:
-            verdict = FAILS
-            break
-        if bits >= capv:
-            break
-        bits = min(bits * 2, capv)
-    lhs_iv = e15a.interval * e15b.interval * len(A) ** 2
+    verdict, lhs_iv = _decide(
+        lambda bits: (_e15_capped(hist_a, capv, bits) * _e15_capped(hist_b, capv, bits)
+                      * len(A) ** 2),
+        2, rhs_sq, capv)
     rhs_iv = root_interval(rhs_sq, 2, PRECISION_START)
     steps.append(PipelineStep(
         "combined product of 3/2-energies against the mixed-moment square root",
@@ -853,12 +818,12 @@ def real_pipeline(A: FSet, cap: Optional[int] = None) -> PipelineTrace:
                          "product of both third-moment applications; decided on squares")))
 
     steps.append(PipelineStep("lower shape for the product of 3/2-energies",
-                              _check_r12(A, digest, cap)))
+                              _check_r12(A=A, digest=digest, cap=cap)))
     steps.append(PipelineStep("third moments against the expander shape",
-                              _check_r10(A, digest)))
+                              _check_r10(A=A, digest=digest, cap=cap)))
     steps.append(PipelineStep("mixed energies against the 5/2-power shape",
-                              _check_r11(A, digest)))
+                              _check_r11(A=A, digest=digest, cap=cap)))
     steps.append(PipelineStep("final exponent comparison, 24 against 19",
-                              _check_r13(A, digest)))
+                              _check_r13(A=A, digest=digest, cap=cap)))
 
     return PipelineTrace("real", A, None, tuple(steps), None)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ FP_SET = {"field": "fp", "p": 101, "elements": [3, 5, 9, 11, 17, 23]}
 FP_SET_B = {"field": "fp", "p": 101, "elements": [2, 7, 13, 19]}
 Q_SET = {"field": "q", "elements": ["2", "3", "5"]}
 Q_WITH_ONE = {"field": "q", "elements": ["1", "2", "3"]}
+# its 3/2-energies are irrational, so they need certified enclosures
+Q_ENCLOSED = {"field": "q", "elements": ["2", "3", "5", "7/2"]}
 
 
 def write(tmp_path: Path, name: str, doc) -> str:
@@ -174,3 +177,42 @@ def test_bad_precision_cap_env_exits_64(tmp_path, capsys, monkeypatch, cap):
     err = capsys.readouterr().err
     assert "InvalidPrecisionCap" in err
     assert "Traceback" not in err
+
+
+def test_verify_unknown_relation_exits_64(tmp_path, capsys):
+    a = write(tmp_path, "a.json", Q_SET)
+    assert main(["verify", a, "--relation", "R99"]) == 64
+    assert "no relation named 'R99'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "8"])
+def test_pipeline_real_small_precision_cap(tmp_path, capsys, cap):
+    q = write(tmp_path, "q.json", Q_ENCLOSED)
+    out = tmp_path / "trace.json"
+    assert main(["pipeline", q, "--mode", "real", "--precision-cap", cap,
+                 "--out", str(out)]) in (0, 3)
+    err = capsys.readouterr().err
+    assert "error:" not in err and "Traceback" not in err
+    assert json.loads(out.read_text())["steps"][5]["report"]["name"] == "R12"
+
+
+def test_verify_r12_small_precision_cap(tmp_path):
+    q = write(tmp_path, "q.json", Q_ENCLOSED)
+    out = tmp_path / "rep.json"
+    assert main(["verify", q, "--relation", "R12", "--precision-cap", "8",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [r["verdict"] for r in doc["reports"]] == ["SlackOnly"]
+    assert doc["violations"] == []
+
+
+def test_search_manifest_independent_of_cpu_count(tmp_path, monkeypatch):
+    out = tmp_path / "s.csv"
+    args = ["search", "--p", "53", "--n", "3", "--mode", "hillclimb", "--seed", "5",
+            "--restarts", "2", "--iterations", "40", "--out", str(out)]
+    manifests = []
+    for cpus in (1, 64):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(args) == 0
+        manifests.append((tmp_path / "s.manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]

@@ -81,14 +81,6 @@ def test_stochastic_deterministic():
     assert not r1.certified_min
 
 
-def test_stochastic_threads_deterministic():
-    base = SearchConfig(ctx=FieldCtx.prime(53), set_size=4, mode="hillclimb",
-                        seed=11, restarts=4, iteration_cap=100)
-    threaded = SearchConfig(ctx=FieldCtx.prime(53), set_size=4, mode="hillclimb",
-                            seed=11, restarts=4, iteration_cap=100, threads=3)
-    assert stochastic_search(base) == stochastic_search(threaded)
-
-
 def test_stochastic_rediscovers_p7_minimum():
     for seed in (1, 2, 3):
         cfg = SearchConfig(ctx=FieldCtx.prime(7), set_size=2, mode="hillclimb",
