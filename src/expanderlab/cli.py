@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .energy import energy, histogram, precision_cap
-from .errors import BudgetExceeded, ExpanderlabError
+from .errors import BudgetExceeded, ExpanderlabError, TooManySets
 from .field import FieldCtx
 from .search import (
     MODES,
@@ -91,6 +91,9 @@ def _applicable(n_sets: int):
 
 
 def cmd_verify(args, argv) -> int:
+    if len(args.sets) > 3:
+        raise TooManySets(f"verify takes at most three set files (A, B, C), "
+                          f"got {len(args.sets)}")
     sets = [load_set(p) for p in args.sets]
     if args.all:
         names = list(_applicable(len(sets)))
@@ -251,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="certify registry relations on set files")
-    p_verify.add_argument("sets", nargs="+", help="set files (JSON)")
+    p_verify.add_argument("sets", nargs="+", help="one to three set files (JSON): A, B, C")
     p_verify.add_argument("--relation", default=None, help="registry key, e.g. R6")
     p_verify.add_argument("--all", action="store_true",
                           help="run every relation matching the number of sets")

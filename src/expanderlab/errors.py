@@ -82,6 +82,11 @@ class BudgetExceeded(ExpanderlabError):
     pass
 
 
+class InvalidSearchConfig(ExpanderlabError, ValueError):
+    """A search seed outside [0, 2^64), fewer than one restart, a negative
+    iteration cap or an unknown mode."""
+
+
 # --- verification errors ----------------------------------------------------
 
 class UnknownRelation(ExpanderlabError):
@@ -102,6 +107,10 @@ class DensityViolated(ExpanderlabError):
 
 class DuplicateInput(ExpanderlabError):
     pass
+
+
+class TooManySets(ExpanderlabError):
+    """More set files than a relation has inputs (A, B and C)."""
 
 
 class CollisionFound(ExpanderlabError):

@@ -8,6 +8,18 @@ master generator and the restarts run one after another, so the result
 depends on the seed alone.  Ties between witnesses of equal objective value
 break toward the smaller element sum and then toward the colexicographically
 smaller witness, i.e. the one whose largest element is smallest.
+
+Both modes count each candidate incrementally.  A candidate is a rest R of
+n - 1 elements plus one element z, and of its n^2 products x(y+1) only the
+2n - 1 that involve z are new: |R(R+1)| + |{z(y+1), x(z+1), z(z+1) : x, y in
+R} - R(R+1)|.  A single-element swap keeps the rest, so a restart caches R,
+R+1 and R(R+1) for each swap index until a move is accepted; exhaustive
+enumeration builds them once per (n-1)-prefix and extends it by every later
+pool element.  The pool is plain ints in both fields, because the rational
+pool is an integer range; there the products are reduced modulo a number
+larger than twice their largest absolute value, which keeps them distinct, so
+one residue count serves F_p and Q.  Witnesses map back through ctx.canon,
+and `reevaluate` recounts them independently with the pair kernel.
 """
 from __future__ import annotations
 
@@ -16,13 +28,18 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .errors import BudgetExceeded, DensityViolated, SetTooSmall
+from .errors import (
+    BudgetExceeded,
+    DensityViolated,
+    InvalidSearchConfig,
+    InvariantViolation,
+    SetTooSmall,
+)
 from .field import KIND_PRIME, FieldCtx
 from .intervals import RatInterval, fraction_to_decimal, log_ratio_interval
-from .sets import FSet
+from .sets import FSet, expander_set
 
 MODES = ("exhaustive", "hillclimb", "anneal")
 _LOG_BITS = 128
@@ -45,11 +62,16 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"unknown search mode {self.mode!r}")
+            raise InvalidSearchConfig(f"unknown search mode {self.mode!r}")
         if self.set_size < 1:
             raise SetTooSmall("set size must be positive")
         if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must fit in 64 bits")
+            raise InvalidSearchConfig(f"seed {self.seed} does not lie in [0, 2^64)")
+        if self.restarts < 1:
+            raise InvalidSearchConfig(f"restarts must be at least 1, got {self.restarts}")
+        if self.iteration_cap < 0:
+            raise InvalidSearchConfig(
+                f"iteration cap must be non-negative, got {self.iteration_cap}")
 
 
 @dataclass(frozen=True)
@@ -75,15 +97,16 @@ class ExtremalRecord:
         }
 
 
-def candidate_pool(cfg: SearchConfig) -> Tuple:
-    """Admissible elements: the nonzero field (or the configured integer
-    range), with 0 and -1 dropped unless degenerate sets were re-admitted."""
+def candidate_pool(cfg: SearchConfig) -> Tuple[int, ...]:
+    """Admissible elements as ints: the field's residues (or the configured
+    integer range), with 0 and -1 dropped unless degenerate sets were
+    re-admitted."""
     ctx = cfg.ctx
     if ctx.kind == KIND_PRIME:
-        pool = list(range(ctx.p))
+        pool = range(ctx.p)
     else:
         lo, hi = cfg.rational_range
-        pool = [Fraction(v) for v in range(lo, hi + 1)]
+        pool = range(lo, hi + 1)
     if cfg.exclude_degenerate:
         banned = {ctx.canon(0), ctx.canon(-1)}
         pool = [v for v in pool if v not in banned]
@@ -91,17 +114,49 @@ def candidate_pool(cfg: SearchConfig) -> Tuple:
         raise SetTooSmall(f"pool of {len(pool)} cannot host sets of size {cfg.set_size}")
     if cfg.density_guard and ctx.kind == KIND_PRIME and cfg.set_size ** 2 >= ctx.p:
         raise DensityViolated(f"|A|^2 = {cfg.set_size ** 2} >= p = {ctx.p}")
-    return tuple(sorted(pool))
+    return tuple(pool)  # ascending, as the range it was filtered from
 
 
 def expander_size(ctx: FieldCtx, vals: Sequence) -> int:
+    """|A(A+1)| of the set of vals, counted by the pair kernel."""
+    w = FSet(ctx, vals)
+    return len(expander_set(w, w))
+
+
+def _modulus(ctx: FieldCtx, pool: Sequence[int]) -> int:
+    """p over F_p; over Q a modulus under which the products x(y+1) of pool
+    elements stay distinct: they lie in [-k(k+1), k(k+1)], k = max |v|."""
     if ctx.kind == KIND_PRIME:
-        p = ctx.p
-        return len({x * (y + 1) % p for x in vals for y in vals})
-    return len({x * (y + 1) for x in vals for y in vals})
+        return ctx.p
+    k = max(abs(v) for v in pool)
+    return 2 * k * (k + 1) + 1
 
 
-def _witness_key(vals: Tuple) -> Tuple:
+_Rest = Tuple[List[int], List[int], frozenset]
+
+
+def _rest(vals: List[int], m: int) -> _Rest:
+    """A rest R with R+1 and the residues mod m of R(R+1), ready to be
+    extended by one element."""
+    shifted = [y + 1 for y in vals]
+    # frozenset of a set, not of a list: the copy's table is sized to fit, half
+    # the size of one grown element by element, and up to n rests are cached
+    return vals, shifted, frozenset({x * y1 % m for x in vals for y1 in shifted})
+
+
+def _size_with(rest: _Rest, z: int, m: int) -> int:
+    """|(R + z)(R + z + 1)| from the 2|R| + 1 products that involve z."""
+    vals, shifted, products = rest
+    z1 = z + 1
+    new = {z * z1 % m}
+    for y1 in shifted:  # plain loops: a comprehension costs a frame per call
+        new.add(z * y1 % m)
+    for x in vals:
+        new.add(x * z1 % m)
+    return len(products) + len(new - products)
+
+
+def _witness_key(vals: Sequence) -> Tuple:
     """Deterministic tie-break: smaller element sum first, then the witness
     compared from its largest element down (colexicographic)."""
     return (sum(vals), tuple(sorted(vals, reverse=True)))
@@ -120,15 +175,19 @@ def exhaustive_min(cfg: SearchConfig) -> ExtremalRecord:
     total = math.comb(len(pool), n)
     if total > cfg.budget:
         raise BudgetExceeded(f"{total} candidate sets exceed budget {cfg.budget}")
-    ctx = cfg.ctx
-    best = None
-    for comb in itertools.combinations(pool, n):
-        value = expander_size(ctx, comb)
-        key = (value,) + _witness_key(comb)
-        if best is None or key < best:
-            best = key
+    m = _modulus(cfg.ctx, pool)
+    best = (n * n + 1,)  # above every key: no size-n set has more than n^2 products
+    for prefix in itertools.combinations(range(len(pool) - 1), n - 1):
+        rest = _rest([pool[i] for i in prefix], m)
+        # islice, not a slice: a fresh tuple per prefix, of many sizes, raised peak RSS
+        for z in itertools.islice(pool, prefix[-1] + 1 if prefix else 0, None):
+            value = _size_with(rest, z, m)
+            if value <= best[0]:
+                key = (value,) + _witness_key(rest[0] + [z])
+                if key < best:
+                    best = key
     value = best[0]
-    witness = FSet(ctx, sorted(best[2]))
+    witness = FSet(cfg.ctx, best[2])
     return ExtremalRecord(
         witness=witness,
         value=value,
@@ -139,32 +198,37 @@ def exhaustive_min(cfg: SearchConfig) -> ExtremalRecord:
     )
 
 
-def _one_restart(cfg: SearchConfig, pool: Tuple, seed: int) -> Tuple:
+def _one_restart(cfg: SearchConfig, pool: Tuple[int, ...], m: int, seed: int) -> Tuple:
     rng = random.Random(seed)
-    ctx = cfg.ctx
     n = cfg.set_size
     current = sorted(rng.sample(pool, n))
-    cur_val = expander_size(ctx, current)
-    cur_key = (cur_val,) + _witness_key(tuple(current))
+    cur_val = _size_with(_rest(current[1:], m), current[0], m)
+    cur_key = (cur_val,) + _witness_key(current)
     best_key = cur_key
     temp = cfg.initial_temp
     anneal = cfg.mode == "anneal"
+    rests: Dict[int, _Rest] = {}  # swap index -> rest of `current`; cleared on every move
     for _ in range(cfg.iteration_cap):
         idx = rng.randrange(n)
         replacement = pool[rng.randrange(len(pool))]
         if replacement in current:
             temp *= cfg.cooling
             continue
-        proposal = sorted(current[:idx] + current[idx + 1:] + [replacement])
-        val = expander_size(ctx, proposal)
-        key = (val,) + _witness_key(tuple(proposal))
-        accept = key < cur_key
-        if not accept and anneal and temp > 1e-9:
-            delta = val - cur_val
-            if delta > 0 and rng.random() < math.exp(-delta / temp):
-                accept = True
-        if accept:
+        rest = rests.get(idx)
+        if rest is None:
+            rest = rests[idx] = _rest(current[:idx] + current[idx + 1:], m)
+        val = _size_with(rest, replacement, m)
+        # a larger value is a larger key, so only an anneal draw can take an uphill move
+        uphill = val > cur_val
+        if uphill and not (anneal and temp > 1e-9
+                           and rng.random() < math.exp(-(val - cur_val) / temp)):
+            temp *= cfg.cooling
+            continue
+        proposal = sorted(rest[0] + [replacement])
+        key = (val,) + _witness_key(proposal)
+        if uphill or key < cur_key:
             current, cur_val, cur_key = proposal, val, key
+            rests.clear()
             if key < best_key:
                 best_key = key
         temp *= cfg.cooling
@@ -174,13 +238,14 @@ def _one_restart(cfg: SearchConfig, pool: Tuple, seed: int) -> Tuple:
 def stochastic_search(cfg: SearchConfig) -> ExtremalRecord:
     """Best-found record under single-element-swap moves; fully seed-driven."""
     if cfg.mode not in ("hillclimb", "anneal"):
-        raise ValueError("stochastic search needs mode hillclimb or anneal")
+        raise InvalidSearchConfig("stochastic search needs mode hillclimb or anneal")
     pool = candidate_pool(cfg)
+    m = _modulus(cfg.ctx, pool)
     master = random.Random(cfg.seed)
     seeds = [master.getrandbits(64) for _ in range(cfg.restarts)]
-    best = min(_one_restart(cfg, pool, s) for s in seeds)
+    best = min(_one_restart(cfg, pool, m, s) for s in seeds)
     value = best[0]
-    witness = FSet(cfg.ctx, sorted(best[2]))
+    witness = FSet(cfg.ctx, best[2])
     return ExtremalRecord(
         witness=witness,
         value=value,
@@ -205,7 +270,7 @@ def exponent_table(records: Sequence[ExtremalRecord]) -> List[dict]:
         raise ValueError("no records")
     for rec in records:
         if not reevaluate(rec):
-            raise ValueError(f"record {rec} does not re-evaluate to its value")
+            raise InvariantViolation(f"record {rec} does not re-evaluate to its value")
 
     def sort_key(rec: ExtremalRecord):
         ctx = rec.witness.ctx

@@ -216,3 +216,27 @@ def test_search_manifest_independent_of_cpu_count(tmp_path, monkeypatch):
         assert main(args) == 0
         manifests.append((tmp_path / "s.manifest.json").read_bytes())
     assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("bad", [["--seed", "-1"], ["--seed", "18446744073709551616"],
+                                 ["--restarts", "0"], ["--iterations", "-1"]])
+@pytest.mark.parametrize("mode", ["exhaustive", "anneal"])
+def test_search_bad_config_exits_64(tmp_path, capsys, bad, mode):
+    out = tmp_path / "s.csv"
+    assert main(["search", "--p", "53", "--n", "3", "--mode", mode, *bad,
+                 "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert "InvalidSearchConfig" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("select", [["--all"], ["--relation", "R1"]])
+def test_verify_more_than_three_sets_exits_64(tmp_path, capsys, select):
+    files = [write(tmp_path, f"{name}.json", FP_SET) for name in "abcd"]
+    out = tmp_path / "rep.json"
+    assert main(["verify", *files, *select, "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert "TooManySets" in err
+    assert "Traceback" not in err
+    assert not out.exists()

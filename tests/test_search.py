@@ -12,7 +12,7 @@ from expanderlab import (
     stochastic_search,
 )
 from expanderlab.search import candidate_pool, expander_size, reevaluate, write_csv
-from expanderlab.errors import BudgetExceeded, DensityViolated, SetTooSmall
+from expanderlab.errors import BudgetExceeded, DensityViolated, InvariantViolation, SetTooSmall
 
 
 def brute_minimum(p, n):
@@ -134,5 +134,5 @@ def test_reevaluation_detects_corruption():
     bad = ExtremalRecord(witness=rec.witness, value=rec.value + 1,
                          exponent=rec.exponent, certified_min=True,
                          seed=0, mode="exhaustive")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation):
         exponent_table([bad])
