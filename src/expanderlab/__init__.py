@@ -2,8 +2,10 @@
 
 Sumset and energy computations over prime fields and exact rationals, a
 registry of certified inequality instances, executable proof constructions,
-incidence counting over the rationals, and extremal search for sets with a
-small expander image.  No floating point participates in any verdict.
+the slope-family incidence certificate over the rationals, and extremal
+search for sets with a small expander image.  Sumsets, product sets,
+multiplicity spectra and energies all come from one scaled-integer pair
+kernel, `sets._pair_ints`.  No floating point participates in any verdict.
 """
 
 __version__ = "0.1.0"
@@ -25,7 +27,6 @@ from .energy import (
     MultiplicityHistogram,
     additive_energy,
     energy,
-    energy_of,
     histogram,
     multiplicative_energy,
     rich_products,
@@ -50,7 +51,6 @@ from .incidence import (
     LineFamily,
     count_incidences,
     expander_line_family,
-    rich_points,
     st_lower_bound_check,
 )
 from .verify import (

@@ -8,8 +8,8 @@ restarts one after another, from restart seeds drawn up front from `--seed`.
 
 Exit codes: 0 all verdicts hold, 2 a constant-free relation failed
 (counterexample serialised), 3 an enclosure stayed inconclusive at the
-precision cap, 64 malformed input or violated side condition, 65 budget
-exceeded.
+precision cap, 64 a usage error, malformed input or violated side
+condition, 65 budget exceeded.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .energy import energy, histogram, precision_cap
-from .errors import BudgetExceeded, ExpanderlabError, TooManySets
+from .energy import energy, histogram
+from .errors import BudgetExceeded, ExpanderlabError, InvalidManifest, TooManySets
 from .field import FieldCtx
 from .search import (
     MODES,
@@ -77,7 +77,11 @@ def _write_manifest(out_stem: Path, argv, inputs, outputs, config) -> None:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a fraction with a nonzero denominator") from None
 
 
 # -- verify ---------------------------------------------------------------------
@@ -219,8 +223,7 @@ def cmd_energy(args, argv) -> int:
     b = load_set(args.sets[1]) if len(args.sets) > 1 else a
     hist = histogram(a, b, args.kind)
     doc = {"histogram": hist.to_json(), "energies": {}}
-    for alpha_text in args.alpha:
-        alpha = Fraction(alpha_text)
+    for alpha in args.alpha:
         doc["energies"][str(alpha)] = energy(hist, alpha, cap=args.precision_cap).to_json()
     if args.delta is not None:
         low, high = hist.split(args.delta)
@@ -229,7 +232,8 @@ def cmd_energy(args, argv) -> int:
     if out:
         _dump_json(doc, out)
         _write_manifest(out.with_suffix(""), argv, args.sets, [out],
-                        {"kind": args.kind, "alpha": args.alpha, "delta": args.delta,
+                        {"kind": args.kind, "alpha": [str(a) for a in args.alpha],
+                         "delta": args.delta,
                          "precision_cap": args.precision_cap})
     else:
         json.dump(doc, sys.stdout, sort_keys=True, indent=1)
@@ -241,12 +245,29 @@ def cmd_energy(args, argv) -> int:
 
 def cmd_replay(args, argv) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return main(manifest["command"])
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InvalidManifest(f"{args.manifest}: {exc}") from exc
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if not (isinstance(command, list) and all(isinstance(a, str) for a in command)):
+        raise InvalidManifest(f"{args.manifest}: 'command' must be a list of strings")
+    if command[:1] == ["replay"]:
+        raise InvalidManifest(f"{args.manifest}: a manifest cannot replay another manifest")
+    return main(command)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_USAGE: argparse's own 2 is EXIT_FAILS here.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="expanderlab",
         description="Exact growth instrumentation for sets of the form A(A+1).",
     )
@@ -290,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_energy = sub.add_parser("energy", help="dump a multiplicity histogram and energies")
     p_energy.add_argument("sets", nargs="+", help="one or two set files")
     p_energy.add_argument("--kind", choices=("product", "ratio", "additive"), default="ratio")
-    p_energy.add_argument("--alpha", action="append", default=None,
+    p_energy.add_argument("--alpha", action="append", type=_parse_fraction, default=None,
                           help="exponent, e.g. 2 or 3/2 (repeatable)")
     p_energy.add_argument("--delta", type=int, default=None,
                           help="also emit the spectrum split at this multiplicity")
@@ -310,7 +331,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "alpha", None) is None and args.command == "energy":
-        args.alpha = ["2"]
+        args.alpha = [Fraction(2)]
     if args.command == "verify" and not args.all and args.relation is None:
         parser.error("verify needs --relation <key> or --all")
     try:

@@ -32,6 +32,7 @@ from .sets import (
     FSet,
     PairGraph,
     _from_ints,
+    _pair_groups,
     _pair_ints,
     _same_ctx,
     combine,
@@ -156,18 +157,16 @@ def injection_witness(a: FSet, b: FSet, g: PairGraph, epsilon=None) -> Injection
         if xi not in reps:
             reps[xi] = (av, bv)
 
-    # all (c, d) pairs per ratio
-    by_ratio: dict = {}
-    for cv in a.vals:
-        for dv in b.vals:
-            by_ratio.setdefault(ctx.div(cv, dv), []).append((cv, dv))
+    # all (c, d) pairs with the same ratio as a given pair
+    by_ratio, _ = _pair_groups(a, b, "ratio")
+    same_ratio = {pair: group for group in by_ratio.values() for pair in group}
 
     one = ctx.one
     image_seen: dict = {}
     s_size = 0
     for xi in sorted(reps):
         av, bv = reps[xi]
-        for cv, dv in by_ratio[ctx.div(av, bv)]:
+        for cv, dv in same_ratio[av, bv]:
             s_size += 1
             image = (ctx.mul(av, ctx.add(one, dv)), ctx.mul(bv, ctx.add(one, cv)))
             prior = image_seen.get(image)

@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import (
+    AlphaOutOfRange,
     BudgetExceeded,
     FieldMismatch,
     InvalidPrecisionCap,
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .field import KIND_PRIME
 from .intervals import RatInterval, iroot_floor, pow_interval
-from .sets import FSet, _from_ints, _pair_ints, _same_ctx
+from .sets import FSet, _from_ints, _pair_groups, _pair_ints, _same_ctx, dilate
 
 HIST_KINDS = ("product", "ratio", "additive")
 
@@ -219,7 +220,7 @@ def energy(
     """
     alpha = Fraction(alpha)
     if alpha < 1:
-        raise ValueError("alpha must be at least 1")
+        raise AlphaOutOfRange(f"alpha = {alpha} must be at least 1")
     if alpha.denominator == 1:
         total = sum(c * m ** alpha.numerator for m, c in hist.entries)
         return EnergyValue(alpha, Fraction(total), Fraction(total), 0)
@@ -239,10 +240,6 @@ def energy(
         if acc.lo > 0 and (acc.hi - acc.lo) * (1 << _REL_BITS) < acc.lo:
             return best
     raise PrecisionCapExceeded(f"enclosure still too wide at {bits} bits", achieved=best)
-
-
-def energy_of(a: FSet, b: FSet, alpha, kind: str = "ratio", cap: Optional[int] = None) -> EnergyValue:
-    return energy(histogram(a, b, kind), alpha, cap)
 
 
 def rich_products(a: FSet, b: FSet, t: int) -> FSet:
@@ -266,16 +263,12 @@ def multiplicative_energy(a: FSet, b: FSet) -> int:
 
 
 def twisted_energy(a: FSet, xi) -> int:
-    """Number of solutions of x + xi*y = z + xi*w with x, y, z, w in a."""
-    ctx = a.ctx
-    xv = ctx.canon(xi)
+    """Number of solutions of x + xi*y = z + xi*w with x, y, z, w in a: the
+    additive energy of a and its dilate xi*a."""
+    xv = a.ctx.canon(xi)
     if xv == 0:
         raise ZeroTwist("twist by zero degenerates to a line count")
-    counts: Counter = Counter()
-    for x in a.vals:
-        for y in a.vals:
-            counts[ctx.add(x, ctx.mul(xv, y))] += 1
-    return sum(c * c for c in counts.values())
+    return additive_energy(a, dilate(a, xv))
 
 
 def twist_spectrum(a: FSet) -> Tuple[Dict[int, tuple], Dict[int, int]]:
@@ -295,20 +288,13 @@ def twist_spectrum(a: FSet) -> Tuple[Dict[int, tuple], Dict[int, int]]:
     if ctx.kind != KIND_PRIME:
         raise FieldMismatch("the twist spectrum is defined over F_p")
     p = ctx.p
-    first: Dict[int, tuple] = {}
-    mult: Counter = Counter()
-    for x in a.vals:
-        for z in a.vals:
-            d = (x - z) % p
-            mult[d] += 1
-            if d not in first:
-                first[d] = (x, z)
+    pairs, _ = _pair_groups(a, a, "diff")
     n2 = len(a) * len(a)
     quads: Dict[int, tuple] = {}
     energies: Dict[int, int] = {}
-    nonzero = [(d, pow(d, -1, p), first[d], mult[d]) for d in first if d]
+    nonzero = [(d, pow(d, -1, p), ps[0], len(ps)) for d, ps in pairs.items() if d]
     if nonzero:
-        quads[0] = first[0] + nonzero[0][2]
+        quads[0] = pairs[0][0] + nonzero[0][2]
     for delta, _, rep, m in nonzero:
         for _, inv_eta, rep_eta, m_eta in nonzero:
             xi = delta * inv_eta % p

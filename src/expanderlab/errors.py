@@ -64,6 +64,10 @@ class ZeroTwist(ExpanderlabError):
     pass
 
 
+class AlphaOutOfRange(ExpanderlabError, ValueError):
+    """An energy exponent alpha below 1."""
+
+
 class PrecisionCapExceeded(ExpanderlabError):
     """Interval refinement hit the precision cap.  Carries the widest
     enclosure achieved so the caller can still report it."""
@@ -84,7 +88,7 @@ class BudgetExceeded(ExpanderlabError):
 
 class InvalidSearchConfig(ExpanderlabError, ValueError):
     """A search seed outside [0, 2^64), fewer than one restart, a negative
-    iteration cap or an unknown mode."""
+    iteration cap or budget, or an unknown mode."""
 
 
 # --- verification errors ----------------------------------------------------
@@ -107,6 +111,11 @@ class DensityViolated(ExpanderlabError):
 
 class DuplicateInput(ExpanderlabError):
     pass
+
+
+class InvalidManifest(ExpanderlabError):
+    """A replay manifest that is not JSON, or whose "command" is not a list
+    of strings naming a command other than replay."""
 
 
 class TooManySets(ExpanderlabError):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import ContextMismatch, DivisionByZero, MissingModulus, NonPrimeModulus
 
@@ -196,11 +196,6 @@ class FieldCtx:
         if self.kind == KIND_PRIME:
             return a * pow(b, -1, self.p) % self.p
         return a / b
-
-    def iter_all(self) -> Iterator[RawValue]:
-        if self.kind != KIND_PRIME:
-            raise ContextMismatch("cannot enumerate the rational line")
-        return iter(range(self.p))
 
 
 class Elem:

@@ -1,6 +1,6 @@
-"""Exact point-line incidence counting over the rationals, k-rich points,
-and the slope-family construction l_{alpha,b}: y = (alpha*x - 1)*b together
-with its rich-point lower bound.
+"""Exact point-line incidence counting over the rationals, and the
+slope-family construction l_{alpha,b}: y = (alpha*x - 1)*b together with its
+rich-point lower bound.
 
 Everything here is rational-line only: the incidence bound this instruments
 is false over prime fields at this generality, so prime-field inputs are
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .energy import rich_products
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     ZeroElementPresent,
 )
 from .field import KIND_RATIONAL
-from .sets import FSet, _lcd, _same_ctx, _scaled, expander_set
+from .sets import FSet, _lcd, _pair_groups, _same_ctx, _scaled, expander_set
 
 Point = Tuple[Fraction, Fraction]
 
@@ -57,39 +57,6 @@ class Line:
             return x == self.c
         return y == self.m * x + self.c
 
-    def y_at(self, x: Fraction) -> Optional[Fraction]:
-        if self.vertical:
-            return None
-        return self.m * x + self.c
-
-
-def intersect(l1: Line, l2: Line) -> Optional[Point]:
-    """The unique intersection point, or None for parallel/equal lines."""
-    if l1.vertical and l2.vertical:
-        return None
-    if l1.vertical:
-        return (l1.c, l2.m * l1.c + l2.c)
-    if l2.vertical:
-        return (l2.c, l1.m * l2.c + l1.c)
-    if l1.m == l2.m:
-        return None
-    x = (l2.c - l1.c) / (l1.m - l2.m)
-    return (x, l1.m * x + l1.c)
-
-
-def _dedupe_points(points: Iterable[Point]) -> Tuple[Point, ...]:
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
-    if len(set(pts)) != len(pts):
-        raise DuplicateInput("duplicate points")
-    return tuple(sorted(pts))
-
-
-def _dedupe_lines(lines: Iterable[Line]) -> Tuple[Line, ...]:
-    ls = list(lines)
-    if len(set(ls)) != len(ls):
-        raise DuplicateInput("duplicate lines")
-    return tuple(sorted(ls))
-
 
 def count_incidences(points: Iterable[Point], lines: Iterable[Line]) -> int:
     """Exact number of (point, line) incidences.
@@ -98,8 +65,12 @@ def count_incidences(points: Iterable[Point], lines: Iterable[Line]) -> int:
     (membership against points grouped by abscissa); the two totals are
     cross-checked before returning.
     """
-    pts = _dedupe_points(points)
-    ls = _dedupe_lines(lines)
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    ls = list(lines)
+    if len(set(pts)) != len(pts):
+        raise DuplicateInput("duplicate points")
+    if len(set(ls)) != len(ls):
+        raise DuplicateInput("duplicate lines")
 
     per_point = sum(1 for p in pts for l in ls if l.contains(p))
 
@@ -118,78 +89,6 @@ def count_incidences(points: Iterable[Point], lines: Iterable[Line]) -> int:
             f"incidence cross-check mismatch: {per_point} vs {per_line}"
         )
     return per_point
-
-
-@dataclass(frozen=True)
-class IncidenceShapeResult:
-    incidences: int
-    shape: "object"              # RatInterval: |P|^(2/3)|L|^(2/3) + |P| + |L|
-    slack: "object"              # RatInterval: incidences / shape
-
-
-def incidence_shape_slack(points: Iterable[Point], lines: Iterable[Line],
-                          bits: int = 128) -> IncidenceShapeResult:
-    """Observed incidences against the classical upper-bound shape
-    |P|^(2/3) |L|^(2/3) + |P| + |L|.
-
-    The hidden constant is never asserted; the 2/3 powers are enclosed by
-    cube-root intervals so the slack stays certified.
-    """
-    from .intervals import RatInterval, root_interval
-
-    pts = _dedupe_points(points)
-    ls = _dedupe_lines(lines)
-    count = count_incidences(pts, ls)
-    np_, nl = len(pts), len(ls)
-    shape = root_interval(np_ ** 2 * nl ** 2, 3, bits) + RatInterval.point(np_ + nl)
-    return IncidenceShapeResult(
-        incidences=count,
-        shape=shape,
-        slack=RatInterval.point(count) / shape,
-    )
-
-
-@dataclass(frozen=True)
-class RichPointsResult:
-    points: FrozenSet[Point]
-    k: int
-    line_count: int
-    shape: Fraction              # |L|^2/k^3 + |L|/k
-    slack: Fraction              # |P_k| / shape
-
-
-def rich_points(lines: Iterable[Line], k: int, points: Optional[Iterable[Point]] = None) -> RichPointsResult:
-    """Points incident to at least k of the lines.
-
-    With `points` omitted, the candidates are all pairwise intersection
-    points of the family.  The incidence-theorem shape |L|^2/k^3 + |L|/k is
-    reported as a slack ratio only; its hidden constant is never asserted.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    ls = _dedupe_lines(lines)
-    if points is None:
-        cands = set()
-        for i in range(len(ls)):
-            for j in range(i + 1, len(ls)):
-                pt = intersect(ls[i], ls[j])
-                if pt is not None:
-                    cands.add(pt)
-        pts: Sequence[Point] = sorted(cands)
-    else:
-        pts = _dedupe_points(points)
-
-    rich = frozenset(
-        p for p in pts if sum(1 for l in ls if l.contains(p)) >= k
-    )
-    shape = Fraction(len(ls) ** 2, k ** 3) + Fraction(len(ls), k)
-    return RichPointsResult(
-        points=rich,
-        k=k,
-        line_count=len(ls),
-        shape=shape,
-        slack=Fraction(len(rich)) / shape,
-    )
 
 
 @dataclass(frozen=True)
@@ -267,15 +166,12 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
     scale = _lcd(alphas)
     alpha_ints = set(_scaled(alphas, scale))
 
-    # product representations s = a_i * b_i, keyed by s
-    reps: dict = {}
-    for av in a.vals:
-        for bv in b.vals:
-            reps.setdefault(av * bv, []).append((av, bv))
+    # product representations s = a_i * b_i, keyed by the kernel int of s
+    reps, rep_scale = _pair_groups(a, b, "prod")
 
     min_lines = None
     witnesses = set()
-    for s in s_t.vals:
+    for s, s_int in zip(s_t.vals, _scaled(s_t.vals, rep_scale)):
         shifts = [((s + bv) / bv * scale).as_integer_ratio() for bv in b.vals]
         for x in a.vals:
             pt = (1 / x, s)
@@ -284,7 +180,7 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
             witnesses.add(pt)
 
             designated = set()
-            for ai, bi in reps[s]:
+            for ai, bi in reps[s_int]:
                 alpha = x * (ai + 1)
                 line = Line.from_expander_params(alpha, bi)
                 key = (line.vertical, line.m, line.c)

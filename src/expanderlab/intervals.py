@@ -92,10 +92,6 @@ class RatInterval:
         other = _as_interval(other)
         return self.hi <= other.lo
 
-    def surely_ge(self, other) -> bool:
-        other = _as_interval(other)
-        return self.lo >= other.hi
-
     def __repr__(self):
         return f"RatInterval({self.lo}, {self.hi})"
 

@@ -72,6 +72,8 @@ class SearchConfig:
         if self.iteration_cap < 0:
             raise InvalidSearchConfig(
                 f"iteration cap must be non-negative, got {self.iteration_cap}")
+        if self.budget < 0:
+            raise InvalidSearchConfig(f"budget must be non-negative, got {self.budget}")
 
 
 @dataclass(frozen=True)

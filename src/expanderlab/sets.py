@@ -16,8 +16,10 @@ scale > 0, sorted ints give the results in Fraction order.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -138,7 +140,10 @@ class FSet:
         if field == "fp":
             if "p" not in doc:
                 raise InvalidSetFile("prime-field set document needs 'p'")
-            ctx = FieldCtx.prime(doc["p"])
+            p = doc["p"]
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise InvalidSetFile(f"'p' must be an integer, got {p!r}")
+            ctx = FieldCtx.prime(p)
             for e in elements:
                 if isinstance(e, bool) or not isinstance(e, int):
                     raise InvalidSetFile(f"non-integer residue {e!r}")
@@ -157,7 +162,7 @@ def load_set(path) -> FSet:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise InvalidSetFile(f"{path}: {exc}") from exc
     return FSet.from_json(doc)
 
@@ -216,6 +221,16 @@ def _pair_ints(a: FSet, b: FSet, op: str) -> Tuple[Iterator[int], int]:
     sa, sb = _lcd(av), _lcd(bv)
     ai, bi = _scaled(av, sa), _scaled(bv, sb)
     return (x * y for x in ai for y in bi), sa * sb
+
+
+def _pair_groups(a: FSet, b: FSet, op: str) -> Tuple[dict, int]:
+    """The pairs of a x b grouped by their result's kernel int, with the
+    scale.  Groups come in the order of their first pairs."""
+    ints, scale = _pair_ints(a, b, op)
+    groups = defaultdict(list)
+    for k, pair in zip(ints, itertools.product(a.vals, b.vals)):
+        groups[k].append(pair)
+    return groups, scale
 
 
 def _from_ints(ctx: FieldCtx, ints: Iterable[int], scale: int) -> FSet:
@@ -356,10 +371,6 @@ class PairGraph:
 
     def transpose(self) -> "PairGraph":
         return PairGraph(self.right, self.left, ((j, i) for i, j in self.edges))
-
-    def density(self) -> Fraction:
-        denom = len(self.left) * len(self.right)
-        return Fraction(len(self.edges), denom) if denom else Fraction(0)
 
 
 def partial_combine(g: PairGraph, op: str) -> FSet:

@@ -45,6 +45,8 @@ from .intervals import RatInterval, interval_to_decimal, root_interval
 from .sets import (
     FSet,
     PairGraph,
+    _pair_ints,
+    _scaled,
     combine,
     dilate,
     expander_set,
@@ -149,6 +151,20 @@ def _ratio_slack(lhs, rhs):
     return Fraction(lhs) / Fraction(rhs)
 
 
+def _hold_report(name, lhs, rhs, digest, notes="", strict_equal=False) -> InequalityReport:
+    if strict_equal:
+        verdict = HOLDS if lhs == rhs else FAILS
+    else:
+        lv = lhs.hi if isinstance(lhs, RatInterval) else lhs
+        rv = rhs.lo if isinstance(rhs, RatInterval) else rhs
+        verdict = HOLDS if lv <= rv else FAILS
+    return InequalityReport(name, lhs, rhs, verdict, _ratio_slack(lhs, rhs), digest, notes)
+
+
+def _slack_report(name, lhs, rhs, digest, notes="") -> InequalityReport:
+    return InequalityReport(name, lhs, rhs, SLACK_ONLY, _ratio_slack(lhs, rhs), digest, notes)
+
+
 # -- registry checkers ---------------------------------------------------------
 # Every checker takes its relation's inputs, the instance digest and the
 # precision cap as keywords, so `check` calls them all the same way.
@@ -157,9 +173,7 @@ def _check_r1(*, A: FSet, B: FSet, C: FSet, digest: str, cap: Optional[int]) -> 
     _require_nonempty(C, "C")
     lhs = len(combine(A, B, "diff"))
     rhs = Fraction(len(combine(A, C, "diff")) * len(combine(B, C, "diff")), len(C))
-    verdict = HOLDS if lhs <= rhs else FAILS
-    return InequalityReport("R1", lhs, rhs, verdict, _ratio_slack(lhs, rhs), digest,
-                            "difference-set triangle inequality")
+    return _hold_report("R1", lhs, rhs, digest, "difference-set triangle inequality")
 
 
 def _check_r2(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
@@ -167,9 +181,7 @@ def _check_r2(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _require_nonempty(A, "A")
     lhs = len(combine(A, A, "ratio"))
     rhs = Fraction(len(expander_set(A, A)) ** 2, len(A))
-    verdict = HOLDS if lhs <= rhs else FAILS
-    return InequalityReport("R2", lhs, rhs, verdict, _ratio_slack(lhs, rhs), digest,
-                            "ratio set bounded by the expander set squared")
+    return _hold_report("R2", lhs, rhs, digest, "ratio set bounded by the expander set squared")
 
 
 def _check_r3(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
@@ -178,9 +190,7 @@ def _check_r3(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     a1 = translate(A, 1)
     lhs = Fraction(len(A) ** 4, len(expander_set(A, A)))
     rhs = multiplicative_energy(A, a1)
-    verdict = HOLDS if lhs <= rhs else FAILS
-    return InequalityReport("R3", lhs, rhs, verdict, _ratio_slack(lhs, rhs), digest,
-                            "Cauchy-Schwarz lower bound on the mixed energy")
+    return _hold_report("R3", lhs, rhs, digest, "Cauchy-Schwarz lower bound on the mixed energy")
 
 
 def _check_r4(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
@@ -244,22 +254,14 @@ def _check_r5(*, A: FSet, B: FSet, digest: str, cap: Optional[int]) -> Inequalit
 def _check_r6(*, A: FSet, B: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(A, (0,), "A")
     _exclude(B, (0,), "B")
-    support = combine(A, B, "ratio")
-    a_members = A.member_set()
-    ctx = A.ctx
-    bv = B.vals
-    total = 0
-    if ctx.kind == KIND_PRIME:
-        p = ctx.p
-        for x in support.vals:
-            total += sum(1 for b in bv if x * b % p in a_members)
-    else:
-        for x in support.vals:
-            total += sum(1 for b in bv if x * b in a_members)
-    rhs = len(A) * len(B)
-    verdict = HOLDS if total == rhs else FAILS
-    return InequalityReport("R6", total, rhs, verdict, _ratio_slack(total, rhs), digest,
-                            "pair-counting identity over the ratio support")
+    # |A ∩ xB| summed over x counts the products x*b that land in A.  Each
+    # a = (a/b)*b is such a product, so a*scale is an int whenever B is
+    # nonempty; with B empty there are no products to count.
+    products, scale = _pair_ints(combine(A, B, "ratio"), B, "prod")
+    a_ints = set(_scaled(A.vals, scale))
+    total = sum(map(a_ints.__contains__, products))
+    return _hold_report("R6", total, len(A) * len(B), digest,
+                        "pair-counting identity over the ratio support", strict_equal=True)
 
 
 def _check_r7(*, A: FSet, B: FSet, t: int, digest: str, cap: Optional[int]) -> InequalityReport:
@@ -280,9 +282,8 @@ def _check_r7(*, A: FSet, B: FSet, t: int, digest: str, cap: Optional[int]) -> I
 
 
 def _r8_report(res: cons.PopularRatioResult, digest: str) -> InequalityReport:
-    return InequalityReport("R8", len(res.partial_diff), res.bound_rhs_shape, SLACK_ONLY,
-                            res.slack, digest,
-                            f"partial difference set vs expander shape; |G| = {len(res.graph)}")
+    return _slack_report("R8", len(res.partial_diff), res.bound_rhs_shape, digest,
+                         f"partial difference set vs expander shape; |G| = {len(res.graph)}")
 
 
 def _check_r8(*, A: FSet, B: FSet, epsilon: Fraction, digest: str,
@@ -296,11 +297,9 @@ def _check_r9(*, A: FSet, B: FSet, t: int, digest: str, cap: Optional[int]) -> I
     _require_rational(A)
     _exclude(A, (0, 1, -1), "A")
     _exclude(B, (0,), "B")
-    s_t = rich_products(A, B, t)
-    lhs = len(s_t)
+    lhs = len(rich_products(A, B, t))
     rhs = Fraction(len(expander_set(A, A)) ** 2 * len(B) ** 2, len(A) * t ** 3)
-    return InequalityReport("R9", lhs, rhs, SLACK_ONLY, _ratio_slack(lhs, rhs), digest,
-                            "rich-product count vs incidence shape")
+    return _slack_report("R9", lhs, rhs, digest, "rich-product count vs incidence shape")
 
 
 def _check_r10(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
@@ -311,7 +310,7 @@ def _check_r10(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     rhs = len(expander_set(A, A)) ** 2 * len(A)
     lhs = max(e3a, e3b)
     note = f"third moments E3(A) = {e3a}, E3(A+1) = {e3b}; log factors fold into slack"
-    return InequalityReport("R10", lhs, rhs, SLACK_ONLY, _ratio_slack(lhs, rhs), digest, note)
+    return _slack_report("R10", lhs, rhs, digest, note)
 
 
 def _check_r11(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
@@ -323,7 +322,7 @@ def _check_r11(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     lhs = max(e2a, e2b)
     rhs = root_interval(len(aa1) ** 5, 2, PRECISION_START)
     note = f"mixed energies {e2a} and {e2b} vs expander set to the 5/2"
-    return InequalityReport("R11", lhs, rhs, SLACK_ONLY, _ratio_slack(lhs, rhs), digest, note)
+    return _slack_report("R11", lhs, rhs, digest, note)
 
 
 def _check_r12(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
@@ -333,24 +332,21 @@ def _check_r12(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     lhs = Fraction(len(A) ** 11, len(expander_set(A, A)) ** 5)
     rhs = (_e15_capped(histogram(A, A, "ratio"), cap, PRECISION_START)
            * _e15_capped(histogram(a1, a1, "ratio"), cap, PRECISION_START))
-    return InequalityReport("R12", lhs, rhs, SLACK_ONLY, _ratio_slack(lhs, rhs), digest,
-                            "lower shape for the product of 3/2-energies")
+    return _slack_report("R12", lhs, rhs, digest, "lower shape for the product of 3/2-energies")
 
 
 def _check_r13(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(A, (0, 1, -1), "A")
     lhs = len(A) ** 24
     rhs = len(expander_set(A, A)) ** 19
-    return InequalityReport("R13", lhs, rhs, SLACK_ONLY, _ratio_slack(lhs, rhs), digest,
-                            "final exponent comparison, 24 against 19")
+    return _slack_report("R13", lhs, rhs, digest, "final exponent comparison, 24 against 19")
 
 
 def _check_r14(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(A, (0, 1, -1), "A")
     lhs = root_interval(len(A) ** 57, 56, PRECISION_START)
     rhs = len(expander_set(A, A))
-    return InequalityReport("R14", lhs, rhs, SLACK_ONLY, _ratio_slack(lhs, rhs), digest,
-                            "expander growth probe at exponent 57/56")
+    return _slack_report("R14", lhs, rhs, digest, "expander growth probe at exponent 57/56")
 
 
 @dataclass(frozen=True)
@@ -463,20 +459,6 @@ class PipelineTrace:
         return INCONCLUSIVE in self.verdicts()
 
 
-def _hold_report(name, lhs, rhs, digest, notes="", strict_equal=False) -> InequalityReport:
-    if strict_equal:
-        verdict = HOLDS if lhs == rhs else FAILS
-    else:
-        lv = lhs.hi if isinstance(lhs, RatInterval) else lhs
-        rv = rhs.lo if isinstance(rhs, RatInterval) else rhs
-        verdict = HOLDS if lv <= rv else FAILS
-    return InequalityReport(name, lhs, rhs, verdict, _ratio_slack(lhs, rhs), digest, notes)
-
-
-def _slack_report(name, lhs, rhs, digest, notes="") -> InequalityReport:
-    return InequalityReport(name, lhs, rhs, SLACK_ONLY, _ratio_slack(lhs, rhs), digest, notes)
-
-
 def _fp_cover_symbol(A, A1, b0_shift_set, sym, sign, eps, ctx):
     """Covering step for one symbol: cover most of A1 so that sym * A_sym sits
     inside few translates of b0*A (sign +) or -b0*A (sign -).
@@ -553,7 +535,9 @@ def finite_field_pipeline(
     # b0 selection by maximal total intersection with a(A+1): the total for b
     # is sum over a of |a(A+1) & b(A+1)| = sum over x in b(A+1) of m(x), with
     # m(x) = #{a : x in a(A+1)}
-    shifted = {a: frozenset((a * (b + 1)) % p for b in A.vals) for a in A.vals}
+    row_ints, _ = _pair_ints(A, A, "expand")
+    rows = list(row_ints)
+    shifted = {a: frozenset(rows[i * n:(i + 1) * n]) for i, a in enumerate(A.vals)}
     mult = Counter(x for s in shifted.values() for x in s)
     best_total, b0 = max((sum(mult[x] for x in shifted[b]), -b) for b in A.vals)
     b0 = -b0

@@ -219,7 +219,8 @@ def test_search_manifest_independent_of_cpu_count(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [["--seed", "-1"], ["--seed", "18446744073709551616"],
-                                 ["--restarts", "0"], ["--iterations", "-1"]])
+                                 ["--restarts", "0"], ["--iterations", "-1"],
+                                 ["--budget", "-1"]])
 @pytest.mark.parametrize("mode", ["exhaustive", "anneal"])
 def test_search_bad_config_exits_64(tmp_path, capsys, bad, mode):
     out = tmp_path / "s.csv"
@@ -240,3 +241,94 @@ def test_verify_more_than_three_sets_exits_64(tmp_path, capsys, select):
     assert "TooManySets" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit it raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def assert_one_error_line(err: str) -> None:
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{q}"],                            # neither --relation nor --all
+    ["verify", "{q}", "--all", "--t", "x"],
+    ["verify", "{q}", "--relation", "R2", "--precision-cap", "1.5"],
+    ["pipeline", "{q}"],                          # --mode is required
+    ["search", "--p", "7"],                       # --n is required
+    ["frobnicate"],
+    [],
+])
+def test_usage_errors_exit_64(tmp_path, capsys, argv):
+    q = write(tmp_path, "q.json", Q_SET)
+    assert exit_code([a.format(q=q) for a in argv]) == 64
+    assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["search", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    assert exit_code(argv) == 0
+    assert "error:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "{a}", "{b}", "--relation", "R8", "--epsilon", "1/0"], "nonzero denominator"),
+    (["verify", "{a}", "{b}", "--relation", "R8", "--epsilon", "abc"], "nonzero denominator"),
+    (["pipeline", "{a}", "--mode", "fp", "--epsilon", "1/0"], "nonzero denominator"),
+    (["energy", "{a}", "--alpha", "1/0"], "nonzero denominator"),
+    (["energy", "{a}", "--alpha", "abc"], "nonzero denominator"),
+    (["energy", "{a}", "--alpha", "0"], "AlphaOutOfRange"),
+    (["energy", "{a}", "--alpha", "1/2"], "AlphaOutOfRange"),
+    (["energy", "{a}", "--alpha", "2", "--alpha", "-3"], "AlphaOutOfRange"),
+])
+def test_bad_numeric_arguments_exit_64(tmp_path, capsys, argv, expected):
+    a = write(tmp_path, "a.json", FP_SET)
+    b = write(tmp_path, "b.json", FP_SET_B)
+    out = tmp_path / "out.json"
+    argv = [x.format(a=a, b=b) for x in argv] + ["--out", str(out)]
+    assert exit_code(argv) == 64
+    err = capsys.readouterr().err
+    assert expected in err
+    assert_one_error_line(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    json.dumps({"field": "fp", "p": "7", "elements": [1, 2]}).encode(),
+    json.dumps({"field": "fp", "p": 7.0, "elements": [1, 2]}).encode(),
+    json.dumps({"field": "fp", "p": True, "elements": [1]}).encode(),
+    json.dumps({"field": "fp", "p": None, "elements": [1]}).encode(),
+    b'{"field": "q", "elements": ["2", "\xff"]}',     # not UTF-8
+    b"\xfe\xff\x00{",
+])
+def test_bad_set_files_exit_64(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["verify", str(bad), "--relation", "R2"]) == 64
+    err = capsys.readouterr().err
+    assert "InvalidSetFile" in err
+    assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("content", [
+    b"{not json",
+    b"\xff\xfe",
+    b"[]",
+    json.dumps({"tool": "expanderlab"}).encode(),
+    json.dumps({"command": "verify"}).encode(),
+    json.dumps({"command": ["verify", 3]}).encode(),
+    json.dumps({"command": ["replay", "m.json"]}).encode(),
+])
+def test_bad_manifest_exits_64(tmp_path, capsys, content):
+    manifest = tmp_path / "m.json"
+    manifest.write_bytes(content)
+    assert exit_code(["replay", str(manifest)]) == 64
+    err = capsys.readouterr().err
+    assert "InvalidManifest" in err
+    assert_one_error_line(err)

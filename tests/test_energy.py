@@ -18,6 +18,7 @@ from expanderlab.energy import (
     multiplicative_energy_bruteforce,
 )
 from expanderlab.errors import (
+    AlphaOutOfRange,
     BudgetExceeded,
     PrecisionCapExceeded,
     TOutOfRange,
@@ -209,3 +210,13 @@ def test_split_histogram():
     assert all(m > 2 for m, _ in high.entries)
     assert low.pair_total + high.pair_total == hist.pair_total
     assert low.total_support + high.total_support == hist.total_support
+
+
+@pytest.mark.parametrize("alpha", [0, Fraction(1, 2), -3, Fraction(99, 100)])
+def test_energy_rejects_alpha_below_one(alpha):
+    hist = histogram(FSet(FieldCtx.prime(11), [1, 2, 3]), FSet(FieldCtx.prime(11), [1, 2, 3]),
+                     "ratio")
+    with pytest.raises(AlphaOutOfRange):
+        energy(hist, alpha)
+    with pytest.raises(ValueError):  # as before, for library callers
+        energy(hist, alpha)

@@ -9,10 +9,8 @@ from expanderlab import (
     Line,
     count_incidences,
     expander_line_family,
-    rich_points,
     st_lower_bound_check,
 )
-from expanderlab.incidence import intersect
 from expanderlab.errors import (
     DuplicateInput,
     FieldMismatch,
@@ -57,42 +55,6 @@ def test_methods_agree_on_randoms():
         lines |= {Line.vertical_at(F(rng.randint(-2, 2)))}
         # count_incidences cross-checks per-point and per-line internally
         count_incidences(sorted(pts), sorted(lines))
-
-
-def test_rich_points_pencil():
-    pencil = [Line.slope_intercept(m, 0) for m in range(5)]
-    res = rich_points(pencil, 5)
-    assert res.points == frozenset({(F(0), F(0))})
-
-
-def test_rich_points_with_explicit_points():
-    lines = [Line.slope_intercept(0, c) for c in range(3)]
-    res = rich_points(lines, 1, points=GRID)
-    assert len(res.points) == 9
-    res3 = rich_points(lines, 3, points=GRID)
-    assert res3.points == frozenset()
-
-
-def test_rich_points_monotone():
-    rng = random.Random(31)
-    lines = [Line.slope_intercept(F(rng.randint(-3, 3)), F(rng.randint(-3, 3)))
-             for _ in range(10)]
-    lines = sorted(set(lines))
-    prev = None
-    for k in range(1, 5):
-        cur = rich_points(lines, k).points
-        if prev is not None:
-            assert cur <= prev
-        prev = cur
-
-
-def test_intersect():
-    l1 = Line.slope_intercept(1, 0)
-    l2 = Line.slope_intercept(-1, 2)
-    assert intersect(l1, l2) == (F(1), F(1))
-    assert intersect(l1, Line.slope_intercept(1, 5)) is None
-    assert intersect(Line.vertical_at(2), l1) == (F(2), F(2))
-    assert intersect(Line.vertical_at(2), Line.vertical_at(3)) is None
 
 
 def test_family_single_line():
@@ -169,15 +131,3 @@ def test_st_lower_bound_fp_refused():
     fp = FieldCtx.prime(7)
     with pytest.raises(FieldMismatch):
         st_lower_bound_check(FSet(fp, [1, 2]), FSet(fp, [1, 2]), 1)
-
-
-def test_incidence_shape_slack():
-    from expanderlab.incidence import incidence_shape_slack
-
-    lines = [Line.slope_intercept(0, c) for c in range(3)]
-    res = incidence_shape_slack(GRID, lines, bits=64)
-    assert res.incidences == 9
-    # shape = (81 * 9)^(1/3) + 12 = 9.0... + 12
-    assert res.shape.contains(Fraction(9) + 12)
-    assert res.slack.hi < 1  # well under the shape on this instance
-

@@ -165,7 +165,7 @@ def test_trace_bytes_independent_of_hash_seed(tmp_path):
     outs = []
     for seed in ("0", "424242"):
         proc = subprocess.run(
-            [sys.executable, str(script)],
+            [sys.executable, "-B", str(script)],
             capture_output=True,
             env={"PYTHONHASHSEED": seed, "PATH": os.environ.get("PATH", ""),
                  "PYTHONPATH": str(src)},

@@ -248,7 +248,7 @@ def test_record_rows_pinned(mode, p, n, seed, extra, digest):
 
 @pytest.mark.parametrize("bad", [
     {"mode": "sideways"}, {"seed": -1}, {"seed": 2 ** 64}, {"restarts": 0},
-    {"iteration_cap": -1},
+    {"iteration_cap": -1}, {"budget": -1},
 ])
 def test_bad_config_is_an_expanderlab_error(bad):
     with pytest.raises(InvalidSearchConfig):
