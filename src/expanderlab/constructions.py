@@ -8,9 +8,18 @@ comparison against them is decided exactly in rationals by isolating the
 square root and squaring (see `ge_one_minus_k_sqrt`).  A failed internal
 check raises InvariantViolation rather than degrading the result: each such
 check is a theorem on the instance, so a failure is either a bug or news.
+
+Over F_p the witness scan of `partial_ruzsa` runs on numpy int64 arrays
+when every residue, difference and witness key fits: p and
+|A -_G B| * |B -_H C| below 2^62.  numpy is imported on the first such
+scan, never at import time, so the other commands never load it.  Without
+numpy, outside the guard, or with ARRAY_SCAN off, the pure-int scan runs;
+it is also the oracle the array scan is tested against, and both give the
+same results and, through `_raise_first_failure`, the same errors.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -25,6 +34,7 @@ from .errors import (
     EpsilonOutOfRange,
     GraphTooSparse,
     InvariantViolation,
+    SetTooSmall,
     ZeroElementPresent,
 )
 from .field import KIND_PRIME
@@ -390,6 +400,123 @@ def _raise_first_failure(g, ht, a_side, c_side, nb, eps, pab, pbc) -> None:
             seen[image] = (x, bv)
 
 
+def _pure_scan(g, ht, a_side, c_side, least, pab, pbc):
+    """(|A' - C'|, |Y|), or None if a check fails on any item.  The first
+    pair (a, c) of each difference is its representative, and its overlap
+    test is the "lost overlap" check.
+
+    A witness (x, b) maps to (a - b, b - c), keyed by the int
+    i * |B -_H C| + j of its indices i, j in the sorted partial difference
+    sets; rows hold the key parts per a and per c, keyed by the index of b
+    in B.
+    """
+    sub = g.left.ctx.sub
+    ab_index = {v: i * len(pbc) for i, v in enumerate(pab.vals)}
+    bc_index = {v: j for j, v in enumerate(pbc.vals)}
+    a_rows = _index_rows(g, a_side, lambda av, bv: ab_index.get(sub(av, bv)))
+    c_rows = _index_rows(ht, c_side, lambda cv, bv: bc_index.get(sub(bv, cv)))
+
+    diffs = set()
+    seen = set()
+    y_size = 0
+    for av, b_a, a_row in a_rows:
+        for cv, b_c, c_row in c_rows:
+            common = b_a & b_c
+            if len(common) < least:
+                return None
+            x = sub(av, cv)
+            if x in diffs:
+                continue
+            diffs.add(x)
+            try:
+                seen.update([a_row[j] + c_row[j] for j in common])
+            except KeyError:  # an image coordinate escapes
+                return None
+            y_size += len(common)
+    return (len(diffs), y_size) if len(seen) == y_size else None
+
+
+def _neighbour_matrix(np, g: PairGraph, side: FSet):
+    """Boolean |side| x |right| matrix: row r marks the right neighbours in
+    g of the r-th value of `side`, a subset of g's left values."""
+    full = np.zeros((len(g.left), len(g.right)), dtype=bool)
+    if g.edges:
+        ij = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64,
+                         count=2 * len(g.edges))
+        full[ij[0::2], ij[1::2]] = True
+    row_of = {v: i for i, v in enumerate(g.left.vals)}
+    return full[[row_of[v] for v in side.vals]]
+
+
+def _positions(np, fset: FSet, keys):
+    """Index of each key in the sorted values of `fset`, and whether the key
+    is there at all."""
+    vals = np.array(fset.vals, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(vals, keys), len(vals) - 1)
+    return pos, vals[pos] == keys
+
+
+def _array_scan(np, g, ht, a_side, c_side, least, pab, pbc):
+    """`_pure_scan` over F_p on int64 arrays: the same result, or None when
+    the same check fails."""
+    p = g.left.ctx.p
+    bv = np.array(g.right.vals, dtype=np.int64)
+    av = np.array(a_side.vals, dtype=np.int64)
+    cv = np.array(c_side.vals, dtype=np.int64)
+    na = _neighbour_matrix(np, g, a_side)
+    nc = _neighbour_matrix(np, ht, c_side)
+    overlaps = na.astype(np.int64) @ nc.T.astype(np.int64)
+    if overlaps.min() < least:
+        return None
+
+    # the representative of each difference: its first pair in (a, c) order
+    _, first = np.unique(((av[:, None] - cv[None, :]) % p).ravel(), return_index=True)
+    ra, rc = np.divmod(first, len(cv))
+    common = na[ra] & nc[rc]
+    i_ab, in_ab = _positions(np, pab, (av[:, None] - bv[None, :]) % p)
+    i_bc, in_bc = _positions(np, pbc, (bv[None, :] - cv[:, None]) % p)
+    if (common & ~(in_ab[ra] & in_bc[rc])).any():  # an image coordinate escapes
+        return None
+    keys = i_ab[ra]
+    keys *= len(pbc)
+    keys += i_bc[rc]
+    keys = keys[common]
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    return len(first), int(keys.size)
+
+
+# Whether partial_ruzsa may scan on arrays; tests switch the paths here.
+ARRAY_SCAN = True
+_INT64_SAFE = 1 << 62
+
+
+def _array_scan_fits(ctx, n_ab: int, n_bc: int) -> bool:
+    """Whether the array scan is exact: over F_p, residues and their
+    differences below p, and witness keys below n_ab * n_bc, all < 2^62."""
+    return ctx.kind == KIND_PRIME and ctx.p < _INT64_SAFE and n_ab * n_bc < _INT64_SAFE
+
+
+@functools.cache
+def _numpy():
+    """numpy, imported on first use, or None when it is not installed."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
+
+
+def _witness_scan(g, ht, a_side, c_side, least, pab, pbc):
+    """The one dispatch point between the array scan and the pure scan."""
+    if ARRAY_SCAN and _array_scan_fits(g.left.ctx, len(pab), len(pbc)):
+        np = _numpy()
+        if np is not None:
+            return _array_scan(np, g, ht, a_side, c_side, least, pab, pbc)
+    return _pure_scan(g, ht, a_side, c_side, least, pab, pbc)
+
+
 def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
     """Triangle inequality through dense partial difference sets.
 
@@ -407,10 +534,10 @@ def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
         raise EpsilonOutOfRange(f"epsilon = {eps} outside [0, 1/4)")
     if g.right != h.left:
         raise ContextMismatch("graphs must share the middle set B")
+    if not (len(g.left) and len(g.right) and len(h.right)):
+        raise SetTooSmall("partial triangle needs nonempty A, B and C")
     _check_density(g, eps)
     _check_density(h, eps)
-    ctx = g.left.ctx
-    sub = ctx.sub
 
     a_side = dense_degree_subset(g, eps)
     ht = h.transpose()
@@ -418,40 +545,9 @@ def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
     nb = len(g.right)
     least = _least_passing(nb, eps, k=2)
     pab = partial_combine(g, "diff")
-    pbc = partial_combine(h, "diff")
+    pbc = pab if h is g else partial_combine(h, "diff")
 
-    # a witness (x, b) maps to (a - b, b - c), keyed by the int i * |B -_H C| + j
-    # of its indices i, j in the sorted partial difference sets; rows hold
-    # the key parts per a and per c, keyed by the index of b in B
-    ab_index = {v: i * len(pbc) for i, v in enumerate(pab.vals)}
-    bc_index = {v: j for j, v in enumerate(pbc.vals)}
-    a_rows = _index_rows(g, a_side, lambda av, bv: ab_index.get(sub(av, bv)))
-    c_rows = _index_rows(ht, c_side, lambda cv, bv: bc_index.get(sub(bv, cv)))
-
-    def scan():
-        """(|A' - C'|, |Y|), or None if a check fails on any item.  The first
-        pair (a, c) of each difference is its representative, and its
-        overlap test is the "lost overlap" check."""
-        diffs = set()
-        seen = set()
-        y_size = 0
-        for av, b_a, a_row in a_rows:
-            for cv, b_c, c_row in c_rows:
-                common = b_a & b_c
-                if len(common) < least:
-                    return None
-                x = sub(av, cv)
-                if x in diffs:
-                    continue
-                diffs.add(x)
-                try:
-                    seen.update([a_row[j] + c_row[j] for j in common])
-                except KeyError:  # an image coordinate escapes
-                    return None
-                y_size += len(common)
-        return (len(diffs), y_size) if len(seen) == y_size else None
-
-    scanned = scan()
+    scanned = _witness_scan(g, ht, a_side, c_side, least, pab, pbc)
     if scanned is None:
         _raise_first_failure(g, ht, a_side, c_side, nb, eps, pab, pbc)
         raise InvariantViolation("witness scan failed where its rescan passes")
@@ -494,15 +590,19 @@ def plunnecke_witness(a: FSet, xs: Sequence[FSet], budget: int = 10) -> Plunneck
 
     Exhaustive (2^|A| subsets), so |A| is capped by `budget`.  No pass/fail:
     the inequality this probes carries an absolute constant, so only the
-    minimised slack is reported.
+    minimised slack is reported.  A' + X1 + ... + Xk = A' + S for the one
+    sumset S = X1 + ... + Xk, so each a in A gets the bitmask of the sums
+    a + S it reaches, and |A' + S| is the popcount of the OR over A'.
     """
     if not xs:
-        raise ValueError("need at least one summand set")
+        raise SetTooSmall("need at least one summand set")
     for x in xs:
         _same_ctx(a, x)
     n = len(a)
     if n == 0:
-        raise ValueError("empty base set")
+        raise SetTooSmall("empty base set")
+    if not all(xs):
+        raise SetTooSmall("empty summand set")
     if n > budget:
         raise BudgetExceeded(f"|A| = {n} exceeds subset-search budget {budget}")
 
@@ -515,23 +615,32 @@ def plunnecke_witness(a: FSet, xs: Sequence[FSet], budget: int = 10) -> Plunneck
         denom *= size
     scale = n ** (k - 1)
 
-    ctx = a.ctx
-    best = None  # (slack, subset values)
+    total = xs[0]
+    for x in xs[1:]:
+        total = combine(total, x, "sum")
+    width = len(total)
+    bit_of: dict = {}
+    masks = [0] * n
+    for pos, s in enumerate(_pair_ints(a, total, "sum")[0]):
+        masks[pos // width] |= 1 << bit_of.setdefault(s, len(bit_of))
+
+    # slack grows with |A' + S|, and index tuples order as value tuples, so
+    # the least (size, indices) is the least (slack, subset)
+    best = None
     min_size = -(-n // 2)  # ceil(n/2)
     for r in range(min_size, n + 1):
-        for sub in itertools.combinations(a.vals, r):
-            acc = set(sub)
-            for x in xs:
-                acc = {ctx.add(u, v) for u in acc for v in x.vals}
-            slack = Fraction(len(acc) * scale, denom)
-            key = (slack, sub)
-            if best is None or key < best[:2]:
-                best = (slack, sub, len(acc))
+        for sub in itertools.combinations(range(n), r):
+            union = 0
+            for i in sub:
+                union |= masks[i]
+            key = (union.bit_count(), sub)
+            if best is None or key < best:
+                best = key
 
-    slack, sub, iterated = best
+    iterated, sub = best
     return PlunneckeResult(
-        subset=a.with_values(sub),
-        slack=slack,
+        subset=a.with_values(a.vals[i] for i in sub),
+        slack=Fraction(iterated * scale, denom),
         subset_ratio=Fraction(len(sub), n),
         iterated_size=iterated,
         single_sizes=tuple(single),

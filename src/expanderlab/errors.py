@@ -101,8 +101,9 @@ class SideConditionViolated(ExpanderlabError):
     pass
 
 
-class SetTooSmall(ExpanderlabError):
-    pass
+class SetTooSmall(ExpanderlabError, ValueError):
+    """A set, or a list of sets, too small for the construction: fewer
+    elements than it needs, or none at all."""
 
 
 class DensityViolated(ExpanderlabError):

@@ -1,10 +1,12 @@
 """Shared instance generators for the test suite; all seeded and deterministic."""
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 
 from expanderlab import FieldCtx, FSet
+from expanderlab import constructions as cons
 
 PRIMES_TO_101 = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101]
@@ -49,3 +51,20 @@ def dense_random_graph(rng: random.Random, a: FSet, b: FSet, epsilon: Fraction):
     n_del = rng.randint(0, max_del)
     removed = set(rng.sample(full, n_del))
     return PairGraph(a, b, [e for e in full if e not in removed])
+
+
+SCAN_PATHS = ("array", "pure", "no-numpy")
+
+
+@contextlib.contextmanager
+def scan_path(path: str):
+    """Run `partial_ruzsa`'s witness scan on numpy arrays ("array"), on plain
+    ints ("pure"), or as if numpy were not installed ("no-numpy")."""
+    saved = cons.ARRAY_SCAN, cons._numpy
+    cons.ARRAY_SCAN = path != "pure"
+    if path == "no-numpy":
+        cons._numpy = lambda: None
+    try:
+        yield
+    finally:
+        cons.ARRAY_SCAN, cons._numpy = saved

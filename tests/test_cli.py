@@ -332,3 +332,47 @@ def test_bad_manifest_exits_64(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert "InvalidManifest" in err
     assert_one_error_line(err)
+
+
+def test_only_the_fp_pipeline_loads_numpy(tmp_path):
+    # numpy costs the other commands memory and start-up time, so verify,
+    # the real pipeline and search must never import it
+    sets = {
+        "q": Q_ENCLOSED,
+        "a": FP_SET,
+        "b": FP_SET_B,
+        "c": {"field": "fp", "p": 101, "elements": [1, 4, 6]},
+        "fp": {"field": "fp", "p": 109, "elements": [1, 5, 10, 31, 36, 40, 43, 65, 71]},
+    }
+    for name, doc in sets.items():
+        write(tmp_path, f"{name}.json", doc)
+    script = tmp_path / "run.py"
+    script.write_text(
+        "import json, sys\n"
+        "from expanderlab.cli import main\n"
+        "codes = [main(argv) for argv in (\n"
+        "    ['verify', 'q.json', '--all', '--t', '2'],\n"
+        "    ['verify', 'a.json', 'b.json', 'c.json', '--all'],\n"
+        "    ['verify', 'a.json', '--all'],\n"
+        "    ['pipeline', 'q.json', '--mode', 'real', '--out', 'real.json'],\n"
+        "    ['search', '--p', '31', '--n', '3', '--mode', 'exhaustive', '--out', 's1.csv'],\n"
+        "    ['search', '--p', '997', '--n', '6', '--mode', 'anneal', '--seed', '5',\n"
+        "     '--out', 's2.csv'],\n"
+        ")]\n"
+        "before = 'numpy' in sys.modules\n"
+        "codes.append(main(['pipeline', 'fp.json', '--mode', 'fp', '--out', 'fp.out.json']))\n"
+        "print(json.dumps([codes, before, 'numpy' in sys.modules]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-B", str(script)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, before, after = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes == [0] * 7
+    assert not before
+    # the control: the fp pipeline's partial triangle does take the array scan
+    pytest.importorskip("numpy")
+    assert after

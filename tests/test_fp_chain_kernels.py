@@ -1,9 +1,13 @@
 """Differential tests of the prime-field pipeline's one-pass kernels.
 
-The twist spectrum, `partial_ruzsa`, `popular_ratio_graph`, `greedy_cover`
-and `kfold_sum` are each compared with a literal copy of the per-pair
-(or per-quadruple) loop they replace, written out in this file.
+The twist spectrum, `partial_ruzsa`, `popular_ratio_graph`, `greedy_cover`,
+`kfold_sum` and `plunnecke_witness` are each compared with a literal copy
+of the per-pair (or per-quadruple, or per-subset) loop they replace, written
+out in this file.  `partial_ruzsa` runs on each of its scan paths: numpy
+arrays, plain ints, and numpy missing.
 """
+import itertools
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -22,6 +26,7 @@ from expanderlab import (
     kfold_sum,
     partial_combine,
     partial_ruzsa,
+    plunnecke_witness,
     popular_ratio_graph,
     twisted_energy,
 )
@@ -35,8 +40,13 @@ from expanderlab.constructions import (
     gt_k_sqrt,
 )
 from expanderlab.energy import twist_spectrum
-from expanderlab.errors import FieldMismatch, InvariantViolation
-from helpers import Q, dense_random_graph
+from expanderlab.errors import (
+    CollisionFound,
+    FieldMismatch,
+    InvariantViolation,
+    SetTooSmall,
+)
+from helpers import SCAN_PATHS, Q, dense_random_graph, scan_path
 
 SMALL_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
@@ -330,25 +340,121 @@ def triangle_inputs(draw):
     return dense_random_graph(rng, a, b, eps), dense_random_graph(rng, b, c, eps), eps
 
 
+def assert_every_path_matches(g, h, eps):
+    expected = literal_partial_ruzsa(g, h, eps)
+    for path in SCAN_PATHS:
+        with scan_path(path):
+            assert partial_ruzsa(g, h, eps) == expected, path
+
+
 @settings(max_examples=150, deadline=None)
 @given(triangle_inputs())
 def test_partial_ruzsa_matches_literal_algorithm(inputs):
-    g, h, eps = inputs
-    assert partial_ruzsa(g, h, eps) == literal_partial_ruzsa(g, h, eps)
+    assert_every_path_matches(*inputs)
 
 
 def test_partial_ruzsa_complete_graphs_at_eps_zero():
     f = FieldCtx.prime(101)
     a, b, c = FSet(f, [2, 3, 5, 7, 11]), FSet(f, [1, 4, 9]), FSet(f, [0, 50, 60, 99])
     g, h = PairGraph.complete(a, b), PairGraph.complete(b, c)
+    assert_every_path_matches(g, h, Fraction(0))
     res = partial_ruzsa(g, h, Fraction(0))
-    assert res == literal_partial_ruzsa(g, h, Fraction(0))
     assert res.y_size == len(b) * len(res.diff_ac)
+
+
+# primes up to just below 2^31, 2^61 - 1, and the primes next to the 2^62 guard
+LARGE_PRIMES = (65537, 1000003, 2147483587, 2147483629, 2147483647,
+                2305843009213693951, 4611686018427387847, 4611686018427388039)
+
+
+@st.composite
+def large_prime_triangles(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    f = FieldCtx.prime(draw(st.sampled_from(LARGE_PRIMES)))
+    eps = draw(st.sampled_from([Fraction(0), Fraction(1, 16), Fraction(1, 5)]))
+    a, b, c = (FSet(f, draw(st.sets(st.integers(0, f.p - 1), min_size=1, max_size=6)))
+               for _ in range(3))
+    if draw(st.booleans()):
+        g = dense_random_graph(rng, a, a, eps)
+        return g, g, eps
+    return dense_random_graph(rng, a, b, eps), dense_random_graph(rng, b, c, eps), eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_prime_triangles())
+def test_partial_ruzsa_on_large_primes(inputs):
+    assert_every_path_matches(*inputs)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The names of the scans `partial_ruzsa` ran, in order."""
+    ran = []
+    for name in ("_array_scan", "_pure_scan"):
+        real = getattr(cons, name)
+        monkeypatch.setattr(cons, name,
+                            lambda *args, _real=real, _name=name: ran.append(_name) or _real(*args))
+    return ran
+
+
+@pytest.mark.parametrize("path, ctx, expected", [
+    ("array", FieldCtx.prime(101), "_array_scan"),
+    ("array", FieldCtx.prime(4611686018427387847), "_array_scan"),  # p just below 2^62
+    ("array", FieldCtx.prime(4611686018427388039), "_pure_scan"),   # p just above
+    ("array", FieldCtx.prime(2 ** 89 - 1), "_pure_scan"),
+    ("array", Q, "_pure_scan"),
+    ("pure", FieldCtx.prime(101), "_pure_scan"),
+    ("no-numpy", FieldCtx.prime(101), "_pure_scan"),
+])
+def test_scan_dispatch(scans, path, ctx, expected):
+    if expected == "_array_scan":
+        pytest.importorskip("numpy")
+    a = FSet(ctx, [2, 3, 5, 7])
+    g = PairGraph.complete(a, a)
+    with scan_path(path):
+        res = partial_ruzsa(g, g, Fraction(0))
+    assert scans == [expected]
+    assert res == literal_partial_ruzsa(g, g, Fraction(0))
+
+
+def test_array_scan_guard_on_key_range():
+    f = FieldCtx.prime(101)
+    assert cons._array_scan_fits(f, 2 ** 31, 2 ** 31 - 1)
+    assert not cons._array_scan_fits(f, 2 ** 31, 2 ** 31)   # keys reach 2^62
+    assert not cons._array_scan_fits(f, 2 ** 62, 1)
+    assert not cons._array_scan_fits(Q, 1, 1)
+
+
+def test_missing_numpy_falls_back_to_the_pure_scan(scans, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy now fails
+    cons._numpy.cache_clear()
+    try:
+        assert cons._numpy() is None
+        f = FieldCtx.prime(103)
+        a = FSet(f, [24, 27, 39, 58, 61, 62, 65, 88, 93])
+        g = PairGraph.complete(a, a)
+        assert partial_ruzsa(g, g, Fraction(0)) == literal_partial_ruzsa(g, g, Fraction(0))
+        assert scans == ["_pure_scan"]
+    finally:
+        cons._numpy.cache_clear()
+
+
+def failures_on_every_path(g, h, eps):
+    """The exception of `partial_ruzsa` on each scan path, as comparable
+    (type, message, first, second) tuples."""
+    out = []
+    for path in SCAN_PATHS:
+        with scan_path(path), pytest.raises(Exception) as err:
+            partial_ruzsa(g, h, eps)
+        exc = err.value
+        out.append((type(exc), str(exc), getattr(exc, "first", None),
+                    getattr(exc, "second", None)))
+    return out
 
 
 def test_partial_ruzsa_failure_replays_the_literal_error(monkeypatch):
     # a k = 2 threshold that only the full overlap |B| passes, and one edge
-    # missing at a = 2: both versions must name the same first pair
+    # missing at a = 2: every path must name the same first pair
     real = cons.ge_one_minus_k_sqrt
     monkeypatch.setattr(cons, "ge_one_minus_k_sqrt",
                         lambda v, s, e, k=1: real(v, s, e, k) if k == 1 else v >= s)
@@ -357,11 +463,52 @@ def test_partial_ruzsa_failure_replays_the_literal_error(monkeypatch):
     b = FSet(f, [1, 4, 9, 16, 25])
     g = PairGraph(a, b, [(i, j) for i in range(4) for j in range(5) if (i, j) != (0, 0)])
     h = PairGraph.complete(b, a)
-    with pytest.raises(InvariantViolation) as fast:
-        partial_ruzsa(g, h, Fraction(1, 5))
     with pytest.raises(InvariantViolation) as slow:
         literal_partial_ruzsa(g, h, Fraction(1, 5))
-    assert str(fast.value) == str(slow.value) == "overlap below (1 - 2 sqrt(eps))|B| at (2, 2)"
+    message = "overlap below (1 - 2 sqrt(eps))|B| at (2, 2)"
+    assert str(slow.value) == message
+    assert failures_on_every_path(g, h, Fraction(1, 5)) == [
+        (InvariantViolation, message, None, None)] * len(SCAN_PATHS)
+
+
+def test_forced_escape_fails_alike_on_every_path(monkeypatch):
+    # A -_G B = {8, 9, 18, 19} loses 19 = 20 - 1, which the witness (20, 1)
+    # of the difference 20 - 0 reaches; no other witness shares its key
+    f = FieldCtx.prime(101)
+    a, b, c = FSet(f, [10, 20]), FSet(f, [1, 2]), FSet(f, [0])
+    g, h = PairGraph.complete(a, b), PairGraph.complete(b, c)
+    real = cons.partial_combine
+    monkeypatch.setattr(cons, "partial_combine", lambda graph, op: (
+        a.with_values(real(graph, op).vals[:-1]) if graph is g else real(graph, op)))
+    assert failures_on_every_path(g, h, Fraction(0)) == [
+        (InvariantViolation, "witness image escapes the partial difference sets", None, None)
+    ] * len(SCAN_PATHS)
+
+
+def test_forced_collision_fails_alike_on_every_path():
+    # a middle set holding 1 and p + 1, one residue twice, which only a
+    # corrupt FSet can: both give every witness pair the same image
+    f = FieldCtx.prime(101)
+    a, c = FSet(f, [2, 3]), FSet(f, [5])
+    b = FSet._from_sorted(f, (1, 102))
+    g, h = PairGraph.complete(a, b), PairGraph.complete(b, c)
+    failures = failures_on_every_path(g, h, Fraction(0))
+    # x = 2 - 5 = 98 is the first difference; b = 1 and b = 102 both give (1, 97)
+    assert failures[0][:2] == (CollisionFound, "image (1, 97) reached twice")
+    assert {failures[0][2], failures[0][3]} == {(98, 1), (98, 102)}
+    assert failures == [failures[0]] * len(SCAN_PATHS)
+
+
+@pytest.mark.parametrize("empty", "ABC")
+def test_partial_ruzsa_empty_side_is_set_too_small(empty):
+    f = FieldCtx.prime(101)
+    sides = {"A": FSet(f, [2, 3]), "B": FSet(f, [1, 4]), "C": FSet(f, [5, 9])}
+    sides[empty] = FSet(f, [])
+    g = PairGraph.complete(sides["A"], sides["B"])
+    h = PairGraph.complete(sides["B"], sides["C"])
+    for path in SCAN_PATHS:
+        with scan_path(path), pytest.raises(SetTooSmall):
+            partial_ruzsa(g, h, Fraction(0))
 
 
 @pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 64), Fraction(3, 16)])
@@ -387,3 +534,82 @@ def test_kfold_sum_saturated_field_stays_full():
     a = FSet(f, [0, 1, 2, 3])
     assert len(kfold_sum(a, 4, [1, -1, -1, -1])) == 11
     assert kfold_sum(a, 4, [1, -1, -1, -1]) == literal_kfold_sum(a, [1, -1, -1, -1])
+
+
+# -- iterated sumset witness ------------------------------------------------------------------
+
+def literal_plunnecke_witness(a: FSet, xs, budget=10):
+    """Every subset's iterated sumset built summand by summand."""
+    ctx = a.ctx
+    n, k = len(a), len(xs)
+    single = [len(combine(a, x, "sum")) for x in xs]
+    denom = 1
+    for size in single:
+        denom *= size
+    scale = n ** (k - 1)
+    best = None
+    for r in range(-(-n // 2), n + 1):
+        for sub in itertools.combinations(a.vals, r):
+            acc = set(sub)
+            for x in xs:
+                acc = {ctx.add(u, v) for u in acc for v in x.vals}
+            key = (Fraction(len(acc) * scale, denom), sub)
+            if best is None or key < best[:2]:
+                best = (key[0], sub, len(acc))
+    slack, sub, iterated = best
+    return cons.PlunneckeResult(
+        subset=a.with_values(sub),
+        slack=slack,
+        subset_ratio=Fraction(len(sub), n),
+        iterated_size=iterated,
+        single_sizes=tuple(single),
+    )
+
+
+@st.composite
+def plunnecke_inputs(draw):
+    if draw(st.booleans()):
+        f = FieldCtx.prime(draw(st.sampled_from(SMALL_PRIMES)))
+        elems = st.integers(0, f.p - 1)
+    else:
+        f = Q
+        elems = small_q
+    a = FSet(f, draw(st.sets(elems, min_size=1, max_size=9)))
+    xs = draw(st.lists(st.sets(elems, min_size=1, max_size=4).map(lambda v: FSet(f, v)),
+                       min_size=1, max_size=3))
+    return a, xs
+
+
+P11 = FieldCtx.prime(11)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plunnecke_inputs())
+@example((FSet(Q, range(9)), [FSet(Q, range(3))] * 3))    # progressions tie often
+@example((FSet(P11, [0, 1, 2, 3, 4, 5, 6, 7, 8]), [FSet(P11, [0, 1])] * 2))
+@example((FSet(P11, range(8)), [FSet(P11, range(11))]))   # every subset ties at p
+@example((FSet(Q, [Fraction(1, 2)]), [FSet(Q, [0])]))     # |A| = 1
+def test_plunnecke_witness_matches_old_subset_loop(inputs):
+    a, xs = inputs
+    assert plunnecke_witness(a, xs) == literal_plunnecke_witness(a, xs)
+
+
+def test_plunnecke_tie_goes_to_the_least_subset():
+    # every subset reaches all of F_11, so the least value tuple of the
+    # smallest size wins
+    res = plunnecke_witness(FSet(P11, range(8)), [FSet(P11, range(11))])
+    assert res.subset.vals == (0, 1, 2, 3)
+    assert res.iterated_size == 11
+
+
+@pytest.mark.parametrize("a, xs", [
+    (FSet(P11, [1, 2]), []),                     # no summands
+    (FSet(P11, []), [FSet(P11, [1])]),           # empty base
+    (FSet(P11, [1, 2]), [FSet(P11, [1]), FSet(P11, [])]),  # an empty summand
+    (FSet(Q, [1, 2]), [FSet(Q, [])]),
+], ids=["no-summands", "empty-base", "empty-summand-fp", "empty-summand-q"])
+def test_plunnecke_empty_inputs_are_set_too_small(a, xs):
+    with pytest.raises(SetTooSmall):
+        plunnecke_witness(a, xs)
+    with pytest.raises(ValueError):  # SetTooSmall is a ValueError too
+        plunnecke_witness(a, xs)
