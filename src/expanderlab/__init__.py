@@ -59,6 +59,7 @@ from .verify import (
     INCONCLUSIVE,
     SLACK_ONLY,
     InequalityReport,
+    Instance,
     PipelineTrace,
     REGISTRY,
     check,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .energy import energy, histogram
+from .energy import energy, histogram, precision_cap
 from .errors import BudgetExceeded, ExpanderlabError, InvalidManifest, TooManySets
 from .field import FieldCtx
 from .search import (
@@ -37,6 +37,7 @@ from .verify import (
     FAILS,
     INCONCLUSIVE,
     REGISTRY,
+    Instance,
     check,
     finite_field_pipeline,
     real_pipeline,
@@ -95,6 +96,7 @@ def _applicable(n_sets: int):
 
 
 def cmd_verify(args, argv) -> int:
+    cap = precision_cap(args.precision_cap)
     if len(args.sets) > 3:
         raise TooManySets(f"verify takes at most three set files (A, B, C), "
                           f"got {len(args.sets)}")
@@ -105,11 +107,11 @@ def cmd_verify(args, argv) -> int:
         names = [args.relation]
     reports = []
     violations = []
-    labelled = dict(zip(("A", "B", "C"), sets))
+    # one Instance of A serves every relation, so each quantity of A is built once
+    labelled = dict(zip(("A", "B", "C"), [Instance(sets[0]), *sets[1:]]))
     for name in names:
         try:
-            rep = check(name, **labelled, t=args.t, epsilon=args.epsilon,
-                        cap=args.precision_cap)
+            rep = check(name, **labelled, t=args.t, epsilon=args.epsilon, cap=cap)
         except ExpanderlabError as exc:
             violations.append({"name": name, "error": type(exc).__name__, "message": str(exc)})
             continue
@@ -155,12 +157,12 @@ def cmd_verify(args, argv) -> int:
 # -- pipeline ---------------------------------------------------------------------
 
 def cmd_pipeline(args, argv) -> int:
+    cap = precision_cap(args.precision_cap)
     fset = load_set(args.set)
     if args.mode == "fp":
-        trace = finite_field_pipeline(fset, epsilon=args.epsilon or Fraction(1, 64),
-                                      cap=args.precision_cap)
+        trace = finite_field_pipeline(fset, epsilon=args.epsilon or Fraction(1, 64), cap=cap)
     else:
-        trace = real_pipeline(fset, cap=args.precision_cap)
+        trace = real_pipeline(fset, cap=cap)
     out = Path(args.out) if args.out else Path(f"trace_{args.mode}.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "wb") as fh:
@@ -219,12 +221,13 @@ def cmd_search(args, argv) -> int:
 # -- energy ---------------------------------------------------------------------
 
 def cmd_energy(args, argv) -> int:
+    cap = precision_cap(args.precision_cap)
     a = load_set(args.sets[0])
     b = load_set(args.sets[1]) if len(args.sets) > 1 else a
     hist = histogram(a, b, args.kind)
     doc = {"histogram": hist.to_json(), "energies": {}}
     for alpha in args.alpha:
-        doc["energies"][str(alpha)] = energy(hist, alpha, cap=args.precision_cap).to_json()
+        doc["energies"][str(alpha)] = energy(hist, alpha, cap=cap).to_json()
     if args.delta is not None:
         low, high = hist.split(args.delta)
         doc["split"] = {"delta": args.delta, "low": low.to_json(), "high": high.to_json()}

@@ -114,7 +114,7 @@ def popular_ratio_graph(a: FSet, b: FSet, epsilon) -> PopularRatioResult:
 
     x_set = _from_ints(ctx, popular, scale)
     edges = [divmod(k, nb) for k, r in enumerate(ratios) if r in popular]
-    graph = PairGraph(a, b, edges)
+    graph = PairGraph._in_range(a, b, edges)
 
     if sum(mult[r] for r in popular) != len(graph):
         raise InvariantViolation("sum of popular multiplicities != |G|")
@@ -122,9 +122,9 @@ def popular_ratio_graph(a: FSet, b: FSet, epsilon) -> PopularRatioResult:
         raise InvariantViolation("popular graph lost more than an eps-fraction of pairs")
 
     pdiff = partial_combine(graph, "diff")
-    shape = Fraction(
-        len(expander_set(a, b)) * len(expander_set(b, a)) * len(mult), na * nb
-    )
+    ab = len(expander_set(a, b))
+    ba = ab if b is a else len(expander_set(b, a))
+    shape = Fraction(ab * ba * len(mult), na * nb)
     return PopularRatioResult(
         x_set=x_set,
         graph=graph,

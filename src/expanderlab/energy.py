@@ -242,10 +242,14 @@ def energy(
     raise PrecisionCapExceeded(f"enclosure still too wide at {bits} bits", achieved=best)
 
 
-def rich_products(a: FSet, b: FSet, t: int) -> FSet:
-    """S_t(a, b): products with at least t representations a_i * b_i."""
+def _require_t(a: FSet, b: FSet, t: int) -> None:
     if not 1 <= t <= min(len(a), len(b)):
         raise TOutOfRange(f"t = {t} outside [1, {min(len(a), len(b))}]")
+
+
+def rich_products(a: FSet, b: FSet, t: int) -> FSet:
+    """S_t(a, b): products with at least t representations a_i * b_i."""
+    _require_t(a, b, t)
     counts, scale = _pair_counter(a, b, "product")
     return _from_ints(a.ctx, (k for k, c in counts.items() if c >= t), scale)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
-from .energy import rich_products
+from .energy import _require_t
 from .errors import (
     DuplicateInput,
     FieldMismatch,
@@ -21,7 +21,7 @@ from .errors import (
     ZeroElementPresent,
 )
 from .field import KIND_RATIONAL
-from .sets import FSet, _lcd, _pair_groups, _same_ctx, _scaled, expander_set
+from .sets import FSet, _from_ints, _lcd, _pair_groups, _same_ctx, _scaled, expander_set
 
 Point = Tuple[Fraction, Fraction]
 
@@ -109,8 +109,11 @@ def expander_line_family(a: FSet, b: FSet) -> LineFamily:
         raise FieldMismatch("incidence geometry runs over the rationals only")
     if 0 in b.member_set():
         raise ZeroElementPresent("b = 0 degenerates every line to y = 0")
+    return _line_family(expander_set(a, a), b)
 
-    alphas = expander_set(a, a)
+
+def _line_family(alphas: FSet, b: FSet) -> LineFamily:
+    """The family for the slopes `alphas` = A(A+1), with 0 not in b."""
     sa, sb = _lcd(alphas.vals), _lcd(b.vals)
     b_scaled = list(zip(b.vals, _scaled(b.vals, sb)))
     # l_{alpha,b} has slope alpha*b = k*j/(sa*sb) and intercept -b = -j/sb, so
@@ -159,15 +162,17 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
     if 0 in a.member_set() or 0 in b.member_set():
         raise ZeroElementPresent("the construction needs 0 excluded")
 
-    s_t = rich_products(a, b, t)
-    family = expander_line_family(a, b)
-    family_keys = {(l.vertical, l.m, l.c) for l in family.lines}
-    alphas = expander_set(a, a).vals
-    scale = _lcd(alphas)
-    alpha_ints = set(_scaled(alphas, scale))
+    _require_t(a, b, t)
 
-    # product representations s = a_i * b_i, keyed by the kernel int of s
+    # product representations s = a_i * b_i, keyed by the kernel int of s;
+    # S_t is the products with at least t of them
     reps, rep_scale = _pair_groups(a, b, "prod")
+    s_t = _from_ints(ctx, (k for k, ps in reps.items() if len(ps) >= t), rep_scale)
+    alphas = expander_set(a, a)
+    family = _line_family(alphas, b)
+    family_keys = {(l.vertical, l.m, l.c) for l in family.lines}
+    scale = _lcd(alphas.vals)
+    alpha_ints = set(_scaled(alphas.vals, scale))
 
     min_lines = None
     witnesses = set()

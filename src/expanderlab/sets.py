@@ -314,6 +314,16 @@ class PairGraph:
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "edges", edge_set)
 
+    @classmethod
+    def _in_range(cls, left: FSet, right: FSet, edges: Iterable[Tuple[int, int]]) -> "PairGraph":
+        """A graph on int edges that are in range by construction, with
+        `left` and `right` over one field: no per-edge check."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "left", left)
+        object.__setattr__(obj, "right", right)
+        object.__setattr__(obj, "edges", frozenset(edges))
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("PairGraph is immutable")
 
@@ -370,7 +380,7 @@ class PairGraph:
         return sorted((lv[i], rv[j]) for i, j in self.edges)
 
     def transpose(self) -> "PairGraph":
-        return PairGraph(self.right, self.left, ((j, i) for i, j in self.edges))
+        return PairGraph._in_range(self.right, self.left, ((j, i) for i, j in self.edges))
 
 
 def partial_combine(g: PairGraph, op: str) -> FSet:

@@ -16,6 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from . import constructions as cons
@@ -45,6 +46,7 @@ from .intervals import RatInterval, interval_to_decimal, root_interval
 from .sets import (
     FSet,
     PairGraph,
+    _from_ints,
     _pair_ints,
     _scaled,
     combine,
@@ -165,40 +167,71 @@ def _slack_report(name, lhs, rhs, digest, notes="") -> InequalityReport:
     return InequalityReport(name, lhs, rhs, SLACK_ONLY, _ratio_slack(lhs, rhs), digest, notes)
 
 
-# -- registry checkers ---------------------------------------------------------
-# Every checker takes its relation's inputs, the instance digest and the
-# precision cap as keywords, so `check` calls them all the same way.
+# -- one instance --------------------------------------------------------------
 
-def _check_r1(*, A: FSet, B: FSet, C: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """One set A and what the relations and the real pipeline derive from it,
+    each field built on first use and kept as long as the Instance, which
+    lives for one call.  Checkers ask for a field by name, so nothing is
+    ever looked up by set equality.
+
+    `a1` is A+1 and `aa1` is A(A+1); `hist_*` are ratio spectra, `e3_*`
+    their third moments and `e2_*` multiplicative energies, `e2_mixed`
+    being E2(A, A+1).  `known_aa1` is A(A+1) when the caller has already
+    formed it."""
+
+    A: FSet
+    known_aa1: Optional[FSet] = None
+
+    a1 = cached_property(lambda self: translate(self.A, 1))
+    aa1 = cached_property(lambda self: expander_set(self.A, self.A)
+                          if self.known_aa1 is None else self.known_aa1)
+    hist_a = cached_property(lambda self: histogram(self.A, self.A, "ratio"))
+    hist_a1 = cached_property(lambda self: histogram(self.a1, self.a1, "ratio"))
+    e3_a = cached_property(lambda self: energy(self.hist_a, 3).exact)
+    e3_a1 = cached_property(lambda self: energy(self.hist_a1, 3).exact)
+    e2_a = cached_property(lambda self: multiplicative_energy(self.A, self.A))
+    e2_a1 = cached_property(lambda self: multiplicative_energy(self.a1, self.a1))
+    e2_mixed = cached_property(lambda self: multiplicative_energy(self.A, self.a1))
+    e2_a_aa1 = cached_property(lambda self: multiplicative_energy(self.A, self.aa1))
+    e2_a1_aa1 = cached_property(lambda self: multiplicative_energy(self.a1, self.aa1))
+
+
+# -- registry checkers ---------------------------------------------------------
+# Every checker takes the Instance of its set A, its other inputs, the
+# instance digest and the precision cap as keywords, so `check` calls them
+# all the same way.  Each checks its side conditions before it reads the
+# Instance, so its first error does not depend on the relations before it.
+
+def _check_r1(*, inst: Instance, B: FSet, C: FSet, digest: str,
+              cap: Optional[int]) -> InequalityReport:
+    A = inst.A
     _require_nonempty(C, "C")
     lhs = len(combine(A, B, "diff"))
     rhs = Fraction(len(combine(A, C, "diff")) * len(combine(B, C, "diff")), len(C))
     return _hold_report("R1", lhs, rhs, digest, "difference-set triangle inequality")
 
 
-def _check_r2(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
-    _exclude(A, (0, -1), "A")
-    _require_nonempty(A, "A")
-    lhs = len(combine(A, A, "ratio"))
-    rhs = Fraction(len(expander_set(A, A)) ** 2, len(A))
+def _check_r2(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityReport:
+    _exclude(inst.A, (0, -1), "A")
+    _require_nonempty(inst.A, "A")
+    lhs = inst.hist_a.total_support  # |A/A|
+    rhs = Fraction(len(inst.aa1) ** 2, len(inst.A))
     return _hold_report("R2", lhs, rhs, digest, "ratio set bounded by the expander set squared")
 
 
-def _check_r3(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
-    _exclude(A, (0, 1, -1), "A")
-    _require_nonempty(A, "A")
-    a1 = translate(A, 1)
-    lhs = Fraction(len(A) ** 4, len(expander_set(A, A)))
-    rhs = multiplicative_energy(A, a1)
-    return _hold_report("R3", lhs, rhs, digest, "Cauchy-Schwarz lower bound on the mixed energy")
+def _check_r3(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityReport:
+    _exclude(inst.A, (0, 1, -1), "A")
+    _require_nonempty(inst.A, "A")
+    lhs = Fraction(len(inst.A) ** 4, len(inst.aa1))
+    return _hold_report("R3", lhs, inst.e2_mixed, digest,
+                        "Cauchy-Schwarz lower bound on the mixed energy")
 
 
-def _check_r4(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
-    _exclude(A, (0, 1, -1), "A")
-    a1 = translate(A, 1)
-    lhs = multiplicative_energy(A, a1)
-    e2a = multiplicative_energy(A, A)
-    e2b = multiplicative_energy(a1, a1)
+def _check_r4(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityReport:
+    _exclude(inst.A, (0, 1, -1), "A")
+    lhs, e2a, e2b = inst.e2_mixed, inst.e2_a, inst.e2_a1
     verdict = HOLDS if lhs * lhs <= e2a * e2b else FAILS
     rhs = root_interval(e2a * e2b, 2, PRECISION_START)
     return InequalityReport("R4", lhs, rhs, verdict, _ratio_slack(lhs, rhs), digest,
@@ -232,15 +265,10 @@ def _decide(enclosure_at, power: int, rhs, cap: int) -> Tuple[str, RatInterval]:
     return INCONCLUSIVE, enclosure
 
 
-def _check_r5(*, A: FSet, B: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
-    _exclude(A, (0,), "A")
-    _exclude(B, (0,), "B")
-    cap = precision_cap(cap)
-    e2_mixed = multiplicative_energy(A, combine(A, B, "prod"))
-    hist_a = histogram(A, A, "ratio")
-    e3a = energy(hist_a, 3).exact
-    e3b = energy(histogram(B, B, "ratio"), 3).exact
-    verdict, lhs = _decide(lambda bits: _e15_capped(hist_a, cap, bits).power(2) * len(B) ** 2,
+def _r5_report(e2_mixed: int, hist_a, e3a: int, e3b: int, nb: int, digest: str,
+               cap: int) -> InequalityReport:
+    """R5 from E2(A, AB), the ratio spectrum and E3 of A, E3(B) and |B|."""
+    verdict, lhs = _decide(lambda bits: _e15_capped(hist_a, cap, bits).power(2) * nb ** 2,
                            3, e2_mixed ** 3 * e3a ** 2 * e3b, cap)
     rhs = (
         RatInterval.point(e2_mixed)
@@ -251,7 +279,18 @@ def _check_r5(*, A: FSet, B: FSet, digest: str, cap: Optional[int]) -> Inequalit
     return InequalityReport("R5", lhs, rhs, verdict, _ratio_slack(lhs, rhs), digest, note)
 
 
-def _check_r6(*, A: FSet, B: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
+def _check_r5(*, inst: Instance, B: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
+    A = inst.A
+    _exclude(A, (0,), "A")
+    _exclude(B, (0,), "B")
+    cap = precision_cap(cap)
+    e2_mixed = multiplicative_energy(A, combine(A, B, "prod"))
+    e3b = energy(histogram(B, B, "ratio"), 3).exact
+    return _r5_report(e2_mixed, inst.hist_a, inst.e3_a, e3b, len(B), digest, cap)
+
+
+def _check_r6(*, inst: Instance, B: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
+    A = inst.A
     _exclude(A, (0,), "A")
     _exclude(B, (0,), "B")
     # |A ∩ xB| summed over x counts the products x*b that land in A.  Each
@@ -264,7 +303,9 @@ def _check_r6(*, A: FSet, B: FSet, digest: str, cap: Optional[int]) -> Inequalit
                         "pair-counting identity over the ratio support", strict_equal=True)
 
 
-def _check_r7(*, A: FSet, B: FSet, t: int, digest: str, cap: Optional[int]) -> InequalityReport:
+def _check_r7(*, inst: Instance, B: FSet, t: int, digest: str,
+              cap: Optional[int]) -> InequalityReport:
+    A = inst.A
     _require_rational(A)
     try:
         res = st_lower_bound_check(A, B, t)
@@ -286,67 +327,60 @@ def _r8_report(res: cons.PopularRatioResult, digest: str) -> InequalityReport:
                          f"partial difference set vs expander shape; |G| = {len(res.graph)}")
 
 
-def _check_r8(*, A: FSet, B: FSet, epsilon: Fraction, digest: str,
+def _check_r8(*, inst: Instance, B: FSet, epsilon: Fraction, digest: str,
               cap: Optional[int]) -> InequalityReport:
-    _require_nonempty(A, "A")
+    _require_nonempty(inst.A, "A")
     _require_nonempty(B, "B")
-    return _r8_report(cons.popular_ratio_graph(A, B, epsilon), digest)
+    return _r8_report(cons.popular_ratio_graph(inst.A, B, epsilon), digest)
 
 
-def _check_r9(*, A: FSet, B: FSet, t: int, digest: str, cap: Optional[int]) -> InequalityReport:
+def _check_r9(*, inst: Instance, B: FSet, t: int, digest: str,
+              cap: Optional[int]) -> InequalityReport:
+    A = inst.A
     _require_rational(A)
     _exclude(A, (0, 1, -1), "A")
     _exclude(B, (0,), "B")
     lhs = len(rich_products(A, B, t))
-    rhs = Fraction(len(expander_set(A, A)) ** 2 * len(B) ** 2, len(A) * t ** 3)
+    rhs = Fraction(len(inst.aa1) ** 2 * len(B) ** 2, len(A) * t ** 3)
     return _slack_report("R9", lhs, rhs, digest, "rich-product count vs incidence shape")
 
 
-def _check_r10(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
-    _exclude(A, (0, 1, -1), "A")
-    a1 = translate(A, 1)
-    e3a = energy(histogram(A, A, "ratio"), 3).exact
-    e3b = energy(histogram(a1, a1, "ratio"), 3).exact
-    rhs = len(expander_set(A, A)) ** 2 * len(A)
-    lhs = max(e3a, e3b)
+def _check_r10(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityReport:
+    _exclude(inst.A, (0, 1, -1), "A")
+    e3a, e3b = inst.e3_a, inst.e3_a1
+    rhs = len(inst.aa1) ** 2 * len(inst.A)
     note = f"third moments E3(A) = {e3a}, E3(A+1) = {e3b}; log factors fold into slack"
-    return _slack_report("R10", lhs, rhs, digest, note)
+    return _slack_report("R10", max(e3a, e3b), rhs, digest, note)
 
 
-def _check_r11(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
-    _exclude(A, (0, 1, -1), "A")
-    a1 = translate(A, 1)
-    aa1 = expander_set(A, A)
-    e2a = multiplicative_energy(A, aa1)
-    e2b = multiplicative_energy(a1, aa1)
-    lhs = max(e2a, e2b)
-    rhs = root_interval(len(aa1) ** 5, 2, PRECISION_START)
+def _check_r11(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityReport:
+    _exclude(inst.A, (0, 1, -1), "A")
+    e2a, e2b = inst.e2_a_aa1, inst.e2_a1_aa1
+    rhs = root_interval(len(inst.aa1) ** 5, 2, PRECISION_START)
     note = f"mixed energies {e2a} and {e2b} vs expander set to the 5/2"
-    return _slack_report("R11", lhs, rhs, digest, note)
+    return _slack_report("R11", max(e2a, e2b), rhs, digest, note)
 
 
-def _check_r12(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
-    _exclude(A, (0, 1, -1), "A")
-    _require_nonempty(A, "A")
-    a1 = translate(A, 1)
-    lhs = Fraction(len(A) ** 11, len(expander_set(A, A)) ** 5)
-    rhs = (_e15_capped(histogram(A, A, "ratio"), cap, PRECISION_START)
-           * _e15_capped(histogram(a1, a1, "ratio"), cap, PRECISION_START))
+def _check_r12(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityReport:
+    _exclude(inst.A, (0, 1, -1), "A")
+    _require_nonempty(inst.A, "A")
+    lhs = Fraction(len(inst.A) ** 11, len(inst.aa1) ** 5)
+    rhs = (_e15_capped(inst.hist_a, cap, PRECISION_START)
+           * _e15_capped(inst.hist_a1, cap, PRECISION_START))
     return _slack_report("R12", lhs, rhs, digest, "lower shape for the product of 3/2-energies")
 
 
-def _check_r13(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
-    _exclude(A, (0, 1, -1), "A")
-    lhs = len(A) ** 24
-    rhs = len(expander_set(A, A)) ** 19
-    return _slack_report("R13", lhs, rhs, digest, "final exponent comparison, 24 against 19")
+def _check_r13(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityReport:
+    _exclude(inst.A, (0, 1, -1), "A")
+    return _slack_report("R13", len(inst.A) ** 24, len(inst.aa1) ** 19, digest,
+                         "final exponent comparison, 24 against 19")
 
 
-def _check_r14(*, A: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
-    _exclude(A, (0, 1, -1), "A")
-    lhs = root_interval(len(A) ** 57, 56, PRECISION_START)
-    rhs = len(expander_set(A, A))
-    return _slack_report("R14", lhs, rhs, digest, "expander growth probe at exponent 57/56")
+def _check_r14(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityReport:
+    _exclude(inst.A, (0, 1, -1), "A")
+    lhs = root_interval(len(inst.A) ** 57, 56, PRECISION_START)
+    return _slack_report("R14", lhs, len(inst.aa1), digest,
+                         "expander growth probe at exponent 57/56")
 
 
 @dataclass(frozen=True)
@@ -394,7 +428,7 @@ SLACK_KEYS = tuple(k for k, spec in REGISTRY.items() if spec.klass == "slack")
 
 def check(
     name: str,
-    A: Optional[FSet] = None,
+    A: Union[FSet, Instance, None] = None,
     B: Optional[FSet] = None,
     C: Optional[FSet] = None,
     t: Optional[int] = None,
@@ -404,18 +438,22 @@ def check(
     """Certify one registry relation on one instance.
 
     Only the inputs the relation takes are used; they, with the relation
-    name, make up the instance digest."""
+    name, make up the instance digest.  `A` may be given as an `Instance`
+    of the set, so that several relations on one set share what it builds."""
     spec = REGISTRY.get(name)
     if spec is None:
         raise UnknownRelation(f"no relation named {name!r}")
-    given = {"A": A, "B": B, "C": C, "t": t,
+    inst = Instance(A) if isinstance(A, FSet) else A
+    given = {"A": inst.A if inst is not None else None, "B": B, "C": C, "t": t,
              "epsilon": Fraction(epsilon) if epsilon is not None else None}
     inputs = {}
     for needed in spec.inputs:
         if given[needed] is None:
             raise SideConditionViolated(f"{name} needs input {needed}")
         inputs[needed] = given[needed]
-    return spec.checker(digest=instance_digest(relation=name, **inputs), cap=cap, **inputs)
+    digest = instance_digest(relation=name, **inputs)
+    del inputs["A"]
+    return spec.checker(inst=inst, digest=digest, cap=cap, **inputs)
 
 
 # -- pipeline traces -----------------------------------------------------------
@@ -504,7 +542,10 @@ def finite_field_pipeline(
     p = ctx.p
     digest = instance_digest(pipeline="fp", A=A, epsilon=eps)
     steps = []
-    aa1 = expander_set(A, A)
+    # one pass over A x A gives A(A+1) and the base-point rows a(A+1)
+    rows = list(_pair_ints(A, A, "expand")[0])
+    inst = Instance(A, known_aa1=_from_ints(ctx, rows, 1))
+    aa1 = inst.aa1
     eighth_shape = Fraction(len(aa1) ** 8, n ** 7)
 
     # constructive difference-set evidence (self graphs)
@@ -530,13 +571,11 @@ def finite_field_pipeline(
                       digest,
                       f"|core| = {len(a_core)}; subset passage carries hidden log factors")))
     steps.append(PipelineStep("ratio-set bound on A",
-                              _check_r2(A=A, digest=digest, cap=cap)))
+                              _check_r2(inst=inst, digest=digest, cap=cap)))
 
     # b0 selection by maximal total intersection with a(A+1): the total for b
     # is sum over a of |a(A+1) & b(A+1)| = sum over x in b(A+1) of m(x), with
     # m(x) = #{a : x in a(A+1)}
-    row_ints, _ = _pair_ints(A, A, "expand")
-    rows = list(row_ints)
     shifted = {a: frozenset(rows[i * n:(i + 1) * n]) for i, a in enumerate(A.vals)}
     mult = Counter(x for s in shifted.values() for x in s)
     best_total, b0 = max((sum(mult[x] for x in shifted[b]), -b) for b in A.vals)
@@ -638,7 +677,7 @@ def finite_field_pipeline(
                          f"xi - 1 = {(xi - 1) % p} avoids R(A1)", strict_equal=True)))
 
     # covering steps: alpha, beta, gamma by translates of b0*A, delta by -b0*A
-    shape = Fraction(len(aa1) ** 2 * len(combine(A, A, "ratio")), N ** 2 * len(A1))
+    shape = Fraction(len(aa1) ** 2 * inst.hist_a.total_support, N ** 2 * len(A1))
     b0_shift = shifted[b0]
     b0a = dilate(A, b0).member_set()
     a_parts = []
@@ -771,29 +810,28 @@ def real_pipeline(A: FSet, cap: Optional[int] = None) -> PipelineTrace:
         raise SetTooSmall("pipeline needs at least 2 elements")
 
     digest = instance_digest(pipeline="real", A=A)
-    a1 = translate(A, 1)
-    aa1 = expander_set(A, A)
+    inst = Instance(A)
+    cap = precision_cap(cap)
     steps = [
         PipelineStep("Cauchy-Schwarz lower bound on the mixed energy",
-                     _check_r3(A=A, digest=digest, cap=cap)),
+                     _check_r3(inst=inst, digest=digest, cap=cap)),
         PipelineStep("mixed energy split between the two self energies",
-                     _check_r4(A=A, digest=digest, cap=cap)),
+                     _check_r4(inst=inst, digest=digest, cap=cap)),
+        # R5 on (A, A+1) and on (A+1, A): A·(A+1) = (A+1)·A = A(A+1)
         PipelineStep("third-moment inequality for (A, A+1)",
-                     _check_r5(A=A, B=a1, digest=digest, cap=cap)),
+                     _r5_report(inst.e2_a_aa1, inst.hist_a, inst.e3_a, inst.e3_a1, len(A),
+                                digest, cap)),
         PipelineStep("third-moment inequality for (A+1, A)",
-                     _check_r5(A=a1, B=A, digest=digest, cap=cap)),
+                     _r5_report(inst.e2_a1_aa1, inst.hist_a1, inst.e3_a1, inst.e3_a, len(A),
+                                digest, cap)),
     ]
 
     # combined product form, decided on squares
-    hist_a = histogram(A, A, "ratio")
-    hist_b = histogram(a1, a1, "ratio")
-    rhs_sq = (multiplicative_energy(A, aa1) * multiplicative_energy(a1, aa1)
-              * energy(hist_a, 3).exact * energy(hist_b, 3).exact)
-    capv = precision_cap(cap)
+    rhs_sq = inst.e2_a_aa1 * inst.e2_a1_aa1 * inst.e3_a * inst.e3_a1
     verdict, lhs_iv = _decide(
-        lambda bits: (_e15_capped(hist_a, capv, bits) * _e15_capped(hist_b, capv, bits)
+        lambda bits: (_e15_capped(inst.hist_a, cap, bits) * _e15_capped(inst.hist_a1, cap, bits)
                       * len(A) ** 2),
-        2, rhs_sq, capv)
+        2, rhs_sq, cap)
     rhs_iv = root_interval(rhs_sq, 2, PRECISION_START)
     steps.append(PipelineStep(
         "combined product of 3/2-energies against the mixed-moment square root",
@@ -801,13 +839,11 @@ def real_pipeline(A: FSet, cap: Optional[int] = None) -> PipelineTrace:
                          _ratio_slack(lhs_iv, rhs_iv), digest,
                          "product of both third-moment applications; decided on squares")))
 
-    steps.append(PipelineStep("lower shape for the product of 3/2-energies",
-                              _check_r12(A=A, digest=digest, cap=cap)))
-    steps.append(PipelineStep("third moments against the expander shape",
-                              _check_r10(A=A, digest=digest, cap=cap)))
-    steps.append(PipelineStep("mixed energies against the 5/2-power shape",
-                              _check_r11(A=A, digest=digest, cap=cap)))
-    steps.append(PipelineStep("final exponent comparison, 24 against 19",
-                              _check_r13(A=A, digest=digest, cap=cap)))
+    for description, checker in (
+            ("lower shape for the product of 3/2-energies", _check_r12),
+            ("third moments against the expander shape", _check_r10),
+            ("mixed energies against the 5/2-power shape", _check_r11),
+            ("final exponent comparison, 24 against 19", _check_r13)):
+        steps.append(PipelineStep(description, checker(inst=inst, digest=digest, cap=cap)))
 
     return PipelineTrace("real", A, None, tuple(steps), None)

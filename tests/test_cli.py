@@ -169,14 +169,36 @@ def test_verify_empty_set_exits_64(tmp_path, capsys, relation):
     assert "Traceback" not in err
 
 
+def capped_commands(tmp_path):
+    """Every command that takes a precision cap, each writing to `out.json`.
+    None of them needs the cap on these sets: R4 and alpha = 2 are exact."""
+    a = write(tmp_path, "a.json", {"field": "q", "elements": ["2", "3", "5", "7"]})
+    fp = write(tmp_path, "fp.json", {"field": "fp", "p": 109,
+                                     "elements": [1, 5, 10, 31, 36, 40, 43, 65, 71]})
+    return [["verify", a, "--relation", "R4"], ["verify", a, "--all"],
+            ["pipeline", a, "--mode", "real"], ["pipeline", fp, "--mode", "fp"],
+            ["energy", a, "--alpha", "2"]]
+
+
+def assert_rejected_up_front(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 64, argv
+    err = capsys.readouterr().err
+    assert [line.split(":")[:2] for line in err.splitlines()] == [
+        ["error", " InvalidPrecisionCap"]], argv
+    assert not out.exists(), argv
+
+
 @pytest.mark.parametrize("cap", ["abc", "1.5", "-5"])
 def test_bad_precision_cap_env_exits_64(tmp_path, capsys, monkeypatch, cap):
     monkeypatch.setenv("EXPANDERLAB_PRECISION_CAP", cap)
-    a = write(tmp_path, "a.json", {"field": "q", "elements": ["2", "3", "5", "7"]})
-    assert main(["pipeline", a, "--mode", "real", "--out", str(tmp_path / "t.json")]) == 64
-    err = capsys.readouterr().err
-    assert "InvalidPrecisionCap" in err
-    assert "Traceback" not in err
+    for argv in capped_commands(tmp_path):
+        assert_rejected_up_front(tmp_path, capsys, argv)
+
+
+def test_negative_precision_cap_option_exits_64(tmp_path, capsys):
+    for argv in capped_commands(tmp_path):
+        assert_rejected_up_front(tmp_path, capsys, [*argv, "--precision-cap", "-5"])
 
 
 def test_verify_unknown_relation_exits_64(tmp_path, capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expanderlab import (
     FSet,
@@ -9,11 +11,13 @@ from expanderlab import (
     Line,
     count_incidences,
     expander_line_family,
+    rich_products,
     st_lower_bound_check,
 )
 from expanderlab.errors import (
     DuplicateInput,
     FieldMismatch,
+    TOutOfRange,
     ZeroElementPresent,
 )
 from helpers import Q, random_q_set
@@ -125,6 +129,22 @@ def test_st_lower_bound_random():
         t = rng.randint(1, min(len(a), len(b)))
         res = st_lower_bound_check(a, b, t)
         assert res.witness_count == len(res.s_t) * len(a)
+
+
+nonzero_q = st.builds(F, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 4))
+q_sets = st.sets(nonzero_q, min_size=1, max_size=6).map(lambda v: FSet(Q, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_sets, q_sets)
+@example(FSet(Q, [F(-1, 2), F(1, 2), 2, -2]), FSet(Q, [F(1, 2), F(-1, 2), 4, -4]))
+def test_st_lower_bound_s_t_is_the_rich_product_set(a, b):
+    # S_t is read off the product representations, not recounted
+    for t in range(1, min(len(a), len(b)) + 1):
+        assert st_lower_bound_check(a, b, t).s_t == rich_products(a, b, t)
+    for t in (0, min(len(a), len(b)) + 1):
+        with pytest.raises(TOutOfRange, match=f"t = {t} outside"):
+            st_lower_bound_check(a, b, t)
 
 
 def test_st_lower_bound_fp_refused():

@@ -146,6 +146,27 @@ def test_pairgraph_basics():
         PairGraph.from_value_pairs(a, b, [(1, 5)])
 
 
+@pytest.mark.parametrize("edge", [(0, 2), (2, 0), (-1, 0), (0, -1)])
+def test_pairgraph_rejects_an_out_of_range_edge(edge):
+    a = FSet(F7, [1, 2])
+    b = FSet(F7, [3, 4])
+    with pytest.raises(ValueError, match="out of range 2x2"):
+        PairGraph(a, b, [(0, 0), edge])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(1, 12), min_size=1, max_size=6),
+       st.sets(st.integers(1, 12), min_size=1, max_size=6), st.data())
+def test_pairgraph_transpose_twice_is_the_graph(left, right, data):
+    a, b = FSet(FieldCtx.prime(13), left), FSet(FieldCtx.prime(13), right)
+    pairs = [(i, j) for i in range(len(a)) for j in range(len(b))]
+    g = PairGraph(a, b, data.draw(st.sets(st.sampled_from(pairs))))
+    t = g.transpose()
+    assert (t.left, t.right) == (b, a)
+    assert t.value_edges() == sorted((y, x) for x, y in g.value_edges())
+    assert t.transpose() == g
+
+
 def test_partial_combine_complete_and_empty():
     a = FSet(F7, [1, 2, 3])
     b = FSet(F7, [2, 5])
