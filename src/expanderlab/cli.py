@@ -22,7 +22,13 @@ from pathlib import Path
 
 from . import __version__
 from .energy import energy, histogram, precision_cap
-from .errors import BudgetExceeded, ExpanderlabError, InvalidManifest, TooManySets
+from .errors import (
+    BudgetExceeded,
+    ExpanderlabError,
+    InvalidManifest,
+    PrecisionCapExceeded,
+    TooManySets,
+)
 from .field import FieldCtx
 from .search import (
     MODES,
@@ -101,10 +107,7 @@ def cmd_verify(args, argv) -> int:
         raise TooManySets(f"verify takes at most three set files (A, B, C), "
                           f"got {len(args.sets)}")
     sets = [load_set(p) for p in args.sets]
-    if args.all:
-        names = list(_applicable(len(sets)))
-    else:
-        names = [args.relation]
+    names = list(_applicable(len(sets))) if args.all else [args.relation]
     reports = []
     violations = []
     # one Instance of A serves every relation, so each quantity of A is built once
@@ -222,12 +225,19 @@ def cmd_search(args, argv) -> int:
 
 def cmd_energy(args, argv) -> int:
     cap = precision_cap(args.precision_cap)
+    if len(args.sets) > 2:
+        raise TooManySets(f"energy takes at most two set files (A, B), got {len(args.sets)}")
     a = load_set(args.sets[0])
     b = load_set(args.sets[1]) if len(args.sets) > 1 else a
     hist = histogram(a, b, args.kind)
     doc = {"histogram": hist.to_json(), "energies": {}}
+    capped = False
     for alpha in args.alpha:
-        doc["energies"][str(alpha)] = energy(hist, alpha, cap=cap).to_json()
+        try:
+            value = energy(hist, alpha, cap=cap)
+        except PrecisionCapExceeded as exc:  # reported as reached, at the cap
+            value, capped = exc.achieved, True
+        doc["energies"][str(alpha)] = value.to_json()
     if args.delta is not None:
         low, high = hist.split(args.delta)
         doc["split"] = {"delta": args.delta, "low": low.to_json(), "high": high.to_json()}
@@ -241,7 +251,7 @@ def cmd_energy(args, argv) -> int:
     else:
         json.dump(doc, sys.stdout, sort_keys=True, indent=1)
         sys.stdout.write("\n")
-    return EXIT_OK
+    return EXIT_INCONCLUSIVE if capped else EXIT_OK
 
 
 # -- replay ---------------------------------------------------------------------
@@ -279,9 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="certify registry relations on set files")
     p_verify.add_argument("sets", nargs="+", help="one to three set files (JSON): A, B, C")
-    p_verify.add_argument("--relation", default=None, help="registry key, e.g. R6")
-    p_verify.add_argument("--all", action="store_true",
-                          help="run every relation matching the number of sets")
+    select = p_verify.add_mutually_exclusive_group(required=True)
+    select.add_argument("--relation", default=None, help="registry key, e.g. R6")
+    select.add_argument("--all", action="store_true",
+                        help="run every relation matching the number of sets")
     p_verify.add_argument("--t", type=int, default=1)
     p_verify.add_argument("--epsilon", type=_parse_fraction, default=Fraction(1, 4))
     p_verify.add_argument("--precision-cap", type=int, default=None)
@@ -331,12 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "alpha", None) is None and args.command == "energy":
         args.alpha = [Fraction(2)]
-    if args.command == "verify" and not args.all and args.relation is None:
-        parser.error("verify needs --relation <key> or --all")
     try:
         return args.fn(args, argv)
     except BudgetExceeded as exc:

@@ -32,7 +32,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import (
     AlphaOutOfRange,
@@ -72,17 +72,6 @@ def precision_cap(explicit: Optional[int] = None) -> int:
     if cap < 0:
         raise InvalidPrecisionCap(f"precision cap {cap} is negative")
     return cap
-
-
-def _precision_ladder(start: int, cap: int) -> Iterator[int]:
-    """The precisions an enclosure is refined through: min(start, cap), then
-    doubling, capped at `cap`; `cap` is the last rung.  `start` is positive."""
-    bits = min(start, cap)
-    while True:
-        yield bits
-        if bits >= cap:
-            return
-        bits = min(bits * 2, cap)
 
 
 @dataclass(frozen=True)
@@ -203,43 +192,44 @@ def histogram(a: FSet, b: FSet, kind: str) -> MultiplicityHistogram:
     )
 
 
-def energy(
-    hist: MultiplicityHistogram,
-    alpha,
-    cap: Optional[int] = None,
-    min_bits: Optional[int] = None,
-) -> EnergyValue:
-    """E_alpha = sum over the spectrum of count * m^alpha.
-
-    Integer alpha (or a spectrum of perfect q-th powers) gives an exact
-    value.  Otherwise the result is a certified enclosure, refined by
-    doubling precision from 128 bits (or `min_bits`, for callers that need a
-    tighter enclosure than the default relative-width target) until the
-    relative width drops below 2^-64 or the cap is hit (default 4096,
-    overridable through EXPANDERLAB_PRECISION_CAP).
-    """
-    alpha = Fraction(alpha)
+def _exact_energy(hist: MultiplicityHistogram, alpha: Fraction) -> Optional[EnergyValue]:
+    """E_alpha when every multiplicity is a perfect q-th power, alpha = p/q:
+    always so for integer alpha or an empty spectrum; else None."""
     if alpha < 1:
         raise AlphaOutOfRange(f"alpha = {alpha} must be at least 1")
-    if alpha.denominator == 1:
-        total = sum(c * m ** alpha.numerator for m, c in hist.entries)
-        return EnergyValue(alpha, Fraction(total), Fraction(total), 0)
-    if not hist.entries:
-        return EnergyValue(alpha, Fraction(0), Fraction(0), 0)
-    # exact when every multiplicity is a perfect q-th power
     q = alpha.denominator
     roots = [iroot_floor(m, q) for m, _ in hist.entries]
-    if all(r ** q == m for r, (m, _) in zip(roots, hist.entries)):
-        total = sum(c * r ** alpha.numerator for r, (_, c) in zip(roots, hist.entries))
-        return EnergyValue(alpha, Fraction(total), Fraction(total), 0)
-    for bits in _precision_ladder(max(PRECISION_START, min_bits or 0), precision_cap(cap)):
-        acc = RatInterval.point(0)
-        for m, c in hist.entries:
-            acc = acc + pow_interval(m, alpha, bits) * c
-        best = EnergyValue(alpha, acc.lo, acc.hi, bits)
-        if acc.lo > 0 and (acc.hi - acc.lo) * (1 << _REL_BITS) < acc.lo:
-            return best
-    raise PrecisionCapExceeded(f"enclosure still too wide at {bits} bits", achieved=best)
+    if any(r ** q != m for r, (m, _) in zip(roots, hist.entries)):
+        return None
+    total = Fraction(sum(c * r ** alpha.numerator for r, (_, c) in zip(roots, hist.entries)))
+    return EnergyValue(alpha, total, total, 0)
+
+
+def energy_at(hist: MultiplicityHistogram, alpha, bits: int) -> EnergyValue:
+    """E_alpha = sum over the spectrum of count * m^alpha, evaluated once:
+    exact if `_exact_energy` gives it, else enclosed with `bits`-bit roots."""
+    alpha = Fraction(alpha)
+    exact = _exact_energy(hist, alpha)
+    if exact is not None:
+        return exact
+    acc = sum((pow_interval(m, alpha, bits) * c for m, c in hist.entries), RatInterval.point(0))
+    return EnergyValue(alpha, acc.lo, acc.hi, bits)
+
+
+def energy(hist: MultiplicityHistogram, alpha, cap: Optional[int] = None) -> EnergyValue:
+    """E_alpha, exact or enclosed at min(128, cap) bits; only an enclosure reads
+    the cap (default 4096, overridable through EXPANDERLAB_PRECISION_CAP).
+    Each term is at least 1 and its enclosure at most 2^(1 - bits) wide, so
+    from 66 bits on the relative width is below 2^-64.  A wider enclosure,
+    reached at a lower cap, is raised in PrecisionCapExceeded."""
+    alpha = Fraction(alpha)
+    value = _exact_energy(hist, alpha)
+    if value is None:
+        value = energy_at(hist, alpha, min(PRECISION_START, precision_cap(cap)))
+    if value.is_exact or (value.hi - value.lo) * (1 << _REL_BITS) < value.lo:
+        return value
+    raise PrecisionCapExceeded(f"enclosure still too wide at {value.precision_bits} bits",
+                               achieved=value)
 
 
 def _require_t(a: FSet, b: FSet, t: int) -> None:

@@ -16,14 +16,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from . import constructions as cons
 from .energy import (
     PRECISION_START,
-    _precision_ladder,
     energy,
+    energy_at,
     histogram,
     multiplicative_energy,
     precision_cap,
@@ -34,7 +34,6 @@ from .energy import (
 from .errors import (
     DensityViolated,
     FieldMismatch,
-    PrecisionCapExceeded,
     SetTooSmall,
     SideConditionViolated,
     UnknownRelation,
@@ -70,8 +69,6 @@ def _value_json(v: ReportValue):
         return None
     if isinstance(v, RatInterval):
         return interval_to_decimal(v)
-    if isinstance(v, Fraction):
-        return str(v)
     return str(v)
 
 
@@ -179,7 +176,7 @@ class Instance:
     `a1` is A+1 and `aa1` is A(A+1); `hist_*` are ratio spectra, `e3_*`
     their third moments and `e2_*` multiplicative energies, `e2_mixed`
     being E2(A, A+1).  `known_aa1` is A(A+1) when the caller has already
-    formed it."""
+    formed it.  `e15` keeps the 3/2-energy enclosures of the spectra."""
 
     A: FSet
     known_aa1: Optional[FSet] = None
@@ -196,6 +193,15 @@ class Instance:
     e2_mixed = cached_property(lambda self: multiplicative_energy(self.A, self.a1))
     e2_a_aa1 = cached_property(lambda self: multiplicative_energy(self.A, self.aa1))
     e2_a1_aa1 = cached_property(lambda self: multiplicative_energy(self.a1, self.aa1))
+    _e15 = cached_property(lambda self: {})
+
+    def e15(self, spectrum: str, bits: int) -> RatInterval:
+        """E1.5 of the ratio spectrum `spectrum` ("hist_a" or "hist_a1") at
+        `bits` bits, built once per (spectrum, bits)."""
+        key = (spectrum, bits)
+        if key not in self._e15:
+            self._e15[key] = energy_at(getattr(self, spectrum), Fraction(3, 2), bits).interval
+        return self._e15[key]
 
 
 # -- registry checkers ---------------------------------------------------------
@@ -238,37 +244,31 @@ def _check_r4(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityR
                             "mixed energy split by Cauchy-Schwarz; decided on squares")
 
 
-def _e15_capped(hist, cap: Optional[int], bits: int) -> RatInterval:
-    """3/2-energy enclosure at a demanded precision; at the cap, the widest
-    achieved enclosure is still usable for a (possibly inconclusive)
-    comparison."""
-    try:
-        return energy(hist, Fraction(3, 2), cap=cap, min_bits=bits).interval
-    except PrecisionCapExceeded as exc:
-        return exc.achieved.interval
-
-
 def _decide(enclosure_at, power: int, rhs, cap: int) -> Tuple[str, RatInterval]:
-    """Refine the enclosure `enclosure_at(bits)` of a left side along the
-    precision ladder up to `cap` until its `power`-th power lies at or below
-    the exact `rhs` (Holds) or wholly above it (Fails); Inconclusive if the
-    cap is reached first.  Raising the left side to a power keeps an
-    irrational right side, such as a cube root, exact.  Returns the verdict
-    and the last enclosure."""
-    for bits in _precision_ladder(PRECISION_START, cap):
+    """Refine the enclosure `enclosure_at(bits)` of a left side from
+    min(128, cap) bits, doubling up to `cap`, until its `power`-th power lies
+    at or below the exact `rhs` (Holds) or wholly above it (Fails);
+    Inconclusive if the cap is reached first.  Raising the left side to a
+    power keeps an irrational right side, such as a cube root, exact.  The
+    package's only precision ladder.  Returns the verdict and the last
+    enclosure."""
+    bits = min(PRECISION_START, cap)
+    while True:
         enclosure = enclosure_at(bits)
         decided = enclosure.power(power)
         if decided.hi <= rhs:
             return HOLDS, enclosure
         if decided.lo > rhs:
             return FAILS, enclosure
-    return INCONCLUSIVE, enclosure
+        if bits >= cap:
+            return INCONCLUSIVE, enclosure
+        bits = min(bits * 2, cap)
 
 
-def _r5_report(e2_mixed: int, hist_a, e3a: int, e3b: int, nb: int, digest: str,
-               cap: int) -> InequalityReport:
-    """R5 from E2(A, AB), the ratio spectrum and E3 of A, E3(B) and |B|."""
-    verdict, lhs = _decide(lambda bits: _e15_capped(hist_a, cap, bits).power(2) * nb ** 2,
+def _r5_report(e2_mixed: int, e15_a: Callable[[int], RatInterval], e3a: int, e3b: int,
+               nb: int, digest: str, cap: int) -> InequalityReport:
+    """R5 from E2(A, AB), E1.5(A) at a given precision, E3(A), E3(B) and |B|."""
+    verdict, lhs = _decide(lambda bits: e15_a(bits).power(2) * nb ** 2,
                            3, e2_mixed ** 3 * e3a ** 2 * e3b, cap)
     rhs = (
         RatInterval.point(e2_mixed)
@@ -286,7 +286,7 @@ def _check_r5(*, inst: Instance, B: FSet, digest: str, cap: Optional[int]) -> In
     cap = precision_cap(cap)
     e2_mixed = multiplicative_energy(A, combine(A, B, "prod"))
     e3b = energy(histogram(B, B, "ratio"), 3).exact
-    return _r5_report(e2_mixed, inst.hist_a, inst.e3_a, e3b, len(B), digest, cap)
+    return _r5_report(e2_mixed, partial(inst.e15, "hist_a"), inst.e3_a, e3b, len(B), digest, cap)
 
 
 def _check_r6(*, inst: Instance, B: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
@@ -365,8 +365,8 @@ def _check_r12(*, inst: Instance, digest: str, cap: Optional[int]) -> Inequality
     _exclude(inst.A, (0, 1, -1), "A")
     _require_nonempty(inst.A, "A")
     lhs = Fraction(len(inst.A) ** 11, len(inst.aa1) ** 5)
-    rhs = (_e15_capped(inst.hist_a, cap, PRECISION_START)
-           * _e15_capped(inst.hist_a1, cap, PRECISION_START))
+    bits = min(PRECISION_START, precision_cap(cap))
+    rhs = inst.e15("hist_a", bits) * inst.e15("hist_a1", bits)
     return _slack_report("R12", lhs, rhs, digest, "lower shape for the product of 3/2-energies")
 
 
@@ -819,18 +819,17 @@ def real_pipeline(A: FSet, cap: Optional[int] = None) -> PipelineTrace:
                      _check_r4(inst=inst, digest=digest, cap=cap)),
         # R5 on (A, A+1) and on (A+1, A): A·(A+1) = (A+1)·A = A(A+1)
         PipelineStep("third-moment inequality for (A, A+1)",
-                     _r5_report(inst.e2_a_aa1, inst.hist_a, inst.e3_a, inst.e3_a1, len(A),
-                                digest, cap)),
+                     _r5_report(inst.e2_a_aa1, partial(inst.e15, "hist_a"), inst.e3_a,
+                                inst.e3_a1, len(A), digest, cap)),
         PipelineStep("third-moment inequality for (A+1, A)",
-                     _r5_report(inst.e2_a1_aa1, inst.hist_a1, inst.e3_a1, inst.e3_a, len(A),
-                                digest, cap)),
+                     _r5_report(inst.e2_a1_aa1, partial(inst.e15, "hist_a1"), inst.e3_a1,
+                                inst.e3_a, len(A), digest, cap)),
     ]
 
     # combined product form, decided on squares
     rhs_sq = inst.e2_a_aa1 * inst.e2_a1_aa1 * inst.e3_a * inst.e3_a1
     verdict, lhs_iv = _decide(
-        lambda bits: (_e15_capped(inst.hist_a, cap, bits) * _e15_capped(inst.hist_a1, cap, bits)
-                      * len(A) ** 2),
+        lambda bits: inst.e15("hist_a", bits) * inst.e15("hist_a1", bits) * len(A) ** 2,
         2, rhs_sq, cap)
     rhs_iv = root_interval(rhs_sq, 2, PRECISION_START)
     steps.append(PipelineStep(

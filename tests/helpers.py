@@ -7,6 +7,8 @@ from fractions import Fraction
 
 from expanderlab import FieldCtx, FSet
 from expanderlab import constructions as cons
+from expanderlab.energy import PRECISION_START, precision_cap
+from expanderlab.intervals import RatInterval, iroot_floor, pow_interval
 
 PRIMES_TO_101 = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101]
@@ -68,3 +70,31 @@ def scan_path(path: str):
         yield
     finally:
         cons.ARRAY_SCAN, cons._numpy = saved
+
+
+# -- literal copies of the enclosure code that `energy_at` replaced ----------------
+
+def old_energy_loop(hist, alpha, cap, min_bits):
+    """The refinement loop of the old `energy(hist, alpha, cap, min_bits)` on a
+    spectrum that is not all perfect q-th powers.  Returns the enclosure, its
+    precision and whether the cap stopped the loop."""
+    cap = precision_cap(cap)
+    bits = min(max(PRECISION_START, min_bits or 0), cap)
+    while True:
+        acc = RatInterval.point(0)
+        for m, c in hist.entries:
+            acc = acc + pow_interval(m, alpha, bits) * c
+        if acc.lo > 0 and (acc.hi - acc.lo) * (1 << 64) < acc.lo:
+            return acc, bits, False
+        if bits >= cap:
+            return acc, bits, True
+        bits = min(bits * 2, cap)
+
+
+def old_e15_capped(hist, cap, bits):
+    """The old `verify._e15_capped`: the old energy's exact branches, else the
+    enclosure its loop ended on, at the cap or not."""
+    roots = [iroot_floor(m, 2) for m, _ in hist.entries]
+    if all(r * r == m for r, (m, _) in zip(roots, hist.entries)):
+        return RatInterval.point(sum(c * r ** 3 for r, (_, c) in zip(roots, hist.entries)))
+    return old_energy_loop(hist, Fraction(3, 2), cap, bits)[0]

@@ -111,6 +111,31 @@ def test_energy_dump(tmp_path):
     assert doc["split"]["delta"] == 1
 
 
+@pytest.mark.parametrize("cap, code, bits", [("8", 3, 8), ("128", 0, 128)])
+def test_energy_at_a_precision_cap(tmp_path, capsys, cap, code, bits):
+    # below 66 bits the enclosure misses the width target: it is written as
+    # reached, at the cap, and the run exits inconclusive
+    a = write(tmp_path, "a.json", FP_SET)
+    out = tmp_path / "e.json"
+    assert main(["energy", a, "--alpha", "3/2", "--alpha", "2", "--precision-cap", cap,
+                 "--out", str(out)]) == code
+    assert "error:" not in capsys.readouterr().err
+    energies = json.loads(out.read_text())["energies"]
+    assert energies["3/2"]["precision_bits"] == bits
+    assert energies["3/2"]["exact"] is None
+    assert energies["2"]["exact"] is not None
+
+
+def test_energy_with_three_sets_exits_64(tmp_path, capsys):
+    files = [write(tmp_path, f"{name}.json", FP_SET) for name in "abc"]
+    out = tmp_path / "e.json"
+    assert main(["energy", *files, "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert "TooManySets" in err
+    assert_one_error_line(err)
+    assert not out.exists()
+
+
 def test_replay_regenerates_identical(tmp_path):
     q = write(tmp_path, "q.json", Q_SET)
     out = tmp_path / "trace.json"
@@ -280,6 +305,7 @@ def assert_one_error_line(err: str) -> None:
 
 @pytest.mark.parametrize("argv", [
     ["verify", "{q}"],                            # neither --relation nor --all
+    ["verify", "{q}", "--all", "--relation", "R5"],  # both
     ["verify", "{q}", "--all", "--t", "x"],
     ["verify", "{q}", "--relation", "R2", "--precision-cap", "1.5"],
     ["pipeline", "{q}"],                          # --mode is required

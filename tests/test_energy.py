@@ -15,6 +15,7 @@ from expanderlab import (
 )
 from expanderlab.energy import (
     additive_energy_bruteforce,
+    energy_at,
     multiplicative_energy_bruteforce,
 )
 from expanderlab.errors import (
@@ -99,9 +100,11 @@ def test_energy_exact_when_squares():
 
 def test_energy_nesting_under_refinement():
     hist = histogram(SUBGROUP, SUBGROUP, "ratio")
-    wide = energy(hist, Fraction(3, 2), cap=128)
-    tight = energy(hist, Fraction(3, 2), cap=512)
+    wide = energy_at(hist, Fraction(3, 2), 128)
+    tight = energy_at(hist, Fraction(3, 2), 512)
+    assert (wide.precision_bits, tight.precision_bits) == (128, 512)
     assert wide.interval.contains_interval(tight.interval)
+    assert tight.interval.width < wide.interval.width
 
 
 def test_energy_precision_cap():

@@ -19,6 +19,7 @@ from expanderlab.cli import main
 from expanderlab.energy import (
     PRECISION_START,
     energy,
+    energy_at,
     histogram,
     multiplicative_energy,
     precision_cap,
@@ -43,7 +44,6 @@ from expanderlab.verify import (
     PipelineStep,
     PipelineTrace,
     _decide,
-    _e15_capped,
     _exclude,
     _hold_report,
     _r8_report,
@@ -53,7 +53,7 @@ from expanderlab.verify import (
     _slack_report,
     instance_digest,
 )
-from helpers import Q
+from helpers import Q, old_e15_capped
 
 
 def outcome(fn, *args, **kwargs):
@@ -111,7 +111,7 @@ def literal_r5(A, B, digest, cap):
     hist_a = histogram(A, A, "ratio")
     e3a = energy(hist_a, 3).exact
     e3b = energy(histogram(B, B, "ratio"), 3).exact
-    verdict, lhs = _decide(lambda bits: _e15_capped(hist_a, cap, bits).power(2) * len(B) ** 2,
+    verdict, lhs = _decide(lambda bits: old_e15_capped(hist_a, cap, bits).power(2) * len(B) ** 2,
                            3, e2_mixed ** 3 * e3a ** 2 * e3b, cap)
     rhs = (
         RatInterval.point(e2_mixed)
@@ -190,8 +190,8 @@ def literal_r12(A, digest, cap):
     _require_nonempty(A, "A")
     a1 = translate(A, 1)
     lhs = Fraction(len(A) ** 11, len(expander_set(A, A)) ** 5)
-    rhs = (_e15_capped(histogram(A, A, "ratio"), cap, PRECISION_START)
-           * _e15_capped(histogram(a1, a1, "ratio"), cap, PRECISION_START))
+    rhs = (old_e15_capped(histogram(A, A, "ratio"), cap, PRECISION_START)
+           * old_e15_capped(histogram(a1, a1, "ratio"), cap, PRECISION_START))
     return _slack_report("R12", lhs, rhs, digest, "lower shape for the product of 3/2-energies")
 
 
@@ -247,7 +247,7 @@ def literal_real_pipeline(A, cap=None):
               * energy(hist_a, 3).exact * energy(hist_b, 3).exact)
     capv = precision_cap(cap)
     verdict, lhs_iv = _decide(
-        lambda bits: (_e15_capped(hist_a, capv, bits) * _e15_capped(hist_b, capv, bits)
+        lambda bits: (old_e15_capped(hist_a, capv, bits) * old_e15_capped(hist_b, capv, bits)
                       * len(A) ** 2),
         2, rhs_sq, capv)
     rhs_iv = root_interval(rhs_sq, 2, PRECISION_START)
@@ -301,32 +301,41 @@ q_groups = st.tuples(q_sets(2, 12), q_sets(1, 6), q_sets(1, 5))
 
 # -- differential tests ------------------------------------------------------------------
 
+# None is the default cap; the others stop a refinement, or R12's
+# enclosures, below 128 bits
+caps = st.sampled_from([None, 0, 8, 65, 128])
+
+
 @settings(max_examples=60, deadline=None)
 @given(q_groups | fp_groups(), st.integers(1, 3),
-       st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]))
+       st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]), caps)
 @example((FSet(Q, [Fraction(1, 2), Fraction(-1, 2)]), FSet(Q, [2]), FSet(Q, [3])), 1,
-         Fraction(1, 4))
-@example((FSet(Q, [Fraction(1, 2), 1, 2]), FSet(Q, [0, 2]), FSet(Q, [3])), 1, Fraction(1, 4))
+         Fraction(1, 4), None)
+@example((FSet(Q, [Fraction(1, 2), 1, 2]), FSet(Q, [0, 2]), FSet(Q, [3])), 1, Fraction(1, 4),
+         None)
 @example((FSet(FieldCtx.prime(13), [0, 3, 12]), FSet(FieldCtx.prime(13), [1, 2]),
-          FSet(FieldCtx.prime(13), [5])), 2, Fraction(1, 8))
-def test_every_relation_matches_a_literal_recomputation(group, t, eps):
+          FSet(FieldCtx.prime(13), [5])), 2, Fraction(1, 8), None)
+@example((FSet(Q, [2, 3, 5, Fraction(7, 2)]), FSet(Q, [2, 3]), FSet(Q, [3])), 1,
+         Fraction(1, 4), 8)
+def test_every_relation_matches_a_literal_recomputation(group, t, eps, cap):
     a, b, c = group
     t = min(t, len(a), len(b)) or 1
     shared = Instance(a)
     for name in REGISTRY:
-        expected = outcome(literal_check, name, a, b, c, t, eps)
-        assert outcome(check, name, a, b, c, t, eps) == expected, name
+        expected = outcome(literal_check, name, a, b, c, t, eps, cap)
+        assert outcome(check, name, a, b, c, t, eps, cap) == expected, name
         # the order of `verify --all`: each relation after the ones before it
-        assert outcome(check, name, shared, b, c, t, eps) == expected, name
+        assert outcome(check, name, shared, b, c, t, eps, cap) == expected, name
 
 
 @settings(max_examples=60, deadline=None)
-@given(q_sets(2, 12))
-@example(FSet(Q, [Fraction(1, 2), Fraction(-1, 2)]))
-@example(FSet(Q, [Fraction(-1, 2), Fraction(1, 3), Fraction(3, 2), 2]))
-@example(FSet(Q, [Fraction(1, 2), 1, 3]))
-def test_real_pipeline_matches_a_literal_recomputation(a):
-    assert outcome(real_pipeline, a) == outcome(literal_real_pipeline, a)
+@given(q_sets(2, 12), caps)
+@example(FSet(Q, [Fraction(1, 2), Fraction(-1, 2)]), None)
+@example(FSet(Q, [Fraction(-1, 2), Fraction(1, 3), Fraction(3, 2), 2]), None)
+@example(FSet(Q, [Fraction(1, 2), 1, 3]), None)
+@example(FSet(Q, [2, 3, 5, Fraction(7, 2)]), 8)
+def test_real_pipeline_matches_a_literal_recomputation(a, cap):
+    assert outcome(real_pipeline, a, cap) == outcome(literal_real_pipeline, a, cap)
 
 
 def test_real_pipeline_refuses_what_the_literal_pipeline_refuses():
@@ -354,23 +363,52 @@ SPIED = ("expander_set", "histogram", "multiplicative_energy", "translate", "com
 Q29 = FSet(Q, [Fraction(k, 3) for k in range(4, 33)])
 
 
+def count_e15(monkeypatch):
+    """The 3/2-energy evaluations made through `verify.energy_at`."""
+    alphas = []
+    real_energy_at = verify.energy_at
+
+    def spy(hist, alpha, bits):
+        alphas.append(alpha)
+        return real_energy_at(hist, alpha, bits)
+
+    monkeypatch.setattr(verify, "energy_at", spy)
+    return alphas
+
+
 def test_real_pipeline_builds_each_quantity_once(monkeypatch):
     counts = count_calls(monkeypatch, verify, *SPIED)
+    e15 = count_e15(monkeypatch)
     real_pipeline(Q29)
     # A(A+1); the ratio spectra of A and A+1; E2(A, A+1), E2(A), E2(A+1),
     # E2(A, A(A+1)) and E2(A+1, A(A+1)); A+1 -- and no product set A·(A+1)
     assert counts == {"expander_set": 1, "histogram": 2, "multiplicative_energy": 5,
                       "translate": 1, "combine": 0}
+    # E1.5(A) and E1.5(A+1) at 128 bits serve both R5 steps, the combined
+    # step and R12
+    assert e15 == [Fraction(3, 2)] * 2
+
+
+def test_instance_keeps_one_enclosure_per_spectrum_and_precision(monkeypatch):
+    e15 = count_e15(monkeypatch)
+    inst = Instance(Q29)
+    for bits in (8, 128, 256, 128, 8):
+        for spectrum in ("hist_a", "hist_a1"):
+            hist = getattr(inst, spectrum)
+            assert inst.e15(spectrum, bits) == energy_at(hist, Fraction(3, 2), bits).interval
+    assert len(e15) == 2 * 3
 
 
 def test_verify_all_shares_one_instance(monkeypatch, tmp_path, capsys):
     path = tmp_path / "a.json"
     path.write_text('{"field": "q", "elements": ["2", "3", "5", "7/2"]}')
     counts = count_calls(monkeypatch, verify, *SPIED)
+    e15 = count_e15(monkeypatch)
     assert main(["verify", str(path), "--all"]) == 0
     # R2-R4 and R10-R14 on one set: one A(A+1), two spectra, five energies
     assert counts == {"expander_set": 1, "histogram": 2, "multiplicative_energy": 5,
                       "translate": 1, "combine": 0}
+    assert e15 == [Fraction(3, 2)] * 2  # R12's E1.5(A) and E1.5(A+1)
     reports = [line for line in capsys.readouterr().err.splitlines() if "] R" in line]
     assert len(reports) == 8
 

@@ -3,8 +3,9 @@
 The sha256 pins below were recorded with the 14-branch dispatch and the
 separate refinement loops that `check`'s table lookup and `verify._decide`
 replaced, so they pin every report and trace byte at the default precision
-cap.  The hypothesis tests compare `_decide`, `energy` and the fp pipeline's
-base-point choice with literal copies of the loops they replaced.
+cap.  The hypothesis tests compare `_decide`, `energy`, `energy_at` and the
+fp pipeline's base-point choice with literal copies of the loops they
+replaced.
 """
 import hashlib
 import json
@@ -16,24 +17,19 @@ from hypothesis import strategies as st
 
 from expanderlab import FieldCtx, FSet, combine, finite_field_pipeline, real_pipeline
 from expanderlab.energy import (
+    PRECISION_CAP_DEFAULT,
     PRECISION_START,
+    MultiplicityHistogram,
     energy,
+    energy_at,
     histogram,
     multiplicative_energy,
     precision_cap,
 )
 from expanderlab.errors import FieldMismatch, PrecisionCapExceeded
-from expanderlab.intervals import RatInterval, iroot_floor, pow_interval
-from expanderlab.verify import (
-    FAILS,
-    HOLDS,
-    INCONCLUSIVE,
-    REGISTRY,
-    _decide,
-    _e15_capped,
-    check,
-)
-from helpers import SCAN_PATHS, Q, scan_path
+from expanderlab.intervals import iroot_floor
+from expanderlab.verify import FAILS, HOLDS, INCONCLUSIVE, REGISTRY, _decide, check
+from helpers import SCAN_PATHS, Q, old_e15_capped, old_energy_loop, scan_path
 
 P101 = FieldCtx.prime(101)
 INSTANCES = {
@@ -125,25 +121,13 @@ def test_trace_bytes_pinned(key):
 
 # -- literal copies of the replaced refinement loops -------------------------------
 
-def _old_energy(hist, alpha, cap, min_bits):
-    cap = precision_cap(cap)
-    bits = min(max(PRECISION_START, min_bits or 0), cap)
+def _old_ladder(cap):
+    bits = min(PRECISION_START, cap)
     while True:
-        acc = RatInterval.point(0)
-        for m, c in hist.entries:
-            acc = acc + pow_interval(m, alpha, bits) * c
-        if acc.lo > 0 and (acc.hi - acc.lo) * (1 << 64) < acc.lo:
-            return acc, bits, False
+        yield bits
         if bits >= cap:
-            return acc, bits, True
+            return
         bits = min(bits * 2, cap)
-
-
-def _old_e15_capped(hist, cap, bits):
-    try:
-        return energy(hist, Fraction(3, 2), cap=cap, min_bits=bits)
-    except PrecisionCapExceeded as exc:
-        return exc.achieved
 
 
 def _old_r5_loop(hist_a, b_size, rhs_cubed, cap):
@@ -151,8 +135,8 @@ def _old_r5_loop(hist_a, b_size, rhs_cubed, cap):
     verdict = INCONCLUSIVE
     e15 = None
     while True:
-        e15 = _old_e15_capped(hist_a, cap, bits)
-        lhs_cubed = e15.interval.power(6) * (b_size ** 6)
+        e15 = old_e15_capped(hist_a, cap, bits)
+        lhs_cubed = e15.power(6) * (b_size ** 6)
         if lhs_cubed.hi <= rhs_cubed:
             verdict = HOLDS
             break
@@ -162,7 +146,7 @@ def _old_r5_loop(hist_a, b_size, rhs_cubed, cap):
         if bits >= cap:
             break
         bits = min(bits * 2, cap)
-    return verdict, e15.interval.power(2) * (b_size ** 2)
+    return verdict, e15.power(2) * (b_size ** 2)
 
 
 small_q = st.fractions(min_value=-12, max_value=12, max_denominator=5).filter(bool)
@@ -184,30 +168,65 @@ def test_decide_matches_old_r5_loop(a, b, cap, target):
     elif target == "double":
         rhs *= 2
     elif target == "mid":
-        e15 = _old_e15_capped(hist_a, cap, PRECISION_START).interval
+        e15 = old_e15_capped(hist_a, cap, PRECISION_START)
         cubed = e15.power(6) * len(b) ** 6
         rhs = (cubed.lo + cubed.hi) / 2
     expected = _old_r5_loop(hist_a, len(b), rhs, cap)
-    got = _decide(lambda bits: _e15_capped(hist_a, cap, bits).power(2) * len(b) ** 2,
-                  3, rhs, cap)
+    got = _decide(lambda bits: energy_at(hist_a, Fraction(3, 2), bits).interval.power(2)
+                  * len(b) ** 2, 3, rhs, cap)
     assert got == expected
 
 
 @settings(max_examples=150, deadline=None)
-@given(q_sets, caps, st.sampled_from([0, PRECISION_START, 300]),
-       st.sampled_from([Fraction(3, 2), Fraction(5, 3), Fraction(7, 4)]))
-def test_energy_ladder_matches_old_loop(a, cap, min_bits, alpha):
+@given(q_sets, caps, st.sampled_from([Fraction(3, 2), Fraction(5, 3), Fraction(7, 4)]))
+def test_energy_ladder_matches_old_loop(a, cap, alpha):
     hist = histogram(a, a, "ratio")
     q = alpha.denominator
     assume(any(iroot_floor(m, q) ** q != m for m, _ in hist.entries))
-    acc, bits, capped = _old_energy(hist, alpha, cap, min_bits)
+    acc, bits, capped = old_energy_loop(hist, alpha, cap, None)
     try:
-        got = energy(hist, alpha, cap=cap, min_bits=min_bits)
+        got = energy(hist, alpha, cap=cap)
         assert not capped
     except PrecisionCapExceeded as exc:
         assert capped
         got = exc.achieved
     assert (got.interval, got.precision_bits) == (acc, bits)
+
+
+# spectra far beyond what a set of a few dozen members gives
+@st.composite
+def spectra(draw):
+    entries = draw(st.dictionaries(st.integers(1, 10 ** 30), st.integers(1, 10 ** 12),
+                                   max_size=6))
+    pairs = sum(m * c for m, c in entries.items())
+    return MultiplicityHistogram("ratio", tuple(sorted(entries.items())), sum(entries.values()),
+                                 pairs, max(entries, default=0))
+
+
+ALPHAS = [Fraction(3, 2), Fraction(5, 3), Fraction(7, 4), Fraction(11, 10), Fraction(9, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectra(), st.sampled_from([0, 8, 65, 66, 67, 128, None]))
+def test_energy_at_matches_old_e15_capped(hist, cap):
+    # every precision `_decide` asks for, and R12's min(128, cap)
+    capv = precision_cap(cap)
+    for bits in [*_old_ladder(capv), min(PRECISION_START, capv)]:
+        assert energy_at(hist, Fraction(3, 2), bits).interval == old_e15_capped(hist, cap, bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectra(), st.sampled_from(ALPHAS), st.integers(0, PRECISION_CAP_DEFAULT),
+       st.integers(0, 1000))
+def test_old_energy_loop_never_leaves_its_first_rung(hist, alpha, cap, min_bits):
+    # each term is at least 1 and at most 2^(1 - bits) wide: from 66 bits on
+    # the first rung meets the width target, below 66 bits it is the cap
+    q = alpha.denominator
+    assume(any(iroot_floor(m, q) ** q != m for m, _ in hist.entries))
+    first = min(max(PRECISION_START, min_bits), cap)
+    _, bits, capped = old_energy_loop(hist, alpha, cap, min_bits)
+    assert bits == first
+    assert not capped or first < 66
 
 
 # -- base-point selection ---------------------------------------------------------
