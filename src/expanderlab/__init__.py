@@ -50,7 +50,6 @@ from .incidence import (
     Line,
     LineFamily,
     count_incidences,
-    expander_line_family,
     st_lower_bound_check,
 )
 from .verify import (

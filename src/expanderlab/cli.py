@@ -131,7 +131,8 @@ def cmd_verify(args, argv) -> int:
         _dump_json(doc, out)
         _write_manifest(out.with_suffix(""), argv, args.sets, [out],
                         {"relation": args.relation, "all": args.all,
-                         "t": args.t, "epsilon": str(args.epsilon) if args.epsilon else None,
+                         "t": args.t,
+                         "epsilon": None if args.epsilon is None else str(args.epsilon),
                          "precision_cap": args.precision_cap})
     else:
         json.dump(doc, sys.stdout, sort_keys=True, indent=1)
@@ -163,7 +164,8 @@ def cmd_pipeline(args, argv) -> int:
     cap = precision_cap(args.precision_cap)
     fset = load_set(args.set)
     if args.mode == "fp":
-        trace = finite_field_pipeline(fset, epsilon=args.epsilon or Fraction(1, 64), cap=cap)
+        eps = Fraction(1, 64) if args.epsilon is None else args.epsilon
+        trace = finite_field_pipeline(fset, epsilon=eps, cap=cap)
     else:
         trace = real_pipeline(fset, cap=cap)
     out = Path(args.out) if args.out else Path(f"trace_{args.mode}.json")
@@ -172,7 +174,7 @@ def cmd_pipeline(args, argv) -> int:
         fh.write(trace.to_bytes())
     _write_manifest(out.with_suffix(""), argv, [args.set], [out],
                     {"mode": args.mode,
-                     "epsilon": str(args.epsilon) if args.epsilon else None,
+                     "epsilon": None if args.epsilon is None else str(args.epsilon),
                      "precision_cap": args.precision_cap})
     for step in trace.steps:
         print(f"[{step.report.verdict:>12}] {step.description}", file=sys.stderr)

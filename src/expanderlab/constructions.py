@@ -13,9 +13,10 @@ Over F_p the witness scan of `partial_ruzsa` runs on numpy int64 arrays
 when every residue, difference and witness key fits: p and
 |A -_G B| * |B -_H C| below 2^62.  numpy is imported on the first such
 scan, never at import time, so the other commands never load it.  Without
-numpy, outside the guard, or with ARRAY_SCAN off, the pure-int scan runs;
-it is also the oracle the array scan is tested against, and both give the
-same results and, through `_raise_first_failure`, the same errors.
+numpy, or outside the guard, the pure-int scan runs; it is also the oracle
+the array scan is tested against.  A failed array scan is replayed on the
+pure scan, which raises the first failing check, so both paths give the
+same results and the same errors.
 """
 from __future__ import annotations
 
@@ -365,50 +366,17 @@ def _index_rows(g: PairGraph, side: FSet, part) -> list:
     return out
 
 
-def _raise_first_failure(g, ht, a_side, c_side, nb, eps, pab, pbc) -> None:
-    """Replay the checks of `partial_ruzsa` on value tuples, in their order,
-    and raise the first failure with its message and witnesses."""
-    ctx = g.left.ctx
-    b_of_a = {v: frozenset(ns) for v, ns in g.neighbors_left().items()}
-    b_of_c = {v: frozenset(ns) for v, ns in ht.neighbors_left().items()}
-    for av in a_side.vals:
-        for cv in c_side.vals:
-            if not ge_one_minus_k_sqrt(len(b_of_a[av] & b_of_c[cv]), nb, eps, k=2):
-                raise InvariantViolation(
-                    f"overlap below (1 - 2 sqrt(eps))|B| at ({av}, {cv})"
-                )
-    reps = {}
-    for av in a_side.vals:
-        for cv in c_side.vals:
-            x = ctx.sub(av, cv)
-            if x not in reps:
-                reps[x] = (av, cv)
-    pab_set, pbc_set = pab.member_set(), pbc.member_set()
-    seen: dict = {}
-    for x in sorted(reps):
-        av, cv = reps[x]
-        common = b_of_a[av] & b_of_c[cv]
-        if not ge_one_minus_k_sqrt(len(common), nb, eps, k=2):
-            raise InvariantViolation("representative pair lost its overlap")
-        for bv in common:
-            image = (ctx.sub(av, bv), ctx.sub(bv, cv))
-            if image[0] not in pab_set or image[1] not in pbc_set:
-                raise InvariantViolation("witness image escapes the partial difference sets")
-            prior = seen.get(image)
-            if prior is not None:
-                raise CollisionFound(f"image {image} reached twice", prior, (x, bv))
-            seen[image] = (x, bv)
-
-
 def _pure_scan(g, ht, a_side, c_side, least, pab, pbc):
-    """(|A' - C'|, |Y|), or None if a check fails on any item.  The first
-    pair (a, c) of each difference is its representative, and its overlap
-    test is the "lost overlap" check.
+    """(|A' - C'|, |Y|), or the first failing check raised: the overlap of
+    every (a, c) in order, then each difference x in sorted order through
+    its first pair (a, c), witness by witness, an escaping image before a
+    repeated one.
 
     A witness (x, b) maps to (a - b, b - c), keyed by the int
     i * |B -_H C| + j of its indices i, j in the sorted partial difference
     sets; rows hold the key parts per a and per c, keyed by the index of b
-    in B.
+    in B.  The keys of each difference go into one set in bulk; only after
+    a failure are the witnesses walked one by one to name it.
     """
     sub = g.left.ctx.sub
     ab_index = {v: i * len(pbc) for i, v in enumerate(pab.vals)}
@@ -419,11 +387,14 @@ def _pure_scan(g, ht, a_side, c_side, least, pab, pbc):
     diffs = set()
     seen = set()
     y_size = 0
+    escaped = False
     for av, b_a, a_row in a_rows:
         for cv, b_c, c_row in c_rows:
             common = b_a & b_c
             if len(common) < least:
-                return None
+                raise InvariantViolation(
+                    f"overlap below (1 - 2 sqrt(eps))|B| at ({av}, {cv})"
+                )
             x = sub(av, cv)
             if x in diffs:
                 continue
@@ -431,9 +402,28 @@ def _pure_scan(g, ht, a_side, c_side, least, pab, pbc):
             try:
                 seen.update([a_row[j] + c_row[j] for j in common])
             except KeyError:  # an image coordinate escapes
-                return None
+                escaped = True
             y_size += len(common)
-    return (len(diffs), y_size) if len(seen) == y_size else None
+    if not escaped and len(seen) == y_size:
+        return len(diffs), y_size
+
+    reps = {}
+    for av, b_a, a_row in a_rows:
+        for cv, b_c, c_row in c_rows:
+            reps.setdefault(sub(av, cv), (av, cv, a_row, c_row, b_a & b_c))
+    bvals = g.right.vals
+    images: dict = {}
+    for x in sorted(reps):
+        av, cv, a_row, c_row, common = reps[x]
+        for j in sorted(common):
+            if j not in a_row or j not in c_row:
+                raise InvariantViolation("witness image escapes the partial difference sets")
+            key, bv = a_row[j] + c_row[j], bvals[j]
+            if key in images:
+                raise CollisionFound(f"image {(sub(av, bv), sub(bv, cv))} reached twice",
+                                     images[key], (x, bv))
+            images[key] = (x, bv)
+    raise InvariantViolation("witness scan failed where its rescan passes")
 
 
 def _neighbour_matrix(np, g: PairGraph, side: FSet):
@@ -487,8 +477,6 @@ def _array_scan(np, g, ht, a_side, c_side, least, pab, pbc):
     return len(first), int(keys.size)
 
 
-# Whether partial_ruzsa may scan on arrays; tests switch the paths here.
-ARRAY_SCAN = True
 _INT64_SAFE = 1 << 62
 
 
@@ -509,12 +497,17 @@ def _numpy():
 
 
 def _witness_scan(g, ht, a_side, c_side, least, pab, pbc):
-    """The one dispatch point between the array scan and the pure scan."""
-    if ARRAY_SCAN and _array_scan_fits(g.left.ctx, len(pab), len(pbc)):
-        np = _numpy()
-        if np is not None:
-            return _array_scan(np, g, ht, a_side, c_side, least, pab, pbc)
-    return _pure_scan(g, ht, a_side, c_side, least, pab, pbc)
+    """The one dispatch point between the scans: the array scan where it is
+    exact and numpy is installed, else the pure scan.  A failed array scan
+    is replayed on the pure scan, which raises the first failing check."""
+    np = _numpy() if _array_scan_fits(g.left.ctx, len(pab), len(pbc)) else None
+    if np is None:
+        return _pure_scan(g, ht, a_side, c_side, least, pab, pbc)
+    scanned = _array_scan(np, g, ht, a_side, c_side, least, pab, pbc)
+    if scanned is None:
+        _pure_scan(g, ht, a_side, c_side, least, pab, pbc)
+        raise InvariantViolation("witness scan failed where its rescan passes")
+    return scanned
 
 
 def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
@@ -545,13 +538,8 @@ def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
     nb = len(g.right)
     least = _least_passing(nb, eps, k=2)
     pab = partial_combine(g, "diff")
-    pbc = pab if h is g else partial_combine(h, "diff")
-
-    scanned = _witness_scan(g, ht, a_side, c_side, least, pab, pbc)
-    if scanned is None:
-        _raise_first_failure(g, ht, a_side, c_side, nb, eps, pab, pbc)
-        raise InvariantViolation("witness scan failed where its rescan passes")
-    n_diffs, y_size = scanned
+    pbc = partial_combine(h, "diff")
+    n_diffs, y_size = _witness_scan(g, ht, a_side, c_side, least, pab, pbc)
 
     diff_ac = combine(a_side, c_side, "diff")
     if len(diff_ac) != n_diffs:

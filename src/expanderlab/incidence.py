@@ -98,22 +98,13 @@ class LineFamily:
     duplicates: Tuple            # colliding parameter pairs, if any
 
 
-def expander_line_family(a: FSet, b: FSet) -> LineFamily:
-    """The family {y = (alpha*x - 1)*b : alpha in A(A+1), b in B}.
-
-    Distinct parameter pairs give distinct lines whenever 0 is excluded from
-    b; collisions are checked anyway and reported, never assumed away.
-    """
-    ctx = _same_ctx(a, b)
-    if ctx.kind != KIND_RATIONAL:
-        raise FieldMismatch("incidence geometry runs over the rationals only")
-    if 0 in b.member_set():
-        raise ZeroElementPresent("b = 0 degenerates every line to y = 0")
-    return _line_family(expander_set(a, a), b)
-
-
 def _line_family(alphas: FSet, b: FSet) -> LineFamily:
-    """The family for the slopes `alphas` = A(A+1), with 0 not in b."""
+    """The family {y = (alpha*x - 1)*b : alpha in `alphas`, b in B} for the
+    slopes `alphas` = A(A+1), with 0 not in b.
+
+    Distinct parameter pairs then give distinct lines; collisions are
+    checked anyway and reported, never assumed away.
+    """
     sa, sb = _lcd(alphas.vals), _lcd(b.vals)
     b_scaled = list(zip(b.vals, _scaled(b.vals, sb)))
     # l_{alpha,b} has slope alpha*b = k*j/(sa*sb) and intercept -b = -j/sb, so

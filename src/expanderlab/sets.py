@@ -299,9 +299,10 @@ def translate(a: FSet, y: ElemLike) -> FSet:
 
 
 class PairGraph:
-    """An explicit bipartite graph G over left x right, stored as index pairs."""
+    """An explicit bipartite graph G over left x right, stored as index pairs.
+    `partial_combine` keeps each set it builds from the edges in `_combined`."""
 
-    __slots__ = ("left", "right", "edges")
+    __slots__ = ("left", "right", "edges", "_combined")
 
     def __init__(self, left: FSet, right: FSet, edges: Iterable[Tuple[int, int]]):
         _same_ctx(left, right)
@@ -313,6 +314,7 @@ class PairGraph:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "edges", edge_set)
+        object.__setattr__(self, "_combined", {})
 
     @classmethod
     def _in_range(cls, left: FSet, right: FSet, edges: Iterable[Tuple[int, int]]) -> "PairGraph":
@@ -322,6 +324,7 @@ class PairGraph:
         object.__setattr__(obj, "left", left)
         object.__setattr__(obj, "right", right)
         object.__setattr__(obj, "edges", frozenset(edges))
+        object.__setattr__(obj, "_combined", {})
         return obj
 
     def __setattr__(self, name, value):
@@ -384,9 +387,13 @@ class PairGraph:
 
 
 def partial_combine(g: PairGraph, op: str) -> FSet:
-    """Pairwise results restricted to the edges of g."""
+    """Pairwise results restricted to the edges of g, built once per graph
+    and op."""
     if op not in COMBINE_OPS:
         raise ValueError(f"unknown combine op {op!r}")
+    done = g._combined.get(op)
+    if done is not None:
+        return done
     ctx = g.left.ctx
     if op == "ratio":
         rv = g.right.vals
@@ -395,4 +402,5 @@ def partial_combine(g: PairGraph, op: str) -> FSet:
     fn = {"sum": ctx.add, "diff": ctx.sub, "prod": ctx.mul, "ratio": ctx.div}[op]
     lv, rv = g.left.vals, g.right.vals
     out = frozenset(fn(lv[i], rv[j]) for i, j in g.edges)
-    return FSet._from_canonical(ctx, out)
+    done = g._combined[op] = FSet._from_canonical(ctx, out)
+    return done

@@ -561,8 +561,11 @@ def finite_field_pipeline(
                       len(tri.partial_ab) * len(tri.partial_bc),
                       digest,
                       f"witness pairs |Y| = {tri.y_size}; overlap checks exact")))
-    a_core = tri.a_side.intersection(tri.c_side)
-    diff_core = combine(a_core, a_core, "diff")
+    # a ratio r and 1/r are equally popular on A x A, so the self graph is
+    # its own transpose and A' = C'
+    if tri.a_side != tri.c_side:
+        raise cons.InvariantViolation("the self graph's dense sides differ")
+    a_core, diff_core = tri.a_side, tri.diff_ac
     steps.append(PipelineStep(
         "difference set of the extracted core against the eighth-power shape",
         _slack_report("fp-difference-shape",
@@ -681,6 +684,7 @@ def finite_field_pipeline(
     b0_shift = shifted[b0]
     b0a = dilate(A, b0).member_set()
     a_parts = []
+    counts_product = 1
     for label, sym, sign in (("alpha", al, "+"), ("beta", be, "+"),
                              ("gamma", ga, "+"), ("delta", de, "-")):
         b_n, cover = _fp_cover_symbol(A, A1, b0_shift, sym, sign, eps, ctx)
@@ -694,6 +698,7 @@ def finite_field_pipeline(
             if not ok:
                 raise cons.InvariantViolation(f"covering of {label} misses {v}")
         a_parts.append(cover.covered)
+        counts_product *= cover.iterations
         steps.append(PipelineStep(
             f"cover {label}-dilate of the class by {target}",
             _slack_report(f"fp-cover-{label}", cover.iterations, shape, digest,
@@ -773,10 +778,6 @@ def finite_field_pipeline(
             _hold_report("fp-twisted-embed", len(twisted_diff), len(four_fold), digest)))
 
     # translate-product bound: the four-fold dilate sum against shift counts
-    counts_product = 1
-    for step in steps:
-        if step.report.name.startswith("fp-cover-"):
-            counts_product *= int(step.report.lhs)
     aaaa = kfold_sum(A, 4, (1, -1, -1, -1))
     diff_size = len(combine(A, A, "diff"))
     steps.append(PipelineStep(

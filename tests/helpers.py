@@ -55,21 +55,20 @@ def dense_random_graph(rng: random.Random, a: FSet, b: FSet, epsilon: Fraction):
     return PairGraph(a, b, [e for e in full if e not in removed])
 
 
-SCAN_PATHS = ("array", "pure", "no-numpy")
+SCAN_PATHS = ("array", "no-numpy")
 
 
 @contextlib.contextmanager
 def scan_path(path: str):
-    """Run `partial_ruzsa`'s witness scan on numpy arrays ("array"), on plain
-    ints ("pure"), or as if numpy were not installed ("no-numpy")."""
-    saved = cons.ARRAY_SCAN, cons._numpy
-    cons.ARRAY_SCAN = path != "pure"
+    """Run `partial_ruzsa`'s witness scan on numpy arrays where they fit
+    ("array"), or as if numpy were not installed ("no-numpy")."""
+    saved = cons._numpy
     if path == "no-numpy":
         cons._numpy = lambda: None
     try:
         yield
     finally:
-        cons.ARRAY_SCAN, cons._numpy = saved
+        cons._numpy = saved
 
 
 # -- literal copies of the enclosure code that `energy_at` replaced ----------------

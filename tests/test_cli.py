@@ -334,6 +334,7 @@ def test_help_and_version_exit_0(capsys, argv):
     (["energy", "{a}", "--alpha", "0"], "AlphaOutOfRange"),
     (["energy", "{a}", "--alpha", "1/2"], "AlphaOutOfRange"),
     (["energy", "{a}", "--alpha", "2", "--alpha", "-3"], "AlphaOutOfRange"),
+    (["pipeline", "{a}", "--mode", "fp", "--epsilon", "0"], "SideConditionViolated"),
 ])
 def test_bad_numeric_arguments_exit_64(tmp_path, capsys, argv, expected):
     a = write(tmp_path, "a.json", FP_SET)
@@ -345,6 +346,16 @@ def test_bad_numeric_arguments_exit_64(tmp_path, capsys, argv, expected):
     assert expected in err
     assert_one_error_line(err)
     assert not out.exists()
+
+
+def test_verify_manifest_records_epsilon_zero(tmp_path):
+    a = write(tmp_path, "a.json", FP_SET)
+    b = write(tmp_path, "b.json", FP_SET_B)
+    out = tmp_path / "rep.json"
+    assert exit_code(["verify", a, b, "--relation", "R8", "--epsilon", "0",
+                      "--out", str(out)]) == 64
+    manifest = json.loads((tmp_path / "rep.manifest.json").read_text())
+    assert manifest["config"]["epsilon"] == "0"
 
 
 @pytest.mark.parametrize("content", [

@@ -10,7 +10,7 @@ from expanderlab import (
     FieldCtx,
     Line,
     count_incidences,
-    expander_line_family,
+    expander_set,
     rich_products,
     st_lower_bound_check,
 )
@@ -20,6 +20,7 @@ from expanderlab.errors import (
     TOutOfRange,
     ZeroElementPresent,
 )
+from expanderlab.incidence import _line_family
 from helpers import Q, random_q_set
 
 F = Fraction
@@ -64,7 +65,7 @@ def test_methods_agree_on_randoms():
 def test_family_single_line():
     a = FSet(Q, [1])  # A(A+1) = {2}
     b = FSet(Q, [1])
-    fam = expander_line_family(a, b)
+    fam = _line_family(expander_set(a, a), b)
     assert len(fam.lines) == 1
     (line,) = fam.lines
     assert line.m == 2 and line.c == -1 and not fam.duplicates
@@ -72,7 +73,7 @@ def test_family_single_line():
 
 def test_family_two_by_four():
     a = FSet(Q, [2, 3])
-    fam = expander_line_family(a, a)
+    fam = _line_family(expander_set(a, a), a)
     assert fam.expected_size == 8
     assert len(fam.lines) == 8
     assert not fam.duplicates
@@ -82,7 +83,7 @@ def test_family_two_by_four():
 
 def test_family_distinct_for_fixed_b():
     a = FSet(Q, [2, 5, 7])
-    fam = expander_line_family(a, a)
+    fam = _line_family(expander_set(a, a), a)
     by_b = {}
     for line in fam.lines:
         by_b.setdefault(line.provenance[1], set()).add(line.m)
@@ -93,10 +94,10 @@ def test_family_distinct_for_fixed_b():
 
 def test_family_guards():
     with pytest.raises(ZeroElementPresent):
-        expander_line_family(FSet(Q, [2]), FSet(Q, [0, 1]))
+        st_lower_bound_check(FSet(Q, [2]), FSet(Q, [0, 1]), 1)
     fp = FieldCtx.prime(7)
     with pytest.raises(FieldMismatch):
-        expander_line_family(FSet(fp, [1, 2]), FSet(fp, [1, 2]))
+        st_lower_bound_check(FSet(fp, [1, 2]), FSet(fp, [1, 2]), 1)
 
 
 def test_st_lower_bound_basic():

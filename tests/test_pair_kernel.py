@@ -23,7 +23,7 @@ from expanderlab.energy import (
     rich_products,
 )
 from expanderlab.errors import DivisionByZero
-from expanderlab.incidence import Line, expander_line_family, st_lower_bound_check
+from expanderlab.incidence import Line, _line_family, st_lower_bound_check
 from helpers import Q
 
 BIG = 10 ** 6
@@ -118,7 +118,7 @@ def test_spectra_match_bruteforce_oracles(a, b):
 def test_slope_family_and_recount_match_literal_fractions(a, b, t):
     a, b = without_zero(a), without_zero(b)
     alphas = {x * (y + 1) for x in a.vals for y in a.vals}
-    family = expander_line_family(a, b)
+    family = _line_family(expander_set(a, a), b)
     assert list(family.lines) == sorted(
         {Line.from_expander_params(alpha, bv) for alpha in alphas for bv in b.vals})
     assert all(line.provenance == (-line.m / line.c, -line.c) for line in family.lines)

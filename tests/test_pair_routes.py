@@ -17,7 +17,6 @@ from expanderlab import (
     FieldCtx,
     Line,
     check,
-    expander_line_family,
     finite_field_pipeline,
     injection_witness,
     popular_ratio_graph,
@@ -35,7 +34,7 @@ from expanderlab.errors import (
     ZeroTwist,
 )
 from expanderlab.field import KIND_PRIME
-from expanderlab.incidence import StLowerBoundResult
+from expanderlab.incidence import StLowerBoundResult, _line_family
 from expanderlab.sets import _lcd, _scaled, combine, expander_set, partial_combine
 from helpers import Q
 
@@ -154,7 +153,7 @@ def literal_injection_witness(a: FSet, b: FSet, g, epsilon=None) -> InjectionRes
 
 def literal_st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
     s_t = rich_products(a, b, t)
-    family = expander_line_family(a, b)
+    family = _line_family(expander_set(a, a), b)
     family_keys = {(l.vertical, l.m, l.c) for l in family.lines}
     alphas = expander_set(a, a).vals
     scale = _lcd(alphas)

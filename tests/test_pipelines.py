@@ -9,6 +9,7 @@ from expanderlab import (
     finite_field_pipeline,
     real_pipeline,
 )
+from expanderlab import constructions as cons
 from expanderlab.errors import (
     DensityViolated,
     FieldMismatch,
@@ -100,6 +101,27 @@ def test_full_branch_reqfp():
     for expected in ("fp-twist-energy", "fp-energy-monotone", "fp-twisted-cs",
                      "fp-twisted-embed", "fp-translate-product"):
         assert expected in names, expected
+
+
+@pytest.mark.parametrize("p, vals, branch", [
+    (RNEQ_P, RNEQ_A, "RneqFp"),
+    (109, [1, 5, 10, 31, 36, 40, 43], "degenerate"),
+    (401, list(range(5, 15)), "RneqFp"),
+    (REQ_P, REQ_A, "ReqFp"),
+])
+def test_each_partial_difference_set_is_built_once(monkeypatch, p, vals, branch):
+    # every call on one graph returns the one set built for it; the spy keeps
+    # each graph alive, so no id is reused
+    real = cons.partial_combine
+    calls = []
+    monkeypatch.setattr(cons, "partial_combine",
+                        lambda g, op: calls.append((g, real(g, op))) or calls[-1][1])
+    trace = finite_field_pipeline(FSet(FieldCtx.prime(p), vals))
+    assert trace.selected["branch"] == branch
+    built = {}
+    for g, pdiff in calls:
+        assert pdiff is built.setdefault(id(g), pdiff)
+    assert len(calls) > len(built)
 
 
 def test_fp_trace_deterministic():
