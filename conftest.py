@@ -1,13 +1,22 @@
-"""Keeps every test on the expanderlab modules the suite was collected with.
+"""Keeps every test on the expanderlab modules the suite was collected with,
+and every property test on the same examples in every run.
 
 The benchmark's smoke test re-imports expanderlab from scratch, as a fresh
 process would.  Test modules collected before it still hold the classes and
 functions of the first import, so a later `from expanderlab import ...` or
 monkeypatch must reach those same modules, whatever order the tests run in.
+
+Hypothesis draws its examples from a seed fixed by each test, and keeps no
+example database, so no run replays what an earlier run in the same
+directory saved.
 """
 import sys
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("expanderlab", derandomize=True)
+settings.load_profile("expanderlab")
 
 PACKAGE = "expanderlab"
 

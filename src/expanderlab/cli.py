@@ -165,7 +165,7 @@ def cmd_pipeline(args, argv) -> int:
     fset = load_set(args.set)
     if args.mode == "fp":
         eps = Fraction(1, 64) if args.epsilon is None else args.epsilon
-        trace = finite_field_pipeline(fset, epsilon=eps, cap=cap)
+        trace = finite_field_pipeline(fset, epsilon=eps)
     else:
         trace = real_pipeline(fset, cap=cap)
     out = Path(args.out) if args.out else Path(f"trace_{args.mode}.json")

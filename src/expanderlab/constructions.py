@@ -91,8 +91,7 @@ class PopularRatioResult:
     epsilon: Fraction
     threshold: Fraction             # eps |A||B| / |A/B|
     partial_diff: FSet              # A -_G B
-    bound_rhs_shape: Fraction       # |A(B+1)| |B(A+1)| |A/B| / (|A||B|)
-    slack: Fraction                 # |A -_G B| / bound_rhs_shape
+    ratio_support: int              # |A/B|
 
 
 def popular_ratio_graph(a: FSet, b: FSet, epsilon) -> PopularRatioResult:
@@ -122,18 +121,13 @@ def popular_ratio_graph(a: FSet, b: FSet, epsilon) -> PopularRatioResult:
     if Fraction(len(graph)) < (1 - eps) * na * nb:
         raise InvariantViolation("popular graph lost more than an eps-fraction of pairs")
 
-    pdiff = partial_combine(graph, "diff")
-    ab = len(expander_set(a, b))
-    ba = ab if b is a else len(expander_set(b, a))
-    shape = Fraction(ab * ba * len(mult), na * nb)
     return PopularRatioResult(
         x_set=x_set,
         graph=graph,
         epsilon=eps,
         threshold=threshold,
-        partial_diff=pdiff,
-        bound_rhs_shape=shape,
-        slack=Fraction(len(pdiff)) / shape,
+        partial_diff=partial_combine(graph, "diff"),
+        ratio_support=len(mult),
     )
 
 
@@ -222,9 +216,8 @@ def dense_degree_subset(g: PairGraph, epsilon) -> FSet:
     if not 0 <= eps < 1:
         raise EpsilonOutOfRange(f"epsilon = {eps} outside [0, 1)")
     _check_density(g, eps)
-    nb = len(g.right)
-    degs = g.left_degrees()
-    kept = [v for v, d in zip(g.left.vals, degs) if ge_one_minus_k_sqrt(d, nb, eps)]
+    least = _least_passing(len(g.right), eps, 1)
+    kept = [v for v, d in zip(g.left.vals, g.left_degrees()) if d >= least]
     if not ge_one_minus_k_sqrt(len(kept), len(g.left), eps):
         raise InvariantViolation("dense-degree subset smaller than guaranteed")
     return g.left.with_values(kept)
@@ -260,7 +253,7 @@ def greedy_cover(a: FSet, b: FSet, g: PairGraph, epsilon, sign: str = "+") -> Co
     _check_density(g, eps)
 
     a1 = dense_degree_subset(g, eps)
-    adj = g.neighbors_left()
+    degree = dict(zip(g.left.vals, g.left_degrees()))
     pdiff_size = len(partial_combine(g, "diff"))
     bvals = b.vals
     bset = b.member_set()
@@ -275,7 +268,7 @@ def greedy_cover(a: FSet, b: FSet, g: PairGraph, epsilon, sign: str = "+") -> Co
     translates = []
     per_step = []
     while gt_k_sqrt(len(remaining), n1, eps):
-        gstar = sum(len(adj[v]) for v in remaining)
+        gstar = sum(degree[v] for v in remaining)
         rem = FSet._from_canonical(ctx, frozenset(remaining))
         ints, scale = _pair_ints(rem, b, pair_op)
         # the most coverage, ties to the smallest shift (ints sort as values)

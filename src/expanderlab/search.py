@@ -43,6 +43,8 @@ from .sets import FSet, expander_set
 
 MODES = ("exhaustive", "hillclimb", "anneal")
 _LOG_BITS = 128
+INITIAL_TEMP = 2.0   # anneal temperature at the start of each restart
+COOLING = 0.995      # factor applied to the temperature after every proposal
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,6 @@ class SearchConfig:
     iteration_cap: int = 2000
     budget: int = 2_000_000
     restarts: int = 20
-    initial_temp: float = 2.0
-    cooling: float = 0.995
     exclude_degenerate: bool = True   # drop 0 and -1 from the candidate pool
     density_guard: bool = True        # enforce |A|^2 < p over prime fields
     rational_range: Tuple[int, int] = (-10, 10)
@@ -207,14 +207,14 @@ def _one_restart(cfg: SearchConfig, pool: Tuple[int, ...], m: int, seed: int) ->
     cur_val = _size_with(_rest(current[1:], m), current[0], m)
     cur_key = (cur_val,) + _witness_key(current)
     best_key = cur_key
-    temp = cfg.initial_temp
+    temp = INITIAL_TEMP
     anneal = cfg.mode == "anneal"
     rests: Dict[int, _Rest] = {}  # swap index -> rest of `current`; cleared on every move
     for _ in range(cfg.iteration_cap):
         idx = rng.randrange(n)
         replacement = pool[rng.randrange(len(pool))]
         if replacement in current:
-            temp *= cfg.cooling
+            temp *= COOLING
             continue
         rest = rests.get(idx)
         if rest is None:
@@ -224,7 +224,7 @@ def _one_restart(cfg: SearchConfig, pool: Tuple[int, ...], m: int, seed: int) ->
         uphill = val > cur_val
         if uphill and not (anneal and temp > 1e-9
                            and rng.random() < math.exp(-(val - cur_val) / temp)):
-            temp *= cfg.cooling
+            temp *= COOLING
             continue
         proposal = sorted(rest[0] + [replacement])
         key = (val,) + _witness_key(proposal)
@@ -233,7 +233,7 @@ def _one_restart(cfg: SearchConfig, pool: Tuple[int, ...], m: int, seed: int) ->
             rests.clear()
             if key < best_key:
                 best_key = key
-        temp *= cfg.cooling
+        temp *= COOLING
     return best_key
 
 

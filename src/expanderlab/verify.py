@@ -45,7 +45,6 @@ from .intervals import RatInterval, interval_to_decimal, root_interval
 from .sets import (
     FSet,
     PairGraph,
-    _from_ints,
     _pair_ints,
     _scaled,
     combine,
@@ -175,15 +174,13 @@ class Instance:
 
     `a1` is A+1 and `aa1` is A(A+1); `hist_*` are ratio spectra, `e3_*`
     their third moments and `e2_*` multiplicative energies, `e2_mixed`
-    being E2(A, A+1).  `known_aa1` is A(A+1) when the caller has already
-    formed it.  `e15` keeps the 3/2-energy enclosures of the spectra."""
+    being E2(A, A+1).  `e15` keeps the 3/2-energy enclosures of the
+    spectra."""
 
     A: FSet
-    known_aa1: Optional[FSet] = None
 
     a1 = cached_property(lambda self: translate(self.A, 1))
-    aa1 = cached_property(lambda self: expander_set(self.A, self.A)
-                          if self.known_aa1 is None else self.known_aa1)
+    aa1 = cached_property(lambda self: expander_set(self.A, self.A))
     hist_a = cached_property(lambda self: histogram(self.A, self.A, "ratio"))
     hist_a1 = cached_property(lambda self: histogram(self.a1, self.a1, "ratio"))
     e3_a = cached_property(lambda self: energy(self.hist_a, 3).exact)
@@ -322,8 +319,12 @@ def _check_r7(*, inst: Instance, B: FSet, t: int, digest: str,
                             _ratio_slack(res.witness_count, rhs), digest, note)
 
 
-def _r8_report(res: cons.PopularRatioResult, digest: str) -> InequalityReport:
-    return _slack_report("R8", len(res.partial_diff), res.bound_rhs_shape, digest,
+def _r8_report(res: cons.PopularRatioResult, ab1: int, ba1: int,
+               digest: str) -> InequalityReport:
+    """R8 from the popular-ratio graph on (A, B), |A(B+1)| and |B(A+1)|."""
+    g = res.graph
+    shape = Fraction(ab1 * ba1 * res.ratio_support, len(g.left) * len(g.right))
+    return _slack_report("R8", len(res.partial_diff), shape, digest,
                          f"partial difference set vs expander shape; |G| = {len(res.graph)}")
 
 
@@ -331,7 +332,10 @@ def _check_r8(*, inst: Instance, B: FSet, epsilon: Fraction, digest: str,
               cap: Optional[int]) -> InequalityReport:
     _require_nonempty(inst.A, "A")
     _require_nonempty(B, "B")
-    return _r8_report(cons.popular_ratio_graph(inst.A, B, epsilon), digest)
+    A = inst.A
+    ab1 = len(expander_set(A, B))
+    ba1 = ab1 if B is A else len(expander_set(B, A))
+    return _r8_report(cons.popular_ratio_graph(A, B, epsilon), ab1, ba1, digest)
 
 
 def _check_r9(*, inst: Instance, B: FSet, t: int, digest: str,
@@ -513,12 +517,11 @@ def _fp_cover_symbol(A, A1, b0_shift_set, sym, sign, eps, ctx):
     return b_n, cover
 
 
-def finite_field_pipeline(
-    A: FSet,
-    epsilon=Fraction(1, 64),
-    cap: Optional[int] = None,
-    plunnecke_budget: int = 12,
-) -> PipelineTrace:
+# the largest base the fp pipeline gives the exhaustive 2^|A| subset search
+PLUNNECKE_BUDGET = 12
+
+
+def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
     """Trace the prime-field growth argument on a concrete set.
 
     Selects the popular intersection base b0, the dyadic class (A1, N),
@@ -542,9 +545,9 @@ def finite_field_pipeline(
     p = ctx.p
     digest = instance_digest(pipeline="fp", A=A, epsilon=eps)
     steps = []
-    # one pass over A x A gives A(A+1) and the base-point rows a(A+1)
+    # the base-point rows a(A+1), from one pass over A x A
     rows = list(_pair_ints(A, A, "expand")[0])
-    inst = Instance(A, known_aa1=_from_ints(ctx, rows, 1))
+    inst = Instance(A)
     aa1 = inst.aa1
     eighth_shape = Fraction(len(aa1) ** 8, n ** 7)
 
@@ -552,7 +555,7 @@ def finite_field_pipeline(
     pop = cons.popular_ratio_graph(A, A, eps)
     steps.append(PipelineStep(
         "partial difference set of the popular-ratio graph on (A, A)",
-        _r8_report(pop, digest)))
+        _r8_report(pop, len(aa1), len(aa1), digest)))
     tri = cons.partial_ruzsa(pop.graph, pop.graph, eps)
     steps.append(PipelineStep(
         "dense partial triangle inequality on the self graph",
@@ -574,7 +577,7 @@ def finite_field_pipeline(
                       digest,
                       f"|core| = {len(a_core)}; subset passage carries hidden log factors")))
     steps.append(PipelineStep("ratio-set bound on A",
-                              _check_r2(inst=inst, digest=digest, cap=cap)))
+                              _check_r2(inst=inst, digest=digest, cap=None)))
 
     # b0 selection by maximal total intersection with a(A+1): the total for b
     # is sum over a of |a(A+1) & b(A+1)| = sum over x in b(A+1) of m(x), with
@@ -719,8 +722,8 @@ def finite_field_pipeline(
     base = dilate(A2, gd)
     x1 = dilate(A2, ab_diff)
     x2 = negate(base)
-    if len(base) <= plunnecke_budget:
-        pl = cons.plunnecke_witness(base, [x1, x2], budget=plunnecke_budget)
+    if len(base) <= PLUNNECKE_BUDGET:
+        pl = cons.plunnecke_witness(base, [x1, x2], budget=PLUNNECKE_BUDGET)
         a3 = dilate(pl.subset, pow(gd, -1, p))
         pl_slack = pl.slack
         pl_note = f"minimising subset ratio {pl.subset_ratio}"

@@ -7,6 +7,7 @@ out in this file.  `partial_ruzsa` runs on each of its scan paths: numpy
 arrays, and plain ints with numpy missing.
 """
 import itertools
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +21,6 @@ from expanderlab import (
     FieldCtx,
     PairGraph,
     combine,
-    expander_set,
     finite_field_pipeline,
     greedy_cover,
     kfold_sum,
@@ -43,6 +43,7 @@ from expanderlab.energy import twist_spectrum
 from expanderlab.errors import (
     CollisionFound,
     FieldMismatch,
+    GraphTooSparse,
     InvariantViolation,
     SetTooSmall,
 )
@@ -100,16 +101,13 @@ def literal_popular_ratio_graph(a: FSet, b: FSet, epsilon) -> PopularRatioResult
         if ratio_of(av, bv) in popular
     ]
     graph = PairGraph(a, b, edges)
-    pdiff = partial_combine(graph, "diff")
-    shape = Fraction(len(expander_set(a, b)) * len(expander_set(b, a)) * len(mult), na * nb)
     return PopularRatioResult(
         x_set=a.with_values(popular),
         graph=graph,
         epsilon=eps,
         threshold=threshold,
-        partial_diff=pdiff,
-        bound_rhs_shape=shape,
-        slack=Fraction(len(pdiff)) / shape,
+        partial_diff=partial_combine(graph, "diff"),
+        ratio_support=len(mult),
     )
 
 
@@ -306,6 +304,65 @@ def test_pipeline_req_branch_twist_is_the_min_energy_twist():
 def test_popular_ratio_graph_matches_literal_division(pair, eps):
     a, b = pair
     assert popular_ratio_graph(a, b, eps) == literal_popular_ratio_graph(a, b, eps)
+
+
+# -- dense degree subset ------------------------------------------------------------------
+
+def literal_dense_degree_subset(g: PairGraph, epsilon) -> FSet:
+    """One exact threshold test per left vertex, on its neighbour count."""
+    eps = Fraction(epsilon)
+    na, nb = len(g.left), len(g.right)
+    if Fraction(len(g)) < (1 - eps) * na * nb:
+        raise GraphTooSparse
+    nbrs = g.neighbors_left()
+    kept = [v for v in g.left.vals if ge_one_minus_k_sqrt(len(nbrs[v]), nb, eps)]
+    if not ge_one_minus_k_sqrt(len(kept), na, eps):
+        raise InvariantViolation
+    return g.left.with_values(kept)
+
+
+DEGREE_EPSILONS = [Fraction(0), Fraction(1, 64), Fraction(1, 16), Fraction(1, 5),
+                   Fraction(99, 100)]
+
+
+def row_clustered_graph(rng, a: FSet, b: FSet, epsilon: Fraction) -> PairGraph:
+    """The complete graph less the first floor(epsilon |A||B|) edges in a
+    random row order, so that whole rows lose their edges first."""
+    rows = list(range(len(a)))
+    rng.shuffle(rows)
+    full = [(i, j) for i in rows for j in range(len(b))]
+    return PairGraph(a, b, full[int(epsilon * len(full)):])
+
+
+@settings(max_examples=200, deadline=None)
+@given(fp_set_pairs(max_size=9) | q_set_pairs(1, 7), st.sampled_from(DEGREE_EPSILONS),
+       st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+def test_dense_degree_subset_matches_per_vertex_filter(pair, eps, sparse, clustered, rng):
+    # a dense graph loses at most an eps-fraction of its edges; a sparse one
+    # may lose them all and then raises GraphTooSparse on both sides
+    a, b = pair
+    build = row_clustered_graph if clustered else dense_random_graph
+    g = build(rng, a, b, Fraction(1) if sparse else eps)
+    try:
+        expected = literal_dense_degree_subset(g, eps)
+    except GraphTooSparse:
+        with pytest.raises(GraphTooSparse):
+            dense_degree_subset(g, eps)
+        return
+    assert dense_degree_subset(g, eps) == expected
+
+
+@pytest.mark.parametrize("eps", DEGREE_EPSILONS[1:] + [Fraction(1, 4), Fraction(1, 3),
+                                                         Fraction(1, 2), Fraction(9, 10)])
+def test_dense_degree_subset_threshold_at_every_degree(eps):
+    # one left vertex of each degree 0..|B|, padded with complete rows until
+    # the graph is dense enough for eps
+    for nb in range(1, 17):
+        pad = math.ceil((nb + 1) / (2 * eps))
+        a = FSet(Q, range(1, nb + 2 + pad))
+        b = FSet(Q, range(1, nb + 1))
+        g = PairGraph(a, b, [(i, j) for i in range(len(a)) for j in range(min(i, nb))])
+        assert dense_degree_subset(g, eps) == literal_dense_degree_subset(g, eps)
 
 
 # -- greedy cover -------------------------------------------------------------------------

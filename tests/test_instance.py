@@ -46,7 +46,6 @@ from expanderlab.verify import (
     _decide,
     _exclude,
     _hold_report,
-    _r8_report,
     _ratio_slack,
     _require_nonempty,
     _require_rational,
@@ -152,7 +151,11 @@ def literal_r7(A, B, t, digest, cap):
 def literal_r8(A, B, epsilon, digest, cap):
     _require_nonempty(A, "A")
     _require_nonempty(B, "B")
-    return _r8_report(cons.popular_ratio_graph(A, B, epsilon), digest)
+    res = cons.popular_ratio_graph(A, B, epsilon)
+    shape = Fraction(len(expander_set(A, B)) * len(expander_set(B, A))
+                     * len(combine(A, B, "ratio")), len(A) * len(B))
+    return _slack_report("R8", len(res.partial_diff), shape, digest,
+                         f"partial difference set vs expander shape; |G| = {len(res.graph)}")
 
 
 def literal_r9(A, B, t, digest, cap):
@@ -413,7 +416,7 @@ def test_verify_all_shares_one_instance(monkeypatch, tmp_path, capsys):
     assert len(reports) == 8
 
 
-def test_fp_pipeline_takes_its_expander_set_from_the_base_point_rows(monkeypatch):
+def test_fp_pipeline_takes_its_expander_set_from_its_instance(monkeypatch):
     calls = []
     real_pair_ints = verify._pair_ints
 
@@ -426,17 +429,32 @@ def test_fp_pipeline_takes_its_expander_set_from_the_base_point_rows(monkeypatch
     cons_counts = count_calls(monkeypatch, cons, "expander_set")
     a = FSet(FieldCtx.prime(109), [1, 5, 10, 31, 36, 40, 43, 65, 71])
     verify.finite_field_pipeline(a)
-    assert calls == ["expand"]
-    assert counts["expander_set"] == 0
-    # the self graph on (A, A) builds A(A+1) once; each of the four covering
-    # graphs on (A1, B) builds A1(B+1) and B(A1+1)
-    assert cons_counts["expander_set"] == 1 + 4 * 2
-
-
-def test_popular_ratio_graph_builds_the_self_expander_set_once(monkeypatch):
-    counts = count_calls(monkeypatch, cons, "expander_set")
-    a = FSet(FieldCtx.prime(101), [3, 5, 9, 11, 17, 23])
-    res = cons.popular_ratio_graph(a, a, Fraction(1, 4))
+    # the Instance builds A(A+1); the base-point rows are one more pass; no
+    # popular-ratio graph, self or covering, builds an expander set
     assert counts["expander_set"] == 1
-    assert res.bound_rhs_shape == Fraction(
-        len(expander_set(a, a)) ** 2 * len(combine(a, a, "ratio")), len(a) ** 2)
+    assert calls == ["expand"]
+    assert cons_counts["expander_set"] == 0
+
+
+def test_popular_ratio_graph_builds_no_expander_set(monkeypatch):
+    counts = count_calls(monkeypatch, cons, "expander_set")
+    ctx = FieldCtx.prime(101)
+    a = FSet(ctx, [1, 2, 4, 8, 16, 32])
+    b = FSet(ctx, [1, 2, 3, 4, 8])
+    for left, right in ((a, a), (a, b), (b, a)):
+        res = cons.popular_ratio_graph(left, right, Fraction(9, 10))
+        # |A/B| counts every ratio, popular or not
+        assert len(res.x_set) < res.ratio_support == len(combine(left, right, "ratio"))
+    assert counts["expander_set"] == 0
+
+
+def test_r8_forms_its_shape_from_both_expander_sets():
+    ctx = FieldCtx.prime(101)
+    a = FSet(ctx, [1, 2, 4, 8, 16, 32])
+    pairs = [(a, a), (a, FSet(ctx, a.vals)), (a, FSet(ctx, [1, 2, 3, 4, 8])),
+             (FSet(Q, [1, 2, 4, 8, 16, Fraction(1, 3)]), FSet(Q, [2, 3, 4, 8]))]
+    for left, right in pairs:
+        rep = check("R8", A=left, B=right, epsilon=Fraction(9, 10))
+        assert rep.rhs == Fraction(
+            len(expander_set(left, right)) * len(expander_set(right, left))
+            * len(combine(left, right, "ratio")), len(left) * len(right))

@@ -12,12 +12,13 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expanderlab import FieldCtx, SearchConfig, exhaustive_min, stochastic_search
+from expanderlab import FieldCtx, SearchConfig, exhaustive_min, search, stochastic_search
 from expanderlab.errors import InvalidSearchConfig
 from expanderlab.field import KIND_PRIME
 from expanderlab.search import (
@@ -78,13 +79,13 @@ def old_one_restart(cfg, pool, seed):
     cur_val = old_expander_size(ctx, current)
     cur_key = (cur_val,) + old_witness_key(tuple(current))
     best_key = cur_key
-    temp = cfg.initial_temp
+    temp = search.INITIAL_TEMP
     anneal = cfg.mode == "anneal"
     for _ in range(cfg.iteration_cap):
         idx = rng.randrange(n)
         replacement = pool[rng.randrange(len(pool))]
         if replacement in current:
-            temp *= cfg.cooling
+            temp *= search.COOLING
             continue
         proposal = sorted(current[:idx] + current[idx + 1:] + [replacement])
         val = old_expander_size(ctx, proposal)
@@ -98,7 +99,7 @@ def old_one_restart(cfg, pool, seed):
             current, cur_val, cur_key = proposal, val, key
             if key < best_key:
                 best_key = key
-        temp *= cfg.cooling
+        temp *= search.COOLING
     return best_key
 
 
@@ -186,12 +187,15 @@ def test_exhaustive_matches_old_loop(ctx, n, admit, lo, width):
        cooling=st.sampled_from([0.9, 0.995, 1.0]))
 def test_stochastic_matches_old_loop(ctx, mode, seed, n, admit, restarts, iterations,
                                      temp, cooling):
+    # both loops read the schedule from the module, so patch it there
     cfg = SearchConfig(ctx=ctx, set_size=n, mode=mode, seed=seed, restarts=restarts,
-                       iteration_cap=iterations, initial_temp=temp, cooling=cooling,
-                       exclude_degenerate=not admit, density_guard=False)
+                       iteration_cap=iterations, exclude_degenerate=not admit,
+                       density_guard=False)
     if len(old_candidate_pool(cfg)) < n:
         return
-    assert_matches(stochastic_search(cfg), old_stochastic_search(cfg))
+    with mock.patch.object(search, "INITIAL_TEMP", temp), \
+            mock.patch.object(search, "COOLING", cooling):
+        assert_matches(stochastic_search(cfg), old_stochastic_search(cfg))
 
 
 # -- sha256 pins of to_row(), recorded with the old loops ---------------------
