@@ -5,7 +5,9 @@ registry of certified inequality instances, executable proof constructions,
 the slope-family incidence certificate over the rationals, and extremal
 search for sets with a small expander image.  Sumsets, product sets,
 multiplicity spectra and energies all come from one scaled-integer pair
-kernel, `sets._pair_ints`.  No floating point participates in any verdict.
+kernel, `sets._pair_ints`, except where a cost model sends an F_p energy to
+the discrete-log mask kernel (`sets.DiscreteLog`).  No floating point
+participates in any verdict.
 """
 
 __version__ = "0.1.0"

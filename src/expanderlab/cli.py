@@ -14,6 +14,7 @@ condition, 65 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -281,7 +282,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing a command
+    line leaves it unchanged, so every call of `main` can share it."""
     parser = _Parser(
         prog="expanderlab",
         description="Exact growth instrumentation for sets of the form A(A+1).",

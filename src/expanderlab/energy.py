@@ -25,6 +25,31 @@ The w = y solutions (eta = 0) force x = z, as xi != 0; they are the |A|^2
 diagonal.  For eta != 0 we have delta = xi*eta != 0, so delta = 0 never
 meets a nonzero twist.  `twist_spectrum` reads E_xi for every nonzero xi off
 one pass over the pairs of nonzero differences.
+
+Over F_p, E2 has a second exact kernel on discrete-log masks
+(`sets.DiscreteLog`).  A subset Y of F_p^* is a (p-1)-bit int with bit
+log(y) set for each y, and the mask of xY is the mask of Y rotated by
+log(x).  Let R_i be the mask of x_i Y for the members x_i of X.  Then
+
+  E2(X, Y) = sum over x1, x2 in X of |x1 Y ∩ x2 Y|
+           = |X||Y| + 2 * sum over i < j of popcount(R_i & R_j),
+
+|X| rotations and |X|(|X|-1)/2 AND-popcounts in place of |X||Y| pair steps.
+R6's sum over x in A/B of |A ∩ xB| counts the pairs (x, b) with xb in A, so
+summed over b instead it is the sum over b in B of |b(A/B) ∩ A|: |B|
+rotations in place of |A/B||B| products.  0 has no discrete logarithm, so
+neither kernel takes a set holding 0; both raise ZeroElementPresent, as the
+pair kernel's product spectrum does.
+
+Each kernel has one dispatch point, `e2` here and `verify._check_r6`, with
+a cost model in pair steps that reads only set sizes and p
+(`sets.mask_steps`): the pair kernel costs |X||Y| steps (R6: |A/B||B|); the
+mask kernel costs the log table (p steps), one step per element looked up,
+a fixed setup, and one step per 16 words for each pass over a
+ceil((p-1)/64)-word int.  The table is an `array` and the masks are ints,
+so neither kernel imports numpy.  `multiplicative_energy` and
+`verify._r6_pairs` stay on the pair kernel, as the oracles the mask kernels
+are tested against.
 """
 from __future__ import annotations
 
@@ -46,7 +71,16 @@ from .errors import (
 )
 from .field import KIND_PRIME
 from .intervals import RatInterval, iroot_floor, pow_interval
-from .sets import FSet, _from_ints, _pair_groups, _pair_ints, _same_ctx, dilate
+from .sets import (
+    DiscreteLog,
+    FSet,
+    _from_ints,
+    _pair_groups,
+    _pair_ints,
+    _same_ctx,
+    dilate,
+    mask_steps,
+)
 
 HIST_KINDS = ("product", "ratio", "additive")
 
@@ -168,11 +202,16 @@ class EnergyValue:
 _KIND_OPS = {"product": "prod", "ratio": "ratio", "additive": "sum"}
 
 
+def _require_units(a: FSet, b: FSet, kind: str) -> None:
+    if 0 in a.member_set() or 0 in b.member_set():
+        raise ZeroElementPresent(f"{kind} spectrum needs 0 excluded from both sets")
+
+
 def _pair_counter(a: FSet, b: FSet, kind: str) -> Tuple[Counter, int]:
     """Pair counts keyed by the kernel's plain ints, with their scale."""
     _same_ctx(a, b)
-    if kind in ("product", "ratio") and (0 in a.member_set() or 0 in b.member_set()):
-        raise ZeroElementPresent(f"{kind} spectrum needs 0 excluded from both sets")
+    if kind in ("product", "ratio"):
+        _require_units(a, b, kind)
     ints, scale = _pair_ints(a, b, _KIND_OPS[kind])
     return Counter(ints), scale
 
@@ -254,6 +293,29 @@ def multiplicative_energy(a: FSet, b: FSet) -> int:
     """Number of quadruples with a1 * b1 = a2 * b2."""
     counts, _ = _pair_counter(a, b, "product")
     return sum(c * c for c in counts.values())
+
+
+def _mask_energy(x: FSet, y: FSet, logs: DiscreteLog) -> int:
+    """E2(x, y) over F_p from log-masks: |x||y| plus twice the sum over
+    i < j of |x_i y & x_j y|, one AND-popcount of two rotations each."""
+    _same_ctx(x, y)
+    _require_units(x, y, "product")
+    rows = logs.rotations(logs.mask(y), x)
+    shared = sum((r & s).bit_count() for i, r in enumerate(rows) for s in rows[i + 1:])
+    return len(x) * len(y) + 2 * shared
+
+
+def e2(a: FSet, b: FSet, logs: DiscreteLog) -> int:
+    """E2(a, b), the number of quadruples with a1 * b1 = a2 * b2, from the
+    cheaper kernel by the cost model in the module docstring: the pair
+    kernel, or over F_p the log-mask kernel on the smaller set's rotations,
+    which reads its table from `logs`."""
+    x, y = (a, b) if len(a) <= len(b) else (b, a)
+    ctx = _same_ctx(a, b)
+    n = len(x)
+    if ctx.kind == KIND_PRIME and mask_steps(ctx.p, n + len(y), n * (n + 1) // 2) < n * len(y):
+        return _mask_energy(x, y, logs)
+    return multiplicative_energy(a, b)
 
 
 def twisted_energy(a: FSet, xi) -> int:

@@ -22,10 +22,10 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from . import constructions as cons
 from .energy import (
     PRECISION_START,
+    e2,
     energy,
     energy_at,
     histogram,
-    multiplicative_energy,
     precision_cap,
     rich_products,
     twist_spectrum,
@@ -43,6 +43,7 @@ from .field import KIND_PRIME, KIND_RATIONAL
 from .incidence import st_lower_bound_check
 from .intervals import RatInterval, interval_to_decimal, root_interval
 from .sets import (
+    DiscreteLog,
     FSet,
     PairGraph,
     _pair_ints,
@@ -51,6 +52,7 @@ from .sets import (
     dilate,
     expander_set,
     kfold_sum,
+    mask_steps,
     negate,
     translate,
 )
@@ -175,7 +177,8 @@ class Instance:
     `a1` is A+1 and `aa1` is A(A+1); `hist_*` are ratio spectra, `e3_*`
     their third moments and `e2_*` multiplicative energies, `e2_mixed`
     being E2(A, A+1).  `e15` keeps the 3/2-energy enclosures of the
-    spectra."""
+    spectra.  Over F_p, `logs` is the one discrete-log table the mask
+    kernels of every E2 and of R6 share; it is built only if one runs."""
 
     A: FSet
 
@@ -185,11 +188,12 @@ class Instance:
     hist_a1 = cached_property(lambda self: histogram(self.a1, self.a1, "ratio"))
     e3_a = cached_property(lambda self: energy(self.hist_a, 3).exact)
     e3_a1 = cached_property(lambda self: energy(self.hist_a1, 3).exact)
-    e2_a = cached_property(lambda self: multiplicative_energy(self.A, self.A))
-    e2_a1 = cached_property(lambda self: multiplicative_energy(self.a1, self.a1))
-    e2_mixed = cached_property(lambda self: multiplicative_energy(self.A, self.a1))
-    e2_a_aa1 = cached_property(lambda self: multiplicative_energy(self.A, self.aa1))
-    e2_a1_aa1 = cached_property(lambda self: multiplicative_energy(self.a1, self.aa1))
+    logs = cached_property(lambda self: DiscreteLog(self.A.ctx.p))
+    e2_a = cached_property(lambda self: e2(self.A, self.A, self.logs))
+    e2_a1 = cached_property(lambda self: e2(self.a1, self.a1, self.logs))
+    e2_mixed = cached_property(lambda self: e2(self.A, self.a1, self.logs))
+    e2_a_aa1 = cached_property(lambda self: e2(self.A, self.aa1, self.logs))
+    e2_a1_aa1 = cached_property(lambda self: e2(self.a1, self.aa1, self.logs))
     _e15 = cached_property(lambda self: {})
 
     def e15(self, spectrum: str, bits: int) -> RatInterval:
@@ -281,21 +285,40 @@ def _check_r5(*, inst: Instance, B: FSet, digest: str, cap: Optional[int]) -> In
     _exclude(A, (0,), "A")
     _exclude(B, (0,), "B")
     cap = precision_cap(cap)
-    e2_mixed = multiplicative_energy(A, combine(A, B, "prod"))
+    e2_mixed = e2(A, combine(A, B, "prod"), inst.logs)
     e3b = energy(histogram(B, B, "ratio"), 3).exact
     return _r5_report(e2_mixed, partial(inst.e15, "hist_a"), inst.e3_a, e3b, len(B), digest, cap)
+
+
+def _r6_pairs(A: FSet, ratios: FSet, B: FSet) -> int:
+    """The sum over x in `ratios` of |A ∩ xB|, by the pair kernel."""
+    # |A ∩ xB| summed over x counts the products x*b that land in A.  Each
+    # a = (a/b)*b is such a product, so a*scale is an int whenever B is
+    # nonempty; with B empty there are no products to count.
+    products, scale = _pair_ints(ratios, B, "prod")
+    a_ints = set(_scaled(A.vals, scale))
+    return sum(map(a_ints.__contains__, products))
+
+
+def _r6_masks(A: FSet, ratios: FSet, B: FSet, logs: DiscreteLog) -> int:
+    """The same sum over F_p from log-masks, summed over b in B instead: it
+    counts the pairs (x, b) with xb in A, so it is the sum over b of
+    |b*ratios ∩ A|."""
+    a = logs.mask(A)
+    return sum((a & row).bit_count() for row in logs.rotations(logs.mask(ratios), B))
 
 
 def _check_r6(*, inst: Instance, B: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
     A = inst.A
     _exclude(A, (0,), "A")
     _exclude(B, (0,), "B")
-    # |A ∩ xB| summed over x counts the products x*b that land in A.  Each
-    # a = (a/b)*b is such a product, so a*scale is an int whenever B is
-    # nonempty; with B empty there are no products to count.
-    products, scale = _pair_ints(combine(A, B, "ratio"), B, "prod")
-    a_ints = set(_scaled(A.vals, scale))
-    total = sum(map(a_ints.__contains__, products))
+    ratios = combine(A, B, "ratio")
+    ctx = A.ctx
+    if ctx.kind == KIND_PRIME and (
+            mask_steps(ctx.p, len(A) + len(ratios) + len(B), 2 * len(B)) < len(ratios) * len(B)):
+        total = _r6_masks(A, ratios, B, inst.logs)
+    else:
+        total = _r6_pairs(A, ratios, B)
     return _hold_report("R6", total, len(A) * len(B), digest,
                         "pair-counting identity over the ratio support", strict_equal=True)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from expanderlab.cli import main
+from expanderlab.cli import build_parser, main
 
 FP_SET = {"field": "fp", "p": 101, "elements": [3, 5, 9, 11, 17, 23]}
 FP_SET_B = {"field": "fp", "p": 101, "elements": [2, 7, 13, 19]}
@@ -109,6 +109,20 @@ def test_energy_dump(tmp_path):
     doc = json.loads(out.read_text())
     assert "2" in doc["energies"] and "3/2" in doc["energies"]
     assert doc["split"]["delta"] == 1
+
+
+def test_the_shared_parser_keeps_nothing_between_calls(tmp_path):
+    # one parser serves every call in a process; an --alpha list or default
+    # left over from one call must not reach the next
+    a = write(tmp_path, "a.json", FP_SET)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["energy", a, "--alpha", "3/2", "--out", str(first)]) == 0
+    assert main(["energy", a, "--out", str(second)]) == 0
+    assert list(json.loads(first.read_text())["energies"]) == ["3/2"]
+    assert list(json.loads(second.read_text())["energies"]) == ["2"]
+    manifest = json.loads((tmp_path / "second.manifest.json").read_text())
+    assert manifest["config"]["alpha"] == ["2"]
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("cap, code, bits", [("8", 3, 8), ("128", 0, 128)])
@@ -402,6 +416,9 @@ def test_only_the_fp_pipeline_loads_numpy(tmp_path):
         "b": FP_SET_B,
         "c": {"field": "fp", "p": 101, "elements": [1, 4, 6]},
         "fp": {"field": "fp", "p": 109, "elements": [1, 5, 10, 31, 36, 40, 43, 65, 71]},
+        # large enough for the log-mask kernels of R5, R6 and R11
+        "m": {"field": "fp", "p": 1009, "elements": list(range(2, 32))},
+        "mb": {"field": "fp", "p": 1009, "elements": list(range(40, 70))},
     }
     for name, doc in sets.items():
         write(tmp_path, f"{name}.json", doc)
@@ -413,6 +430,9 @@ def test_only_the_fp_pipeline_loads_numpy(tmp_path):
         "    ['verify', 'q.json', '--all', '--t', '2'],\n"
         "    ['verify', 'a.json', 'b.json', 'c.json', '--all'],\n"
         "    ['verify', 'a.json', '--all'],\n"
+        "    ['verify', 'm.json', '--all'],\n"
+        "    ['verify', 'm.json', 'mb.json', '--relation', 'R5'],\n"
+        "    ['verify', 'm.json', 'mb.json', '--relation', 'R6'],\n"
         "    ['pipeline', 'q.json', '--mode', 'real', '--out', 'real.json'],\n"
         "    ['search', '--p', '31', '--n', '3', '--mode', 'exhaustive', '--out', 's1.csv'],\n"
         "    ['search', '--p', '997', '--n', '6', '--mode', 'anneal', '--seed', '5',\n"
@@ -430,7 +450,7 @@ def test_only_the_fp_pipeline_loads_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     codes, before, after = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert codes == [0] * 7
+    assert codes == [0] * 10
     assert not before
     # the control: the fp pipeline's partial triangle does take the array scan
     pytest.importorskip("numpy")

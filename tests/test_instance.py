@@ -362,7 +362,7 @@ def count_calls(monkeypatch, module, *names):
     return counts
 
 
-SPIED = ("expander_set", "histogram", "multiplicative_energy", "translate", "combine")
+SPIED = ("expander_set", "histogram", "e2", "translate", "combine")
 Q29 = FSet(Q, [Fraction(k, 3) for k in range(4, 33)])
 
 
@@ -385,7 +385,7 @@ def test_real_pipeline_builds_each_quantity_once(monkeypatch):
     real_pipeline(Q29)
     # A(A+1); the ratio spectra of A and A+1; E2(A, A+1), E2(A), E2(A+1),
     # E2(A, A(A+1)) and E2(A+1, A(A+1)); A+1 -- and no product set A·(A+1)
-    assert counts == {"expander_set": 1, "histogram": 2, "multiplicative_energy": 5,
+    assert counts == {"expander_set": 1, "histogram": 2, "e2": 5,
                       "translate": 1, "combine": 0}
     # E1.5(A) and E1.5(A+1) at 128 bits serve both R5 steps, the combined
     # step and R12
@@ -409,7 +409,7 @@ def test_verify_all_shares_one_instance(monkeypatch, tmp_path, capsys):
     e15 = count_e15(monkeypatch)
     assert main(["verify", str(path), "--all"]) == 0
     # R2-R4 and R10-R14 on one set: one A(A+1), two spectra, five energies
-    assert counts == {"expander_set": 1, "histogram": 2, "multiplicative_energy": 5,
+    assert counts == {"expander_set": 1, "histogram": 2, "e2": 5,
                       "translate": 1, "combine": 0}
     assert e15 == [Fraction(3, 2)] * 2  # R12's E1.5(A) and E1.5(A+1)
     reports = [line for line in capsys.readouterr().err.splitlines() if "] R" in line]

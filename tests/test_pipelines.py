@@ -197,3 +197,22 @@ def test_trace_bytes_independent_of_hash_seed(tmp_path):
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     json.loads(outs[0])  # well-formed
+
+
+def test_a_test_run_writes_nothing_under_its_cwd(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parents[1]
+    cwd = tmp_path / "empty"
+    cwd.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "pytest", "-q", str(repo / "tests" / "test_field.py")],
+        capture_output=True, text=True, cwd=cwd,
+        env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(repo / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " passed" in proc.stdout
+    assert list(cwd.iterdir()) == []
