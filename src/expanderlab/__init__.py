@@ -50,7 +50,6 @@ from .constructions import (
 )
 from .incidence import (
     Line,
-    LineFamily,
     count_incidences,
     st_lower_bound_check,
 )

@@ -2,6 +2,10 @@
 slope-family construction l_{alpha,b}: y = (alpha*x - 1)*b together with its
 rich-point lower bound.
 
+`Line` and `count_incidences` work on Fractions and are the exact oracle.
+The rich-point check builds no Line: its family, witness points and
+incidence tests are keyed by scaled ints, as in the pair kernel.
+
 Everything here is rational-line only: the incidence bound this instruments
 is false over prime fields at this generality, so prime-field inputs are
 refused with FieldMismatch.
@@ -45,12 +49,6 @@ class Line:
     def vertical_at(cls, x0) -> "Line":
         return cls(True, Fraction(0), Fraction(x0))
 
-    @classmethod
-    def from_expander_params(cls, alpha, b) -> "Line":
-        # y = (alpha*x - 1)*b  ==  y = (alpha*b)*x - b
-        alpha, b = Fraction(alpha), Fraction(b)
-        return cls(False, alpha * b, -b, provenance=(alpha, b))
-
     def contains(self, pt: Point) -> bool:
         x, y = pt
         if self.vertical:
@@ -92,45 +90,6 @@ def count_incidences(points: Iterable[Point], lines: Iterable[Line]) -> int:
 
 
 @dataclass(frozen=True)
-class LineFamily:
-    lines: Tuple[Line, ...]
-    expected_size: int           # |A(A+1)| * |B|
-    duplicates: Tuple            # colliding parameter pairs, if any
-
-
-def _line_family(alphas: FSet, b: FSet) -> LineFamily:
-    """The family {y = (alpha*x - 1)*b : alpha in `alphas`, b in B} for the
-    slopes `alphas` = A(A+1), with 0 not in b.
-
-    Distinct parameter pairs then give distinct lines; collisions are
-    checked anyway and reported, never assumed away.
-    """
-    sa, sb = _lcd(alphas.vals), _lcd(b.vals)
-    b_scaled = list(zip(b.vals, _scaled(b.vals, sb)))
-    # l_{alpha,b} has slope alpha*b = k*j/(sa*sb) and intercept -b = -j/sb, so
-    # (k*j, -j) is an integer key in the same order as (slope, intercept)
-    seen: dict = {}
-    dups = []
-    for alpha, k in zip(alphas.vals, _scaled(alphas.vals, sa)):
-        for bv, j in b_scaled:
-            key = (k * j, -j)
-            if key in seen:
-                dups.append((seen[key], (alpha, bv)))
-            else:
-                seen[key] = (alpha, bv)
-    lines = []
-    for key in sorted(seen):
-        alpha, bv = prov = seen[key]
-        lines.append(Line(False, alpha * bv, -bv, provenance=prov))
-    lines = tuple(lines)
-    return LineFamily(
-        lines=lines,
-        expected_size=len(alphas) * len(b),
-        duplicates=tuple(dups),
-    )
-
-
-@dataclass(frozen=True)
 class StLowerBoundResult:
     s_t: FSet
     t: int
@@ -146,6 +105,13 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
     on at least t pairwise-distinct family lines, constructed explicitly from
     the product representations of s.  Any failure raises WitnessFailure with
     the offending witness; it would falsify the bound on this instance.
+
+    Everything runs on scaled ints: x = x_int/sa and a_i = a_int/sa with sa
+    the LCD of A, b = j/sb with sb that of B, s = s_int/(sa*sb), and
+    alpha = k/scale with scale the LCD of A(A+1).  The line l_{alpha,b} has
+    slope alpha*b = k*j/(scale*sb) and intercept -b = -j/sb, so it is keyed
+    by (k*j, -j); points are keyed by (x_int, s_int).  A point is rendered
+    as Fractions only in a failure message.
     """
     ctx = _same_ctx(a, b)
     if ctx.kind != KIND_RATIONAL:
@@ -155,46 +121,60 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
 
     _require_t(a, b, t)
 
-    # product representations s = a_i * b_i, keyed by the kernel int of s;
-    # S_t is the products with at least t of them
-    reps, rep_scale = _pair_groups(a, b, "prod")
-    s_t = _from_ints(ctx, (k for k, ps in reps.items() if len(ps) >= t), rep_scale)
+    sa, sb = _lcd(a.vals), _lcd(b.vals)
+    a_ints, b_ints = _scaled(a.vals, sa), _scaled(b.vals, sb)
+    # product representations s = a_i * b_i as pairs (a_int, j), keyed by the
+    # kernel int of s, whose scale is sa*sb; S_t is the products with at
+    # least t of them
+    reps, rep_scale = _pair_groups(a, b, "prod", (a_ints, b_ints))
+    s_ints = sorted(k for k, ps in reps.items() if len(ps) >= t)
+    s_t = _from_ints(ctx, s_ints, rep_scale)
     alphas = expander_set(a, a)
-    family = _line_family(alphas, b)
-    family_keys = {(l.vertical, l.m, l.c) for l in family.lines}
     scale = _lcd(alphas.vals)
     alpha_ints = set(_scaled(alphas.vals, scale))
+    b_set = set(b_ints)
+    # the family: distinct parameter pairs give distinct lines, but the keys
+    # are counted, not assumed distinct
+    family_size = len({(k * j, -j) for k in alpha_ints for j in b_ints})
 
+    def point(x_int, s_int):
+        return (1 / Fraction(x_int, sa), Fraction(s_int, rep_scale))
+
+    sa2 = sa * sa
     min_lines = None
     witnesses = set()
-    for s, s_int in zip(s_t.vals, _scaled(s_t.vals, rep_scale)):
-        shifts = [((s + bv) / bv * scale).as_integer_ratio() for bv in b.vals]
-        for x in a.vals:
-            pt = (1 / x, s)
-            if pt in witnesses:
+    for s_int in s_ints:
+        # the recount's shifts: x*(s+b)/b*scale = x_int*n/d for b = j/sb
+        shifts = [((s_int + j * sa) * scale, sa2 * j) for j in b_ints]
+        for x_int in a_ints:
+            if (x_int, s_int) in witnesses:
                 raise InvariantViolation("witness points must be pairwise distinct")
-            witnesses.add(pt)
+            witnesses.add((x_int, s_int))
 
+            # l_{alpha,b_i} with alpha = x(a_i+1), so alpha*scale is
+            # x_int*(a_int+sa)*scale/sa^2; it passes through (1/x, s) iff
+            # s = (alpha/x - 1)*b_i, cleared of denominators
             designated = set()
-            for ai, bi in reps[s_int]:
-                alpha = x * (ai + 1)
-                line = Line.from_expander_params(alpha, bi)
-                key = (line.vertical, line.m, line.c)
-                if key not in family_keys:
-                    raise WitnessFailure(f"designated line for {pt} not in the family")
-                if not line.contains(pt):
-                    raise WitnessFailure(f"designated line misses its witness {pt}")
-                designated.add(key)
+            lhs = s_int * x_int * scale
+            for a_int, j in reps[s_int]:
+                k, rem = divmod(x_int * (a_int + sa) * scale, sa2)
+                if rem or k not in alpha_ints or j not in b_set:
+                    raise WitnessFailure(
+                        f"designated line for {point(x_int, s_int)} not in the family")
+                if lhs != k * j * sa2 - j * x_int * sa * scale:
+                    raise WitnessFailure(
+                        f"designated line misses its witness {point(x_int, s_int)}")
+                designated.add((k * j, -j))
             if len(designated) < t:
                 raise WitnessFailure(
-                    f"witness {pt} lies on {len(designated)} designated lines < t = {t}"
+                    f"witness {point(x_int, s_int)} lies on {len(designated)} "
+                    f"designated lines < t = {t}"
                 )
-            # independent recount: lines of the family through pt, one per b;
-            # x*(s+b)/b is in A(A+1) iff x * scale*(s+b)/b is one of alpha_ints
-            xn, xd = x.as_integer_ratio()
+            # independent recount: lines of the family through the point, one
+            # per b; x*(s+b)/b is in A(A+1) iff x_int*n/d is one of alpha_ints
             through = 0
             for n, d in shifts:
-                k, rem = divmod(xn * n, xd * d)
+                k, rem = divmod(x_int * n, d)
                 if rem == 0 and k in alpha_ints:
                     through += 1
             if through < len(designated):
@@ -207,6 +187,6 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
         s_t=s_t,
         t=t,
         witness_count=len(witnesses),
-        family_size=len(family.lines),
+        family_size=family_size,
         min_lines_through_witness=min_lines if min_lines is not None else 0,
     )

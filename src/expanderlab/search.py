@@ -28,7 +28,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceeded,
@@ -99,24 +99,38 @@ class ExtremalRecord:
         }
 
 
-def candidate_pool(cfg: SearchConfig) -> Tuple[int, ...]:
-    """Admissible elements as ints: the field's residues (or the configured
-    integer range), with 0 and -1 dropped unless degenerate sets were
-    re-admitted."""
+def candidate_pool(cfg: SearchConfig, budget: Optional[int] = None) -> Sequence[int]:
+    """Admissible elements as ints, ascending: the field's residues (or the
+    configured integer range), with 0 and -1 dropped unless degenerate sets
+    were re-admitted.  Over F_p those are the ends of range(p), so the pool is
+    a range and takes constant memory at any p.
+
+    The pool's size is known before it is built: with a `budget`, the
+    C(size, n) candidate sets of an exhaustive search are checked against it
+    first, and BudgetExceeded raised before any pool exists."""
     ctx = cfg.ctx
     if ctx.kind == KIND_PRIME:
-        pool = range(ctx.p)
+        full = range(ctx.p)
+        banned = {0, ctx.p - 1}
     else:
         lo, hi = cfg.rational_range
-        pool = range(lo, hi + 1)
-    if cfg.exclude_degenerate:
-        banned = {ctx.canon(0), ctx.canon(-1)}
-        pool = [v for v in pool if v not in banned]
-    if len(pool) < cfg.set_size:
-        raise SetTooSmall(f"pool of {len(pool)} cannot host sets of size {cfg.set_size}")
+        full = range(lo, hi + 1)
+        banned = {0, -1}
+    banned = {v for v in banned if v in full} if cfg.exclude_degenerate else set()
+    size = len(full) - len(banned)
+    if size < cfg.set_size:
+        raise SetTooSmall(f"pool of {size} cannot host sets of size {cfg.set_size}")
     if cfg.density_guard and ctx.kind == KIND_PRIME and cfg.set_size ** 2 >= ctx.p:
         raise DensityViolated(f"|A|^2 = {cfg.set_size ** 2} >= p = {ctx.p}")
-    return tuple(pool)  # ascending, as the range it was filtered from
+    if budget is not None:
+        total = math.comb(size, cfg.set_size)
+        if total > budget:
+            raise BudgetExceeded(f"{total} candidate sets exceed budget {budget}")
+    if not banned:
+        return full
+    if ctx.kind == KIND_PRIME:  # 0 and p - 1 are the ends of range(p)
+        return full[1:-1]
+    return tuple(v for v in full if v not in banned)
 
 
 def expander_size(ctx: FieldCtx, vals: Sequence) -> int:
@@ -172,11 +186,8 @@ def _exponent_interval(value: int, n: int) -> RatInterval:
 
 def exhaustive_min(cfg: SearchConfig) -> ExtremalRecord:
     """Certified global minimum of |A(A+1)| over all admissible size-n sets."""
-    pool = candidate_pool(cfg)
+    pool = candidate_pool(cfg, cfg.budget)
     n = cfg.set_size
-    total = math.comb(len(pool), n)
-    if total > cfg.budget:
-        raise BudgetExceeded(f"{total} candidate sets exceed budget {cfg.budget}")
     m = _modulus(cfg.ctx, pool)
     best = (n * n + 1,)  # above every key: no size-n set has more than n^2 products
     for prefix in itertools.combinations(range(len(pool) - 1), n - 1):
@@ -200,7 +211,7 @@ def exhaustive_min(cfg: SearchConfig) -> ExtremalRecord:
     )
 
 
-def _one_restart(cfg: SearchConfig, pool: Tuple[int, ...], m: int, seed: int) -> Tuple:
+def _one_restart(cfg: SearchConfig, pool: Sequence[int], m: int, seed: int) -> Tuple:
     rng = random.Random(seed)
     n = cfg.set_size
     current = sorted(rng.sample(pool, n))

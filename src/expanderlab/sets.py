@@ -226,12 +226,14 @@ def _pair_ints(a: FSet, b: FSet, op: str) -> Tuple[Iterator[int], int]:
     return (x * y for x in ai for y in bi), sa * sb
 
 
-def _pair_groups(a: FSet, b: FSet, op: str) -> Tuple[dict, int]:
+def _pair_groups(a: FSet, b: FSet, op: str, labels=None) -> Tuple[dict, int]:
     """The pairs of a x b grouped by their result's kernel int, with the
-    scale.  Groups come in the order of their first pairs."""
+    scale.  Groups come in the order of their first pairs.  A pair is its
+    two values, or its two entries of `labels`, a pair of sequences indexed
+    like a.vals and b.vals."""
     ints, scale = _pair_ints(a, b, op)
     groups = defaultdict(list)
-    for k, pair in zip(ints, itertools.product(a.vals, b.vals)):
+    for k, pair in zip(ints, itertools.product(*(labels or (a.vals, b.vals)))):
         groups[k].append(pair)
     return groups, scale
 

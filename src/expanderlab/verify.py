@@ -327,6 +327,8 @@ def _check_r7(*, inst: Instance, B: FSet, t: int, digest: str,
               cap: Optional[int]) -> InequalityReport:
     A = inst.A
     _require_rational(A)
+    _require_nonempty(A, "A")
+    _require_nonempty(B, "B")
     try:
         res = st_lower_bound_check(A, B, t)
     except WitnessFailure as exc:
@@ -365,6 +367,8 @@ def _check_r9(*, inst: Instance, B: FSet, t: int, digest: str,
               cap: Optional[int]) -> InequalityReport:
     A = inst.A
     _require_rational(A)
+    _require_nonempty(A, "A")
+    _require_nonempty(B, "B")
     _exclude(A, (0, 1, -1), "A")
     _exclude(B, (0,), "B")
     lhs = len(rich_products(A, B, t))

@@ -3,12 +3,16 @@ from __future__ import annotations
 
 import contextlib
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Tuple
 
 from expanderlab import FieldCtx, FSet
 from expanderlab import constructions as cons
 from expanderlab.energy import PRECISION_START, precision_cap
+from expanderlab.incidence import Line
 from expanderlab.intervals import RatInterval, iroot_floor, pow_interval
+from expanderlab.sets import _lcd, _scaled
 
 PRIMES_TO_101 = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101]
@@ -97,3 +101,48 @@ def old_e15_capped(hist, cap, bits):
     if all(r * r == m for r, (m, _) in zip(roots, hist.entries)):
         return RatInterval.point(sum(c * r ** 3 for r, (_, c) in zip(roots, hist.entries)))
     return old_energy_loop(hist, Fraction(3, 2), cap, bits)[0]
+
+
+# -- literal copies of the Fraction slope family that `st_lower_bound_check` replaced --
+
+def line_from_expander_params(alpha, b) -> Line:
+    """The old `Line.from_expander_params`: l_{alpha,b} as a Fraction Line."""
+    # y = (alpha*x - 1)*b  ==  y = (alpha*b)*x - b
+    alpha, b = Fraction(alpha), Fraction(b)
+    return Line(False, alpha * b, -b, provenance=(alpha, b))
+
+
+@dataclass(frozen=True)
+class LineFamily:
+    lines: Tuple[Line, ...]
+    expected_size: int           # |A(A+1)| * |B|
+    duplicates: Tuple            # colliding parameter pairs, if any
+
+
+def literal_line_family(alphas: FSet, b: FSet) -> LineFamily:
+    """The old `incidence._line_family`: the family {y = (alpha*x - 1)*b :
+    alpha in `alphas`, b in B} for the slopes `alphas` = A(A+1), with 0 not
+    in b, as sorted Fraction Lines with their parameters as provenance."""
+    sa, sb = _lcd(alphas.vals), _lcd(b.vals)
+    b_scaled = list(zip(b.vals, _scaled(b.vals, sb)))
+    # l_{alpha,b} has slope alpha*b = k*j/(sa*sb) and intercept -b = -j/sb, so
+    # (k*j, -j) is an integer key in the same order as (slope, intercept)
+    seen: dict = {}
+    dups = []
+    for alpha, k in zip(alphas.vals, _scaled(alphas.vals, sa)):
+        for bv, j in b_scaled:
+            key = (k * j, -j)
+            if key in seen:
+                dups.append((seen[key], (alpha, bv)))
+            else:
+                seen[key] = (alpha, bv)
+    lines = []
+    for key in sorted(seen):
+        alpha, bv = prov = seen[key]
+        lines.append(Line(False, alpha * bv, -bv, provenance=prov))
+    lines = tuple(lines)
+    return LineFamily(
+        lines=lines,
+        expected_size=len(alphas) * len(b),
+        duplicates=tuple(dups),
+    )

@@ -101,6 +101,28 @@ def test_search_budget_exit(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 65
 
 
+def test_search_budget_exit_before_the_pool_at_a_large_prime(tmp_path):
+    # in a child capped at 1 GiB of address space: a pool of all of F_p
+    # would take tens of GB
+    import resource
+    from pathlib import Path
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", "import sys; from expanderlab.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "search", "--p", "1000000007", "--n", "2",
+         "--mode", "exhaustive", "--budget", "5", "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, cwd=tmp_path, preexec_fn=cap,
+        env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 65, proc.stderr
+    assert proc.stderr == ("error: 500000004500000010 candidate sets exceed "
+                           "budget 5\n")
+
+
 def test_energy_dump(tmp_path):
     a = write(tmp_path, "a.json", FP_SET)
     out = tmp_path / "e.json"
@@ -205,6 +227,18 @@ def test_verify_empty_set_exits_64(tmp_path, capsys, relation):
     assert main(["verify", *files, "--relation", relation]) == 64
     err = capsys.readouterr().err
     assert "A must be nonempty" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("relation", ["R7", "R9"])
+@pytest.mark.parametrize("empty", ["A", "B"])
+def test_verify_empty_rich_product_input_exits_64(tmp_path, capsys, relation, empty):
+    sets = {"A": write(tmp_path, "a.json", Q_SET), "B": write(tmp_path, "b.json", Q_SET)}
+    sets[empty] = write(tmp_path, "empty.json", {"field": "q", "elements": []})
+    assert main(["verify", sets["A"], sets["B"], "--relation", relation]) == 64
+    err = capsys.readouterr().err
+    assert f"{empty} must be nonempty" in err
+    assert "outside" not in err
     assert "Traceback" not in err
 
 

@@ -20,8 +20,7 @@ from expanderlab.errors import (
     TOutOfRange,
     ZeroElementPresent,
 )
-from expanderlab.incidence import _line_family
-from helpers import Q, random_q_set
+from helpers import Q, literal_line_family, random_q_set
 
 F = Fraction
 GRID = [(F(x), F(y)) for x in range(3) for y in range(3)]
@@ -65,25 +64,28 @@ def test_methods_agree_on_randoms():
 def test_family_single_line():
     a = FSet(Q, [1])  # A(A+1) = {2}
     b = FSet(Q, [1])
-    fam = _line_family(expander_set(a, a), b)
+    fam = literal_line_family(expander_set(a, a), b)
     assert len(fam.lines) == 1
     (line,) = fam.lines
     assert line.m == 2 and line.c == -1 and not fam.duplicates
+    assert st_lower_bound_check(a, b, 1).family_size == 1
 
 
 def test_family_two_by_four():
     a = FSet(Q, [2, 3])
-    fam = _line_family(expander_set(a, a), a)
+    fam = literal_line_family(expander_set(a, a), a)
     assert fam.expected_size == 8
     assert len(fam.lines) == 8
     assert not fam.duplicates
     # provenance retained
     assert all(l.provenance is not None for l in fam.lines)
+    assert st_lower_bound_check(a, a, 1).family_size == 8
 
 
 def test_family_distinct_for_fixed_b():
     a = FSet(Q, [2, 5, 7])
-    fam = _line_family(expander_set(a, a), a)
+    fam = literal_line_family(expander_set(a, a), a)
+    assert st_lower_bound_check(a, a, 1).family_size == len(fam.lines)
     by_b = {}
     for line in fam.lines:
         by_b.setdefault(line.provenance[1], set()).add(line.m)

@@ -23,8 +23,8 @@ from expanderlab.energy import (
     rich_products,
 )
 from expanderlab.errors import DivisionByZero
-from expanderlab.incidence import Line, _line_family, st_lower_bound_check
-from helpers import Q
+from expanderlab.incidence import st_lower_bound_check
+from helpers import Q, line_from_expander_params, literal_line_family
 
 BIG = 10 ** 6
 
@@ -118,13 +118,14 @@ def test_spectra_match_bruteforce_oracles(a, b):
 def test_slope_family_and_recount_match_literal_fractions(a, b, t):
     a, b = without_zero(a), without_zero(b)
     alphas = {x * (y + 1) for x in a.vals for y in a.vals}
-    family = _line_family(expander_set(a, a), b)
+    family = literal_line_family(expander_set(a, a), b)
     assert list(family.lines) == sorted(
-        {Line.from_expander_params(alpha, bv) for alpha in alphas for bv in b.vals})
+        {line_from_expander_params(alpha, bv) for alpha in alphas for bv in b.vals})
     assert all(line.provenance == (-line.m / line.c, -line.c) for line in family.lines)
     if t > min(len(a), len(b)):
         return
     res = st_lower_bound_check(a, b, t)
+    assert res.family_size == len(family.lines)
     through = [sum(1 for bv in b.vals if x * (s + bv) / bv in alphas)
                for s in rich_products(a, b, t).vals for x in a.vals]
     assert res.min_lines_through_witness == min(through, default=0)

@@ -6,8 +6,11 @@ kernel `sets._pair_ints`.
 used to walk a x b by hand.  Each is compared here with a literal copy of
 that hand-written loop.
 """
+import dataclasses
+import sys
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -34,9 +37,10 @@ from expanderlab.errors import (
     ZeroTwist,
 )
 from expanderlab.field import KIND_PRIME
-from expanderlab.incidence import StLowerBoundResult, _line_family
+from expanderlab import incidence
+from expanderlab.incidence import StLowerBoundResult
 from expanderlab.sets import _lcd, _scaled, combine, expander_set, partial_combine
-from helpers import Q
+from helpers import Q, line_from_expander_params, literal_line_family
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
@@ -153,7 +157,7 @@ def literal_injection_witness(a: FSet, b: FSet, g, epsilon=None) -> InjectionRes
 
 def literal_st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
     s_t = rich_products(a, b, t)
-    family = _line_family(expander_set(a, a), b)
+    family = literal_line_family(expander_set(a, a), b)
     family_keys = {(l.vertical, l.m, l.c) for l in family.lines}
     alphas = expander_set(a, a).vals
     scale = _lcd(alphas)
@@ -173,7 +177,7 @@ def literal_st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult
             witnesses.add(pt)
             designated = set()
             for ai, bi in reps[s]:
-                line = Line.from_expander_params(x * (ai + 1), bi)
+                line = line_from_expander_params(x * (ai + 1), bi)
                 key = (line.vertical, line.m, line.c)
                 if key not in family_keys:
                     raise WitnessFailure(f"designated line for {pt} not in the family")
@@ -303,15 +307,94 @@ def test_injection_witness_matches_literal_loop(pair, eps, with_eps):
             == outcome(literal_injection_witness, a, b, g, epsilon))
 
 
-@settings(max_examples=120, deadline=None)
-@given(q_set_pairs.filter(lambda ab: len(ab[0]) and len(ab[1])), st.integers(1, 8))
-@example((FSet(Q, [2, 3, 4, 6]), FSet(Q, [2, 3, 4, 6])), 2)
-@example((FSet(Q, [Fraction(-1, 2), Fraction(1, 3), 5]), FSet(Q, [Fraction(3, 4), -2])), 1)
-def test_st_lower_bound_check_matches_literal_loop(pair, t):
-    a, b = pair
+# R7 on integer keys: sets with negative members, -1 in A (so alpha = 0 is a
+# slope of the family), negative members of B (negative divisors in the
+# recount), small denominators that make products collide and large ones
+
+wide_q = st.builds(Fraction, st.integers(1, 10 ** 6) | st.integers(-10 ** 6, -1),
+                   st.integers(1, 10 ** 6))
+colliding_q = st.builds(Fraction, st.integers(1, 12) | st.integers(-12, -1),
+                        st.sampled_from([1, 2, 3, 4, 6, 12]))
+r7_sets = st.one_of(
+    st.sets(colliding_q, min_size=1, max_size=8),
+    st.sets(colliding_q | wide_q, min_size=1, max_size=7),
+    st.sets(colliding_q, min_size=0, max_size=6).map(lambda v: v | {Fraction(-1)}),
+).map(lambda v: FSet(Q, v))
+
+R7_FIELDS = [f.name for f in dataclasses.fields(StLowerBoundResult)]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(r7_sets, r7_sets)
+@example(FSet(Q, [2, 3, 4, 6]), FSet(Q, [2, 3, 4, 6]))
+@example(FSet(Q, [Fraction(-1, 2), Fraction(1, 3), 5]), FSet(Q, [Fraction(3, 4), -2]))
+@example(FSet(Q, [-1, 2, 3, 4, 6]), FSet(Q, [-6, -4, -3, -2, 2, 3]))
+@example(FSet(Q, [-1, Fraction(1, 2), Fraction(-1, 3), 5]),
+         FSet(Q, [Fraction(-3, 4), Fraction(10 ** 6 - 1, 10 ** 6), 2]))
+def test_st_lower_bound_check_matches_literal_loop(a, b):
+    # every field of the result, at every valid t
+    for t in range(1, min(len(a), len(b)) + 1):
+        new, old = st_lower_bound_check(a, b, t), literal_st_lower_bound_check(a, b, t)
+        for name in R7_FIELDS:
+            assert getattr(new, name) == getattr(old, name), name
+        assert new.s_t.vals == old.s_t.vals
+
+
+def dropping(index):
+    """`expander_set` with one member of the result left out."""
+    full_set = expander_set
+
+    def short(a: FSet, b: FSet) -> FSet:
+        full = full_set(a, b)
+        gone = full.vals[index % len(full)]
+        return FSet(full.ctx, [v for v in full.vals if v != gone])
+    return short
+
+
+def outcome_without_alpha(fn, index, a, b, t):
+    """`fn`'s outcome when A(A+1) misses one slope, in the package and in
+    the literal copy alike."""
+    short = dropping(index)
+    with mock.patch.object(incidence, "expander_set", short), \
+            mock.patch.object(sys.modules[__name__], "expander_set", short):
+        return outcome(fn, a, b, t)
+
+
+def test_a_missing_slope_fails_alike():
+    a = FSet(Q, [2, 3])
+    # A(A+1) = {6, 8, 9, 12}; without 12 = 3*(3+1) the first witness that
+    # needs it is (1/3, 6), from 6 = 3*2: its line y = (12x - 1)*2 is gone
+    new = outcome_without_alpha(st_lower_bound_check, -1, a, a, 1)
+    old = outcome_without_alpha(literal_st_lower_bound_check, -1, a, a, 1)
+    assert new == old == (
+        WitnessFailure,
+        "designated line for (Fraction(1, 3), Fraction(6, 1)) not in the family")
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(r7_sets, r7_sets, st.integers(0, 63), st.integers(1, 8))
+def test_a_missing_slope_raises_the_same_error(a, b, index, t):
     t = min(t, len(a), len(b))
-    assert (outcome(st_lower_bound_check, a, b, t)
-            == outcome(literal_st_lower_bound_check, a, b, t))
+    assert (outcome_without_alpha(st_lower_bound_check, index, a, b, t)
+            == outcome_without_alpha(literal_st_lower_bound_check, index, a, b, t))
+
+
+def test_r7_builds_no_line():
+    built = []
+    init = Line.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    a = FSet(Q, [-1, Fraction(1, 2), 2, 3, 4, 6])
+    b = FSet(Q, [Fraction(-3, 2), 2, 3, 4, 6])
+    with mock.patch.object(Line, "__init__", spy):
+        Line.slope_intercept(0, 0)  # the spy sees a Line that is built
+        assert len(built) == 1
+        reps = [check("R7", A=a, B=b, t=t) for t in (1, 2, 3)]
+    assert [r.verdict for r in reps] == ["Holds"] * 3
+    assert len(built) == 1
 
 
 # -- the fp pipeline's base point ------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from expanderlab import (
     exponent_table,
     stochastic_search,
 )
+from expanderlab import search as search_mod
 from expanderlab.search import candidate_pool, expander_size, reevaluate, write_csv
 from expanderlab.errors import BudgetExceeded, DensityViolated, InvariantViolation, SetTooSmall
 
@@ -23,10 +25,10 @@ def brute_minimum(p, n):
 
 def test_pool_excludes_degenerate():
     cfg = SearchConfig(ctx=FieldCtx.prime(7), set_size=2)
-    assert candidate_pool(cfg) == (1, 2, 3, 4, 5)
+    assert candidate_pool(cfg) == range(1, 6)
     cfg2 = SearchConfig(ctx=FieldCtx.prime(7), set_size=2, exclude_degenerate=False,
                         density_guard=False)
-    assert candidate_pool(cfg2) == (0, 1, 2, 3, 4, 5, 6)
+    assert candidate_pool(cfg2) == range(7)
 
 
 def test_exhaustive_p7_n2():
@@ -56,6 +58,54 @@ def test_exhaustive_budget():
     cfg = SearchConfig(ctx=FieldCtx.prime(101), set_size=10, budget=100)
     with pytest.raises(BudgetExceeded):
         exhaustive_min(cfg)
+    # C(5, 2) = 10 candidate sets over F_7: a budget of 10 admits them, 9 not
+    assert exhaustive_min(SearchConfig(ctx=FieldCtx.prime(7), set_size=2, budget=10)).value
+    with pytest.raises(BudgetExceeded, match="^10 candidate sets exceed budget 9$"):
+        exhaustive_min(SearchConfig(ctx=FieldCtx.prime(7), set_size=2, budget=9))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) (or what it raised) and the peak of memory it allocated."""
+    tracemalloc.start()
+    try:
+        try:
+            out = fn(*args)
+        except BudgetExceeded as exc:
+            out = exc
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_large_prime_pool_takes_no_memory():
+    # a tuple of the p - 2 admissible residues would take about 97 MB
+    ctx = FieldCtx.prime(2000003)
+    cfg = SearchConfig(ctx=ctx, set_size=3, budget=5)
+    err, peak = traced_peak(exhaustive_min, cfg)
+    assert str(err) == "1333333333333000000 candidate sets exceed budget 5"
+    assert peak < 100_000
+    for mode in ("hillclimb", "anneal"):
+        cfg = SearchConfig(ctx=ctx, set_size=3, mode=mode, seed=3, restarts=2,
+                           iteration_cap=200)
+        rec, peak = traced_peak(stochastic_search, cfg)
+        assert rec.witness.vals == (4454, 12907, 20922) and rec.value == 9
+        assert peak < 100_000
+    assert candidate_pool(cfg) == range(1, 2000002)
+
+
+@pytest.mark.parametrize("p", [13, 1009])
+@pytest.mark.parametrize("mode", ["exhaustive", "hillclimb", "anneal"])
+@pytest.mark.parametrize("admit", [False, True])
+def test_a_range_pool_searches_like_a_tuple(monkeypatch, p, mode, admit):
+    cfg = SearchConfig(ctx=FieldCtx.prime(p), set_size=3 if p == 13 else 2, mode=mode,
+                       seed=11, restarts=3, iteration_cap=300,
+                       exclude_degenerate=not admit)
+    search = exhaustive_min if mode == "exhaustive" else stochastic_search
+    assert isinstance(candidate_pool(cfg), range)
+    rec = search(cfg)
+    monkeypatch.setattr(search_mod, "candidate_pool",
+                        lambda cfg, budget=None: tuple(candidate_pool(cfg, budget)))
+    assert search(cfg) == rec
 
 
 def test_density_guard():
