@@ -72,14 +72,28 @@ def _dump_json(doc, path: Path) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_stem: Path, argv, inputs, outputs, config) -> None:
+# parsed names that are no option: the handler, the subcommand, the files
+_NOT_CONFIG = frozenset({"fn", "command", "sets", "set", "out", "manifest"})
+
+
+def _config(args) -> dict:
+    """Every parsed option of a run, JSON-ready: a Fraction as its text,
+    tuples and lists as lists."""
+    def value(v):
+        if isinstance(v, Fraction):
+            return str(v)
+        return [value(x) for x in v] if isinstance(v, (tuple, list)) else v
+    return {k: value(v) for k, v in vars(args).items() if k not in _NOT_CONFIG}
+
+
+def _write_manifest(out_stem: Path, argv, inputs, outputs, args) -> None:
     manifest = {
         "tool": "expanderlab",
         "version": __version__,
         "command": list(argv),
         "inputs": {str(p): _sha256_file(Path(p)) for p in inputs},
         "outputs": [str(p) for p in outputs],
-        "config": config,
+        "config": _config(args),
     }
     _dump_json(manifest, Path(str(out_stem) + ".manifest.json"))
 
@@ -130,11 +144,7 @@ def cmd_verify(args, argv) -> int:
     }
     if out:
         _dump_json(doc, out)
-        _write_manifest(out.with_suffix(""), argv, args.sets, [out],
-                        {"relation": args.relation, "all": args.all,
-                         "t": args.t,
-                         "epsilon": None if args.epsilon is None else str(args.epsilon),
-                         "precision_cap": args.precision_cap})
+        _write_manifest(out.with_suffix(""), argv, args.sets, [out], args)
     else:
         json.dump(doc, sys.stdout, sort_keys=True, indent=1)
         sys.stdout.write("\n")
@@ -173,10 +183,7 @@ def cmd_pipeline(args, argv) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "wb") as fh:
         fh.write(trace.to_bytes())
-    _write_manifest(out.with_suffix(""), argv, [args.set], [out],
-                    {"mode": args.mode,
-                     "epsilon": None if args.epsilon is None else str(args.epsilon),
-                     "precision_cap": args.precision_cap})
+    _write_manifest(out.with_suffix(""), argv, [args.set], [out], args)
     for step in trace.steps:
         print(f"[{step.report.verdict:>12}] {step.description}", file=sys.stderr)
     if trace.has_fails():
@@ -214,10 +221,7 @@ def cmd_search(args, argv) -> int:
     out = Path(args.out) if args.out else Path("search_results.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(rows, out)
-    _write_manifest(out.with_suffix(""), argv, [], [out],
-                    {"p": args.p, "n": args.n, "mode": args.mode, "seed": args.seed,
-                     "iterations": args.iterations, "budget": args.budget,
-                     "restarts": args.restarts, "rational_range": list(args.rational_range)})
+    _write_manifest(out.with_suffix(""), argv, [], [out], args)
     for row in rows:
         print(",".join(str(row[c]) for c in
                        ("p", "n", "value", "certified", "witness")), file=sys.stderr)
@@ -247,10 +251,7 @@ def cmd_energy(args, argv) -> int:
     out = Path(args.out) if args.out else None
     if out:
         _dump_json(doc, out)
-        _write_manifest(out.with_suffix(""), argv, args.sets, [out],
-                        {"kind": args.kind, "alpha": [str(a) for a in args.alpha],
-                         "delta": args.delta,
-                         "precision_cap": args.precision_cap})
+        _write_manifest(out.with_suffix(""), argv, args.sets, [out], args)
     else:
         json.dump(doc, sys.stdout, sort_keys=True, indent=1)
         sys.stdout.write("\n")

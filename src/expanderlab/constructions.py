@@ -126,7 +126,7 @@ def popular_ratio_graph(a: FSet, b: FSet, epsilon) -> PopularRatioResult:
         graph=graph,
         epsilon=eps,
         threshold=threshold,
-        partial_diff=partial_combine(graph, "diff"),
+        partial_diff=partial_combine(graph),
         ratio_support=len(mult),
     )
 
@@ -198,7 +198,7 @@ def injection_witness(a: FSet, b: FSet, g: PairGraph, epsilon=None) -> Injection
     return InjectionResult(
         s_size=s_size,
         image_bound=bound,
-        partial_diff=partial_combine(g, "diff"),
+        partial_diff=partial_combine(g),
         lower_bound_lhs=lower,
         representatives=tuple((xi,) + reps[xi] for xi in sorted(reps)),
     )
@@ -254,7 +254,7 @@ def greedy_cover(a: FSet, b: FSet, g: PairGraph, epsilon, sign: str = "+") -> Co
 
     a1 = dense_degree_subset(g, eps)
     degree = dict(zip(g.left.vals, g.left_degrees()))
-    pdiff_size = len(partial_combine(g, "diff"))
+    pdiff_size = len(partial_combine(g))
     bvals = b.vals
     bset = b.member_set()
     nb = len(b)
@@ -530,8 +530,8 @@ def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
     c_side = dense_degree_subset(ht, eps)
     nb = len(g.right)
     least = _least_passing(nb, eps, k=2)
-    pab = partial_combine(g, "diff")
-    pbc = partial_combine(h, "diff")
+    pab = partial_combine(g)
+    pbc = partial_combine(h)
     n_diffs, y_size = _witness_scan(g, ht, a_side, c_side, least, pab, pbc)
 
     diff_ac = combine(a_side, c_side, "diff")

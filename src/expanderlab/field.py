@@ -2,8 +2,7 @@
 
 A FieldCtx performs all arithmetic on *raw canonical values*: integers in
 [0, p) for a prime field, reduced Fraction instances for the rationals.
-Elem is a thin immutable wrapper used at API boundaries where the context
-must travel with the value.  No floating point is used anywhere.
+No floating point is used anywhere.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from typing import Union
 from .errors import ContextMismatch, DivisionByZero, MissingModulus, NonPrimeModulus
 
 RawValue = Union[int, Fraction]
-ElemLike = Union["Elem", int, Fraction, str]
+ElemLike = Union[int, Fraction, str]
 
 KIND_PRIME = "fp"
 KIND_RATIONAL = "q"
@@ -66,8 +65,7 @@ def is_prime(n: int) -> bool:
 class FieldCtx:
     """Ambient field: FieldCtx.prime(p) or FieldCtx.rational().
 
-    Immutable and hashable; all element operations check that their operands
-    carry compatible contexts.
+    Immutable and hashable.
     """
 
     __slots__ = ("kind", "p")
@@ -108,22 +106,14 @@ class FieldCtx:
     def __repr__(self):
         return f"FieldCtx(F_{self.p})" if self.kind == KIND_PRIME else "FieldCtx(Q)"
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.kind == KIND_PRIME
-
     # -- canonical values ----------------------------------------------------
 
     def canon(self, x: ElemLike) -> RawValue:
         """Canonical raw value of x in this context.
 
         Accepts raw ints, Fractions (with denominator invertible mod p for a
-        prime field), element text, and Elem instances from the same context.
+        prime field) and element text.
         """
-        if isinstance(x, Elem):
-            if x.ctx != self:
-                raise ContextMismatch(f"element from {x.ctx!r} used in {self!r}")
-            return x.value
         if isinstance(x, str):
             return self.parse(x)
         if self.kind == KIND_PRIME:
@@ -158,9 +148,6 @@ class FieldCtx:
             return str(v.numerator)
         return f"{v.numerator}/{v.denominator}"
 
-    def elem(self, x: ElemLike) -> "Elem":
-        return Elem(self, self.canon(x))
-
     @property
     def zero(self) -> RawValue:
         return 0 if self.kind == KIND_PRIME else Fraction(0)
@@ -183,13 +170,6 @@ class FieldCtx:
     def neg(self, a: RawValue) -> RawValue:
         return (-a) % self.p if self.kind == KIND_PRIME else -a
 
-    def inv(self, a: RawValue) -> RawValue:
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        if self.kind == KIND_PRIME:
-            return pow(a, -1, self.p)
-        return 1 / a
-
     def div(self, a: RawValue, b: RawValue) -> RawValue:
         if b == 0:
             raise DivisionByZero("division by zero")
@@ -197,72 +177,3 @@ class FieldCtx:
             return a * pow(b, -1, self.p) % self.p
         return a / b
 
-
-class Elem:
-    """One field element: a canonical value bound to its context."""
-
-    __slots__ = ("ctx", "value")
-
-    def __init__(self, ctx: FieldCtx, value: RawValue):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("Elem is immutable")
-
-    def _coerce(self, other: ElemLike) -> RawValue:
-        return self.ctx.canon(other)
-
-    def __add__(self, other):
-        return Elem(self.ctx, self.ctx.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return Elem(self.ctx, self.ctx.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other):
-        return Elem(self.ctx, self.ctx.mul(self.value, self._coerce(other)))
-
-    def __truediv__(self, other):
-        return Elem(self.ctx, self.ctx.div(self.value, self._coerce(other)))
-
-    def __neg__(self):
-        return Elem(self.ctx, self.ctx.neg(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, Elem):
-            return self.ctx == other.ctx and self.value == other.value
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, Elem):
-            if self.ctx != other.ctx:
-                raise ContextMismatch("ordering elements from different contexts")
-            return self.value < other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ctx, self.value))
-
-    def __str__(self):
-        return self.ctx.render(self.value)
-
-    def __repr__(self):
-        tag = f"mod {self.ctx.p}" if self.ctx.is_prime_field else "in Q"
-        return f"Elem({self} {tag})"
-
-
-def elem_arith(op: str, a: Elem, b: Elem) -> Elem:
-    """Dispatch one exact arithmetic operation on two elements."""
-    if not isinstance(a, Elem) or not isinstance(b, Elem):
-        raise ContextMismatch("elem_arith requires Elem operands")
-    if a.ctx != b.ctx:
-        raise ContextMismatch(f"{a!r} and {b!r} live in different contexts")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")

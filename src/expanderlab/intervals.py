@@ -87,11 +87,6 @@ class RatInterval:
             out = out * self
         return out
 
-    # Decidable order against exact rationals or disjoint intervals.
-    def surely_le(self, other) -> bool:
-        other = _as_interval(other)
-        return self.hi <= other.lo
-
     def __repr__(self):
         return f"RatInterval({self.lo}, {self.hi})"
 

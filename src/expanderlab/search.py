@@ -99,11 +99,34 @@ class ExtremalRecord:
         }
 
 
+class _TwoRanges(Sequence[int]):
+    """The ints of one range, then those of a second: a range with a gap
+    cut out, in constant memory.  A Sequence, so random.sample takes it."""
+
+    __slots__ = ("low", "high")
+
+    def __init__(self, low: range, high: range):
+        self.low, self.high = low, high
+
+    def __len__(self) -> int:
+        return len(self.low) + len(self.high)
+
+    def __getitem__(self, i: int) -> int:
+        size, n = len(self), len(self.low)
+        if not -size <= i < size:
+            raise IndexError("pool index out of range")
+        i %= size
+        return self.low[i] if i < n else self.high[i - n]
+
+    def __iter__(self):
+        return itertools.chain(self.low, self.high)
+
+
 def candidate_pool(cfg: SearchConfig, budget: Optional[int] = None) -> Sequence[int]:
     """Admissible elements as ints, ascending: the field's residues (or the
     configured integer range), with 0 and -1 dropped unless degenerate sets
-    were re-admitted.  Over F_p those are the ends of range(p), so the pool is
-    a range and takes constant memory at any p.
+    were re-admitted.  They are the ends of range(p) over F_p and two
+    consecutive ints over Q, so the pool takes constant memory at any size.
 
     The pool's size is known before it is built: with a `budget`, the
     C(size, n) candidate sets of an exhaustive search are checked against it
@@ -130,7 +153,7 @@ def candidate_pool(cfg: SearchConfig, budget: Optional[int] = None) -> Sequence[
         return full
     if ctx.kind == KIND_PRIME:  # 0 and p - 1 are the ends of range(p)
         return full[1:-1]
-    return tuple(v for v in full if v not in banned)
+    return _TwoRanges(range(lo, min(banned)), range(max(banned) + 1, hi + 1))
 
 
 def expander_size(ctx: FieldCtx, vals: Sequence) -> int:
@@ -141,10 +164,11 @@ def expander_size(ctx: FieldCtx, vals: Sequence) -> int:
 
 def _modulus(ctx: FieldCtx, pool: Sequence[int]) -> int:
     """p over F_p; over Q a modulus under which the products x(y+1) of pool
-    elements stay distinct: they lie in [-k(k+1), k(k+1)], k = max |v|."""
+    elements stay distinct: they lie in [-k(k+1), k(k+1)], k = max |v|,
+    which an ascending pool takes at one of its ends."""
     if ctx.kind == KIND_PRIME:
         return ctx.p
-    k = max(abs(v) for v in pool)
+    k = max(abs(pool[0]), abs(pool[-1]))
     return 2 * k * (k + 1) + 1
 
 

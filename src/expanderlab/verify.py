@@ -45,7 +45,6 @@ from .intervals import RatInterval, interval_to_decimal, root_interval
 from .sets import (
     DiscreteLog,
     FSet,
-    PairGraph,
     _pair_ints,
     _scaled,
     combine,
@@ -102,12 +101,6 @@ def instance_digest(**inputs) -> str:
             continue
         if isinstance(value, FSet):
             doc[key] = value.to_json()
-        elif isinstance(value, PairGraph):
-            doc[key] = {
-                "left": value.left.to_json(),
-                "right": value.right.to_json(),
-                "edges": sorted(map(list, value.edges)),
-            }
         elif isinstance(value, Fraction):
             doc[key] = str(value)
         else:

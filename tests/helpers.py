@@ -59,6 +59,13 @@ def dense_random_graph(rng: random.Random, a: FSet, b: FSet, epsilon: Fraction):
     return PairGraph(a, b, [e for e in full if e not in removed])
 
 
+def literal_partial_diff(g) -> FSet:
+    """The old `partial_combine(g, "diff")`: one `ctx.sub` per edge."""
+    ctx = g.left.ctx
+    lv, rv = g.left.vals, g.right.vals
+    return FSet(ctx, {ctx.sub(lv[i], rv[j]) for i, j in g.edges})
+
+
 SCAN_PATHS = ("array", "no-numpy")
 
 

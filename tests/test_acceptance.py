@@ -114,7 +114,7 @@ def test_criterion_5_covering_contract():
         # per-iteration discard bound, re-checked from the recorded steps
         from expanderlab import partial_combine
 
-        d = len(partial_combine(g, "diff"))
+        d = len(partial_combine(g))
         n_star = len(res.base)
         nb = len(b)
         for _, discarded in res.per_step:

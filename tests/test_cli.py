@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -404,6 +405,69 @@ def test_verify_manifest_records_epsilon_zero(tmp_path):
                       "--out", str(out)]) == 64
     manifest = json.loads((tmp_path / "rep.manifest.json").read_text())
     assert manifest["config"]["epsilon"] == "0"
+
+
+# The config each command records, and the sha256 of its whole manifest as
+# the per-command config dicts wrote it before one `_config` replaced them;
+# each run starts in the directory of its set files, so the bytes are fixed.
+MANIFEST_CASES = {
+    "verify": (
+        ["verify", "a.json", "b.json", "--relation", "R6", "--out", "out/v.json"],
+        {"all": False, "epsilon": "1/4", "precision_cap": None, "relation": "R6", "t": 1},
+        "072a3a5790ad08afcb2a793aed5a44b2e9816b1a56d0061b4759058044d828a9"),
+    "verify-all": (
+        ["verify", "q.json", "--all", "--t", "2", "--epsilon", "1/8",
+         "--precision-cap", "512", "--out", "out/v.json"],
+        {"all": True, "epsilon": "1/8", "precision_cap": 512, "relation": None, "t": 2},
+        "776209dd69a165fecf4bb6cbc41c1efcde1cb70253f284568dac40d8218ba1d7"),
+    "pipeline-real": (
+        ["pipeline", "q.json", "--mode", "real", "--out", "out/t.json"],
+        {"epsilon": None, "mode": "real", "precision_cap": None},
+        "d7f8a6d79f81ccf48ae01451f9fbe3b458a044e754ae9e7009f92c09cca9cb0c"),
+    "pipeline-fp": (
+        ["pipeline", "a.json", "--mode", "fp", "--epsilon", "1/32", "--precision-cap", "256",
+         "--out", "out/t.json"],
+        {"epsilon": "1/32", "mode": "fp", "precision_cap": 256},
+        "8bb639c892f4fa7eb6e0be88f5ada8f5e02481f3ac96311ba3c98b28319a0b27"),
+    "energy": (
+        ["energy", "a.json", "--out", "out/e.json"],
+        {"alpha": ["2"], "delta": None, "kind": "ratio", "precision_cap": None},
+        "51fe5a284c47f255d3232cd1dbfdb61c6b16d9c92548a4624663605dffccc9b3"),
+    "energy-two-sets": (
+        ["energy", "a.json", "b.json", "--kind", "product", "--alpha", "3/2", "--alpha", "2",
+         "--delta", "2", "--out", "out/e.json"],
+        {"alpha": ["3/2", "2"], "delta": 2, "kind": "product", "precision_cap": None},
+        "c0a2231f3fbb537a3cc2d2e15bb07cfa728e32b05a8c4350486e4c9d751f6cdf"),
+}
+
+
+@pytest.mark.parametrize("case", list(MANIFEST_CASES))
+def test_manifest_keeps_its_config_and_bytes(tmp_path, monkeypatch, case):
+    argv, config, digest = MANIFEST_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    for name, doc in (("a.json", FP_SET), ("b.json", FP_SET_B), ("q.json", Q_SET)):
+        write(tmp_path, name, doc)
+    assert main(argv) == 0
+    manifest = (tmp_path / (argv[-1].rsplit(".", 1)[0] + ".manifest.json")).read_bytes()
+    assert json.loads(manifest)["config"] == config
+    assert hashlib.sha256(manifest).hexdigest() == digest
+
+
+def test_search_manifest_records_admit_degenerate(tmp_path):
+    # {0, 6} reaches |A(A+1)| = 2 over F_7 only with 0 and -1 admitted
+    out = tmp_path / "s.csv"
+    argv = ["search", "--p", "7", "--n", "2", "--mode", "exhaustive", "--out", str(out)]
+    found, configs = [], []
+    for extra in ([], ["--admit-degenerate"]):
+        assert main(argv + extra) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        found.append((row[2], row[6]))
+        configs.append(json.loads((tmp_path / "s.manifest.json").read_text())["config"])
+    assert found == [("3", "2 4"), ("2", "0 6")]
+    assert configs[0] == {"admit_degenerate": False, "budget": 2000000, "iterations": 2000,
+                          "mode": "exhaustive", "n": [2], "p": 7,
+                          "rational_range": [-10, 10], "restarts": 20, "seed": 0}
+    assert configs[1] == dict(configs[0], admit_degenerate=True)
 
 
 @pytest.mark.parametrize("content", [

@@ -95,7 +95,7 @@ def test_injection_subgroup_complete():
     res = injection_witness(SUBGROUP, SUBGROUP, g, epsilon=Fraction(1, 2))
     # |S| = sum over the 7 partial differences of the multiplicity of the
     # representative's ratio; every ratio of the subgroup has multiplicity 3
-    assert res.s_size == 3 * len(partial_combine(g, "diff"))
+    assert res.s_size == 3 * len(partial_combine(g))
     assert res.s_size <= res.image_bound
 
 
@@ -278,5 +278,5 @@ def test_energy_cs_bound_on_dense_graphs():
         astar = dense_degree_subset(g, eps)
         kept = {i for i, v in enumerate(a.vals) if v in astar.member_set()}
         gstar = sum(1 for i, _ in g.edges if i in kept)
-        pdiff = len(partial_combine(g, "diff"))
+        pdiff = len(partial_combine(g))
         assert additive_energy(astar, b) * pdiff >= gstar ** 2

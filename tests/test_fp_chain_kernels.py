@@ -106,7 +106,7 @@ def literal_popular_ratio_graph(a: FSet, b: FSet, epsilon) -> PopularRatioResult
         graph=graph,
         epsilon=eps,
         threshold=threshold,
-        partial_diff=partial_combine(graph, "diff"),
+        partial_diff=partial_combine(graph),
         ratio_support=len(mult),
     )
 
@@ -169,8 +169,8 @@ def literal_partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangl
             x = ctx.sub(av, cv)
             if x not in reps:
                 reps[x] = (av, cv)
-    pab = partial_combine(g, "diff")
-    pbc = partial_combine(h, "diff")
+    pab = partial_combine(g)
+    pbc = partial_combine(h)
     pab_set, pbc_set = pab.member_set(), pbc.member_set()
     y_size = 0
     seen = {}
@@ -552,8 +552,8 @@ def test_forced_escape_fails_alike_on_every_path(monkeypatch):
     a, b, c = FSet(f, [10, 20]), FSet(f, [1, 2]), FSet(f, [0])
     g, h = PairGraph.complete(a, b), PairGraph.complete(b, c)
     real = cons.partial_combine
-    monkeypatch.setattr(cons, "partial_combine", lambda graph, op: (
-        a.with_values(real(graph, op).vals[:-1]) if graph is g else real(graph, op)))
+    monkeypatch.setattr(cons, "partial_combine", lambda graph: (
+        a.with_values(real(graph).vals[:-1]) if graph is g else real(graph)))
     assert failures_on_every_path(g, h, Fraction(0)) == [
         (InvariantViolation, "witness image escapes the partial difference sets", None, None)
     ] * len(SCAN_PATHS)

@@ -93,8 +93,6 @@ def test_interval_arithmetic():
     with pytest.raises(ZeroDivisionError):
         a / b
     assert a.power(3).lo == 1 and a.power(3).hi == 8
-    assert a.surely_le(RatInterval(Fraction(2), Fraction(3)))
-    assert not a.surely_le(RatInterval(Fraction(1), Fraction(5)))
 
 
 def test_fraction_to_decimal_directed():

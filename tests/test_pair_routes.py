@@ -3,10 +3,11 @@ kernel `sets._pair_ints`.
 
 `twisted_energy`, `twist_spectrum`, R6's left side, `injection_witness`,
 `st_lower_bound_check` and the prime-field pipeline's base-point rows each
-used to walk a x b by hand.  Each is compared here with a literal copy of
+used to walk a x b by hand, and `partial_combine` the edges of its graph.  Each is compared here with a literal copy of
 that hand-written loop.
 """
 import dataclasses
+import inspect
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -19,6 +20,7 @@ from expanderlab import (
     FSet,
     FieldCtx,
     Line,
+    PairGraph,
     check,
     finite_field_pipeline,
     injection_witness,
@@ -40,7 +42,7 @@ from expanderlab.field import KIND_PRIME
 from expanderlab import incidence
 from expanderlab.incidence import StLowerBoundResult
 from expanderlab.sets import _lcd, _scaled, combine, expander_set, partial_combine
-from helpers import Q, line_from_expander_params, literal_line_family
+from helpers import Q, line_from_expander_params, literal_line_family, literal_partial_diff
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
@@ -149,7 +151,7 @@ def literal_injection_witness(a: FSet, b: FSet, g, epsilon=None) -> InjectionRes
     return InjectionResult(
         s_size=s_size,
         image_bound=bound,
-        partial_diff=partial_combine(g, "diff"),
+        partial_diff=partial_combine(g),
         lower_bound_lhs=lower,
         representatives=tuple((xi,) + reps[xi] for xi in sorted(reps)),
     )
@@ -417,3 +419,79 @@ def test_base_point_rows_match_literal_loop(a):
     assert trace.selected["A1"] == [str(v) for v in a1]
     (base,) = [s.report for s in trace.steps if s.report.name == "fp-base-point"]
     assert base.rhs == best_total
+
+
+# -- the partial difference set A -_G B -------------------------------------------------
+
+@st.composite
+def pair_graphs(draw):
+    """A graph on two sets over F_p (p = 2, 3, 5 or 1009) or over Q (negative
+    and fractional members, 0 allowed), with any edges, possibly transposed."""
+    p = draw(st.sampled_from([2, 3, 5, 1009, None]))
+    if p is None:
+        ctx, members = Q, st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+    else:
+        ctx, members = FieldCtx.prime(p), st.integers(0, p - 1)
+    a = FSet(ctx, draw(st.sets(members, max_size=7)))
+    b = FSet(ctx, draw(st.sets(members, max_size=7)))
+    pairs = [(i, j) for i in range(len(a)) for j in range(len(b))]
+    g = PairGraph(a, b, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+    return g.transpose() if draw(st.booleans()) else g
+
+
+def assert_partial_diff_is_literal(g):
+    got = partial_combine(g)
+    want = literal_partial_diff(g)
+    assert got == want and got.vals == want.vals
+    assert partial_combine(g) is got  # built once per graph
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(pair_graphs())
+@example(PairGraph(FSet(Q, []), FSet(Q, []), ()))
+@example(PairGraph(FSet(FieldCtx.prime(2), [0, 1]), FSet(FieldCtx.prime(2), [0, 1]), ()))
+@example(PairGraph(FSet(Q, [Fraction(-7, 2), Fraction(1, 3)]),
+                   FSet(Q, [Fraction(-5, 6), 0, 4]), [(0, 1), (1, 0), (1, 2)]))
+def test_partial_combine_matches_literal_per_edge_loop(g):
+    assert_partial_diff_is_literal(g)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(fp_set_pairs(nonzero=False) | q_set_pairs)
+def test_partial_combine_on_a_complete_graph_is_the_difference_set(pair):
+    a, b = pair
+    g = PairGraph.complete(a, b)
+    assert partial_combine(g) == combine(a, b, "diff")
+    assert_partial_diff_is_literal(g)
+    assert_partial_diff_is_literal(g.transpose())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(fp_set_pairs(min_size=1) | q_set_pairs.filter(lambda ab: len(ab[0]) and len(ab[1])),
+       st.sampled_from([Fraction(1, 64), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]))
+def test_partial_combine_on_popular_ratio_graphs(pair, eps):
+    res = popular_ratio_graph(*pair, eps)
+    assert res.partial_diff == literal_partial_diff(res.graph)
+    assert_partial_diff_is_literal(res.graph)
+    assert_partial_diff_is_literal(res.graph.transpose())
+
+
+def test_partial_combine_calls_no_field_method(monkeypatch):
+    f = FieldCtx.prime(1009)
+    graphs = [
+        PairGraph.complete(FSet(f, [0, 3, 500, 1008]), FSet(f, [1, 2, 999])),
+        PairGraph(FSet(Q, [Fraction(-7, 2), Fraction(1, 3), 5]),
+                  FSet(Q, [Fraction(-5, 6), 4]), [(0, 0), (2, 1)]),
+        PairGraph(FSet(f, [4]), FSet(f, []), ()),
+    ]
+    want = [literal_partial_diff(g) for g in graphs]
+    called = []
+    for name, fn in vars(FieldCtx).items():
+        if inspect.isfunction(fn) and not name.startswith("__"):
+            monkeypatch.setattr(FieldCtx, name, lambda *args, _name=name, _fn=fn, **kw: (
+                called.append(_name) or _fn(*args, **kw)))
+    assert f.sub(3, 5) == 1007 and called == ["sub"]  # the spy sees a call
+    called.clear()
+    built = [partial_combine(g) for g in graphs]
+    assert called == []
+    assert built == want and [len(s) for s in built] == [11, 2, 0]

@@ -115,7 +115,7 @@ def test_each_partial_difference_set_is_built_once(monkeypatch, p, vals, branch)
     real = cons.partial_combine
     calls = []
     monkeypatch.setattr(cons, "partial_combine",
-                        lambda g, op: calls.append((g, real(g, op))) or calls[-1][1])
+                        lambda g: calls.append((g, real(g))) or calls[-1][1])
     trace = finite_field_pipeline(FSet(FieldCtx.prime(p), vals))
     assert trace.selected["branch"] == branch
     built = {}
@@ -200,19 +200,25 @@ def test_trace_bytes_independent_of_hash_seed(tmp_path):
 
 
 def test_a_test_run_writes_nothing_under_its_cwd(tmp_path):
+    # a copy of the repo's test setup, so the run's rootdir is its cwd: pytest
+    # writes its own files (its cache) under the rootdir, not the cwd
     import os
+    import shutil
     import subprocess
     import sys
     from pathlib import Path
 
     repo = Path(__file__).resolve().parents[1]
-    cwd = tmp_path / "empty"
-    cwd.mkdir()
+    cwd = tmp_path / "root"
+    (cwd / "tests").mkdir(parents=True)
+    for name in ("pyproject.toml", "conftest.py", "tests/test_field.py"):
+        shutil.copy(repo / name, cwd / name)
+    before = sorted(cwd.rglob("*"))
     proc = subprocess.run(
-        [sys.executable, "-B", "-m", "pytest", "-q", str(repo / "tests" / "test_field.py")],
+        [sys.executable, "-B", "-m", "pytest", "-q", "tests/test_field.py"],
         capture_output=True, text=True, cwd=cwd,
         env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(repo / "src")},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert " passed" in proc.stdout
-    assert list(cwd.iterdir()) == []
+    assert sorted(cwd.rglob("*")) == before

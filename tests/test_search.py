@@ -93,6 +93,21 @@ def test_a_large_prime_pool_takes_no_memory():
     assert candidate_pool(cfg) == range(1, 2000002)
 
 
+def test_a_wide_rational_pool_takes_no_memory():
+    # a tuple of the 2,000,000 admissible ints around the gap {-1, 0} peaked
+    # at about 80 MB; the record is the one that tuple gave
+    cfg = SearchConfig(ctx=FieldCtx.rational(), set_size=4, mode="hillclimb", seed=1,
+                       restarts=1, iteration_cap=50, rational_range=(-10 ** 6, 10 ** 6))
+    rec, peak = traced_peak(stochastic_search, cfg)
+    assert rec.value == 16
+    assert rec.witness.vals == (-940066, -882497, -806411, -774903)
+    assert peak < 1_000_000
+    pool = candidate_pool(cfg)
+    assert len(pool) == 2 * 10 ** 6 - 1
+    ends = (pool[0], pool[10 ** 6 - 2], pool[10 ** 6 - 1], pool[-1])
+    assert ends == (-10 ** 6, -2, 1, 10 ** 6)
+
+
 @pytest.mark.parametrize("p", [13, 1009])
 @pytest.mark.parametrize("mode", ["exhaustive", "hillclimb", "anneal"])
 @pytest.mark.parametrize("admit", [False, True])
