@@ -9,18 +9,15 @@ square root and squaring (see `ge_one_minus_k_sqrt`).  A failed internal
 check raises InvariantViolation rather than degrading the result: each such
 check is a theorem on the instance, so a failure is either a bug or news.
 
-Over F_p the witness scan of `partial_ruzsa` runs on numpy int64 arrays
-when every residue, difference and witness key fits: p and
-|A -_G B| * |B -_H C| below 2^62.  numpy is imported on the first such
-scan, never at import time, so the other commands never load it.  Without
-numpy, or outside the guard, the pure-int scan runs; it is also the oracle
-the array scan is tested against.  A failed array scan is replayed on the
-pure scan, which raises the first failing check, so both paths give the
-same results and the same errors.
+The witness scan of `partial_ruzsa` keeps one |B|-bit neighbour mask per
+vertex of A' and of C', so each pairwise overlap is one AND and one
+popcount on plain ints, over F_p and Q alike; |Y| and A' - C' come off the
+same pass over the pairs.  That the witness map lands in the partial
+difference sets and is injective follows from their definitions; two cheap
+guards re-check both after the pass.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -42,6 +39,7 @@ from .field import KIND_PRIME
 from .sets import (
     FSet,
     PairGraph,
+    _edge_differences,
     _from_ints,
     _pair_groups,
     _pair_ints,
@@ -339,168 +337,78 @@ def _least_passing(scale: int, eps: Fraction, k: int) -> int:
     return lo
 
 
-def _index_rows(g: PairGraph, side: FSet, part) -> list:
-    """[(v, B_v, row)] for v in `side`: B_v is the set of indices of the
-    right neighbours of v in g, and row maps the index j of each right
-    vertex w to part(v, w), leaving out the j where that is None."""
-    nbrs = {v: set() for v in side.vals}
-    lv = g.left.vals
-    for i, j in g.edges:
-        if lv[i] in nbrs:
-            nbrs[lv[i]].add(j)
-    out = []
-    for v in side.vals:
-        row = {}
-        for j, w in enumerate(g.right.vals):
-            key = part(v, w)
-            if key is not None:
-                row[j] = key
-        out.append((v, frozenset(nbrs[v]), row))
-    return out
+def _neighbour_masks(edges, n: int, rows: Sequence[int]) -> list:
+    """For each r in `rows`, the int with bit j set for every (r, j) in
+    `edges`: the neighbour mask of vertex r, one of n."""
+    masks = [0] * n
+    for r, j in edges:
+        masks[r] |= 1 << j
+    return [masks[r] for r in rows]
 
 
-def _pure_scan(g, ht, a_side, c_side, least, pab, pbc):
-    """(|A' - C'|, |Y|), or the first failing check raised: the overlap of
-    every (a, c) in order, then each difference x in sorted order through
-    its first pair (a, c), witness by witness, an escaping image before a
-    repeated one.
+def _rows(side: FSet, of: FSet) -> list:
+    """The index in `of` of each value of `side`, a subset of `of`."""
+    row_of = {v: r for r, v in enumerate(of.vals)}
+    return [row_of[v] for v in side.vals]
 
-    A witness (x, b) maps to (a - b, b - c), keyed by the int
-    i * |B -_H C| + j of its indices i, j in the sorted partial difference
-    sets; rows hold the key parts per a and per c, keyed by the index of b
-    in B.  The keys of each difference go into one set in bulk; only after
-    a failure are the witnesses walked one by one to name it.
+
+def _witness_scan(g, h, a_side, c_side, least, pab, pbc):
+    """(|Y|, A' - C'), or the first failing check raised.
+
+    Overlap: |B_a ∩ B_c| >= least for every (a, c) in order, on |B|-bit
+    neighbour masks, one AND and one popcount per pair.  Y holds the
+    witnesses (x, b), b in B_a ∩ B_c, of the first pair (a, c) of each
+    difference x = a - c, so |Y| sums the overlaps of those pairs.
+
+    The witness (x, b) maps to (a - b, b - c).  The image lies in
+    (A -_G B) x (B -_H C), as (a, b) is an edge of G and (b, c) one of H,
+    and the map is injective, as the image sums to x and, given x, fixes b.
+    Two guards after the overlap pass re-check both facts on the instance.
+    Every edge at A' and at C' must have its difference in its partial
+    difference set.  Should B repeat a value, which only a corrupt FSet can,
+    the witnesses are walked to name the first repeated image.
     """
-    sub = g.left.ctx.sub
-    ab_index = {v: i * len(pbc) for i, v in enumerate(pab.vals)}
-    bc_index = {v: j for j, v in enumerate(pbc.vals)}
-    a_rows = _index_rows(g, a_side, lambda av, bv: ab_index.get(sub(av, bv)))
-    c_rows = _index_rows(ht, c_side, lambda cv, bv: bc_index.get(sub(bv, cv)))
+    ctx = g.left.ctx
+    a_rows, c_rows = _rows(a_side, g.left), _rows(c_side, h.right)
+    a_masks = _neighbour_masks(g.edges, len(g.left), a_rows)
+    c_masks = _neighbour_masks(((k, j) for j, k in h.edges), len(h.right), c_rows)
+    nc = len(c_masks)
+    overlaps = [(ma & mc).bit_count() for ma in a_masks for mc in c_masks]
+    if min(overlaps) < least:
+        i, k = divmod(next(n for n, o in enumerate(overlaps) if o < least), nc)
+        raise InvariantViolation(
+            f"overlap below (1 - 2 sqrt(eps))|B| at ({a_side.vals[i]}, {c_side.vals[k]})"
+        )
+    xs, scale = _pair_ints(a_side, c_side, "diff")
+    first = {}  # difference -> the position i * |C'| + k of its first pair
+    for n, x in enumerate(xs):
+        if x not in first:
+            first[x] = n
+    y_size = sum(overlaps[n] for n in first.values())
 
-    diffs = set()
-    seen = set()
-    y_size = 0
-    escaped = False
-    for av, b_a, a_row in a_rows:
-        for cv, b_c, c_row in c_rows:
-            common = b_a & b_c
-            if len(common) < least:
-                raise InvariantViolation(
-                    f"overlap below (1 - 2 sqrt(eps))|B| at ({av}, {cv})"
-                )
-            x = sub(av, cv)
-            if x in diffs:
-                continue
-            diffs.add(x)
-            try:
-                seen.update([a_row[j] + c_row[j] for j in common])
-            except KeyError:  # an image coordinate escapes
-                escaped = True
-            y_size += len(common)
-    if not escaped and len(seen) == y_size:
-        return len(diffs), y_size
-
-    reps = {}
-    for av, b_a, a_row in a_rows:
-        for cv, b_c, c_row in c_rows:
-            reps.setdefault(sub(av, cv), (av, cv, a_row, c_row, b_a & b_c))
+    a_in, c_in = set(a_rows), set(c_rows)
+    if not (_edge_differences(g, (e for e in g.edges if e[0] in a_in)).is_subset(pab)
+            and _edge_differences(h, (e for e in h.edges if e[1] in c_in)).is_subset(pbc)):
+        raise InvariantViolation("witness image escapes the partial difference sets")
     bvals = g.right.vals
-    images: dict = {}
-    for x in sorted(reps):
-        av, cv, a_row, c_row, common = reps[x]
-        for j in sorted(common):
-            if j not in a_row or j not in c_row:
-                raise InvariantViolation("witness image escapes the partial difference sets")
-            key, bv = a_row[j] + c_row[j], bvals[j]
-            if key in images:
-                raise CollisionFound(f"image {(sub(av, bv), sub(bv, cv))} reached twice",
-                                     images[key], (x, bv))
-            images[key] = (x, bv)
-    raise InvariantViolation("witness scan failed where its rescan passes")
-
-
-def _neighbour_matrix(np, g: PairGraph, side: FSet):
-    """Boolean |side| x |right| matrix: row r marks the right neighbours in
-    g of the r-th value of `side`, a subset of g's left values."""
-    full = np.zeros((len(g.left), len(g.right)), dtype=bool)
-    if g.edges:
-        ij = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64,
-                         count=2 * len(g.edges))
-        full[ij[0::2], ij[1::2]] = True
-    row_of = {v: i for i, v in enumerate(g.left.vals)}
-    return full[[row_of[v] for v in side.vals]]
-
-
-def _positions(np, fset: FSet, keys):
-    """Index of each key in the sorted values of `fset`, and whether the key
-    is there at all."""
-    vals = np.array(fset.vals, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(vals, keys), len(vals) - 1)
-    return pos, vals[pos] == keys
-
-
-def _array_scan(np, g, ht, a_side, c_side, least, pab, pbc):
-    """`_pure_scan` over F_p on int64 arrays: the same result, or None when
-    the same check fails."""
-    p = g.left.ctx.p
-    bv = np.array(g.right.vals, dtype=np.int64)
-    av = np.array(a_side.vals, dtype=np.int64)
-    cv = np.array(c_side.vals, dtype=np.int64)
-    na = _neighbour_matrix(np, g, a_side)
-    nc = _neighbour_matrix(np, ht, c_side)
-    overlaps = na.astype(np.int64) @ nc.T.astype(np.int64)
-    if overlaps.min() < least:
-        return None
-
-    # the representative of each difference: its first pair in (a, c) order
-    _, first = np.unique(((av[:, None] - cv[None, :]) % p).ravel(), return_index=True)
-    ra, rc = np.divmod(first, len(cv))
-    common = na[ra] & nc[rc]
-    i_ab, in_ab = _positions(np, pab, (av[:, None] - bv[None, :]) % p)
-    i_bc, in_bc = _positions(np, pbc, (bv[None, :] - cv[:, None]) % p)
-    if (common & ~(in_ab[ra] & in_bc[rc])).any():  # an image coordinate escapes
-        return None
-    keys = i_ab[ra]
-    keys *= len(pbc)
-    keys += i_bc[rc]
-    keys = keys[common]
-    keys.sort()
-    if (keys[1:] == keys[:-1]).any():
-        return None
-    return len(first), int(keys.size)
-
-
-_INT64_SAFE = 1 << 62
-
-
-def _array_scan_fits(ctx, n_ab: int, n_bc: int) -> bool:
-    """Whether the array scan is exact: over F_p, residues and their
-    differences below p, and witness keys below n_ab * n_bc, all < 2^62."""
-    return ctx.kind == KIND_PRIME and ctx.p < _INT64_SAFE and n_ab * n_bc < _INT64_SAFE
-
-
-@functools.cache
-def _numpy():
-    """numpy, imported on first use, or None when it is not installed."""
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-def _witness_scan(g, ht, a_side, c_side, least, pab, pbc):
-    """The one dispatch point between the scans: the array scan where it is
-    exact and numpy is installed, else the pure scan.  A failed array scan
-    is replayed on the pure scan, which raises the first failing check."""
-    np = _numpy() if _array_scan_fits(g.left.ctx, len(pab), len(pbc)) else None
-    if np is None:
-        return _pure_scan(g, ht, a_side, c_side, least, pab, pbc)
-    scanned = _array_scan(np, g, ht, a_side, c_side, least, pab, pbc)
-    if scanned is None:
-        _pure_scan(g, ht, a_side, c_side, least, pab, pbc)
-        raise InvariantViolation("witness scan failed where its rescan passes")
-    return scanned
+    if len({ctx.canon(v) for v in bvals}) < len(bvals):
+        # only a corrupt FSet repeats a value: name the first repeated image,
+        # difference by difference in sorted order, then b by b in B's order
+        for x in sorted(first):
+            i, k = divmod(first[x], nc)
+            av, cv = a_side.vals[i], c_side.vals[k]
+            common, named = a_masks[i] & c_masks[k], {}
+            for j, bv in enumerate(bvals):
+                if not common >> j & 1:
+                    continue
+                key = ctx.canon(bv)
+                if key in named:
+                    xv = ctx.sub(av, cv)
+                    raise CollisionFound(
+                        f"image {(ctx.sub(av, bv), ctx.sub(bv, cv))} reached twice",
+                        (xv, named[key]), (xv, bv))
+                named[key] = bv
+    return y_size, _from_ints(ctx, first, scale)
 
 
 def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
@@ -526,17 +434,12 @@ def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
     _check_density(h, eps)
 
     a_side = dense_degree_subset(g, eps)
-    ht = h.transpose()
-    c_side = dense_degree_subset(ht, eps)
+    c_side = dense_degree_subset(h.transpose(), eps)
     nb = len(g.right)
     least = _least_passing(nb, eps, k=2)
     pab = partial_combine(g)
     pbc = partial_combine(h)
-    n_diffs, y_size = _witness_scan(g, ht, a_side, c_side, least, pab, pbc)
-
-    diff_ac = combine(a_side, c_side, "diff")
-    if len(diff_ac) != n_diffs:
-        raise InvariantViolation("difference-set enumeration mismatch")
+    y_size, diff_ac = _witness_scan(g, h, a_side, c_side, least, pab, pbc)
     # (1 - 2 sqrt(eps)) |B| |A' - C'| <= |Y| <= |A -_G B| |B -_H C|
     if not ge_one_minus_k_sqrt(y_size, nb * len(diff_ac), eps, k=2):
         raise InvariantViolation("witness count below the overlap guarantee")

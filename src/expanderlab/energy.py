@@ -46,8 +46,8 @@ a cost model in pair steps that reads only set sizes and p
 (`sets.mask_steps`): the pair kernel costs |X||Y| steps (R6: |A/B||B|); the
 mask kernel costs the log table (p steps), one step per element looked up,
 a fixed setup, and one step per 16 words for each pass over a
-ceil((p-1)/64)-word int.  The table is an `array` and the masks are ints,
-so neither kernel imports numpy.  `multiplicative_energy` and
+ceil((p-1)/64)-word int.  The table is an `array` and the masks are
+ints.  `multiplicative_energy` and
 `verify._r6_pairs` stay on the pair kernel, as the oracles the mask kernels
 are tested against.
 """

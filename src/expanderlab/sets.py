@@ -3,7 +3,7 @@ A(B+1), signed k-fold sums, dilates, and partial difference sets over
 explicit bipartite graphs.
 
 FSet instances are immutable, canonically sorted and duplicate-free; all
-operations return new sets, so values can be shared freely across threads.
+operations return new sets and never change their operands.
 
 Over F_p the ints are the residues.  Over Q the pair kernel clears
 denominators once per operand: for products each side is multiplied by its
@@ -442,16 +442,25 @@ class PairGraph:
         return PairGraph._in_range(self.right, self.left, ((j, i) for i, j in self.edges))
 
 
+def _edge_differences(g: PairGraph, edges: Iterable[Tuple[int, int]]) -> FSet:
+    """{a - b : (a, b) an edge of g in `edges`}, given as index pairs.  Each
+    edge (i, j) gets the int that `_pair_ints(g.left, g.right, "diff")`
+    gives at position i * |right| + j, computed for the edges alone."""
+    ctx = g.left.ctx
+    lv, rv = g.left.vals, g.right.vals
+    if ctx.kind == KIND_PRIME:
+        p = ctx.p
+        return _from_ints(ctx, ((lv[i] - rv[j]) % p for i, j in edges), 1)
+    scale = _lcd(lv + rv)
+    li, ri = _scaled(lv, scale), _scaled(rv, scale)
+    return _from_ints(ctx, (li[i] - ri[j] for i, j in edges), scale)
+
+
 def partial_combine(g: PairGraph) -> FSet:
     """The partial difference set A -_G B = {a - b : (a, b) in G}, built once
-    per graph: the pair kernel's differences over left x right, read at the
-    positions i * |right| + j of the edges.  The graphs of the proof chain
-    hold at least (1 - eps)|A||B| edges, so the full pass costs at most
-    1 / (1 - eps) times the edge count."""
+    per graph and kept in `g._diff`."""
     done = g._diff
     if done is None:
-        ints, scale = _pair_ints(g.left, g.right, "diff")
-        diffs, nr = list(ints), len(g.right)
-        done = _from_ints(g.left.ctx, (diffs[i * nr + j] for i, j in g.edges), scale)
+        done = _edge_differences(g, g.edges)
         object.__setattr__(g, "_diff", done)
     return done

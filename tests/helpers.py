@@ -1,15 +1,15 @@
 """Shared instance generators for the test suite; all seeded and deterministic."""
 from __future__ import annotations
 
-import contextlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from expanderlab import FieldCtx, FSet
+from expanderlab import FieldCtx, FSet, combine
 from expanderlab import constructions as cons
 from expanderlab.energy import PRECISION_START, precision_cap
+from expanderlab.errors import CollisionFound, InvariantViolation
 from expanderlab.incidence import Line
 from expanderlab.intervals import RatInterval, iroot_floor, pow_interval
 from expanderlab.sets import _lcd, _scaled
@@ -66,20 +66,112 @@ def literal_partial_diff(g) -> FSet:
     return FSet(ctx, {ctx.sub(lv[i], rv[j]) for i, j in g.edges})
 
 
-SCAN_PATHS = ("array", "no-numpy")
+# -- the pure-int witness scan that the mask scan of `partial_ruzsa` replaced --
+
+def _index_rows(g, side: FSet, part) -> list:
+    """[(v, B_v, row)] for v in `side`: B_v is the set of indices of the
+    right neighbours of v in g, and row maps the index j of each right
+    vertex w to part(v, w), leaving out the j where that is None."""
+    nbrs = {v: set() for v in side.vals}
+    lv = g.left.vals
+    for i, j in g.edges:
+        if lv[i] in nbrs:
+            nbrs[lv[i]].add(j)
+    out = []
+    for v in side.vals:
+        row = {}
+        for j, w in enumerate(g.right.vals):
+            key = part(v, w)
+            if key is not None:
+                row[j] = key
+        out.append((v, frozenset(nbrs[v]), row))
+    return out
 
 
-@contextlib.contextmanager
-def scan_path(path: str):
-    """Run `partial_ruzsa`'s witness scan on numpy arrays where they fit
-    ("array"), or as if numpy were not installed ("no-numpy")."""
-    saved = cons._numpy
-    if path == "no-numpy":
-        cons._numpy = lambda: None
-    try:
-        yield
-    finally:
-        cons._numpy = saved
+def pure_scan(g, ht, a_side, c_side, least, pab, pbc):
+    """The old `constructions._pure_scan`: (|A' - C'|, |Y|), or the first
+    failing check raised: the overlap of every (a, c) in order, then each
+    difference x in sorted order through its first pair (a, c), witness by
+    witness, an escaping image before a repeated one.
+
+    A witness (x, b) maps to (a - b, b - c), keyed by the int
+    i * |B -_H C| + j of its indices i, j in the sorted partial difference
+    sets; rows hold the key parts per a and per c, keyed by the index of b
+    in B.  The keys of each difference go into one set in bulk; only after
+    a failure are the witnesses walked one by one to name it.
+    """
+    sub = g.left.ctx.sub
+    ab_index = {v: i * len(pbc) for i, v in enumerate(pab.vals)}
+    bc_index = {v: j for j, v in enumerate(pbc.vals)}
+    a_rows = _index_rows(g, a_side, lambda av, bv: ab_index.get(sub(av, bv)))
+    c_rows = _index_rows(ht, c_side, lambda cv, bv: bc_index.get(sub(bv, cv)))
+
+    diffs = set()
+    seen = set()
+    y_size = 0
+    escaped = False
+    for av, b_a, a_row in a_rows:
+        for cv, b_c, c_row in c_rows:
+            common = b_a & b_c
+            if len(common) < least:
+                raise InvariantViolation(
+                    f"overlap below (1 - 2 sqrt(eps))|B| at ({av}, {cv})"
+                )
+            x = sub(av, cv)
+            if x in diffs:
+                continue
+            diffs.add(x)
+            try:
+                seen.update([a_row[j] + c_row[j] for j in common])
+            except KeyError:  # an image coordinate escapes
+                escaped = True
+            y_size += len(common)
+    if not escaped and len(seen) == y_size:
+        return len(diffs), y_size
+
+    reps = {}
+    for av, b_a, a_row in a_rows:
+        for cv, b_c, c_row in c_rows:
+            reps.setdefault(sub(av, cv), (av, cv, a_row, c_row, b_a & b_c))
+    bvals = g.right.vals
+    images: dict = {}
+    for x in sorted(reps):
+        av, cv, a_row, c_row, common = reps[x]
+        for j in sorted(common):
+            if j not in a_row or j not in c_row:
+                raise InvariantViolation("witness image escapes the partial difference sets")
+            key, bv = a_row[j] + c_row[j], bvals[j]
+            if key in images:
+                raise CollisionFound(f"image {(sub(av, bv), sub(bv, cv))} reached twice",
+                                     images[key], (x, bv))
+            images[key] = (x, bv)
+    raise InvariantViolation("witness scan failed where its rescan passes")
+
+
+def pure_partial_ruzsa(g, h, epsilon) -> cons.PartialTriangleResult:
+    """The old `partial_ruzsa` with `pure_scan` as its scan, from the
+    validated graphs on.  Its helpers are looked up in `constructions`, so a
+    test can patch them."""
+    eps = Fraction(epsilon)
+    a_side = cons.dense_degree_subset(g, eps)
+    ht = h.transpose()
+    c_side = cons.dense_degree_subset(ht, eps)
+    nb = len(g.right)
+    least = cons._least_passing(nb, eps, k=2)
+    pab = cons.partial_combine(g)
+    pbc = cons.partial_combine(h)
+    n_diffs, y_size = pure_scan(g, ht, a_side, c_side, least, pab, pbc)
+    diff_ac = combine(a_side, c_side, "diff")
+    assert len(diff_ac) == n_diffs
+    return cons.PartialTriangleResult(
+        a_side=a_side,
+        c_side=c_side,
+        y_size=y_size,
+        partial_ab=pab,
+        partial_bc=pbc,
+        diff_ac=diff_ac,
+        slack=Fraction(len(diff_ac) * nb, len(pab) * len(pbc)),
+    )
 
 
 # -- literal copies of the enclosure code that `energy_at` replaced ----------------

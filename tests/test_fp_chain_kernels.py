@@ -3,12 +3,11 @@
 The twist spectrum, `partial_ruzsa`, `popular_ratio_graph`, `greedy_cover`,
 `kfold_sum` and `plunnecke_witness` are each compared with a literal copy
 of the per-pair (or per-quadruple, or per-subset) loop they replace, written
-out in this file.  `partial_ruzsa` runs on each of its scan paths: numpy
-arrays, and plain ints with numpy missing.
+out in this file.  `partial_ruzsa` is also compared with the pure-int
+witness scan its neighbour-mask scan replaced (`helpers.pure_partial_ruzsa`).
 """
 import itertools
 import math
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -47,7 +46,7 @@ from expanderlab.errors import (
     InvariantViolation,
     SetTooSmall,
 )
-from helpers import SCAN_PATHS, Q, dense_random_graph, scan_path
+from helpers import Q, dense_random_graph, pure_partial_ruzsa, random_q_set
 
 SMALL_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
@@ -397,24 +396,31 @@ def triangle_inputs(draw):
     return dense_random_graph(rng, a, b, eps), dense_random_graph(rng, b, c, eps), eps
 
 
-def assert_every_path_matches(g, h, eps):
-    expected = literal_partial_ruzsa(g, h, eps)
-    for path in SCAN_PATHS:
-        with scan_path(path):
-            assert partial_ruzsa(g, h, eps) == expected, path
+def assert_matches_both_oracles(g, h, eps):
+    # every field of the result, A' - C' included
+    res = partial_ruzsa(g, h, eps)
+    assert res == literal_partial_ruzsa(g, h, eps)
+    assert res == pure_partial_ruzsa(g, h, eps)
+
+
+Q_A = FSet(Q, [Fraction(-3, 2), Fraction(1, 3), Fraction(5, 4)])
+Q_B = FSet(Q, [Fraction(-1, 2), Fraction(2, 5), 3])
 
 
 @settings(max_examples=150, deadline=None)
 @given(triangle_inputs())
+@example((PairGraph(Q_A, Q_B, [(i, j) for i in range(3) for j in range(3) if i or j]),
+          PairGraph.complete(Q_B, FSet(Q, [Fraction(-7, 3), Fraction(1, 5)])),
+          Fraction(1, 5)))                       # fractional and negative members
 def test_partial_ruzsa_matches_literal_algorithm(inputs):
-    assert_every_path_matches(*inputs)
+    assert_matches_both_oracles(*inputs)
 
 
 def test_partial_ruzsa_complete_graphs_at_eps_zero():
     f = FieldCtx.prime(101)
     a, b, c = FSet(f, [2, 3, 5, 7, 11]), FSet(f, [1, 4, 9]), FSet(f, [0, 50, 60, 99])
     g, h = PairGraph.complete(a, b), PairGraph.complete(b, c)
-    assert_every_path_matches(g, h, Fraction(0))
+    assert_matches_both_oracles(g, h, Fraction(0))
     res = partial_ruzsa(g, h, Fraction(0))
     assert res.y_size == len(b) * len(res.diff_ac)
 
@@ -437,9 +443,11 @@ def test_popular_ratio_self_graph_is_symmetric(inputs):
     assert tri.a_side == tri.c_side
 
 
-# primes up to just below 2^31, 2^61 - 1, and the primes next to the 2^62 guard
+# primes up to just below 2^31, 2^61 - 1, and the primes next to 2^62 and
+# 2^89 - 1, whose residues, differences and their products outgrow 64 bits
 LARGE_PRIMES = (65537, 1000003, 2147483587, 2147483629, 2147483647,
-                2305843009213693951, 4611686018427387847, 4611686018427388039)
+                2305843009213693951, 4611686018427387847, 4611686018427388039,
+                2 ** 89 - 1)
 
 
 @st.composite
@@ -458,77 +466,61 @@ def large_prime_triangles(draw):
 @settings(max_examples=100, deadline=None)
 @given(large_prime_triangles())
 def test_partial_ruzsa_on_large_primes(inputs):
-    assert_every_path_matches(*inputs)
+    assert_matches_both_oracles(*inputs)
 
 
-@pytest.fixture
-def scans(monkeypatch):
-    """The names of the scans `partial_ruzsa` ran, in order."""
-    ran = []
-    for name in ("_array_scan", "_pure_scan"):
-        real = getattr(cons, name)
-        monkeypatch.setattr(cons, name,
-                            lambda *args, _real=real, _name=name: ran.append(_name) or _real(*args))
-    return ran
+def random_side(rng, f, size: int) -> FSet:
+    if f == Q:
+        return random_q_set(rng, size, exclude=(), num_range=300, den_range=6)
+    return FSet(f, rng.sample(range(f.p), size))
 
 
-@pytest.mark.parametrize("path, ctx, expected", [
-    ("array", FieldCtx.prime(101), "_array_scan"),
-    ("array", FieldCtx.prime(4611686018427387847), "_array_scan"),  # p just below 2^62
-    ("array", FieldCtx.prime(4611686018427388039), "_pure_scan"),   # p just above
-    ("array", FieldCtx.prime(2 ** 89 - 1), "_pure_scan"),
-    ("array", Q, "_pure_scan"),
-    ("no-numpy", FieldCtx.prime(101), "_pure_scan"),
-])
-def test_scan_dispatch(scans, path, ctx, expected):
-    if expected == "_array_scan":
-        pytest.importorskip("numpy")
-    a = FSet(ctx, [2, 3, 5, 7])
-    g = PairGraph.complete(a, a)
-    with scan_path(path):
-        res = partial_ruzsa(g, g, Fraction(0))
-    assert scans == [expected]
-    assert res == literal_partial_ruzsa(g, g, Fraction(0))
+@st.composite
+def triangles_over(draw, fields, b_sizes, side_max):
+    """(g, h, eps): g on A x B and h on B x C over a field drawn from
+    `fields`, each dense for eps, with b_sizes[0] <= |B| <= b_sizes[1].
+    A or C is a singleton when drawn, and g = h on A = B = C when drawn."""
+    rng = draw(st.randoms(use_true_random=False))
+    eps = draw(st.sampled_from([Fraction(0), Fraction(1, 64), Fraction(1, 16), Fraction(1, 5)]))
+    f = draw(st.sampled_from(fields))
+    cap = f.p if f != Q else b_sizes[1]   # no more than the field holds
+    b = random_side(rng, f, draw(st.integers(b_sizes[0], min(cap, b_sizes[1]))))
+    if draw(st.booleans()):
+        g = dense_random_graph(rng, b, b, eps)
+        return g, g, eps
+    single = draw(st.sampled_from("AC-"))
+    a, c = (random_side(rng, f, 1 if side == single else draw(st.integers(1, min(cap, side_max))))
+            for side in "AC")
+    return dense_random_graph(rng, a, b, eps), dense_random_graph(rng, b, c, eps), eps
 
 
-def test_array_scan_guard_on_key_range():
-    f = FieldCtx.prime(101)
-    assert cons._array_scan_fits(f, 2 ** 31, 2 ** 31 - 1)
-    assert not cons._array_scan_fits(f, 2 ** 31, 2 ** 31)   # keys reach 2^62
-    assert not cons._array_scan_fits(f, 2 ** 62, 1)
-    assert not cons._array_scan_fits(Q, 1, 1)
+@settings(max_examples=150, deadline=None)
+@given(triangles_over([FieldCtx.prime(p) for p in (2, 3, 5)], (1, 5), 5))
+def test_partial_ruzsa_on_tiny_fields_and_singletons(inputs):
+    assert_matches_both_oracles(*inputs)
 
 
-def test_missing_numpy_falls_back_to_the_pure_scan(scans, monkeypatch):
-    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy now fails
-    cons._numpy.cache_clear()
-    try:
-        assert cons._numpy() is None
-        f = FieldCtx.prime(103)
-        a = FSet(f, [24, 27, 39, 58, 61, 62, 65, 88, 93])
-        g = PairGraph.complete(a, a)
-        assert partial_ruzsa(g, g, Fraction(0)) == literal_partial_ruzsa(g, g, Fraction(0))
-        assert scans == ["_pure_scan"]
-    finally:
-        cons._numpy.cache_clear()
+@settings(max_examples=30, deadline=None)
+@given(triangles_over([FieldCtx.prime(257), FieldCtx.prime(2 ** 61 - 1), Q], (64, 80), 4))
+def test_partial_ruzsa_masks_past_one_word(inputs):
+    # |B| >= 64, so every neighbour mask spans more than one 64-bit word
+    g, h, eps = inputs
+    assert len(g.right) >= 64
+    assert_matches_both_oracles(g, h, eps)
 
 
-def failures_on_every_path(g, h, eps):
-    """The exception of `partial_ruzsa` on each scan path, as comparable
-    (type, message, first, second) tuples."""
-    out = []
-    for path in SCAN_PATHS:
-        with scan_path(path), pytest.raises(Exception) as err:
-            partial_ruzsa(g, h, eps)
-        exc = err.value
-        out.append((type(exc), str(exc), getattr(exc, "first", None),
-                    getattr(exc, "second", None)))
-    return out
+def failure_of(run, g, h, eps):
+    """The exception of run(g, h, eps) as a comparable (type, message,
+    first, second) tuple."""
+    with pytest.raises(Exception) as err:
+        run(g, h, eps)
+    exc = err.value
+    return type(exc), str(exc), getattr(exc, "first", None), getattr(exc, "second", None)
 
 
 def test_partial_ruzsa_failure_replays_the_literal_error(monkeypatch):
     # a k = 2 threshold that only the full overlap |B| passes, and one edge
-    # missing at a = 2: every path must name the same first pair
+    # missing at a = 2: the scan and both oracles name the same first pair
     real = cons.ge_one_minus_k_sqrt
     monkeypatch.setattr(cons, "ge_one_minus_k_sqrt",
                         lambda v, s, e, k=1: real(v, s, e, k) if k == 1 else v >= s)
@@ -537,12 +529,14 @@ def test_partial_ruzsa_failure_replays_the_literal_error(monkeypatch):
     b = FSet(f, [1, 4, 9, 16, 25])
     g = PairGraph(a, b, [(i, j) for i in range(4) for j in range(5) if (i, j) != (0, 0)])
     h = PairGraph.complete(b, a)
+    eps = Fraction(1, 5)
     with pytest.raises(InvariantViolation) as slow:
-        literal_partial_ruzsa(g, h, Fraction(1, 5))
+        literal_partial_ruzsa(g, h, eps)
     message = "overlap below (1 - 2 sqrt(eps))|B| at (2, 2)"
     assert str(slow.value) == message
-    assert failures_on_every_path(g, h, Fraction(1, 5)) == [
-        (InvariantViolation, message, None, None)] * len(SCAN_PATHS)
+    expected = (InvariantViolation, message, None, None)
+    assert failure_of(partial_ruzsa, g, h, eps) == expected
+    assert failure_of(pure_partial_ruzsa, g, h, eps) == expected
 
 
 def test_forced_escape_fails_alike_on_every_path(monkeypatch):
@@ -554,9 +548,28 @@ def test_forced_escape_fails_alike_on_every_path(monkeypatch):
     real = cons.partial_combine
     monkeypatch.setattr(cons, "partial_combine", lambda graph: (
         a.with_values(real(graph).vals[:-1]) if graph is g else real(graph)))
-    assert failures_on_every_path(g, h, Fraction(0)) == [
-        (InvariantViolation, "witness image escapes the partial difference sets", None, None)
-    ] * len(SCAN_PATHS)
+    expected = (InvariantViolation, "witness image escapes the partial difference sets",
+                None, None)
+    assert failure_of(partial_ruzsa, g, h, Fraction(0)) == expected
+    assert failure_of(pure_partial_ruzsa, g, h, Fraction(0)) == expected
+
+
+def test_escape_guard_covers_edges_no_witness_reaches(monkeypatch):
+    # over F_5 with C' = F_5, the pairs (0, c) are the first pairs of every
+    # difference, so only edges at a = 0 carry witnesses.  G lacks (0, 2), so
+    # 3 = 0 - 2 comes only from edges at a != 0: the witness walk misses its
+    # loss from A -_G B, the containment pass over every edge at A' does not
+    f = FieldCtx.prime(5)
+    a = FSet(f, range(5))
+    g = PairGraph(a, a, [(i, j) for i in range(5) for j in range(5) if (i, j) != (0, 2)])
+    h = PairGraph.complete(a, a)
+    real = cons.partial_combine
+    monkeypatch.setattr(cons, "partial_combine", lambda graph: (
+        a.with_values(set(real(graph).vals) - {3}) if graph is g else real(graph)))
+    eps = Fraction(1, 16)
+    assert pure_partial_ruzsa(g, h, eps).partial_ab.vals == (0, 1, 2, 4)
+    assert failure_of(partial_ruzsa, g, h, eps) == (
+        InvariantViolation, "witness image escapes the partial difference sets", None, None)
 
 
 def test_forced_collision_fails_alike_on_every_path():
@@ -566,11 +579,10 @@ def test_forced_collision_fails_alike_on_every_path():
     a, c = FSet(f, [2, 3]), FSet(f, [5])
     b = FSet._from_sorted(f, (1, 102))
     g, h = PairGraph.complete(a, b), PairGraph.complete(b, c)
-    failures = failures_on_every_path(g, h, Fraction(0))
+    failure = failure_of(partial_ruzsa, g, h, Fraction(0))
     # x = 2 - 5 = 98 is the first difference; b = 1 and b = 102 both give (1, 97)
-    assert failures[0][:2] == (CollisionFound, "image (1, 97) reached twice")
-    assert {failures[0][2], failures[0][3]} == {(98, 1), (98, 102)}
-    assert failures == [failures[0]] * len(SCAN_PATHS)
+    assert failure == (CollisionFound, "image (1, 97) reached twice", (98, 1), (98, 102))
+    assert failure_of(pure_partial_ruzsa, g, h, Fraction(0)) == failure
 
 
 @pytest.mark.parametrize("empty", "ABC")
@@ -580,9 +592,8 @@ def test_partial_ruzsa_empty_side_is_set_too_small(empty):
     sides[empty] = FSet(f, [])
     g = PairGraph.complete(sides["A"], sides["B"])
     h = PairGraph.complete(sides["B"], sides["C"])
-    for path in SCAN_PATHS:
-        with scan_path(path), pytest.raises(SetTooSmall):
-            partial_ruzsa(g, h, Fraction(0))
+    with pytest.raises(SetTooSmall):
+        partial_ruzsa(g, h, Fraction(0))
 
 
 @pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 64), Fraction(3, 16)])

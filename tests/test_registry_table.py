@@ -29,7 +29,7 @@ from expanderlab.energy import (
 from expanderlab.errors import FieldMismatch, PrecisionCapExceeded
 from expanderlab.intervals import iroot_floor
 from expanderlab.verify import FAILS, HOLDS, INCONCLUSIVE, REGISTRY, _decide, check
-from helpers import SCAN_PATHS, Q, old_e15_capped, old_energy_loop, scan_path
+from helpers import Q, old_e15_capped, old_energy_loop
 
 P101 = FieldCtx.prime(101)
 INSTANCES = {
@@ -105,18 +105,15 @@ def test_pinned_r5_is_decided_by_refinement():
 
 @pytest.mark.parametrize("key", sorted(TRACE_SHA256))
 def test_trace_bytes_pinned(key):
-    # the same bytes whether partial_ruzsa scans on numpy arrays or not
-    for path in SCAN_PATHS:
-        with scan_path(path):
-            if key == "real":
-                trace = real_pipeline(INSTANCES["q"][0])
-            elif key == "fp109":
-                trace = finite_field_pipeline(
-                    FSet(FieldCtx.prime(109), [1, 5, 10, 31, 36, 40, 43, 65, 71]))
-            else:
-                trace = finite_field_pipeline(
-                    FSet(FieldCtx.prime(103), [24, 27, 39, 58, 61, 62, 65, 88, 93]))
-        assert hashlib.sha256(trace.to_bytes()).hexdigest() == TRACE_SHA256[key], path
+    if key == "real":
+        trace = real_pipeline(INSTANCES["q"][0])
+    elif key == "fp109":
+        trace = finite_field_pipeline(
+            FSet(FieldCtx.prime(109), [1, 5, 10, 31, 36, 40, 43, 65, 71]))
+    else:
+        trace = finite_field_pipeline(
+            FSet(FieldCtx.prime(103), [24, 27, 39, 58, 61, 62, 65, 88, 93]))
+    assert hashlib.sha256(trace.to_bytes()).hexdigest() == TRACE_SHA256[key]
 
 
 # -- literal copies of the replaced refinement loops -------------------------------
