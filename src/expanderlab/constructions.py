@@ -214,11 +214,18 @@ def dense_degree_subset(g: PairGraph, epsilon) -> FSet:
     if not 0 <= eps < 1:
         raise EpsilonOutOfRange(f"epsilon = {eps} outside [0, 1)")
     _check_density(g, eps)
-    least = _least_passing(len(g.right), eps, 1)
-    kept = [v for v, d in zip(g.left.vals, g.left_degrees()) if d >= least]
-    if not ge_one_minus_k_sqrt(len(kept), len(g.left), eps):
+    return _dense_side(g.left, g.left_degrees(), len(g.right), eps)
+
+
+def _dense_side(side: FSet, degrees: Sequence[int], other: int, eps: Fraction) -> FSet:
+    """The members of `side` whose degree into the `other` vertices of the
+    far side is at least (1 - sqrt(eps)) * other, re-checked to number at
+    least (1 - sqrt(eps))|side|."""
+    least = _least_passing(other, eps, 1)
+    kept = [v for v, d in zip(side.vals, degrees) if d >= least]
+    if not ge_one_minus_k_sqrt(len(kept), len(side), eps):
         raise InvariantViolation("dense-degree subset smaller than guaranteed")
-    return g.left.with_values(kept)
+    return side.with_values(kept)
 
 
 # -- greedy covering --------------------------------------------------------------
@@ -434,7 +441,7 @@ def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
     _check_density(h, eps)
 
     a_side = dense_degree_subset(g, eps)
-    c_side = dense_degree_subset(h.transpose(), eps)
+    c_side = _dense_side(h.right, h.right_degrees(), len(h.left), eps)
     nb = len(g.right)
     least = _least_passing(nb, eps, k=2)
     pab = partial_combine(g)

@@ -11,15 +11,36 @@ smaller witness, i.e. the one whose largest element is smallest.
 
 Both modes count each candidate incrementally.  A candidate is a rest R of
 n - 1 elements plus one element z, and of its n^2 products x(y+1) only the
-2n - 1 that involve z are new: |R(R+1)| + |{z(y+1), x(z+1), z(z+1) : x, y in
-R} - R(R+1)|.  A single-element swap keeps the rest, so a restart caches R,
-R+1 and R(R+1) for each swap index until a move is accepted; exhaustive
-enumeration builds them once per (n-1)-prefix and extends it by every later
-pool element.  The pool is plain ints in both fields, because the rational
-pool is an integer range; there the products are reduced modulo a number
-larger than twice their largest absolute value, which keeps them distinct, so
-one residue count serves F_p and Q.  Witnesses map back through ctx.canon,
-and `reevaluate` recounts them independently with the pair kernel.
+2n - 1 that involve z are new.  A single-element swap keeps the rest, so a
+restart caches each swap index's rest until a move is accepted; exhaustive
+enumeration builds one rest per (n-1)-prefix and extends it by every later
+pool element.  Two kernels count a candidate, and one is chosen per search:
+
+- the residue set (`_rest`, `_size_with`): R, R+1 and the residues of
+  R(R+1), and |R(R+1)| + |{z(y+1), x(z+1), z(z+1) : x, y in R} - R(R+1)|.
+  The pool is plain ints in both fields, because the rational pool is an
+  integer range; there the products are reduced modulo a number larger than
+  twice their largest absolute value, which keeps them distinct, so one
+  residue count serves F_p and Q.
+- discrete-log masks over F_p (`_mask_rest`, `_mask_size_with`): a subset
+  of F_p^* is a (p-1)-bit int (`sets.DiscreteLog`), so z(R+1) is the mask of
+  R+1 rotated by log z, and the candidate's value is the popcount of the OR
+  of M_{R(R+1)}, two rotations and the bit of z(z+1).  Every log must exist,
+  so it needs the default pool, which drops 0 and -1.
+
+`_kernel` takes the masks over F_p with 0 and -1 excluded when their cost,
+in the pair steps of `sets.mask_steps` (the log table plus a few passes
+over (p-1)-bit ints per candidate), is below that of the 2n - 1 residue
+products per candidate; so small p and large n take masks, large p (where a
+pass outgrows the products) and Q or `--admit-degenerate` the residue set.
+
+Over F_p, x -> -1 - x maps A(A+1) onto itself, since (-1-a)(-b) = b(a+1),
+and maps both pools onto themselves; min + max of A and of its mirror sum
+to 2p - 2.  So exhaustive search enumerates only the sets with
+min + max <= p - 1, one or both members of every orbit, and compares the
+witness keys of both.  The rational pool is not symmetric, and is
+enumerated directly.  Witnesses map back through ctx.canon, and
+`reevaluate` recounts them independently with the pair kernel.
 """
 from __future__ import annotations
 
@@ -39,7 +60,7 @@ from .errors import (
 )
 from .field import KIND_PRIME, FieldCtx
 from .intervals import RatInterval, fraction_to_decimal, log_ratio_interval
-from .sets import FSet, expander_set
+from .sets import DiscreteLog, FSet, expander_set, mask_steps
 
 MODES = ("exhaustive", "hillclimb", "anneal")
 _LOG_BITS = 128
@@ -196,6 +217,60 @@ def _size_with(rest: _Rest, z: int, m: int) -> int:
     return len(products) + len(new - products)
 
 
+# (shift, p - 1, (1 << (p - 1)) - 1): shift[v] = p - 1 - log v, so that for a
+# doubled mask D = M | M << (p - 1), D >> shift[v] is M rotated by log v
+_Logs = Tuple[List[int], int, int]
+_MaskRest = Tuple[List[int], int, int, int]
+
+
+def _mask_logs(p: int) -> _Logs:
+    order = p - 1
+    return [order - k for k in DiscreteLog(p).log], order, (1 << order) - 1
+
+
+def _mask_rest(vals: List[int], logs: _Logs) -> _MaskRest:
+    """A rest R of elements of F_p other than 0 and -1, with the doubled
+    masks D_R and D_{R+1} and the mask of R(R+1): the OR of D_{R+1} rotated
+    by each log x."""
+    shift, order, full = logs
+    m0 = m1 = 0
+    for x in vals:  # order - shift[v] = log v
+        m0 |= 1 << order - shift[x]
+        m1 |= 1 << order - shift[x + 1]
+    d0, d1 = m0 | m0 << order, m1 | m1 << order
+    products = 0
+    for x in vals:
+        products |= d1 >> shift[x]
+    return vals, d0, d1, products & full
+
+
+def _mask_size_with(rest: _MaskRest, z: int, logs: _Logs) -> int:
+    """|(R + z)(R + z + 1)|: the popcount of R(R+1), z(R+1), R(z+1) and the
+    bit of z(z+1), at log z + log(z+1) mod p - 1."""
+    shift, order, full = logs
+    _, d0, d1, products = rest
+    s0, s1 = shift[z], shift[z + 1]
+    return ((products | d1 >> s0 | d0 >> s1 | 1 << (-s0 - s1) % order) & full).bit_count()
+
+
+MASK_PASSES = 8      # word passes of one mask candidate: two rotations, the bit, ORs, AND, popcount
+PRODUCT_STEPS = 4    # pair steps of one residue product in `_size_with`, measured on CPython 3.11
+
+
+def _kernel(cfg: SearchConfig, pool: Sequence[int], candidates: int) -> Tuple:
+    """(rest builder, candidate counter, their shared argument) for a search
+    that counts about `candidates` candidates: log masks over F_p when the
+    pool excludes 0 and -1 and their cost in `sets.mask_steps` units (the
+    log table, two lookups and MASK_PASSES passes per candidate) is below
+    that of the 2n - 1 residue products per candidate, else the residue set."""
+    ctx = cfg.ctx
+    if ctx.kind == KIND_PRIME and cfg.exclude_degenerate:
+        masks = mask_steps(ctx.p, 2 * candidates, MASK_PASSES * candidates)
+        if masks < PRODUCT_STEPS * (2 * cfg.set_size - 1) * candidates:
+            return _mask_rest, _mask_size_with, _mask_logs(ctx.p)
+    return _rest, _size_with, _modulus(ctx, pool)
+
+
 def _witness_key(vals: Sequence) -> Tuple:
     """Deterministic tie-break: smaller element sum first, then the witness
     compared from its largest element down (colexicographic)."""
@@ -208,19 +283,45 @@ def _exponent_interval(value: int, n: int) -> RatInterval:
     return log_ratio_interval(value, n, _LOG_BITS)
 
 
+def _extensions(pool: Sequence[int], n: int, top: Optional[int]):
+    """Each (rest, zs) of exhaustive search: n - 1 ascending pool elements
+    and the pool elements above them that complete a candidate set.  With
+    `top` (p - 1 over F_p, where the pool is a range mapped onto itself by
+    x -> top - x) only sets with min + max <= top are made: the rest's
+    first element a bounds every later one by top - a."""
+    if top is None:
+        for prefix in itertools.combinations(range(len(pool) - 1), n - 1):
+            # islice, not a slice: a fresh tuple per prefix, of many sizes, raised peak RSS
+            yield [pool[i] for i in prefix], itertools.islice(
+                pool, prefix[-1] + 1 if prefix else 0, None)
+        return
+    if n == 1:
+        yield [], range(pool[0], top // 2 + 1)
+        return
+    for a in pool:
+        above = range(a + 1, top - a + 1)
+        if len(above) < n - 1:
+            return  # `above` only shrinks as a grows
+        for middle in itertools.combinations(above[:-1], n - 2):
+            yield [a, *middle], above[middle[-1] - a:] if middle else above
+
+
 def exhaustive_min(cfg: SearchConfig) -> ExtremalRecord:
     """Certified global minimum of |A(A+1)| over all admissible size-n sets."""
     pool = candidate_pool(cfg, cfg.budget)
     n = cfg.set_size
-    m = _modulus(cfg.ctx, pool)
+    rest_of, size_with, arg = _kernel(cfg, pool, math.comb(len(pool), n))
+    top = cfg.ctx.p - 1 if cfg.ctx.kind == KIND_PRIME else None
     best = (n * n + 1,)  # above every key: no size-n set has more than n^2 products
-    for prefix in itertools.combinations(range(len(pool) - 1), n - 1):
-        rest = _rest([pool[i] for i in prefix], m)
-        # islice, not a slice: a fresh tuple per prefix, of many sizes, raised peak RSS
-        for z in itertools.islice(pool, prefix[-1] + 1 if prefix else 0, None):
-            value = _size_with(rest, z, m)
+    for vals, zs in _extensions(pool, n, top):
+        rest = rest_of(vals, arg)
+        for z in zs:
+            value = size_with(rest, z, arg)
             if value <= best[0]:
-                key = (value,) + _witness_key(rest[0] + [z])
+                witness = vals + [z]
+                key = (value,) + _witness_key(witness)
+                if top is not None:  # the mirror x -> top - x has the same value
+                    key = min(key, (value,) + _witness_key([top - x for x in witness]))
                 if key < best:
                     best = key
     value = best[0]
@@ -235,26 +336,40 @@ def exhaustive_min(cfg: SearchConfig) -> ExtremalRecord:
     )
 
 
-def _one_restart(cfg: SearchConfig, pool: Sequence[int], m: int, seed: int) -> Tuple:
+def _draw_below(draw, k: int, bits: int) -> int:
+    """rng.randrange(k) for k > 0, given rng.getrandbits as `draw` and
+    k.bit_length() as `bits`: the rejection loop of Random's
+    `_randbelow_with_getrandbits` in CPython 3.11.7, the draw randrange
+    makes there, without randrange's argument checks."""
+    r = draw(bits)
+    while r >= k:
+        r = draw(bits)
+    return r
+
+
+def _one_restart(cfg: SearchConfig, pool: Sequence[int], kernel: Tuple, seed: int) -> Tuple:
+    rest_of, size_with, arg = kernel
     rng = random.Random(seed)
-    n = cfg.set_size
+    draw = rng.getrandbits
+    n, size = cfg.set_size, len(pool)
+    n_bits, size_bits = n.bit_length(), size.bit_length()
     current = sorted(rng.sample(pool, n))
-    cur_val = _size_with(_rest(current[1:], m), current[0], m)
+    cur_val = size_with(rest_of(current[1:], arg), current[0], arg)
     cur_key = (cur_val,) + _witness_key(current)
     best_key = cur_key
     temp = INITIAL_TEMP
     anneal = cfg.mode == "anneal"
-    rests: Dict[int, _Rest] = {}  # swap index -> rest of `current`; cleared on every move
+    rests: Dict[int, Tuple] = {}  # swap index -> rest of `current`; cleared on every move
     for _ in range(cfg.iteration_cap):
-        idx = rng.randrange(n)
-        replacement = pool[rng.randrange(len(pool))]
+        idx = _draw_below(draw, n, n_bits)
+        replacement = pool[_draw_below(draw, size, size_bits)]
         if replacement in current:
             temp *= COOLING
             continue
         rest = rests.get(idx)
         if rest is None:
-            rest = rests[idx] = _rest(current[:idx] + current[idx + 1:], m)
-        val = _size_with(rest, replacement, m)
+            rest = rests[idx] = rest_of(current[:idx] + current[idx + 1:], arg)
+        val = size_with(rest, replacement, arg)
         # a larger value is a larger key, so only an anneal draw can take an uphill move
         uphill = val > cur_val
         if uphill and not (anneal and temp > 1e-9
@@ -277,10 +392,10 @@ def stochastic_search(cfg: SearchConfig) -> ExtremalRecord:
     if cfg.mode not in ("hillclimb", "anneal"):
         raise InvalidSearchConfig("stochastic search needs mode hillclimb or anneal")
     pool = candidate_pool(cfg)
-    m = _modulus(cfg.ctx, pool)
+    kernel = _kernel(cfg, pool, cfg.restarts * (cfg.iteration_cap + 1))
     master = random.Random(cfg.seed)
     seeds = [master.getrandbits(64) for _ in range(cfg.restarts)]
-    best = min(_one_restart(cfg, pool, m, s) for s in seeds)
+    best = min(_one_restart(cfg, pool, kernel, s) for s in seeds)
     value = best[0]
     witness = FSet(cfg.ctx, best[2])
     return ExtremalRecord(

@@ -425,6 +425,12 @@ class PairGraph:
             degs[i] += 1
         return degs
 
+    def right_degrees(self) -> list:
+        degs = [0] * len(self.right)
+        for _, j in self.edges:
+            degs[j] += 1
+        return degs
+
     def neighbors_left(self) -> dict:
         """Map of left value -> sorted tuple of right neighbour values."""
         adj = {v: [] for v in self.left.vals}

@@ -163,6 +163,7 @@ def test_pairgraph_transpose_twice_is_the_graph(left, right, data):
     assert (t.left, t.right) == (b, a)
     assert t.value_edges() == sorted((y, x) for x, y in g.value_edges())
     assert t.transpose() == g
+    assert g.right_degrees() == t.left_degrees()
 
 
 def test_partial_combine_complete_and_empty():
@@ -189,7 +190,7 @@ def test_degree_sum_equals_edge_count():
     b = random_fp_set(rng, 31, 4, exclude=())
     edges = [(i, j) for i in range(6) for j in range(4) if rng.random() < 0.7]
     g = PairGraph(a, b, edges)
-    assert sum(g.left_degrees()) == len(g)
+    assert sum(g.left_degrees()) == sum(g.right_degrees()) == len(g)
 
 
 def test_json_roundtrip(tmp_path):
