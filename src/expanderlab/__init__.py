@@ -6,7 +6,8 @@ the slope-family incidence certificate over the rationals, and extremal
 search for sets with a small expander image.  Sumsets, product sets,
 partial difference sets, multiplicity spectra and energies all come from one
 scaled-integer pair kernel, `sets._pair_ints`, except where a cost model
-sends an F_p energy to the discrete-log mask kernel (`sets.DiscreteLog`).
+sends an F_p energy to the discrete-log mask kernel (`sets.DiscreteLog`), or
+an F_p sumset size to p-bit residue masks (`sets.sumset_size`).
 No floating point participates in any verdict.
 """
 
@@ -19,10 +20,11 @@ from .sets import (
     affine_image,
     combine,
     expander_set,
-    kfold_sum,
+    kfold_size,
     load_set,
     partial_combine,
     save_set,
+    sumset_size,
 )
 from .energy import (
     EnergyValue,

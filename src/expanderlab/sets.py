@@ -12,6 +12,16 @@ differences both sides by one common LCD, so a pair's result is k / scale
 for an int k.  Scaling one side by a nonzero constant is a bijection, so
 distinct results stay distinct and every multiplicity is unchanged; and as
 scale > 0, sorted ints give the results in Fraction order.
+
+Over F_p two bit-mask encodings stand in for pairs where a cost model says
+they are cheaper.  A log mask (`DiscreteLog`) is a subset of F_p^* as the
+(p-1)-bit int with bit log(x) set for each member, so a dilate is a
+rotation; it needs the log table and refuses 0.  A residue mask is a subset
+of F_p as the p-bit int with bit x set for each member x, so a translate is
+a rotation: with D = M | M << p, the mask of X + y is the low p bits of
+D >> (p - y) and that of X - y those of D >> y.  It needs no table and
+allows every residue; `sumset_size` and `kfold_size` count sums and
+differences on it without building them.
 """
 from __future__ import annotations
 
@@ -226,6 +236,15 @@ def _pair_groups(a: FSet, b: FSet, op: str, labels=None) -> Tuple[dict, int]:
     return groups, scale
 
 
+def _mask_of(ints: Iterable[int], width: int) -> int:
+    """The `width`-bit int with bit k set for each k in `ints`, each in
+    [0, width): a log mask of p - 1 bits, or a residue mask of p bits."""
+    bits = bytearray((width + 7) >> 3)
+    for k in ints:
+        bits[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(bits, "little")
+
+
 def _prime_factors(n: int) -> list:
     """The distinct prime factors of n >= 1, by trial division."""
     factors, d = [], 2
@@ -275,10 +294,7 @@ class DiscreteLog:
         return [log[v] for v in a.vals]
 
     def mask(self, a: FSet) -> int:
-        bits = bytearray((self.p + 6) >> 3)
-        for k in self._logs_of(a):
-            bits[k >> 3] |= 1 << (k & 7)
-        return int.from_bytes(bits, "little")
+        return _mask_of(self._logs_of(a), self.p - 1)
 
     def rotations(self, mask: int, by: FSet) -> list:
         """The masks of v*S for v in `by`, where `mask` is that of S:
@@ -291,14 +307,40 @@ class DiscreteLog:
 MASK_SETUP_STEPS = 100
 
 
+def _pass_steps(bits: int) -> int:
+    """The cost of one word pass over a `bits`-bit int, such as one
+    AND-popcount, shift or rotation, in pair steps of `_pair_ints`: measured
+    on CPython 3.11, one pair step per 16 64-bit words and at least one."""
+    return -(-bits // 1024)
+
+
 def mask_steps(p: int, lookups: int, word_passes: int) -> int:
     """The cost of a log-mask kernel over F_p, in pair steps of `_pair_ints`:
     the log table (p steps), one step per element looked up in it, a fixed
     setup (the primitive root, the mask buffers), and `word_passes` passes
-    over ceil((p-1)/64)-word ints, such as one AND-popcount or one rotation.
-    Measured on CPython 3.11, a pass costs one pair step per 16 words and at
-    least one."""
-    return p + MASK_SETUP_STEPS + lookups + word_passes * -(-(p - 1) // 1024)
+    over (p-1)-bit ints."""
+    return p + MASK_SETUP_STEPS + lookups + word_passes * _pass_steps(p - 1)
+
+
+def _residue_masks_cheaper(p: int, nx: int, ny: int) -> bool:
+    """Whether X + Y or X - Y over F_p, with |X| = nx and |Y| = ny, costs
+    less on residue masks than its nx * ny pairs do, in `mask_steps` units
+    with no log table and no setup: one step per element, and one pass over
+    p bits per y.  Measured on CPython 3.11 at p = 61 to 1000003, the shift
+    of D and the OR that one y takes cost about one such pass, and the
+    fixed work (building D, the last AND, the popcount) too little to count.
+    """
+    return nx + ny + ny * _pass_steps(p) < nx * ny
+
+
+def _translates(mask: int, p: int, shifts: Iterable[int]) -> int:
+    """The residue mask of the union of X - s over `shifts`, where `mask` is
+    that of X: the low p bits of D >> s, with D = mask | mask << p."""
+    doubled = mask | mask << p
+    acc = 0
+    for s in shifts:
+        acc |= doubled >> s
+    return acc & ((1 << p) - 1)
 
 
 def _from_ints(ctx: FieldCtx, ints: Iterable[int], scale: int) -> FSet:
@@ -324,24 +366,54 @@ def expander_set(a: FSet, b: FSet) -> FSet:
     return _from_ints(a.ctx, *_pair_ints(a, b, "expand"))
 
 
-def kfold_sum(a: FSet, k: int, signs: Sequence[int]) -> FSet:
-    """The signed k-fold sum {s1*a1 + ... + sk*ak : ai in a}.
+def sumset_size(a: FSet, b: FSet, op: str) -> int:
+    """|a + b| (op "sum") or |a - b| (op "diff"), without building the set.
 
-    Over F_p the sum stops growing once it is all of F_p: the whole field
-    plus or minus a nonempty set is the whole field again.
+    Over F_p it counts on residue masks when `_residue_masks_cheaper` says
+    so, and otherwise, as over Q, counts the distinct ints of `_pair_ints`.
+    |a - b| = |b - a|, so the smaller set is the one stepped over."""
+    ctx = _same_ctx(a, b)
+    if op not in ("sum", "diff"):
+        raise ValueError(f"unknown sumset op {op!r}")
+    if len(b) > len(a):
+        a, b = b, a
+    if ctx.kind == KIND_PRIME and _residue_masks_cheaper(ctx.p, len(a), len(b)):
+        p = ctx.p
+        shifts = [p - y for y in b.vals] if op == "sum" else b.vals
+        return _translates(_mask_of(a.vals, p), p, shifts).bit_count()
+    return len(set(_pair_ints(a, b, op)[0]))
+
+
+def kfold_size(a: FSet, signs: Sequence[int]) -> int:
+    """|s1*a + ... + sk*a| for the signs s1..sk, each +1 or -1, k >= 1.
+
+    Over F_p the sum runs on residues while pairs are cheaper, and on a
+    residue mask from the first step where the mask is cheaper; it never
+    goes back, since |X + a| >= |X| for nonempty a.  It stops once it is
+    all of F_p: the whole field plus or minus a nonempty set is the whole
+    field again.  Over Q it runs on the ints of a scaled by its LCD.
     """
-    if k < 1 or k != len(signs):
-        raise ValueError("need k = len(signs) >= 1")
-    if any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be +1 or -1")
+    if not signs or any(s not in (1, -1) for s in signs):
+        raise ValueError("need k >= 1 signs, each +1 or -1")
     ctx = a.ctx
-    full = ctx.p if ctx.kind == KIND_PRIME else None
-    acc = FSet._from_sorted(ctx, (ctx.zero,))
+    p = ctx.p if ctx.kind == KIND_PRIME else None
+    ys = a.vals if p else _scaled(a.vals, _lcd(a.vals))
+    acc, mask = {0}, None
     for s in signs:
-        acc = combine(acc, a, "sum" if s == 1 else "diff")
-        if len(acc) == full:
+        if mask is None and p and _residue_masks_cheaper(p, len(acc), len(ys)):
+            mask = _mask_of(acc, p)
+        if mask is not None:
+            mask = _translates(mask, p, [p - y for y in ys] if s == 1 else ys)
+            size = mask.bit_count()
+        else:
+            if p:
+                acc = {(x + s * y) % p for x in acc for y in ys}
+            else:
+                acc = {x + s * y for x in acc for y in ys}
+            size = len(acc)
+        if size == p:
             break
-    return acc
+    return size
 
 
 def affine_image(a: FSet, x: ElemLike, y: ElemLike) -> FSet:
@@ -443,9 +515,6 @@ class PairGraph:
         """Deterministically ordered list of (left value, right value) edges."""
         lv, rv = self.left.vals, self.right.vals
         return sorted((lv[i], rv[j]) for i, j in self.edges)
-
-    def transpose(self) -> "PairGraph":
-        return PairGraph._in_range(self.right, self.left, ((j, i) for i, j in self.edges))
 
 
 def _edge_differences(g: PairGraph, edges: Iterable[Tuple[int, int]]) -> FSet:

@@ -50,9 +50,10 @@ from .sets import (
     combine,
     dilate,
     expander_set,
-    kfold_sum,
+    kfold_size,
     mask_steps,
     negate,
+    sumset_size,
     translate,
 )
 
@@ -208,8 +209,8 @@ def _check_r1(*, inst: Instance, B: FSet, C: FSet, digest: str,
               cap: Optional[int]) -> InequalityReport:
     A = inst.A
     _require_nonempty(C, "C")
-    lhs = len(combine(A, B, "diff"))
-    rhs = Fraction(len(combine(A, C, "diff")) * len(combine(B, C, "diff")), len(C))
+    lhs = sumset_size(A, B, "diff")
+    rhs = Fraction(sumset_size(A, C, "diff") * sumset_size(B, C, "diff"), len(C))
     return _hold_report("R1", lhs, rhs, digest, "difference-set triangle inequality")
 
 
@@ -696,7 +697,7 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
                          f"xi = {xi}; average bound over nonzero twists; "
                          f"slack vs |A1|^2 is {Fraction(e_star, n1 ** 2)}")))
     else:
-        lhs = len(combine(A1, dilate(A1, (xi - 1) % p), "sum"))
+        lhs = sumset_size(A1, dilate(A1, (xi - 1) % p), "sum")
         steps.append(PipelineStep(
             "no-repetition identity for the shifted twist on the dyadic class",
             _hold_report("fp-no-repetition", lhs, len(A1) ** 2, digest,
@@ -749,13 +750,11 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
         pl_note = f"minimising subset ratio {pl.subset_ratio}"
         iterated = pl.iterated_size
     else:
-        acc = base
-        for x in (x1, x2):
-            acc = combine(acc, x, "sum")
-        iterated = len(acc)
+        base_x1 = combine(base, x1, "sum")
+        iterated = sumset_size(base_x1, x2, "sum")
         a3 = A2
         pl_slack = Fraction(iterated * len(base),
-                            len(combine(base, x1, "sum")) * len(combine(base, x2, "sum")))
+                            len(base_x1) * sumset_size(base, x2, "sum"))
         pl_note = "base beyond subset-search budget; identity subset reported"
     steps.append(PipelineStep(
         "iterated-sumset witness for the three-fold dilate sum",
@@ -763,26 +762,26 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
 
     # the four-fold dilate sum: the ReqFp embedding target, and the left side
     # of the translate-product bound
-    four_fold = combine(combine(dilate(A2, al), dilate(A2, be), "diff"),
-                        combine(dilate(A2, ga), dilate(A2, de), "diff"), "diff")
+    four_fold = sumset_size(combine(dilate(A2, al), dilate(A2, be), "diff"),
+                            combine(dilate(A2, ga), dilate(A2, de), "diff"), "diff")
 
     if branch == "RneqFp":
-        lhs_nr = len(combine(a3, dilate(a3, (xi - 1) % p), "sum"))
+        lhs_nr = sumset_size(a3, dilate(a3, (xi - 1) % p), "sum")
         steps.append(PipelineStep(
             "no-repetition identity on the extracted subset",
             _hold_report("fp-no-repetition-core", lhs_nr, len(a3) ** 2, digest,
                          strict_equal=True)))
-        mixed = combine(dilate(a3, gd), dilate(a3, (ab_diff - gd) % p), "sum")
+        mixed = sumset_size(dilate(a3, gd), dilate(a3, (ab_diff - gd) % p), "sum")
         steps.append(PipelineStep(
             "dilation invariance of the shifted-twist sumset",
-            _hold_report("fp-dilation", lhs_nr, len(mixed), digest, strict_equal=True)))
-        three = combine(combine(dilate(a3, gd), dilate(a3, ab_diff), "sum"),
-                        dilate(a3, gd), "diff")
+            _hold_report("fp-dilation", lhs_nr, mixed, digest, strict_equal=True)))
+        three = sumset_size(combine(dilate(a3, gd), dilate(a3, ab_diff), "sum"),
+                            dilate(a3, gd), "diff")
         steps.append(PipelineStep(
             "containment into the three-fold dilate sum",
-            _hold_report("fp-containment", len(mixed), len(three), digest)))
+            _hold_report("fp-containment", mixed, three, digest)))
         core_lhs = len(a3) ** 2
-        core_rhs = len(three)
+        core_rhs = three
         steps.append(PipelineStep(
             "core lower bound: the subset squared against the three-fold sum",
             _hold_report("fp-core-bound", core_lhs, core_rhs, digest)))
@@ -791,26 +790,26 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
         steps.append(PipelineStep(
             "twisted energy is monotone under passing to the intersection",
             _hold_report("fp-energy-monotone", e2_sub, e_star, digest)))
-        twisted_diff = combine(A2, dilate(A2, xi), "diff")
+        twisted_diff = sumset_size(A2, dilate(A2, xi), "diff")
         steps.append(PipelineStep(
             "Cauchy-Schwarz lower bound for the twisted difference set",
             _hold_report("fp-twisted-cs", len(A2) ** 4,
-                         e2_sub * len(twisted_diff), digest)))
+                         e2_sub * twisted_diff, digest)))
         steps.append(PipelineStep(
             "twisted difference set embeds into the four-fold dilate sum",
-            _hold_report("fp-twisted-embed", len(twisted_diff), len(four_fold), digest)))
+            _hold_report("fp-twisted-embed", twisted_diff, four_fold, digest)))
 
     # translate-product bound: the four-fold dilate sum against shift counts
-    aaaa = kfold_sum(A, 4, (1, -1, -1, -1))
-    diff_size = len(combine(A, A, "diff"))
+    aaaa = kfold_size(A, (1, -1, -1, -1))
+    diff_size = sumset_size(A, A, "diff")
     steps.append(PipelineStep(
         "four-fold dilate sum against the translate-count product",
-        _hold_report("fp-translate-product", len(four_fold),
-                     counts_product * len(aaaa), digest,
+        _hold_report("fp-translate-product", four_fold,
+                     counts_product * aaaa, digest,
                      f"translate counts multiply to {counts_product}")))
     steps.append(PipelineStep(
         "four-fold difference set against the cubed-difference shape",
-        _slack_report("fp-fourfold", len(aaaa), Fraction(diff_size ** 3, n ** 2), digest)))
+        _slack_report("fp-fourfold", aaaa, Fraction(diff_size ** 3, n ** 2), digest)))
     steps.append(PipelineStep(
         "difference set against the eighth-power shape",
         _slack_report("fp-diff-assumed", diff_size, eighth_shape, digest,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from expanderlab import FieldCtx, FSet, combine
+from expanderlab import FieldCtx, FSet, PairGraph, combine
 from expanderlab import constructions as cons
 from expanderlab.energy import PRECISION_START, precision_cap
 from expanderlab.errors import CollisionFound, InvariantViolation
@@ -50,13 +50,16 @@ def random_pair(rng: random.Random, exclude=(0,), max_size=10, p=None):
 def dense_random_graph(rng: random.Random, a: FSet, b: FSet, epsilon: Fraction):
     """A PairGraph with at least (1 - epsilon)|A||B| edges, built by deleting
     at most floor(epsilon |A||B|) random edges from the complete graph."""
-    from expanderlab import PairGraph
-
     full = [(i, j) for i in range(len(a)) for j in range(len(b))]
     max_del = int(epsilon * len(full))
     n_del = rng.randint(0, max_del)
     removed = set(rng.sample(full, n_del))
     return PairGraph(a, b, [e for e in full if e not in removed])
+
+
+def transpose(g: PairGraph) -> PairGraph:
+    """The graph on right x left with the edge (j, i) for each edge (i, j) of g."""
+    return PairGraph._in_range(g.right, g.left, ((j, i) for i, j in g.edges))
 
 
 def literal_partial_diff(g) -> FSet:
@@ -154,7 +157,7 @@ def pure_partial_ruzsa(g, h, epsilon) -> cons.PartialTriangleResult:
     test can patch them."""
     eps = Fraction(epsilon)
     a_side = cons.dense_degree_subset(g, eps)
-    ht = h.transpose()
+    ht = transpose(h)
     c_side = cons.dense_degree_subset(ht, eps)
     nb = len(g.right)
     least = cons._least_passing(nb, eps, k=2)

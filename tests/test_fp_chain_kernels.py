@@ -1,15 +1,17 @@
 """Differential tests of the prime-field pipeline's one-pass kernels.
 
 The twist spectrum, `partial_ruzsa`, `popular_ratio_graph`, `greedy_cover`,
-`kfold_sum` and `plunnecke_witness` are each compared with a literal copy
+`kfold_size` and `plunnecke_witness` are each compared with a literal copy
 of the per-pair (or per-quadruple, or per-subset) loop they replace, written
-out in this file.  `partial_ruzsa` is also compared with the pure-int
-witness scan its neighbour-mask scan replaced (`helpers.pure_partial_ruzsa`).
+out in this file; `kfold_size` on each of its two paths.  `partial_ruzsa` is
+also compared with the pure-int witness scan its neighbour-mask scan replaced
+(`helpers.pure_partial_ruzsa`).
 """
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,7 @@ from expanderlab import (
     combine,
     finite_field_pipeline,
     greedy_cover,
-    kfold_sum,
+    kfold_size,
     partial_combine,
     partial_ruzsa,
     plunnecke_witness,
@@ -30,6 +32,7 @@ from expanderlab import (
     twisted_energy,
 )
 from expanderlab import constructions as cons
+from expanderlab import sets
 from expanderlab.constructions import (
     CoverResult,
     PartialTriangleResult,
@@ -46,7 +49,7 @@ from expanderlab.errors import (
     InvariantViolation,
     SetTooSmall,
 )
-from helpers import Q, dense_random_graph, pure_partial_ruzsa, random_q_set
+from helpers import Q, dense_random_graph, pure_partial_ruzsa, random_q_set, transpose
 
 SMALL_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
@@ -152,9 +155,9 @@ def literal_partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangl
     eps = Fraction(epsilon)
     ctx = g.left.ctx
     a_side = dense_degree_subset(g, eps)
-    c_side = dense_degree_subset(h.transpose(), eps)
+    c_side = dense_degree_subset(transpose(h), eps)
     b_of_a = {v: frozenset(ns) for v, ns in g.neighbors_left().items()}
-    b_of_c = {v: frozenset(ns) for v, ns in h.transpose().neighbors_left().items()}
+    b_of_c = {v: frozenset(ns) for v, ns in transpose(h).neighbors_left().items()}
     nb = len(g.right)
     for av in a_side.vals:
         for cv in c_side.vals:
@@ -438,7 +441,7 @@ def test_popular_ratio_self_graph_is_symmetric(inputs):
     # r and 1/r have the same multiplicity on A x A, so A' = C'
     a, eps = inputs
     g = popular_ratio_graph(a, a, eps).graph
-    assert g == g.transpose()
+    assert g == transpose(g)
     tri = partial_ruzsa(g, g, eps)
     assert tri.a_side == tri.c_side
 
@@ -611,14 +614,18 @@ def test_least_passing_is_the_threshold(nb, eps):
 @example(FSet(FieldCtx.prime(7), [1, 3]), [1, -1, -1, -1])     # saturates after 3 steps
 @example(FSet(FieldCtx.prime(7), [0, 1, 3]), [1, 1, 1, 1, 1])  # saturates after 2 steps
 def test_kfold_sum_matches_literal_loop(a, signs):
-    assert kfold_sum(a, len(signs), signs) == literal_kfold_sum(a, signs)
+    want = len(literal_kfold_sum(a, signs))
+    for masks in (True, False):
+        with mock.patch.object(sets, "_residue_masks_cheaper", lambda p, nx, ny: masks):
+            assert kfold_size(a, signs) == want
 
 
 def test_kfold_sum_saturated_field_stays_full():
-    f = FieldCtx.prime(11)
-    a = FSet(f, [0, 1, 2, 3])
-    assert len(kfold_sum(a, 4, [1, -1, -1, -1])) == 11
-    assert kfold_sum(a, 4, [1, -1, -1, -1]) == literal_kfold_sum(a, [1, -1, -1, -1])
+    a = FSet(FieldCtx.prime(11), [0, 1, 2, 3])
+    assert len(literal_kfold_sum(a, [1, -1, -1, -1])) == 11
+    for masks in (True, False):
+        with mock.patch.object(sets, "_residue_masks_cheaper", lambda p, nx, ny: masks):
+            assert kfold_size(a, [1, -1, -1, -1]) == 11
 
 
 # -- iterated sumset witness ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from expanderlab import (
     real_pipeline,
 )
 from expanderlab import constructions as cons
+from expanderlab import sets
 from expanderlab.errors import (
     DensityViolated,
     FieldMismatch,
@@ -127,6 +129,38 @@ def test_each_partial_difference_set_is_built_once(monkeypatch, p, vals, branch)
 def test_fp_trace_deterministic():
     a = FSet(FieldCtx.prime(RNEQ_P), RNEQ_A)
     assert finite_field_pipeline(a).to_bytes() == finite_field_pipeline(a).to_bytes()
+
+
+# Two benchmark-sized sets whose sumset sizes are counted on residue masks:
+# a near-dense random set over F_3001 (branch ReqFp) and the progression
+# [37, 97) over F_40009 (branch RneqFp), with the sha256 of their traces as
+# recorded when every sumset was built as an FSet.
+DENSE_P, DENSE_A = 3001, [
+    2, 6, 23, 182, 223, 240, 378, 400, 506, 561, 574, 632, 641, 764, 790, 859, 898, 932,
+    1101, 1111, 1160, 1194, 1248, 1295, 1308, 1362, 1438, 1454, 1594, 1666, 1784, 1820,
+    1830, 1866, 1971, 2005, 2095, 2125, 2212, 2226, 2419, 2493, 2545, 2549, 2652, 2715,
+    2794, 2822, 2854, 2864, 2906]
+PROGRESSION_P, PROGRESSION_A = 40009, [
+    37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58,
+    59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80,
+    81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96]
+
+
+@pytest.mark.parametrize("p, vals, branch, digest", [
+    (DENSE_P, DENSE_A, "ReqFp",
+     "d050991db18c71d422dbe15b6d4e409b6ea6e3349e878de854dbdb1e319f4d19"),
+    (PROGRESSION_P, PROGRESSION_A, "RneqFp",
+     "0b27a99b3b97bc9b011d51c368df16e0c7bd28aec2c0dd5887dd088683c7cc2c"),
+])
+def test_fp_trace_bytes_where_residue_masks_count(monkeypatch, p, vals, branch, digest):
+    real = sets._mask_of
+    widths = []
+    monkeypatch.setattr(sets, "_mask_of",
+                        lambda ints, width: widths.append(width) or real(ints, width))
+    trace = finite_field_pipeline(FSet(FieldCtx.prime(p), vals))
+    assert trace.selected["branch"] == branch
+    assert p in widths  # a residue mask; a log mask has p - 1 bits
+    assert hashlib.sha256(trace.to_bytes()).hexdigest() == digest
 
 
 def test_real_pipeline_chain():

@@ -13,7 +13,7 @@ from expanderlab import (
     affine_image,
     combine,
     expander_set,
-    kfold_sum,
+    kfold_size,
     load_set,
     partial_combine,
     save_set,
@@ -24,7 +24,8 @@ from expanderlab.errors import (
     InvalidSetFile,
     ZeroDilation,
 )
-from helpers import PRIMES_TO_101, Q, random_fp_set, random_q_set
+from helpers import PRIMES_TO_101, Q, random_fp_set, random_q_set, transpose
+from test_fp_chain_kernels import literal_kfold_sum
 
 F5 = FieldCtx.prime(5)
 F7 = FieldCtx.prime(7)
@@ -111,16 +112,18 @@ def test_expander_floor_invariant():
 
 def test_kfold_examples():
     a = FSet(F5, [0, 1])
-    assert kfold_sum(a, 1, [1]) == a
-    assert kfold_sum(a, 2, [1, -1]).vals == (0, 1, 4)
+    assert literal_kfold_sum(a, [1]) == a
+    assert literal_kfold_sum(a, [1, -1]).vals == (0, 1, 4)
+    for signs in ([1], [1, -1]):
+        assert kfold_size(a, signs) == len(literal_kfold_sum(a, signs))
     c = FSet(F7, [1, 2, 4])
-    four = kfold_sum(c, 4, [1, 1, 1, 1])
     brute = {(w + x + y + z) % 7 for w in c.vals for x in c.vals
              for y in c.vals for z in c.vals}
-    assert set(four.vals) == brute
-    assert len(four) <= min(7, len(c) ** 4)
-    with pytest.raises(ValueError):
-        kfold_sum(a, 2, [1])
+    assert set(literal_kfold_sum(c, [1, 1, 1, 1]).vals) == brute
+    assert kfold_size(c, [1, 1, 1, 1]) == len(literal_kfold_sum(c, [1, 1, 1, 1]))
+    for signs in ([], [1, 2], [0]):
+        with pytest.raises(ValueError):
+            kfold_size(a, signs)
 
 
 def test_affine_image():
@@ -139,7 +142,7 @@ def test_pairgraph_basics():
     assert len(g) == 2
     assert g.left_degrees() == [1, 1]
     assert partial_combine(g).vals == (5,)
-    assert g.transpose().value_edges() == [(3, 1), (4, 2)]
+    assert transpose(g).value_edges() == [(3, 1), (4, 2)]
     with pytest.raises(ValueError):
         PairGraph(a, b, [(0, 5)])
 
@@ -159,10 +162,10 @@ def test_pairgraph_transpose_twice_is_the_graph(left, right, data):
     a, b = FSet(FieldCtx.prime(13), left), FSet(FieldCtx.prime(13), right)
     pairs = [(i, j) for i in range(len(a)) for j in range(len(b))]
     g = PairGraph(a, b, data.draw(st.sets(st.sampled_from(pairs))))
-    t = g.transpose()
+    t = transpose(g)
     assert (t.left, t.right) == (b, a)
     assert t.value_edges() == sorted((y, x) for x, y in g.value_edges())
-    assert t.transpose() == g
+    assert transpose(t) == g
     assert g.right_degrees() == t.left_degrees()
 
 
