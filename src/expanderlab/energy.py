@@ -26,34 +26,45 @@ diagonal.  For eta != 0 we have delta = xi*eta != 0, so delta = 0 never
 meets a nonzero twist.  `twist_spectrum` reads E_xi for every nonzero xi off
 one pass over the pairs of nonzero differences.
 
-Over F_p, E2 has a second exact kernel on discrete-log masks
-(`sets.DiscreteLog`).  A subset Y of F_p^* is a (p-1)-bit int with bit
-log(y) set for each y, and the mask of xY is the mask of Y rotated by
-log(x).  Let R_i be the mask of x_i Y for the members x_i of X.  Then
+Over F_p, E2 has a second exact kernel on discrete logarithms
+(`sets.DiscreteLog`).  Let r(v) = #{(x, y) in X x Y : xy = v}.  Then
 
-  E2(X, Y) = sum over x1, x2 in X of |x1 Y ∩ x2 Y|
-           = |X||Y| + 2 * sum over i < j of popcount(R_i & R_j),
+  E2(X, Y) = sum over v of r(v)^2,
 
-|X| rotations and |X|(|X|-1)/2 AND-popcounts in place of |X||Y| pair steps.
+and in log coordinates r is the cyclic convolution over Z/(p-1) of the
+indicators of X and Y.  The slot kernel holds it in one int of p - 1 slots
+of s bytes, w = 8s bits, with X the smaller set and s the fewest of 1, 2, 4
+and 8 bytes with 2^w > |X| (s = 1 when X is empty): Y's indicator is the
+int with 1 in slot log(y), the sum of its shifts by w*log(x) over x in X
+has every coefficient at most |X| < 2^w, so no slot carries, and one AND,
+shift and add fold the top p - 1 slots onto the bottom ones.  The slots are
+read as a `memoryview` of native s-byte ints, and E2 is the sum of c*v^2
+over the `Counter` of their values: |X| shift-adds over w(p-1)-bit ints.
+Only the multiset of values counts, so the byte order does not matter.
+
 R6's sum over x in A/B of |A ∩ xB| counts the pairs (x, b) with xb in A, so
-summed over b instead it is the sum over b in B of |b(A/B) ∩ A|: |B|
-rotations in place of |A/B||B| products.  0 has no discrete logarithm, so
-neither kernel takes a set holding 0; both raise ZeroElementPresent, as the
-pair kernel's product spectrum does.
+summed over b instead it is the sum over b in B of |b(A/B) ∩ A|, where a
+subset S of F_p^* is the (p-1)-bit log-mask with bit log(s) set and the
+mask of bS is that of S rotated by log(b): |B| rotations and AND-popcounts
+in place of |A/B||B| products.  0 has no discrete logarithm, so neither
+kernel takes a set holding 0; both raise ZeroElementPresent, as the pair
+kernel's product spectrum does.
 
 Each kernel has one dispatch point, `e2` here and `verify._check_r6`, with
 a cost model in pair steps that reads only set sizes and p
-(`sets.mask_steps`): the pair kernel costs |X||Y| steps (R6: |A/B||B|); the
-mask kernel costs the log table (p steps), one step per element looked up,
-a fixed setup, and one step per 16 words for each pass over a
-ceil((p-1)/64)-word int.  The table is an `array` and the masks are
-ints.  `multiplicative_energy` and
-`verify._r6_pairs` stay on the pair kernel, as the oracles the mask kernels
-are tested against.
+(`sets.mask_steps`): the pair kernel costs |X||Y| steps (R6: |A/B||B|).
+Both other kernels pay for the log table (p steps), one step per element
+looked up in it and a fixed setup.  R6 adds one step per 16 words for each
+pass over a ceil((p-1)/64)-word mask; the slot kernel adds a quarter step
+per slot for the count and, for each x, half such a pass per slot bit for
+its shift and add (`_slot_steps`).  The table is an `array`, and the masks
+and slots are ints.  `multiplicative_energy` and `verify._r6_pairs` stay
+on the pair kernel, as the oracles the other kernels are tested against.
 """
 from __future__ import annotations
 
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -295,26 +306,63 @@ def multiplicative_energy(a: FSet, b: FSet) -> int:
     return sum(c * c for c in counts.values())
 
 
-def _mask_energy(x: FSet, y: FSet, logs: DiscreteLog) -> int:
-    """E2(x, y) over F_p from log-masks: |x||y| plus twice the sum over
-    i < j of |x_i y & x_j y|, one AND-popcount of two rotations each."""
+# struct format of an unsigned slot of s bytes, for s = 1, 2, 4 and 8
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _slot_bytes(n: int) -> int:
+    """The fewest bytes s in {1, 2, 4, 8} with 2^(8s) > n: the width of a
+    slot that holds any count up to n without a carry."""
+    return next(s for s in _SLOT_FORMATS if n >> 8 * s == 0)
+
+
+def _slot_int(ks: list, s: int, slots: int) -> int:
+    """The int of `slots` slots of s bytes with 1 in slot k for each k in
+    `ks`: the indicator of a set in log coordinates.  One byte store per
+    element; `sets._mask_of` on the bits 8s*k is the same int, about three
+    times slower to build."""
+    buf = bytearray(s * slots)
+    for k in ks:
+        buf[s * k] = 1
+    return int.from_bytes(buf, "little")
+
+
+def _slot_energy(x: FSet, y: FSet, logs: DiscreteLog) -> int:
+    """E2(x, y) over F_p as the sum of r(v)^2, where r is the cyclic
+    convolution over Z/(p-1) of the log indicators of x and y: the smaller
+    set's shifts of the other's slot int, summed and folded mod p - 1."""
     _same_ctx(x, y)
     _require_units(x, y, "product")
-    rows = logs.rotations(logs.mask(y), x)
-    shared = sum((r & s).bit_count() for i, r in enumerate(rows) for s in rows[i + 1:])
-    return len(x) * len(y) + 2 * shared
+    x, y = (x, y) if len(x) <= len(y) else (y, x)
+    n = logs.p - 1
+    s = _slot_bytes(len(x))
+    w = 8 * s
+    row = _slot_int(logs._logs_of(y), s, n)
+    acc = 0
+    for k in logs._logs_of(x):
+        acc += row << w * k
+    acc = (acc & ((1 << w * n) - 1)) + (acc >> w * n)
+    counts = Counter(memoryview(acc.to_bytes(s * n, sys.byteorder)).cast(_SLOT_FORMATS[s]))
+    return sum(c * v * v for v, c in counts.items())
+
+
+def _slot_steps(p: int, nx: int, ny: int) -> int:
+    """The slot kernel's cost for sets of nx and ny units of F_p, in
+    `mask_steps` units: the log table and the nx + ny lookups, a quarter
+    step for each of the p - 1 slots it counts, and, for each x of the
+    smaller set, a shift and an add over a w(p-1)-bit int at half a pass
+    per slot bit, as measured against the pair kernel on CPython 3.11."""
+    n = min(nx, ny)
+    return mask_steps(p, nx + ny + (p - 1) // 4, 4 * _slot_bytes(n) * n)
 
 
 def e2(a: FSet, b: FSet, logs: DiscreteLog) -> int:
     """E2(a, b), the number of quadruples with a1 * b1 = a2 * b2, from the
     cheaper kernel by the cost model in the module docstring: the pair
-    kernel, or over F_p the log-mask kernel on the smaller set's rotations,
-    which reads its table from `logs`."""
-    x, y = (a, b) if len(a) <= len(b) else (b, a)
+    kernel, or over F_p the slot kernel, which reads its table from `logs`."""
     ctx = _same_ctx(a, b)
-    n = len(x)
-    if ctx.kind == KIND_PRIME and mask_steps(ctx.p, n + len(y), n * (n + 1) // 2) < n * len(y):
-        return _mask_energy(x, y, logs)
+    if ctx.kind == KIND_PRIME and _slot_steps(ctx.p, len(a), len(b)) < len(a) * len(b):
+        return _slot_energy(a, b, logs)
     return multiplicative_energy(a, b)
 
 

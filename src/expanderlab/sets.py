@@ -315,22 +315,25 @@ def _pass_steps(bits: int) -> int:
 
 
 def mask_steps(p: int, lookups: int, word_passes: int) -> int:
-    """The cost of a log-mask kernel over F_p, in pair steps of `_pair_ints`:
-    the log table (p steps), one step per element looked up in it, a fixed
-    setup (the primitive root, the mask buffers), and `word_passes` passes
-    over (p-1)-bit ints."""
+    """The cost of a kernel on discrete logs over F_p, in pair steps of
+    `_pair_ints`: the log table (p steps), one step per element looked up in
+    it, a fixed setup (the primitive root, the buffers), and `word_passes`
+    passes over (p-1)-bit ints."""
     return p + MASK_SETUP_STEPS + lookups + word_passes * _pass_steps(p - 1)
 
 
 def _residue_masks_cheaper(p: int, nx: int, ny: int) -> bool:
     """Whether X + Y or X - Y over F_p, with |X| = nx and |Y| = ny, costs
     less on residue masks than its nx * ny pairs do, in `mask_steps` units
-    with no log table and no setup: one step per element, and one pass over
-    p bits per y.  Measured on CPython 3.11 at p = 61 to 1000003, the shift
-    of D and the OR that one y takes cost about one such pass, and the
-    fixed work (building D, the last AND, the popcount) too little to count.
+    with no log table and no setup: one step per element, and half a pass
+    over p bits for each y (the shift of D and the OR) and for each of four
+    fixed passes (the mask of X, D, the last AND and the popcount).
+    Measured on CPython 3.11 at p = 61 to 1000003: on random sets with
+    |X||Y| <= 400k the rule takes a path more than 10% slower than the other
+    at 10 of 1042 points, where one pass per y and no fixed work did at 40
+    (most at p = 1000003, where masks measured up to 4 times faster).
     """
-    return nx + ny + ny * _pass_steps(p) < nx * ny
+    return nx + ny + (ny + 4) * _pass_steps(p) // 2 < nx * ny
 
 
 def _translates(mask: int, p: int, shifts: Iterable[int]) -> int:

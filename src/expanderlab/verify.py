@@ -171,8 +171,9 @@ class Instance:
     `a1` is A+1 and `aa1` is A(A+1); `hist_*` are ratio spectra, `e3_*`
     their third moments and `e2_*` multiplicative energies, `e2_mixed`
     being E2(A, A+1).  `e15` keeps the 3/2-energy enclosures of the
-    spectra.  Over F_p, `logs` is the one discrete-log table the mask
-    kernels of every E2 and of R6 share; it is built only if one runs."""
+    spectra.  Over F_p, `logs` is the one discrete-log table the slot
+    kernel of every E2 and the mask kernel of R6 share; it is built only
+    if one runs."""
 
     A: FSet
 

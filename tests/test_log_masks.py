@@ -1,13 +1,21 @@
-"""The F_p log-mask kernels against the pair kernel they stand in for.
+"""The F_p kernels on discrete logarithms against the pair kernel they stand
+in for.
 
-`energy._mask_energy` and `verify._r6_masks` are called directly, not
-through their dispatch, and compared with `multiplicative_energy` and the
-`_pair_ints` R6 count.  The primes include p = 2, whose primitive root is
-1, and primes with 64 | p - 1, whose masks end on a word boundary.  The
-dispatch tests count the pairs `_pair_ints` forms, so a cost model that
-sends a verify-sized instance back to the pair kernel fails here.
+`energy._slot_energy` (E2 as one cyclic convolution in byte-wide slots) and
+`verify._r6_masks` (R6 on log-masks) are called directly, not through their
+dispatch, and compared with `multiplicative_energy`, the brute-force
+quadruple count and the `_pair_ints` R6 count.  The primes include p = 2,
+whose primitive root is 1, and primes with 64 | p - 1, whose masks end on a
+word boundary; the slot cases include full 1-byte slots (every r(v) = 255
+at p = 257) and the first 2-byte slots (|X| = 256 at p = 263).  The
+dispatch tests count the pairs `_pair_ints` forms and the slot ints the
+kernel builds, so a cost model that sends a verify-sized instance back to
+the pair kernel, or a huge p to the slots, fails here.  Two verify-sized
+instances over F_40009 pin the bytes of their `verify --all` reports.
 """
+import hashlib
 import importlib
+import json
 import random
 from fractions import Fraction
 
@@ -17,11 +25,21 @@ from hypothesis import strategies as st
 
 from expanderlab import FieldCtx, FSet, Instance, check, combine
 from expanderlab import sets, verify
-from expanderlab.energy import _mask_energy, e2, multiplicative_energy
+from expanderlab.cli import main
+from expanderlab.energy import (
+    _slot_bytes,
+    _slot_energy,
+    e2,
+    multiplicative_energy,
+    multiplicative_energy_bruteforce,
+)
 from expanderlab.errors import ContextMismatch, ZeroElementPresent
 from expanderlab.sets import DiscreteLog
 from expanderlab.verify import _r6_masks, _r6_pairs
 from helpers import Q
+
+# the package's `energy` attribute is the function of that name
+energy_module = importlib.import_module("expanderlab.energy")
 
 TINY = (2, 3, 5, 7)
 WORD_EDGE = (193, 257, 641, 769)  # p - 1 = 3, 4, 10 and 12 words of 64 bits
@@ -56,7 +74,7 @@ def test_f2_has_primitive_root_one():
     logs = DiscreteLog(2)
     assert logs.log[1] == 0
     assert logs.mask(units(2, [1])) == 1
-    assert _mask_energy(units(2, [1]), units(2, [1]), logs) == 1
+    assert _slot_energy(units(2, [1]), units(2, [1]), logs) == 1
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -77,14 +95,42 @@ def test_masks_rotate_as_sets_dilate(p):
 
 @given(unit_sets())
 @example((units(2, []), units(2, [1])))
+@example((units(2, [1]), units(2, [])))
+@example((units(3, [1, 2]), units(3, [2])))
 @example((units(193, [1]), units(193, range(1, 193))))
 @example((units(257, range(1, 257)), units(257, [1, 256])))
-def test_mask_energy_matches_the_pair_kernel(pair):
+@example((units(641, range(1, 641, 3)), units(641, range(2, 641, 5))))
+@example((units(769, range(1, 769)), units(769, range(1, 769))))
+# every r(v) = 255 fills a 1-byte slot
+@example((units(257, range(1, 256)), units(257, range(1, 257))))
+# |X| = 256 needs the first 2-byte slots
+@example((units(263, range(1, 257)), units(263, range(1, 263))))
+# the first set is the larger one
+@example((units(263, range(3, 259)), units(263, range(1, 263, 2))))
+def test_slot_energy_matches_the_pair_kernel(pair):
     x, y = pair
     logs = DiscreteLog(x.ctx.p)
     expected = multiplicative_energy(x, y)
-    assert _mask_energy(x, y, logs) == expected
-    assert _mask_energy(y, x, logs) == expected
+    assert _slot_energy(x, y, logs) == expected
+    assert _slot_energy(y, x, logs) == expected
+
+
+@given(unit_sets(sizes=(20, 20)))
+@example((units(2, [1]), units(2, [1])))
+@example((units(3, [1, 2]), units(3, [1, 2])))
+@example((units(7, []), units(7, [3])))
+@example((units(257, range(1, 21)), units(257, [3, 5, 256])))
+def test_slot_energy_matches_the_quadruple_count(pair):
+    x, y = pair
+    logs = DiscreteLog(x.ctx.p)
+    expected = multiplicative_energy_bruteforce(x, y)
+    assert _slot_energy(x, y, logs) == expected
+    assert _slot_energy(y, x, logs) == expected
+
+
+def test_a_slot_is_the_fewest_bytes_that_hold_the_smaller_set():
+    widths = {0: 1, 1: 1, 255: 1, 256: 2, 65535: 2, 65536: 4, 2 ** 32 - 1: 4, 2 ** 32: 8}
+    assert {n: _slot_bytes(n) for n in widths} == widths
 
 
 @given(unit_sets(sizes=(20, 20)), st.data())
@@ -115,9 +161,10 @@ def test_zero_raises_what_the_pair_kernel_raises(pair, first):
     logs = DiscreteLog(x.ctx.p)
     with pytest.raises(ZeroElementPresent) as pair_error:
         multiplicative_energy(x, y)
-    with pytest.raises(ZeroElementPresent) as mask_error:
-        _mask_energy(x, y, logs)
-    assert str(mask_error.value) == str(pair_error.value)
+    for args in ((x, y), (y, x)):
+        with pytest.raises(ZeroElementPresent) as slot_error:
+            _slot_energy(*args, logs)
+        assert str(slot_error.value) == str(pair_error.value)
     for args in ((x, y, y), (y, x, y), (y, y, x)):
         with pytest.raises(ZeroElementPresent):
             _r6_masks(*args, logs)
@@ -128,7 +175,7 @@ def test_kernels_refuse_sets_of_another_field():
     a, b = units(13, [2, 3]), units(11, [2, 3])
     for args in ((a, b), (b, b)):
         with pytest.raises(ContextMismatch):
-            _mask_energy(*args, logs)
+            _slot_energy(*args, logs)
     for args in ((a, a, b), (a, b, a), (b, a, a)):
         with pytest.raises(ContextMismatch):
             _r6_masks(*args, logs)
@@ -154,8 +201,7 @@ def count_pairs(monkeypatch):
         passes.append((op, len(a) * len(b)))
         return real(a, b, op)
 
-    # the package's `energy` attribute is the function of that name
-    for module in (sets, importlib.import_module("expanderlab.energy"), verify):
+    for module in (sets, energy_module, verify):
         monkeypatch.setattr(module, "_pair_ints", spy)
     return passes
 
@@ -213,6 +259,117 @@ def test_reports_are_the_same_on_either_kernel(monkeypatch, p, n):
         return [check(name, A=inst, B=b).to_json() for name in names]
 
     masked = reports()
-    for module in (importlib.import_module("expanderlab.energy"), verify):
+    for module in (energy_module, verify):
         monkeypatch.setattr(module, "mask_steps", lambda *args: float("inf"))
     assert reports() == masked
+
+
+def count_slot_ints(monkeypatch):
+    """Every slot int the slot kernel builds, as (bytes per slot, slots)."""
+    built = []
+    real = energy_module._slot_int
+
+    def spy(ks, s, slots):
+        built.append((s, slots))
+        return real(ks, s, slots)
+
+    monkeypatch.setattr(energy_module, "_slot_int", spy)
+    return built
+
+
+def test_a_verify_sized_mixed_energy_takes_the_slot_kernel(monkeypatch):
+    rng = random.Random(160)
+    a = FSet(FieldCtx.prime(40009), rng.sample(range(2, 40008), 160))
+    inst = Instance(a)
+    inst.aa1
+    passes, built = count_pairs(monkeypatch), count_slot_ints(monkeypatch)
+    inst.e2_a_aa1
+    assert passes == [] and built == [(1, 40008)]
+    # E2(A, A) at that size: 160^2 pairs cost less than one count of 40008 slots
+    inst.e2_a
+    assert passes == [("prod", 160 * 160)] and built == [(1, 40008)]
+
+
+def test_a_huge_prime_builds_no_slot_int(monkeypatch):
+    # one slot int over F_(10^9 + 7) would be 8 * 10^9 bits, and its log table
+    # 10^9 entries
+    p = 10 ** 9 + 7
+    rng = random.Random(p)
+    a = FSet(FieldCtx.prime(p), rng.sample(range(2, p - 1), 100))
+    inst = Instance(a)
+    inst.aa1
+    passes, built = count_pairs(monkeypatch), count_slot_ints(monkeypatch)
+    inst.e2_a_aa1
+    assert passes == [("prod", 100 * len(inst.aa1))] and built == []
+    assert "log" not in vars(inst.logs)
+
+
+def test_q_never_reaches_the_cost_model(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the cost model was asked over Q")
+
+    for name in ("_slot_steps", "mask_steps"):
+        monkeypatch.setattr(energy_module, name, refuse)
+    inst = Instance(FSet(Q, [2, 3, 5, Fraction(7, 2), Fraction(-3, 2), Fraction(4, 3)]))
+    b = FSet(Q, [2, Fraction(5, 3), -2, 6])
+    energies = (inst.e2_a, inst.e2_a1, inst.e2_mixed, inst.e2_a_aa1, inst.e2_a1_aa1)
+    assert energies == (multiplicative_energy(inst.A, inst.A),
+                        multiplicative_energy(inst.a1, inst.a1),
+                        multiplicative_energy(inst.A, inst.a1),
+                        multiplicative_energy(inst.A, inst.aa1),
+                        multiplicative_energy(inst.a1, inst.aa1))
+    check("R5", A=inst, B=b)
+
+
+# -- report bytes where the slot kernel fires ----------------------------------------------
+# Two random 130-element sets of F_40009^*, the sizes of verify-all's F_p
+# groups; the digests were recorded with the AND-popcount kernel the slot
+# kernel replaced.
+
+PIN_A = [
+    182, 1451, 2061, 2430, 2529, 2856, 3037, 3262, 3429, 3540, 4106, 4617, 4684, 4791,
+    5073, 5572, 5629, 6785, 6973, 7130, 7714, 7940, 8275, 8481, 8968, 9865, 10132, 10281,
+    10526, 10998, 11491, 11850, 12030, 12179, 12197, 12233, 12375, 13332, 13519, 13677,
+    13938, 14900, 15240, 15688, 15705, 15782, 15878, 15920, 16066, 16167, 16343, 16656,
+    16811, 16826, 17750, 18597, 18608, 18647, 19046, 19145, 19281, 19315, 19434, 19443,
+    19448, 19939, 19996, 20024, 20523, 20712, 20786, 20903, 21004, 21208, 22146, 22178,
+    22225, 22332, 22651, 23455, 23788, 23792, 23877, 24253, 24360, 24475, 24867, 25665,
+    25816, 26222, 26247, 26663, 27010, 27124, 27468, 28089, 28099, 28237, 28390, 28439,
+    28643, 28711, 28910, 28956, 29107, 29992, 30062, 30241, 30575, 31726, 32222, 32580,
+    32783, 32803, 32950, 33100, 33180, 34008, 34389, 34665, 35109, 36139, 36655, 36752,
+    36882, 37895, 38093, 39232, 39456, 39829,
+]
+
+PIN_B = [
+    92, 293, 332, 569, 652, 1015, 1770, 2425, 2820, 3624, 3815, 3841, 4208, 4320, 4326,
+    4603, 4758, 5214, 5218, 5464, 5613, 5874, 6435, 6566, 6588, 6661, 6768, 6872, 7801,
+    7880, 8153, 8858, 9433, 9869, 10771, 11281, 11664, 11746, 12618, 12719, 13357, 13650,
+    13723, 13735, 14435, 14859, 15197, 15365, 15478, 15746, 15809, 16461, 16578, 16848,
+    17066, 17909, 18555, 18642, 18811, 18982, 19017, 19170, 19423, 19428, 19488, 19854,
+    20163, 21002, 21606, 21707, 21876, 21940, 22084, 22273, 22937, 23101, 23505, 23593,
+    23737, 23781, 23901, 24491, 25031, 26057, 26616, 27044, 27417, 27647, 27729, 28046,
+    28321, 28521, 28614, 28654, 29134, 29287, 29682, 30274, 30346, 30379, 30799, 31400,
+    31603, 31789, 32930, 33632, 33935, 34425, 34777, 34862, 35279, 35637, 35738, 35990,
+    36152, 36270, 37620, 37901, 38069, 38209, 38289, 39069, 39143, 39234, 39373, 39426,
+    39699, 39781, 39940, 40007,
+]
+
+REPORT_PINS = {  # (set files, exit code, sha256 of the report)
+    "one set": (("A.json",), 0,
+                "bf43c0c28fc0f63eeeeb904d41b7bcf97dd7153ae35f8a0514f536d3c6a8fa92"),
+    # R7 and R9 run over Q only, so the 2-set group over F_p exits 64
+    "two sets": (("A.json", "B.json"), 64,
+                 "ace2a03df03bd0e1a3373eab3f535198c9e8b66d5b2cc37911fffdcb19f316d5"),
+}
+
+
+@pytest.mark.parametrize("case", list(REPORT_PINS))
+def test_verify_all_report_bytes_where_the_slot_kernel_fires(tmp_path, monkeypatch, case):
+    files, code, digest = REPORT_PINS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, vals in (("A.json", PIN_A), ("B.json", PIN_B)):
+        (tmp_path / name).write_text(json.dumps({"field": "fp", "p": 40009, "elements": vals}))
+    built = count_slot_ints(monkeypatch)
+    assert main(["verify", *files, "--all", "--out", "report.json"]) == code
+    assert built
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest

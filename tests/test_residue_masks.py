@@ -153,6 +153,8 @@ def spy_masks(monkeypatch):
     (40009, 5, 5, False),      # pairs 5x faster
     (160001, 20, 20, False),   # 6x
     (1000003, 80, 80, False),  # 7x
+    (1000003, 768, 256, True),  # masks 2.7-4.1x faster
+    (1000003, 384, 64, False),  # pairs 1.2-1.4x faster
 ])
 def test_the_rule_takes_the_path_measured_faster(p, nx, ny, masks):
     # single calls of sumset_size on CPython 3.11, random sets, best of 5
