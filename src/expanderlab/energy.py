@@ -51,14 +51,18 @@ kernel takes a set holding 0; both raise ZeroElementPresent, as the pair
 kernel's product spectrum does.
 
 Each kernel has one dispatch point, `e2` here and `verify._check_r6`, with
-a cost model in pair steps that reads only set sizes and p
-(`sets.mask_steps`): the pair kernel costs |X||Y| steps (R6: |A/B||B|).
-Both other kernels pay for the log table (p steps), one step per element
-looked up in it and a fixed setup.  R6 adds one step per 16 words for each
-pass over a ceil((p-1)/64)-word mask; the slot kernel adds a quarter step
-per slot for the count and, for each x, half such a pass per slot bit for
-its shift and add (`_slot_steps`).  The table is an `array`, and the masks
-and slots are ints.  `multiplicative_energy` and `verify._r6_pairs` stay
+a cost model in pair steps that reads only set sizes, p and, for E2,
+whether the log table is built (`sets.mask_steps`): the pair kernel costs
+|X||Y| steps (R6: |A/B||B|).  Both other kernels pay for the log table
+(p steps), one step per element looked up in it and a fixed setup; the
+slot kernel pays for the table only while its `DiscreteLog` has not built
+it, so an `Instance`'s first E2 on slots pays for its later ones.  R6 adds
+one step per 16 words for each pass over a ceil((p-1)/64)-word mask; the
+slot kernel adds a quarter step per slot for the count and, for each x,
+half such a pass per slot bit for its shift and add (`_slot_steps`).  The
+count drops the zero bytes of 1-byte slots, most of a sparse convolution,
+before `Counter` sees them.  The table is an `array`, and the masks and
+slots are ints.  `multiplicative_energy` and `verify._r6_pairs` stay
 on the pair kernel, as the oracles the other kernels are tested against.
 """
 from __future__ import annotations
@@ -342,18 +346,23 @@ def _slot_energy(x: FSet, y: FSet, logs: DiscreteLog) -> int:
     for k in logs._logs_of(x):
         acc += row << w * k
     acc = (acc & ((1 << w * n) - 1)) + (acc >> w * n)
-    counts = Counter(memoryview(acc.to_bytes(s * n, sys.byteorder)).cast(_SLOT_FORMATS[s]))
+    data = acc.to_bytes(s * n, sys.byteorder)
+    # a zero slot adds nothing to the sum; 1-byte slots are the bytes themselves
+    counts = Counter(data.translate(None, b"\0") if s == 1
+                     else memoryview(data).cast(_SLOT_FORMATS[s]))
     return sum(c * v * v for v, c in counts.items())
 
 
-def _slot_steps(p: int, nx: int, ny: int) -> int:
+def _slot_steps(logs: DiscreteLog, nx: int, ny: int) -> int:
     """The slot kernel's cost for sets of nx and ny units of F_p, in
-    `mask_steps` units: the log table and the nx + ny lookups, a quarter
-    step for each of the p - 1 slots it counts, and, for each x of the
-    smaller set, a shift and an add over a w(p-1)-bit int at half a pass
-    per slot bit, as measured against the pair kernel on CPython 3.11."""
-    n = min(nx, ny)
-    return mask_steps(p, nx + ny + (p - 1) // 4, 4 * _slot_bytes(n) * n)
+    `mask_steps` units: the log table unless `logs` has built it already,
+    the nx + ny lookups, a quarter step for each of the p - 1 slots it
+    counts, and, for each x of the smaller set, a shift and an add over a
+    w(p-1)-bit int at half a pass per slot bit, as measured against the
+    pair kernel on CPython 3.11."""
+    p, n = logs.p, min(nx, ny)
+    steps = mask_steps(p, nx + ny + (p - 1) // 4, 4 * _slot_bytes(n) * n)
+    return steps - p if "log" in vars(logs) else steps
 
 
 def e2(a: FSet, b: FSet, logs: DiscreteLog) -> int:
@@ -361,7 +370,7 @@ def e2(a: FSet, b: FSet, logs: DiscreteLog) -> int:
     cheaper kernel by the cost model in the module docstring: the pair
     kernel, or over F_p the slot kernel, which reads its table from `logs`."""
     ctx = _same_ctx(a, b)
-    if ctx.kind == KIND_PRIME and _slot_steps(ctx.p, len(a), len(b)) < len(a) * len(b):
+    if ctx.kind == KIND_PRIME and _slot_steps(logs, len(a), len(b)) < len(a) * len(b):
         return _slot_energy(a, b, logs)
     return multiplicative_energy(a, b)
 

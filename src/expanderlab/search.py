@@ -11,21 +11,30 @@ smaller witness, i.e. the one whose largest element is smallest.
 
 Both modes count each candidate incrementally.  A candidate is a rest R of
 n - 1 elements plus one element z, and of its n^2 products x(y+1) only the
-2n - 1 that involve z are new.  A single-element swap keeps the rest, so a
-restart caches each swap index's rest until a move is accepted; exhaustive
-enumeration builds one rest per (n-1)-prefix and extends it by every later
-pool element.  Two kernels count a candidate, and one is chosen per search:
+2n - 1 that involve z are new.  Exhaustive enumeration builds one rest per
+(n-1)-prefix and extends it by every later pool element.  A restart caches
+each swap index's rest of its current set S; when a move x -> z is
+accepted, the rest just counted is exactly the new set minus z, so it is
+kept as the new set's rest at z's sorted index and the others are dropped.  Two kernels
+count a candidate, and one is chosen per search:
 
 - the residue set (`_rest`, `_size_with`): R, R+1 and the residues of
   R(R+1), and |R(R+1)| + |{z(y+1), x(z+1), z(z+1) : x, y in R} - R(R+1)|.
   The pool is plain ints in both fields, because the rational pool is an
   integer range; there the products are reduced modulo a number larger than
   twice their largest absolute value, which keeps them distinct, so one
-  residue count serves F_p and Q.
+  residue count serves F_p and Q.  A residue set cannot give a product
+  back, so each rest is built afresh.
 - discrete-log masks over F_p (`_mask_rest`, `_mask_size_with`): a subset
-  of F_p^* is a (p-1)-bit int (`sets.DiscreteLog`), so z(R+1) is the mask of
-  R+1 rotated by log z, and the candidate's value is the popcount of the OR
-  of M_{R(R+1)}, two rotations and the bit of z(z+1).  Every log must exist,
+  of F_p^* is a (p-1)-bit int (`sets.DiscreteLog`), and its doubled mask
+  D = M | M << (p - 1) turns a rotation by log z into one shift.  A rest
+  holds D_R, D_{R+1}, |R(R+1)| and the complement of R(R+1) in F_p^*; the
+  candidate's value is |R(R+1)| plus the popcount of z(R+1), R(z+1) and
+  the bit of z(z+1) ANDed with that complement.  A restart also keeps
+  D_S and D_{S+1}: the rest S - x clears the two bits of x in one and of
+  x + 1 in the other (`_mask_without`), so only its n - 1 product shifts
+  are made anew, and after a move the new set's masks are the kept rest's
+  with the bits of z and z + 1 set (`_mask_join`).  Every log must exist,
   so it needs the default pool, which drops 0 and -1.
 
 `_kernel` takes the masks over F_p with 0 and -1 excluded when their cost,
@@ -217,40 +226,81 @@ def _size_with(rest: _Rest, z: int, m: int) -> int:
     return len(products) + len(new - products)
 
 
-# (shift, p - 1, (1 << (p - 1)) - 1): shift[v] = p - 1 - log v, so that for a
-# doubled mask D = M | M << (p - 1), D >> shift[v] is M rotated by log v
-_Logs = Tuple[List[int], int, int]
-_MaskRest = Tuple[List[int], int, int, int]
+def _rest_without(summary: None, vals: List[int], i: int, m: int) -> _Rest:
+    """The residue rest of vals without vals[i], built afresh: a residue set
+    cannot give a product back, so there is no `summary` to derive it from."""
+    return _rest(vals[:i] + vals[i + 1:], m)
+
+
+def _rest_join(rest: _Rest, z: int, m: int) -> None:
+    """The summary of R + z the residue kernel keeps: none."""
+    return None
+
+
+# (shift, p - 1, (1 << (p - 1)) - 1, twin): shift[v] = p - 1 - log v, so that
+# for a doubled mask D = M | M << (p - 1), D >> shift[v] is M rotated by
+# log v, and twin >> shift[v] is the doubled mask of {v}
+_Logs = Tuple[List[int], int, int, int]
+# (R, D_R, D_{R+1}, |R(R+1)|, the mask of F_p^* - R(R+1))
+_MaskRest = Tuple[List[int], int, int, int, int]
+# (D_S, D_{S+1}): the summary of a set S, from which each rest S - x derives
+_Masks = Tuple[int, int]
 
 
 def _mask_logs(p: int) -> _Logs:
     order = p - 1
-    return [order - k for k in DiscreteLog(p).log], order, (1 << order) - 1
+    return ([order - k for k in DiscreteLog(p).log], order, (1 << order) - 1,
+            1 << 2 * order | 1 << order)
+
+
+def _mask_products(vals: List[int], d0: int, d1: int, logs: _Logs) -> _MaskRest:
+    """The rest R = vals with d0 = D_R and d1 = D_{R+1}, and the mask of
+    R(R+1), the OR of D_{R+1} rotated by each log x, kept as its popcount
+    and its complement in F_p^*, the bits a candidate can add."""
+    shift, _, full, _ = logs
+    products = 0
+    for x in vals:
+        products |= d1 >> shift[x]
+    products &= full
+    return vals, d0, d1, products.bit_count(), products ^ full
 
 
 def _mask_rest(vals: List[int], logs: _Logs) -> _MaskRest:
-    """A rest R of elements of F_p other than 0 and -1, with the doubled
-    masks D_R and D_{R+1} and the mask of R(R+1): the OR of D_{R+1} rotated
-    by each log x."""
-    shift, order, full = logs
+    """A rest R of elements of F_p other than 0 and -1, built from its
+    elements."""
+    shift, order, _, _ = logs
     m0 = m1 = 0
     for x in vals:  # order - shift[v] = log v
         m0 |= 1 << order - shift[x]
         m1 |= 1 << order - shift[x + 1]
-    d0, d1 = m0 | m0 << order, m1 | m1 << order
-    products = 0
-    for x in vals:
-        products |= d1 >> shift[x]
-    return vals, d0, d1, products & full
+    return _mask_products(vals, m0 | m0 << order, m1 | m1 << order, logs)
+
+
+def _mask_without(summary: _Masks, vals: List[int], i: int, logs: _Logs) -> _MaskRest:
+    """The rest of S = vals without x = vals[i], derived from the summary
+    (D_S, D_{S+1}) of S by clearing the two bits of x in D_S and those of
+    x + 1 in D_{S+1}; only the products are made anew."""
+    shift, _, _, twin = logs
+    x = vals[i]
+    d0, d1 = summary
+    return _mask_products(vals[:i] + vals[i + 1:], d0 ^ twin >> shift[x],
+                          d1 ^ twin >> shift[x + 1], logs)
+
+
+def _mask_join(rest: _MaskRest, z: int, logs: _Logs) -> _Masks:
+    """The summary (D_S, D_{S+1}) of S = R + z, from the masks of the rest."""
+    shift, _, _, twin = logs
+    return rest[1] | twin >> shift[z], rest[2] | twin >> shift[z + 1]
 
 
 def _mask_size_with(rest: _MaskRest, z: int, logs: _Logs) -> int:
-    """|(R + z)(R + z + 1)|: the popcount of R(R+1), z(R+1), R(z+1) and the
-    bit of z(z+1), at log z + log(z+1) mod p - 1."""
-    shift, order, full = logs
-    _, d0, d1, products = rest
+    """|(R + z)(R + z + 1)|: |R(R+1)| plus the popcount of the bits of
+    z(R+1), R(z+1) and z(z+1), at log z + log(z+1) mod p - 1, outside
+    R(R+1)."""
+    shift, order, _, _ = logs
+    _, d0, d1, base, free = rest
     s0, s1 = shift[z], shift[z + 1]
-    return ((products | d1 >> s0 | d0 >> s1 | 1 << (-s0 - s1) % order) & full).bit_count()
+    return base + ((d1 >> s0 | d0 >> s1 | 1 << (-s0 - s1) % order) & free).bit_count()
 
 
 MASK_PASSES = 8      # word passes of one mask candidate: two rotations, the bit, ORs, AND, popcount
@@ -258,17 +308,19 @@ PRODUCT_STEPS = 4    # pair steps of one residue product in `_size_with`, measur
 
 
 def _kernel(cfg: SearchConfig, pool: Sequence[int], candidates: int) -> Tuple:
-    """(rest builder, candidate counter, their shared argument) for a search
-    that counts about `candidates` candidates: log masks over F_p when the
-    pool excludes 0 and -1 and their cost in `sets.mask_steps` units (the
-    log table, two lookups and MASK_PASSES passes per candidate) is below
-    that of the 2n - 1 residue products per candidate, else the residue set."""
+    """The kernel of a search that counts about `candidates` candidates:
+    (rest builder, candidate counter, their shared argument, the rest of a
+    set without its i-th element given the set's summary, the summary of a
+    rest plus one element).  Log masks over F_p when the pool excludes 0
+    and -1 and their cost in `sets.mask_steps` units (the log table, two
+    lookups and MASK_PASSES passes per candidate) is below that of the
+    2n - 1 residue products per candidate, else the residue set."""
     ctx = cfg.ctx
     if ctx.kind == KIND_PRIME and cfg.exclude_degenerate:
         masks = mask_steps(ctx.p, 2 * candidates, MASK_PASSES * candidates)
         if masks < PRODUCT_STEPS * (2 * cfg.set_size - 1) * candidates:
-            return _mask_rest, _mask_size_with, _mask_logs(ctx.p)
-    return _rest, _size_with, _modulus(ctx, pool)
+            return _mask_rest, _mask_size_with, _mask_logs(ctx.p), _mask_without, _mask_join
+    return _rest, _size_with, _modulus(ctx, pool), _rest_without, _rest_join
 
 
 def _witness_key(vals: Sequence) -> Tuple:
@@ -310,7 +362,7 @@ def exhaustive_min(cfg: SearchConfig) -> ExtremalRecord:
     """Certified global minimum of |A(A+1)| over all admissible size-n sets."""
     pool = candidate_pool(cfg, cfg.budget)
     n = cfg.set_size
-    rest_of, size_with, arg = _kernel(cfg, pool, math.comb(len(pool), n))
+    rest_of, size_with, arg, _, _ = _kernel(cfg, pool, math.comb(len(pool), n))
     top = cfg.ctx.p - 1 if cfg.ctx.kind == KIND_PRIME else None
     best = (n * n + 1,)  # above every key: no size-n set has more than n^2 products
     for vals, zs in _extensions(pool, n, top):
@@ -348,18 +400,20 @@ def _draw_below(draw, k: int, bits: int) -> int:
 
 
 def _one_restart(cfg: SearchConfig, pool: Sequence[int], kernel: Tuple, seed: int) -> Tuple:
-    rest_of, size_with, arg = kernel
+    rest_of, size_with, arg, without, join = kernel
     rng = random.Random(seed)
     draw = rng.getrandbits
     n, size = cfg.set_size, len(pool)
     n_bits, size_bits = n.bit_length(), size.bit_length()
     current = sorted(rng.sample(pool, n))
-    cur_val = size_with(rest_of(current[1:], arg), current[0], arg)
+    rest = rest_of(current[1:], arg)
+    cur_val = size_with(rest, current[0], arg)
+    summary = join(rest, current[0], arg)  # the kernel's summary of `current`
+    rests: Dict[int, Tuple] = {0: rest}  # swap index -> rest of `current`
     cur_key = (cur_val,) + _witness_key(current)
     best_key = cur_key
     temp = INITIAL_TEMP
     anneal = cfg.mode == "anneal"
-    rests: Dict[int, Tuple] = {}  # swap index -> rest of `current`; cleared on every move
     for _ in range(cfg.iteration_cap):
         idx = _draw_below(draw, n, n_bits)
         replacement = pool[_draw_below(draw, size, size_bits)]
@@ -368,7 +422,7 @@ def _one_restart(cfg: SearchConfig, pool: Sequence[int], kernel: Tuple, seed: in
             continue
         rest = rests.get(idx)
         if rest is None:
-            rest = rests[idx] = rest_of(current[:idx] + current[idx + 1:], arg)
+            rest = rests[idx] = without(summary, current, idx, arg)
         val = size_with(rest, replacement, arg)
         # a larger value is a larger key, so only an anneal draw can take an uphill move
         uphill = val > cur_val
@@ -380,7 +434,9 @@ def _one_restart(cfg: SearchConfig, pool: Sequence[int], kernel: Tuple, seed: in
         key = (val,) + _witness_key(proposal)
         if uphill or key < cur_key:
             current, cur_val, cur_key = proposal, val, key
-            rests.clear()
+            summary = join(rest, replacement, arg)
+            # the rest just counted is the new set without `replacement`
+            rests = {proposal.index(replacement): rest}
             if key < best_key:
                 best_key = key
         temp *= COOLING

@@ -128,6 +128,16 @@ def test_slot_energy_matches_the_quadruple_count(pair):
     assert _slot_energy(y, x, logs) == expected
 
 
+def test_sparse_slots_match_the_pair_kernel():
+    # at most 10 * 1280 of the 160000 one-byte slots are nonzero
+    p = 160001
+    rng = random.Random(p)
+    x, y = (units(p, rng.sample(range(1, p), k)) for k in (10, 1280))
+    logs = DiscreteLog(p)
+    expected = multiplicative_energy(x, y)
+    assert _slot_energy(x, y, logs) == _slot_energy(y, x, logs) == expected
+
+
 def test_a_slot_is_the_fewest_bytes_that_hold_the_smaller_set():
     widths = {0: 1, 1: 1, 255: 1, 256: 2, 65535: 2, 65536: 4, 2 ** 32 - 1: 4, 2 ** 32: 8}
     assert {n: _slot_bytes(n) for n in widths} == widths
@@ -302,6 +312,23 @@ def test_a_huge_prime_builds_no_slot_int(monkeypatch):
     inst.e2_a_aa1
     assert passes == [("prod", 100 * len(inst.aa1))] and built == []
     assert "log" not in vars(inst.logs)
+
+
+def test_a_built_log_table_is_not_charged_again(monkeypatch):
+    # 120 * 480 pairs cost less than the slot kernel with its 40009-step
+    # table, and more than the slot kernel once the table exists
+    p = 40009
+    rng = random.Random(p)
+    x, y = (units(p, rng.sample(range(1, p), k)) for k in (120, 480))
+    logs, expected = DiscreteLog(p), multiplicative_energy(x, y)
+    passes, built = count_pairs(monkeypatch), count_slot_ints(monkeypatch)
+    assert e2(x, y, logs) == expected
+    assert passes == [("prod", 120 * 480)] and built == []
+    assert "log" not in vars(logs)
+    logs.log
+    del passes[:]
+    assert e2(x, y, logs) == e2(y, x, logs) == expected
+    assert passes == [] and built == [(1, p - 1)] * 2
 
 
 def test_q_never_reaches_the_cost_model(monkeypatch):

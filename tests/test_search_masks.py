@@ -4,6 +4,9 @@
 - The discrete-log mask count (`_mask_rest`, `_mask_size_with`) against the
   residue count `_size_with` and the pair kernel `expander_size`, including
   masks at 64-bit word boundaries and empty or singleton rests.
+- The rests a restart derives from its set's doubled masks (`_mask_without`)
+  and the masks it keeps after a move (`_mask_join`) against those built
+  from scratch by `_mask_rest` and `DiscreteLog.mask`.
 - The orbit-halved `exhaustive_min` against the brute-force minimum of
   (value, sum, colex) over every set of the pool, on either kernel.
 - The dispatch `_kernel`: no log table where the residue set is chosen.
@@ -20,15 +23,19 @@ from expanderlab import FieldCtx, SearchConfig, exhaustive_min, search, stochast
 from expanderlab.search import (
     _draw_below,
     _kernel,
+    _mask_join,
     _mask_logs,
     _mask_rest,
     _mask_size_with,
+    _mask_without,
     _rest,
+    _rest_join,
+    _rest_without,
     _size_with,
     candidate_pool,
     expander_size,
 )
-from expanderlab.sets import DiscreteLog
+from expanderlab.sets import DiscreteLog, FSet
 
 Q = FieldCtx.rational()
 
@@ -74,10 +81,56 @@ def test_mask_count_matches_residues_and_pair_kernel(case):
     p, rest, z = case
     logs = _mask_logs(p)
     mask_rest, residue_rest = _mask_rest(rest, logs), _rest(rest, p)
-    assert mask_rest[3].bit_count() == len(residue_rest[2])
-    assert mask_rest[3] >> (p - 1) == 0
+    _, _, _, count, free = mask_rest
+    assert count == (free ^ (1 << p - 1) - 1).bit_count() == len(residue_rest[2])
+    assert free >> (p - 1) == 0
     value = expander_size(FieldCtx.prime(p), rest + [z])
     assert _mask_size_with(mask_rest, z, logs) == _size_with(residue_rest, z, p) == value
+
+
+# -- rests derived from a set's masks against rests built from scratch ----------
+
+def doubled_masks(p, vals):
+    """(D_S, D_{S+1}) of S = vals from `DiscreteLog.mask`."""
+    ctx, logs = FieldCtx.prime(p), DiscreteLog(p)
+    masks = (logs.mask(FSet(ctx, vals)), logs.mask(FSet(ctx, [v + 1 for v in vals])))
+    return tuple(m | m << (p - 1) for m in masks)
+
+
+@st.composite
+def sets_and_moves(draw):
+    """A prime with p - 1 tiny or a multiple of 64 bits, a set S of n
+    elements of the default pool 1..p-2, a swap index i and an element r
+    outside S."""
+    p = draw(st.sampled_from([5, 7, 193, 257]))
+    n = draw(st.sampled_from([n for n in (1, 2, 12) if n < p - 2]))
+    members = draw(st.lists(st.integers(1, p - 2), min_size=n + 1, max_size=n + 1,
+                            unique=True))
+    return p, sorted(members[1:]), draw(st.integers(0, n - 1)), members[0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sets_and_moves())
+@example((5, [3], 0, 1))
+@example((5, [1, 3], 1, 2))
+@example((7, [5], 0, 1))
+@example((7, [1, 2], 0, 5))
+@example((193, [191], 0, 1))
+@example((193, list(range(180, 192)), 11, 1))
+@example((257, [1, 255], 1, 128))
+@example((257, list(range(1, 13)), 0, 255))
+def test_derived_rest_and_moved_masks_match_scratch(case):
+    p, current, i, r = case
+    logs = _mask_logs(p)
+    summary = _mask_join(_mask_rest(current[1:], logs), current[0], logs)
+    assert summary == doubled_masks(p, current)
+    rest = _mask_without(summary, current, i, logs)
+    assert rest == _mask_rest(current[:i] + current[i + 1:], logs)
+    moved = sorted(rest[0] + [r])
+    summary = _mask_join(rest, r, logs)
+    assert summary == _mask_rest(moved, logs)[1:3] == doubled_masks(p, moved)
+    # the rest a restart keeps after the move is that of `moved` at r's index
+    assert _mask_without(summary, moved, moved.index(r), logs) == rest
 
 
 # -- exhaustive search over orbits against brute force ---------------------------
@@ -89,11 +142,11 @@ def brute_min(cfg):
 
 
 def residue_kernel(cfg, pool, candidates):
-    return _rest, _size_with, cfg.ctx.p
+    return _rest, _size_with, cfg.ctx.p, _rest_without, _rest_join
 
 
 def mask_kernel(cfg, pool, candidates):
-    return _mask_rest, _mask_size_with, _mask_logs(cfg.ctx.p)
+    return _mask_rest, _mask_size_with, _mask_logs(cfg.ctx.p), _mask_without, _mask_join
 
 
 # every n the pool admits, on each kernel; masks need the pool without 0 and -1
