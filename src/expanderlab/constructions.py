@@ -47,6 +47,7 @@ from .sets import (
     combine,
     expander_set,
     partial_combine,
+    sumset_size,
 )
 
 
@@ -497,14 +498,7 @@ def plunnecke_witness(a: FSet, xs: Sequence[FSet], budget: int = 10) -> Plunneck
     if n > budget:
         raise BudgetExceeded(f"|A| = {n} exceeds subset-search budget {budget}")
 
-    k = len(xs)
-    denom = 1
-    single = []
-    for x in xs:
-        size = len(combine(a, x, "sum"))
-        single.append(size)
-        denom *= size
-    scale = n ** (k - 1)
+    single = [sumset_size(a, x, "sum") for x in xs]
 
     total = xs[0]
     for x in xs[1:]:
@@ -531,7 +525,7 @@ def plunnecke_witness(a: FSet, xs: Sequence[FSet], budget: int = 10) -> Plunneck
     iterated, sub = best
     return PlunneckeResult(
         subset=a.with_values(a.vals[i] for i in sub),
-        slack=Fraction(iterated * scale, denom),
+        slack=Fraction(iterated * n ** (len(xs) - 1), math.prod(single)),
         subset_ratio=Fraction(len(sub), n),
         iterated_size=iterated,
         single_sizes=tuple(single),

@@ -23,8 +23,8 @@ of pairs of A with difference d.  Then
 
 The w = y solutions (eta = 0) force x = z, as xi != 0; they are the |A|^2
 diagonal.  For eta != 0 we have delta = xi*eta != 0, so delta = 0 never
-meets a nonzero twist.  `twist_spectrum` reads E_xi for every nonzero xi off
-one pass over the pairs of nonzero differences.
+meets a nonzero twist.  So `twist_spectrum` is one `Counter` of the ratios
+delta/eta, and `twist_witness` finds a quadruple for one chosen xi.
 
 Over F_p, E2 has a second exact kernel on discrete logarithms
 (`sets.DiscreteLog`).  Let r(v) = #{(x, y) in X x Y : xy = v}.  Then
@@ -72,7 +72,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import (
     AlphaOutOfRange,
@@ -81,6 +81,7 @@ from .errors import (
     InvalidPrecisionCap,
     PrecisionCapExceeded,
     TOutOfRange,
+    WitnessFailure,
     ZeroElementPresent,
     ZeroTwist,
 )
@@ -384,39 +385,39 @@ def twisted_energy(a: FSet, xi) -> int:
     return additive_energy(a, dilate(a, xv))
 
 
-def twist_spectrum(a: FSet) -> Tuple[Dict[int, tuple], Dict[int, int]]:
-    """The difference-ratio set R(a) = {(x - z)/(w - y) : w != y} over F_p,
-    with a witness per ratio and the twisted energy of every nonzero ratio.
-
-    Returns (quads, energies).  `quads` maps each ratio to its
-    lexicographically first quadruple (x, z, w, y) of a.  `energies` maps
-    each nonzero ratio xi to E_xi(a); a nonzero xi outside R(a) has
-    E_xi(a) = |a|^2.  One pass over D = a - a: each difference keeps its
-    multiplicity and its first pair, and takes one inverse.  Differences
-    come in first-pair order, so the first time a ratio is reached, its
-    witness is the first quadruple.  The delta = 0 row reaches only the
-    ratio 0, first through the first nonzero difference.
-    """
+def twist_spectrum(a: FSet) -> Counter:
+    """E_xi(a) - |a|^2 for each nonzero xi in R(a) = {(x - z)/(w - y) : w != y}
+    over F_p: the number of pairs (delta, eta) of nonzero differences of
+    a x a, with multiplicity, with delta/eta = xi.  R(a) is its keys, and 0
+    once |a| >= 2.  The nonzero differences are the d = x - z with x > z and
+    their negatives, and (+-d)/(+-e) = +-(d/e), so the Counter of d/e over
+    those, plus its negation, counts each ratio half as often."""
     ctx = a.ctx
     if ctx.kind != KIND_PRIME:
         raise FieldMismatch("the twist spectrum is defined over F_p")
-    p = ctx.p
-    pairs, _ = _pair_groups(a, a, "diff")
-    n2 = len(a) * len(a)
-    quads: Dict[int, tuple] = {}
-    energies: Dict[int, int] = {}
-    nonzero = [(d, pow(d, -1, p), ps[0], len(ps)) for d, ps in pairs.items() if d]
-    if nonzero:
-        quads[0] = pairs[0][0] + nonzero[0][2]
-    for delta, _, rep, m in nonzero:
-        for _, inv_eta, rep_eta, m_eta in nonzero:
-            xi = delta * inv_eta % p
-            if xi in quads:
-                energies[xi] += m * m_eta
-            else:
-                quads[xi] = rep + rep_eta
-                energies[xi] = n2 + m * m_eta
-    return quads, energies
+    p, vals = ctx.p, a.vals
+    ups = [x - z for i, x in enumerate(vals) for z in vals[:i]]
+    invs = [pow(d, -1, p) for d in ups]
+    ratios = Counter(d * e % p for d in ups for e in invs)
+    ratios += Counter({p - xi: m for xi, m in ratios.items()})
+    return ratios + ratios
+
+
+def twist_witness(a: FSet, xi) -> tuple:
+    """The least (x, z, w, y) in a^4 with x - z = xi*(w - y) != 0 over F_p:
+    the first pair (x, z) of a x a whose difference is xi times a nonzero
+    difference eta, then the first pair of eta.  A xi that is 0 or outside
+    R(a) has none and raises WitnessFailure."""
+    ctx = a.ctx
+    if ctx.kind != KIND_PRIME:
+        raise FieldMismatch("the twist witness is defined over F_p")
+    groups, _ = _pair_groups(a, a, "diff")
+    xv = ctx.canon(xi)
+    firsts = {xv * eta % ctx.p: pairs[0] for eta, pairs in groups.items() if eta}
+    for delta, pairs in groups.items():
+        if delta and delta in firsts:
+            return pairs[0] + firsts[delta]
+    raise WitnessFailure(f"xi = {xv} is not a nonzero difference ratio of the set")
 
 
 # -- independent brute-force oracles ------------------------------------------

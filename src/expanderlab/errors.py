@@ -135,7 +135,7 @@ class CollisionFound(ExpanderlabError):
 
 
 class WitnessFailure(ExpanderlabError):
-    """A constructed witness point failed its incidence requirement."""
+    """A witness point failed its incidence test, or a twist has no witness."""
 
 
 class InvariantViolation(ExpanderlabError):

@@ -29,6 +29,7 @@ from .energy import (
     precision_cap,
     rich_products,
     twist_spectrum,
+    twist_witness,
     twisted_energy,
 )
 from .errors import (
@@ -45,6 +46,7 @@ from .intervals import RatInterval, interval_to_decimal, root_interval
 from .sets import (
     DiscreteLog,
     FSet,
+    _from_ints,
     _pair_ints,
     _scaled,
     combine,
@@ -163,33 +165,40 @@ def _slack_report(name, lhs, rhs, digest, notes="") -> InequalityReport:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """One set A and what the relations and the real pipeline derive from it,
+    """One set A and what the relations and both pipelines derive from it,
     each field built on first use and kept as long as the Instance, which
     lives for one call.  Checkers ask for a field by name, so nothing is
     ever looked up by set equality.
 
-    `a1` is A+1 and `aa1` is A(A+1); `hist_*` are ratio spectra, `e3_*`
-    their third moments and `e2_*` multiplicative energies, `e2_mixed`
-    being E2(A, A+1).  `e15` keeps the 3/2-energy enclosures of the
-    spectra.  Over F_p, `logs` is the one discrete-log table the slot
-    kernel of every E2 and the mask kernel of R6 share; it is built only
-    if one runs."""
+    `a1` is A+1.  `rows` is the one pass over A x A, |A| kernel ints per a
+    with their scale, that gives `aa1` = A(A+1) and the F_p pipeline's
+    base-point rows.  `hist_*` are ratio spectra, `e3_*` their third
+    moments, `e2_a` and `e2_a1` their second, and the other `e2_*`
+    multiplicative energies, `e2_mixed` being E2(A, A+1).  `e15` keeps the
+    3/2-energy enclosures of the spectra.  Over F_p, `logs` is the one
+    discrete-log table the slot kernel of every E2 and the mask kernel of
+    R6 share; it is built only if one runs."""
 
     A: FSet
 
     a1 = cached_property(lambda self: translate(self.A, 1))
-    aa1 = cached_property(lambda self: expander_set(self.A, self.A))
+    aa1 = cached_property(lambda self: _from_ints(self.A.ctx, *self.rows))
     hist_a = cached_property(lambda self: histogram(self.A, self.A, "ratio"))
     hist_a1 = cached_property(lambda self: histogram(self.a1, self.a1, "ratio"))
     e3_a = cached_property(lambda self: energy(self.hist_a, 3).exact)
     e3_a1 = cached_property(lambda self: energy(self.hist_a1, 3).exact)
+    e2_a = cached_property(lambda self: energy(self.hist_a, 2).exact)
+    e2_a1 = cached_property(lambda self: energy(self.hist_a1, 2).exact)
     logs = cached_property(lambda self: DiscreteLog(self.A.ctx.p))
-    e2_a = cached_property(lambda self: e2(self.A, self.A, self.logs))
-    e2_a1 = cached_property(lambda self: e2(self.a1, self.a1, self.logs))
     e2_mixed = cached_property(lambda self: e2(self.A, self.a1, self.logs))
     e2_a_aa1 = cached_property(lambda self: e2(self.A, self.aa1, self.logs))
     e2_a1_aa1 = cached_property(lambda self: e2(self.a1, self.aa1, self.logs))
     _e15 = cached_property(lambda self: {})
+
+    @cached_property
+    def rows(self) -> Tuple[list, int]:
+        ints, scale = _pair_ints(self.A, self.A, "expand")
+        return list(ints), scale
 
     def e15(self, spectrum: str, bits: int) -> RatInterval:
         """E1.5 of the ratio spectrum `spectrum` ("hist_a" or "hist_a1") at
@@ -567,8 +576,6 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
     p = ctx.p
     digest = instance_digest(pipeline="fp", A=A, epsilon=eps)
     steps = []
-    # the base-point rows a(A+1), from one pass over A x A
-    rows = list(_pair_ints(A, A, "expand")[0])
     inst = Instance(A)
     aa1 = inst.aa1
     eighth_shape = Fraction(len(aa1) ** 8, n ** 7)
@@ -604,6 +611,7 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
     # b0 selection by maximal total intersection with a(A+1): the total for b
     # is sum over a of |a(A+1) & b(A+1)| = sum over x in b(A+1) of m(x), with
     # m(x) = #{a : x in a(A+1)}
+    rows, _ = inst.rows
     shifted = {a: frozenset(rows[i * n:(i + 1) * n]) for i, a in enumerate(A.vals)}
     mult = Counter(x for s in shifted.values() for x in s)
     best_total, b0 = max((sum(mult[x] for x in shifted[b]), -b) for b in A.vals)
@@ -632,10 +640,10 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
                      f"N = {N}, |A1| = {len(A1)}, classes <= {n_classes}; "
                      f"membership in [N, 2N) verified for every element")))
 
-    # quotient set R(A1) with a stored witness quadruple per ratio, and the
-    # twisted energy of every nonzero ratio, from one pass over A1 - A1
-    r_quads, twist_energies = twist_spectrum(A1)
-    r_set = set(r_quads)
+    # E_xi(A1) - |A1|^2 for each nonzero xi in R(A1); R(A1) holds 0 as well
+    # once |A1| >= 2, never as the shiftable twist, as -1 = d/(-d) is in R(A1)
+    twist_excess = twist_spectrum(A1)
+    r_set = set(twist_excess) | ({0} if twist_excess else set())
     r_full = len(r_set) == p
     steps.append(PipelineStep(
         "difference-ratio set of the dyadic class",
@@ -666,19 +674,13 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
 
     if not r_full:
         branch = "RneqFp"
-        xi = quad = None
-        for cand in sorted(r_set):
-            if (cand - 1) % p not in r_set:
-                xi = cand
-                quad = r_quads[cand]
-                break
+        xi = next((c for c in sorted(twist_excess) if (c - 1) % p not in r_set), None)
         if xi is None:
             raise cons.InvariantViolation("no shiftable twist in a proper ratio set")
     else:
         branch = "ReqFp"
-        xi = min((twist_energies[c], c) for c in range(1, p))[1]
-        quad = r_quads[xi]
-    al, be, ga, de = quad
+        xi = min((twist_excess[c], c) for c in range(1, p))[1]
+    al, be, ga, de = twist_witness(A1, xi)
     selected.update({
         "branch": branch,
         "xi": str(xi),
@@ -687,10 +689,10 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
 
     if branch == "ReqFp":
         e_star = twisted_energy(A1, xi)
-        if e_star != twist_energies[xi]:
+        n1 = len(A1)
+        if e_star != n1 ** 2 + twist_excess[xi]:
             raise cons.InvariantViolation(
                 f"twisted energy at xi = {xi} disagrees with the twist spectrum")
-        n1 = len(A1)
         steps.append(PipelineStep(
             "twist selection by minimal twisted energy",
             _hold_report("fp-twist-energy", e_star * (p - 1),

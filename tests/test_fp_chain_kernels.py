@@ -1,11 +1,11 @@
 """Differential tests of the prime-field pipeline's one-pass kernels.
 
-The twist spectrum, `partial_ruzsa`, `popular_ratio_graph`, `greedy_cover`,
-`kfold_size` and `plunnecke_witness` are each compared with a literal copy
-of the per-pair (or per-quadruple, or per-subset) loop they replace, written
-out in this file; `kfold_size` on each of its two paths.  `partial_ruzsa` is
-also compared with the pure-int witness scan its neighbour-mask scan replaced
-(`helpers.pure_partial_ruzsa`).
+The twist spectrum and its witness, `partial_ruzsa`, `popular_ratio_graph`,
+`greedy_cover`, `kfold_size` and `plunnecke_witness` are each compared with
+a literal copy of the per-pair (or per-quadruple, or per-subset) loop they
+replace, written out in this file; `kfold_size` on each of its two paths.
+`partial_ruzsa` is also compared with the pure-int witness scan its
+neighbour-mask scan replaced (`helpers.pure_partial_ruzsa`).
 """
 import itertools
 import math
@@ -41,9 +41,10 @@ from expanderlab.constructions import (
     ge_one_minus_k_sqrt,
     gt_k_sqrt,
 )
-from expanderlab.energy import twist_spectrum
+from expanderlab.energy import twist_spectrum, twist_witness
 from expanderlab.errors import (
     CollisionFound,
+    ExpanderlabError,
     FieldMismatch,
     GraphTooSparse,
     InvariantViolation,
@@ -243,12 +244,14 @@ epsilons = st.sampled_from([Fraction(1, 64), Fraction(1, 16), Fraction(1, 5)])
 # -- twist spectrum -----------------------------------------------------------------
 
 def assert_spectrum_matches(a: FSet):
-    quads, energies = twist_spectrum(a)
-    assert quads == quadruple_ratio_set(a)
+    excess = twist_spectrum(a)
+    quads = quadruple_ratio_set(a)
+    assert set(excess) | ({0} if excess else set()) == set(quads)
     n2 = len(a) ** 2
     for xi in range(1, a.ctx.p):
-        assert energies.get(xi, n2) == twisted_energy(a, xi)
-    assert set(energies) == set(quads) - {0}
+        assert n2 + excess[xi] == twisted_energy(a, xi)
+        if xi in quads:
+            assert twist_witness(a, xi) == quads[xi]
 
 
 @settings(max_examples=150, deadline=None)
@@ -267,24 +270,52 @@ def test_twist_spectrum_covers_both_branches_and_the_req_twist():
     assert len(quadruple_ratio_set(proper)) < 109
     for a in (full, proper):
         assert_spectrum_matches(a)
-    quads, energies = twist_spectrum(full)
-    new_xi = min((energies[c], c) for c in range(1, 13))[1]
-    assert new_xi == min_energy_twist(full, quads)
+    excess = twist_spectrum(full)
+    new_xi = min((excess[c], c) for c in range(1, 13))[1]
+    assert new_xi == min_energy_twist(full, quadruple_ratio_set(full))
 
 
 def test_twist_spectrum_of_tiny_sets():
     f = FieldCtx.prime(11)
-    assert twist_spectrum(FSet(f, [])) == ({}, {})
-    assert twist_spectrum(FSet(f, [4])) == ({}, {})
-    quads, energies = twist_spectrum(FSet(f, [2, 5]))
-    # ratios of +-3 by +-3: only 1 and -1, plus 0
-    assert quads == {0: (2, 2, 2, 5), 1: (2, 5, 2, 5), 10: (2, 5, 5, 2)}
-    assert energies == {1: 6, 10: 6}
+    assert twist_spectrum(FSet(f, [])) == Counter()
+    assert twist_spectrum(FSet(f, [4])) == Counter()
+    pair = FSet(f, [2, 5])
+    # ratios of +-3 by +-3: only 1 and -1, each from two pairs (delta, eta)
+    assert twist_spectrum(pair) == Counter({1: 2, 10: 2})
+    assert twist_witness(pair, 1) == (2, 5, 2, 5)
+    assert twist_witness(pair, 10) == (2, 5, 5, 2)
 
 
 def test_twist_spectrum_needs_a_prime_field():
     with pytest.raises(FieldMismatch):
         twist_spectrum(FSet(Q, [1, 2]))
+    with pytest.raises(FieldMismatch):
+        twist_witness(FSet(Q, [1, 2]), 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, 7, 13, 101]).flatmap(
+    lambda p: st.tuples(st.sets(st.integers(0, p - 1), max_size=5).map(
+        lambda v: FSet(FieldCtx.prime(p), v)), st.integers(0, p - 1))))
+@example((FSet(FieldCtx.prime(2), [0, 1]), 1))
+@example((FSet(FieldCtx.prime(13), [1, 2, 5, 6]), 0))
+@example((FSet(FieldCtx.prime(101), [3, 40]), 2))
+def test_twist_witness_is_the_least_quadruple(case):
+    a, xi = case
+    p = a.ctx.p
+    excess = twist_spectrum(a)
+    if len(a) >= 2:
+        # -1 = d/(-d) is a ratio, so xi = 0 is never shiftable
+        assert p - 1 in excess
+    quads = [q for q in itertools.product(a.vals, repeat=4)
+             if q[2] != q[3] and (q[0] - q[1] - xi * (q[2] - q[3])) % p == 0]
+    if xi == 0 or not quads:
+        assert xi not in excess
+        with pytest.raises(ExpanderlabError):
+            twist_witness(a, xi)
+    else:
+        assert xi in excess
+        assert twist_witness(a, xi) == min(quads)
 
 
 def test_pipeline_req_branch_twist_is_the_min_energy_twist():

@@ -7,6 +7,8 @@ relations also run in turn on one shared Instance, as `verify --all` runs
 them, so a relation cannot see what an earlier one built.  Spy counts pin
 how often one call builds each quantity.
 """
+import importlib
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from expanderlab import FieldCtx, FSet, Instance, check, real_pipeline
 from expanderlab import constructions as cons
-from expanderlab import verify
+from expanderlab import sets, verify
 from expanderlab.cli import main
 from expanderlab.energy import (
     PRECISION_START,
@@ -53,6 +55,8 @@ from expanderlab.verify import (
     instance_digest,
 )
 from helpers import Q, old_e15_capped
+
+energy_module = importlib.import_module("expanderlab.energy")
 
 
 def outcome(fn, *args, **kwargs):
@@ -383,9 +387,11 @@ def test_real_pipeline_builds_each_quantity_once(monkeypatch):
     counts = count_calls(monkeypatch, verify, *SPIED)
     e15 = count_e15(monkeypatch)
     real_pipeline(Q29)
-    # A(A+1); the ratio spectra of A and A+1; E2(A, A+1), E2(A), E2(A+1),
-    # E2(A, A(A+1)) and E2(A+1, A(A+1)); A+1 -- and no product set A·(A+1)
-    assert counts == {"expander_set": 1, "histogram": 2, "e2": 5,
+    # A(A+1) from the Instance's one expand pass, not `expander_set`; the
+    # ratio spectra of A and A+1, whose second moments are E2(A) and E2(A+1);
+    # E2(A, A+1), E2(A, A(A+1)) and E2(A+1, A(A+1)); A+1 -- and no product
+    # set A·(A+1)
+    assert counts == {"expander_set": 0, "histogram": 2, "e2": 3,
                       "translate": 1, "combine": 0}
     # E1.5(A) and E1.5(A+1) at 128 bits serve both R5 steps, the combined
     # step and R12
@@ -408,8 +414,9 @@ def test_verify_all_shares_one_instance(monkeypatch, tmp_path, capsys):
     counts = count_calls(monkeypatch, verify, *SPIED)
     e15 = count_e15(monkeypatch)
     assert main(["verify", str(path), "--all"]) == 0
-    # R2-R4 and R10-R14 on one set: one A(A+1), two spectra, five energies
-    assert counts == {"expander_set": 1, "histogram": 2, "e2": 5,
+    # R2-R4 and R10-R14 on one set: one A(A+1) from the expand pass, two
+    # spectra, which also give E2(A) and E2(A+1), and three more energies
+    assert counts == {"expander_set": 0, "histogram": 2, "e2": 3,
                       "translate": 1, "combine": 0}
     assert e15 == [Fraction(3, 2)] * 2  # R12's E1.5(A) and E1.5(A+1)
     reports = [line for line in capsys.readouterr().err.splitlines() if "] R" in line]
@@ -429,11 +436,29 @@ def test_fp_pipeline_takes_its_expander_set_from_its_instance(monkeypatch):
     cons_counts = count_calls(monkeypatch, cons, "expander_set")
     a = FSet(FieldCtx.prime(109), [1, 5, 10, 31, 36, 40, 43, 65, 71])
     verify.finite_field_pipeline(a)
-    # the Instance builds A(A+1); the base-point rows are one more pass; no
+    # the Instance's one expand pass gives A(A+1) and the base-point rows; no
     # popular-ratio graph, self or covering, builds an expander set
-    assert counts["expander_set"] == 1
+    assert counts["expander_set"] == 0
     assert calls == ["expand"]
     assert cons_counts["expander_set"] == 0
+
+
+def test_fp_pipeline_makes_one_expand_pass_over_a_x_a(monkeypatch):
+    a = FSet(FieldCtx.prime(109), [1, 5, 10, 31, 36, 40, 43, 65, 71])
+    passes = Counter()
+    real_pair_ints = sets._pair_ints
+
+    def spy(x, y, op):
+        if x == a and y == a:
+            passes[op] += 1
+        return real_pair_ints(x, y, op)
+
+    for module in (sets, energy_module, verify, cons):
+        monkeypatch.setattr(module, "_pair_ints", spy)
+    verify.finite_field_pipeline(a)
+    # the Instance's A(A+1) and base-point rows; its ratio spectrum (R2) and
+    # popular_ratio_graph(A, A)'s own ratio list; partial_ruzsa's witness scan
+    assert passes == {"expand": 1, "ratio": 2, "diff": 1}
 
 
 def test_popular_ratio_graph_builds_no_expander_set(monkeypatch):

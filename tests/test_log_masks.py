@@ -295,9 +295,9 @@ def test_a_verify_sized_mixed_energy_takes_the_slot_kernel(monkeypatch):
     passes, built = count_pairs(monkeypatch), count_slot_ints(monkeypatch)
     inst.e2_a_aa1
     assert passes == [] and built == [(1, 40008)]
-    # E2(A, A) at that size: 160^2 pairs cost less than one count of 40008 slots
+    # E2(A) is the second moment of the ratio spectrum of A, one pass over A x A
     inst.e2_a
-    assert passes == [("prod", 160 * 160)] and built == [(1, 40008)]
+    assert passes == [("ratio", 160 * 160)] and built == [(1, 40008)]
 
 
 def test_a_huge_prime_builds_no_slot_int(monkeypatch):

@@ -1,10 +1,11 @@
 """Differential tests of the loops that now read their pairs off the pair
 kernel `sets._pair_ints`.
 
-`twisted_energy`, `twist_spectrum`, R6's left side, `injection_witness`,
+`twisted_energy`, `twist_witness`, R6's left side, `injection_witness`,
 `st_lower_bound_check` and the prime-field pipeline's base-point rows each
-used to walk a x b by hand, and `partial_combine` the edges of its graph.  Each is compared here with a literal copy of
-that hand-written loop.
+used to walk a x b by hand, and `partial_combine` the edges of its graph.
+Each is compared here with a literal copy of that hand-written loop, and
+`twist_spectrum` with the difference pass it replaced.
 """
 import dataclasses
 import inspect
@@ -30,7 +31,7 @@ from expanderlab import (
     twisted_energy,
 )
 from expanderlab.constructions import InjectionResult
-from expanderlab.energy import twist_spectrum
+from expanderlab.energy import twist_spectrum, twist_witness
 from expanderlab.errors import (
     CollisionFound,
     ExpanderlabError,
@@ -283,11 +284,13 @@ def test_twisted_energy_q_matches_literal_loop(a, xi):
 @example(FSet(FieldCtx.prime(109), [1, 5, 10, 31, 36, 40, 43]))
 @example(FSet(FieldCtx.prime(13), [1, 2, 5, 6]))
 def test_twist_spectrum_matches_literal_difference_pass(a):
-    quads, energies = twist_spectrum(a)
+    excess = twist_spectrum(a)
     old_quads, old_energies = literal_twist_spectrum(a)
-    assert quads == old_quads and energies == old_energies
-    assert list(quads.items()) == list(old_quads.items())
-    assert list(energies.items()) == list(old_energies.items())
+    n2 = len(a) ** 2
+    assert excess == Counter({xi: e - n2 for xi, e in old_energies.items()})
+    assert set(excess) | ({0} if excess else set()) == set(old_quads)
+    for xi in excess:
+        assert twist_witness(a, xi) == old_quads[xi]
 
 
 # -- R6, injection witness, the S_t certificate ----------------------------------------
