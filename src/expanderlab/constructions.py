@@ -9,12 +9,18 @@ square root and squaring (see `ge_one_minus_k_sqrt`).  A failed internal
 check raises InvariantViolation rather than degrading the result: each such
 check is a theorem on the instance, so a failure is either a bug or news.
 
-The witness scan of `partial_ruzsa` keeps one |B|-bit neighbour mask per
-vertex of A' and of C', so each pairwise overlap is one AND and one
-popcount on plain ints, over F_p and Q alike; |Y| and A' - C' come off the
-same pass over the pairs.  That the witness map lands in the partial
-difference sets and is injective follows from their definitions; two cheap
-guards re-check both after the pass.
+The witness scan of `partial_ruzsa` reads one |B|-bit neighbour mask per
+vertex of A' and of C' off the graphs' flag bytes, so each pairwise overlap
+is one AND and one popcount on plain ints, over F_p and Q alike; |Y| and
+A' - C' come off the same pass over the pairs.  That the witness map lands
+in the partial difference sets follows from their definitions: a witness
+(x, b) of the pair (a, c) has (a, b) an edge of G and (b, c) one of H, and
+`partial_combine` takes a - b and b - c over every edge of each graph.  So
+no check re-derives the differences of the edges at A' and C': it would run
+the same kernel on a subset of the same edges and could not fail.  The map
+is injective as the image sums to x and, given x, fixes b; the scan's one
+guard is for a middle set that repeats a value, which only a corrupt FSet
+can.
 """
 from __future__ import annotations
 
@@ -39,7 +45,6 @@ from .field import KIND_PRIME
 from .sets import (
     FSet,
     PairGraph,
-    _edge_differences,
     _from_ints,
     _pair_groups,
     _pair_ints,
@@ -112,8 +117,7 @@ def popular_ratio_graph(a: FSet, b: FSet, epsilon) -> PopularRatioResult:
     popular = {r for r, c in mult.items() if c >= least}
 
     x_set = _from_ints(ctx, popular, scale)
-    edges = [divmod(k, nb) for k, r in enumerate(ratios) if r in popular]
-    graph = PairGraph._in_range(a, b, edges)
+    graph = PairGraph._from_flags(a, b, bytes(map(popular.__contains__, ratios)))
 
     if sum(mult[r] for r in popular) != len(graph):
         raise InvariantViolation("sum of popular multiplicities != |G|")
@@ -345,41 +349,30 @@ def _least_passing(scale: int, eps: Fraction, k: int) -> int:
     return lo
 
 
-def _neighbour_masks(edges, n: int, rows: Sequence[int]) -> list:
-    """For each r in `rows`, the int with bit j set for every (r, j) in
-    `edges`: the neighbour mask of vertex r, one of n."""
-    masks = [0] * n
-    for r, j in edges:
-        masks[r] |= 1 << j
-    return [masks[r] for r in rows]
-
-
 def _rows(side: FSet, of: FSet) -> list:
     """The index in `of` of each value of `side`, a subset of `of`."""
     row_of = {v: r for r, v in enumerate(of.vals)}
     return [row_of[v] for v in side.vals]
 
 
-def _witness_scan(g, h, a_side, c_side, least, pab, pbc):
+def _witness_scan(g, h, a_side, c_side, least):
     """(|Y|, A' - C'), or the first failing check raised.
 
-    Overlap: |B_a ∩ B_c| >= least for every (a, c) in order, on |B|-bit
-    neighbour masks, one AND and one popcount per pair.  Y holds the
-    witnesses (x, b), b in B_a ∩ B_c, of the first pair (a, c) of each
-    difference x = a - c, so |Y| sums the overlaps of those pairs.
+    Overlap: |B_a ∩ B_c| >= least for every (a, c) in order, on the |B|-bit
+    neighbour masks of g's rows at A' and h's columns at C', one AND and one
+    popcount per pair.  Y holds the witnesses (x, b), b in B_a ∩ B_c, of the
+    first pair (a, c) of each difference x = a - c, so |Y| sums the overlaps
+    of those pairs.
 
-    The witness (x, b) maps to (a - b, b - c).  The image lies in
-    (A -_G B) x (B -_H C), as (a, b) is an edge of G and (b, c) one of H,
-    and the map is injective, as the image sums to x and, given x, fixes b.
-    Two guards after the overlap pass re-check both facts on the instance.
-    Every edge at A' and at C' must have its difference in its partial
-    difference set.  Should B repeat a value, which only a corrupt FSet can,
+    The witness (x, b) maps to (a - b, b - c), which lies in
+    (A -_G B) x (B -_H C) by the definition of both sets (see the module
+    docstring).  The map is injective, as the image sums to x and, given x,
+    fixes b, unless B repeats a value, which only a corrupt FSet can: then
     the witnesses are walked to name the first repeated image.
     """
     ctx = g.left.ctx
-    a_rows, c_rows = _rows(a_side, g.left), _rows(c_side, h.right)
-    a_masks = _neighbour_masks(g.edges, len(g.left), a_rows)
-    c_masks = _neighbour_masks(((k, j) for j, k in h.edges), len(h.right), c_rows)
+    a_masks = g.row_masks(_rows(a_side, g.left))
+    c_masks = h.column_masks(_rows(c_side, h.right))
     nc = len(c_masks)
     overlaps = [(ma & mc).bit_count() for ma in a_masks for mc in c_masks]
     if min(overlaps) < least:
@@ -387,17 +380,13 @@ def _witness_scan(g, h, a_side, c_side, least, pab, pbc):
         raise InvariantViolation(
             f"overlap below (1 - 2 sqrt(eps))|B| at ({a_side.vals[i]}, {c_side.vals[k]})"
         )
-    xs, scale = _pair_ints(a_side, c_side, "diff")
-    first = {}  # difference -> the position i * |C'| + k of its first pair
-    for n, x in enumerate(xs):
-        if x not in first:
-            first[x] = n
-    y_size = sum(overlaps[n] for n in first.values())
+    ints, scale = _pair_ints(a_side, c_side, "diff")
+    xs = list(ints)
+    # difference -> the position i * |C'| + k of its first pair: walked
+    # backwards, the first pair is the last to write its key
+    first = dict(zip(reversed(xs), range(len(xs) - 1, -1, -1)))
+    y_size = sum(map(overlaps.__getitem__, first.values()))
 
-    a_in, c_in = set(a_rows), set(c_rows)
-    if not (_edge_differences(g, (e for e in g.edges if e[0] in a_in)).is_subset(pab)
-            and _edge_differences(h, (e for e in h.edges if e[1] in c_in)).is_subset(pbc)):
-        raise InvariantViolation("witness image escapes the partial difference sets")
     bvals = g.right.vals
     if len({ctx.canon(v) for v in bvals}) < len(bvals):
         # only a corrupt FSet repeats a value: name the first repeated image,
@@ -447,7 +436,7 @@ def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
     least = _least_passing(nb, eps, k=2)
     pab = partial_combine(g)
     pbc = partial_combine(h)
-    y_size, diff_ac = _witness_scan(g, h, a_side, c_side, least, pab, pbc)
+    y_size, diff_ac = _witness_scan(g, h, a_side, c_side, least)
     # (1 - 2 sqrt(eps)) |B| |A' - C'| <= |Y| <= |A -_G B| |B -_H C|
     if not ge_one_minus_k_sqrt(y_size, nb * len(diff_ac), eps, k=2):
         raise InvariantViolation("witness count below the overlap guarantee")

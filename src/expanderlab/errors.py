@@ -50,6 +50,11 @@ class GraphTooSparse(ExpanderlabError):
     pass
 
 
+class InvalidGraphEdge(ExpanderlabError, ValueError):
+    """A PairGraph edge whose coordinates are not int indices into its left
+    and right sets: out of range, not an int, or a bool."""
+
+
 class EpsilonOutOfRange(ExpanderlabError):
     pass
 

@@ -37,6 +37,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 from .errors import (
     ContextMismatch,
     DivisionByZero,
+    InvalidGraphEdge,
     InvalidSetFile,
     ZeroDilation,
     ZeroElementPresent,
@@ -441,32 +442,50 @@ def translate(a: FSet, y: ElemLike) -> FSet:
     return affine_image(a, a.ctx.one, y)
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bits(flags: bytes) -> int:
+    """The int with bit k set for each k where flags[k] is 1."""
+    return int(flags[::-1].translate(_DIGITS), 2) if flags else 0
+
+
+def _is_index(v, n: int) -> bool:
+    """Whether v is an int (not a bool) in [0, n)."""
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
+
 class PairGraph:
-    """An explicit bipartite graph G over left x right, stored as index pairs.
+    """An explicit bipartite graph G over left x right, stored as `flags`: one
+    byte per pair of left x right in row-major order, pair (i, j) at
+    i * |right| + j, 1 for an edge and 0 otherwise.  Sizes, degrees and
+    neighbour masks are counts, slices and translations of those bytes; the
+    index pairs (i, j) are rebuilt by `edges` only when asked for.
     `partial_combine` keeps the partial difference set it builds in `_diff`."""
 
-    __slots__ = ("left", "right", "edges", "_diff")
+    __slots__ = ("left", "right", "flags", "_diff")
 
     def __init__(self, left: FSet, right: FSet, edges: Iterable[Tuple[int, int]]):
         _same_ctx(left, right)
-        edge_set = frozenset((int(i), int(j)) for i, j in edges)
         nl, nr = len(left), len(right)
-        for i, j in edge_set:
-            if not (0 <= i < nl and 0 <= j < nr):
-                raise ValueError(f"edge ({i}, {j}) out of range {nl}x{nr}")
+        flags = bytearray(nl * nr)
+        for i, j in edges:
+            if not (_is_index(i, nl) and _is_index(j, nr)):
+                raise InvalidGraphEdge(f"edge ({i!r}, {j!r}) out of range {nl}x{nr}")
+            flags[i * nr + j] = 1
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        object.__setattr__(self, "edges", edge_set)
+        object.__setattr__(self, "flags", bytes(flags))
         object.__setattr__(self, "_diff", None)
 
     @classmethod
-    def _in_range(cls, left: FSet, right: FSet, edges: Iterable[Tuple[int, int]]) -> "PairGraph":
-        """A graph on int edges that are in range by construction, with
-        `left` and `right` over one field: no per-edge check."""
+    def _from_flags(cls, left: FSet, right: FSet, flags: bytes) -> "PairGraph":
+        """A graph on |left| * |right| flag bytes, each 0 or 1, with `left`
+        and `right` over one field: no check."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "left", left)
         object.__setattr__(obj, "right", right)
-        object.__setattr__(obj, "edges", frozenset(edges))
+        object.__setattr__(obj, "flags", flags)
         object.__setattr__(obj, "_diff", None)
         return obj
 
@@ -475,70 +494,65 @@ class PairGraph:
 
     @classmethod
     def complete(cls, left: FSet, right: FSet) -> "PairGraph":
-        return cls(left, right, ((i, j) for i in range(len(left)) for j in range(len(right))))
+        _same_ctx(left, right)
+        return cls._from_flags(left, right, b"\1" * (len(left) * len(right)))
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as index pairs (i, j)."""
+        nr = len(self.right)
+        return frozenset(divmod(k, nr) for k in itertools.compress(itertools.count(), self.flags))
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return self.flags.count(1)
 
     def __eq__(self, other):
         return (
             isinstance(other, PairGraph)
             and self.left == other.left
             and self.right == other.right
-            and self.edges == other.edges
+            and self.flags == other.flags
         )
 
     def __hash__(self):
-        return hash((self.left, self.right, self.edges))
+        return hash((self.left, self.right, self.flags))
 
     def __repr__(self):
-        return f"PairGraph({len(self.left)}x{len(self.right)}, |G|={len(self.edges)})"
+        return f"PairGraph({len(self.left)}x{len(self.right)}, |G|={len(self)})"
 
     def left_degrees(self) -> list:
-        degs = [0] * len(self.left)
-        for i, _ in self.edges:
-            degs[i] += 1
-        return degs
+        nr, flags = len(self.right), self.flags
+        return [flags.count(1, i * nr, i * nr + nr) for i in range(len(self.left))]
 
     def right_degrees(self) -> list:
-        degs = [0] * len(self.right)
-        for _, j in self.edges:
-            degs[j] += 1
-        return degs
+        nr, flags = len(self.right), self.flags
+        return [flags[j::nr].count(1) for j in range(nr)]
 
-    def neighbors_left(self) -> dict:
-        """Map of left value -> sorted tuple of right neighbour values."""
-        adj = {v: [] for v in self.left.vals}
-        lv, rv = self.left.vals, self.right.vals
-        for i, j in self.edges:
-            adj[lv[i]].append(rv[j])
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+    def row_masks(self, rows: Iterable[int]) -> list:
+        """For each i in `rows`, the |right|-bit int with bit j set for each
+        edge (i, j): the neighbour mask of left vertex i."""
+        nr, flags = len(self.right), self.flags
+        return [_bits(flags[i * nr:i * nr + nr]) for i in rows]
+
+    def column_masks(self, columns: Iterable[int]) -> list:
+        """For each j in `columns`, the |left|-bit int with bit i set for
+        each edge (i, j): the neighbour mask of right vertex j."""
+        nr, flags = len(self.right), self.flags
+        return [_bits(flags[j::nr]) for j in columns]
 
     def value_edges(self) -> list:
         """Deterministically ordered list of (left value, right value) edges."""
-        lv, rv = self.left.vals, self.right.vals
-        return sorted((lv[i], rv[j]) for i, j in self.edges)
-
-
-def _edge_differences(g: PairGraph, edges: Iterable[Tuple[int, int]]) -> FSet:
-    """{a - b : (a, b) an edge of g in `edges`}, given as index pairs.  Each
-    edge (i, j) gets the int that `_pair_ints(g.left, g.right, "diff")`
-    gives at position i * |right| + j, computed for the edges alone."""
-    ctx = g.left.ctx
-    lv, rv = g.left.vals, g.right.vals
-    if ctx.kind == KIND_PRIME:
-        p = ctx.p
-        return _from_ints(ctx, ((lv[i] - rv[j]) % p for i, j in edges), 1)
-    scale = _lcd(lv + rv)
-    li, ri = _scaled(lv, scale), _scaled(rv, scale)
-    return _from_ints(ctx, (li[i] - ri[j] for i, j in edges), scale)
+        pairs = itertools.product(self.left.vals, self.right.vals)
+        return sorted(itertools.compress(pairs, self.flags))
 
 
 def partial_combine(g: PairGraph) -> FSet:
-    """The partial difference set A -_G B = {a - b : (a, b) in G}, built once
+    """The partial difference set A -_G B = {a - b : (a, b) in G}: the kernel
+    ints of a - b over left x right, kept where g has an edge.  Built once
     per graph and kept in `g._diff`."""
     done = g._diff
     if done is None:
-        done = _edge_differences(g, g.edges)
+        ints, scale = _pair_ints(g.left, g.right, "diff")
+        done = _from_ints(g.left.ctx, itertools.compress(ints, g.flags), scale)
         object.__setattr__(g, "_diff", done)
     return done

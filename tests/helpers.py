@@ -59,7 +59,27 @@ def dense_random_graph(rng: random.Random, a: FSet, b: FSet, epsilon: Fraction):
 
 def transpose(g: PairGraph) -> PairGraph:
     """The graph on right x left with the edge (j, i) for each edge (i, j) of g."""
-    return PairGraph._in_range(g.right, g.left, ((j, i) for i, j in g.edges))
+    return PairGraph(g.right, g.left, ((j, i) for i, j in g.edges))
+
+
+# -- edge-set oracles for the flag-byte PairGraph ------------------------------------
+
+def neighbour_masks(edges, n: int, rows) -> list:
+    """For each r in `rows`, the int with bit j set for every (r, j) in
+    `edges`: the neighbour mask of vertex r, one of n."""
+    masks = [0] * n
+    for r, j in edges:
+        masks[r] |= 1 << j
+    return [masks[r] for r in rows]
+
+
+def neighbors_left(g: PairGraph) -> dict:
+    """Map of left value -> sorted tuple of right neighbour values."""
+    adj = {v: [] for v in g.left.vals}
+    lv, rv = g.left.vals, g.right.vals
+    for i, j in g.edges:
+        adj[lv[i]].append(rv[j])
+    return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
 
 def literal_partial_diff(g) -> FSet:

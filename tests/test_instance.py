@@ -457,8 +457,9 @@ def test_fp_pipeline_makes_one_expand_pass_over_a_x_a(monkeypatch):
         monkeypatch.setattr(module, "_pair_ints", spy)
     verify.finite_field_pipeline(a)
     # the Instance's A(A+1) and base-point rows; its ratio spectrum (R2) and
-    # popular_ratio_graph(A, A)'s own ratio list; partial_ruzsa's witness scan
-    assert passes == {"expand": 1, "ratio": 2, "diff": 1}
+    # popular_ratio_graph(A, A)'s own ratio list; partial_combine of that
+    # graph, kept at its edges, and partial_ruzsa's witness scan
+    assert passes == {"expand": 1, "ratio": 2, "diff": 2}
 
 
 def test_popular_ratio_graph_builds_no_expander_set(monkeypatch):

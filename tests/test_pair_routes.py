@@ -485,6 +485,20 @@ def test_partial_combine_on_popular_ratio_graphs(pair, eps):
     assert_partial_diff_is_literal(transpose(res.graph))
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(pair_graphs(), st.data())
+def test_edge_differences_at_any_rows_or_columns_lie_in_the_partial_set(g, data):
+    # the premise a witness image rests on: the edges of g at any subset of
+    # its rows (A') or of its columns (C') have their differences in A -_G B
+    whole = partial_combine(g)
+    assert whole == literal_partial_diff(g)
+    rows = data.draw(st.sets(st.integers(0, max(len(g.left) - 1, 0))))
+    cols = data.draw(st.sets(st.integers(0, max(len(g.right) - 1, 0))))
+    for keep in (lambda i, j: i in rows, lambda i, j: j in cols):
+        part = PairGraph(g.left, g.right, [e for e in g.edges if keep(*e)])
+        assert literal_partial_diff(part).is_subset(whole)
+
+
 def test_partial_combine_calls_no_field_method(monkeypatch):
     f = FieldCtx.prime(1009)
     graphs = [

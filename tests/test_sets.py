@@ -1,9 +1,10 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expanderlab import (
@@ -16,15 +17,24 @@ from expanderlab import (
     kfold_size,
     load_set,
     partial_combine,
+    popular_ratio_graph,
     save_set,
 )
 from expanderlab.errors import (
     ContextMismatch,
     DivisionByZero,
+    ExpanderlabError,
     InvalidSetFile,
     ZeroDilation,
 )
-from helpers import PRIMES_TO_101, Q, random_fp_set, random_q_set, transpose
+from helpers import (
+    PRIMES_TO_101,
+    Q,
+    neighbour_masks,
+    random_fp_set,
+    random_q_set,
+    transpose,
+)
 from test_fp_chain_kernels import literal_kfold_sum
 
 F5 = FieldCtx.prime(5)
@@ -147,12 +157,87 @@ def test_pairgraph_basics():
         PairGraph(a, b, [(0, 5)])
 
 
-@pytest.mark.parametrize("edge", [(0, 2), (2, 0), (-1, 0), (0, -1)])
+@pytest.mark.parametrize("edge", [(0, 2), (2, 0), (-1, 0), (0, -1),
+                                  (0.7, 0), (0, 1.0), ("1", 0), (True, 0), (0, False)])
 def test_pairgraph_rejects_an_out_of_range_edge(edge):
+    # a float, a str or a bool is no index, even where int() of it is one
     a = FSet(F7, [1, 2])
     b = FSet(F7, [3, 4])
-    with pytest.raises(ValueError, match="out of range 2x2"):
+    with pytest.raises(ValueError, match="out of range 2x2") as err:
         PairGraph(a, b, [(0, 0), edge])
+    assert isinstance(err.value, ExpanderlabError)
+
+
+SIDE_SIZES = (0, 1, 2, 5, 64, 70)
+
+
+@st.composite
+def graph_sides(draw, nonzero=False):
+    """Two sets over F_p (p = 2, 5 or 1009) or over Q, of sizes drawn from
+    SIDE_SIZES (at least 1 when `nonzero`, which also leaves 0 out), so that
+    0 x n and n x 0 graphs and |right| >= 64 all come up."""
+    p = draw(st.sampled_from([2, 5, 1009, None]))
+    lo = int(nonzero)
+    if p is None:
+        ctx = Q
+        nums = st.integers(-150, 150).filter(lambda k: k or not nonzero)
+        members, room = st.builds(Fraction, nums, st.integers(1, 4)), 300
+    else:
+        ctx, members, room = FieldCtx.prime(p), st.integers(lo, p - 1), p - lo
+    sides = []
+    for _ in range(2):
+        n = min(max(draw(st.sampled_from(SIDE_SIZES)), lo), room)
+        sides.append(FSet(ctx, draw(st.sets(members, min_size=n, max_size=n))))
+    return tuple(sides)
+
+
+@st.composite
+def edge_sets(draw):
+    """(A, B, E) for sides from graph_sides and any set E of index pairs."""
+    a, b = draw(graph_sides())
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    density = draw(st.sampled_from([0, 0.2, 0.9, 1]))
+    pairs = itertools.product(range(len(a)), range(len(b)))
+    return a, b, frozenset(e for e in pairs if rng.random() < density)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(edge_sets())
+@example((FSet(F5, []), FSet(F5, [1, 2, 3]), frozenset()))
+@example((FSet(Q, [Fraction(1, 2), 3]), FSet(Q, []), frozenset()))
+@example((FSet(FieldCtx.prime(1009), [0, 7]), FSet(FieldCtx.prime(1009), range(3, 73)),
+          frozenset({(0, 0), (0, 63), (0, 64), (1, 69)})))
+def test_flag_graph_matches_its_edge_set(case):
+    a, b, edges = case
+    nl, nr = len(a), len(b)
+    g = PairGraph(a, b, sorted(edges) * 2)  # a repeated edge is one edge
+    assert g.edges == edges and len(g) == len(edges) and len(g.flags) == nl * nr
+    assert g.left_degrees() == [sum(i == r for i, _ in edges) for r in range(nl)]
+    assert g.right_degrees() == [sum(j == c for _, j in edges) for c in range(nr)]
+    rows, cols = range(nl - 1, -1, -1), range(nr - 1, -1, -1)
+    assert g.row_masks(rows) == neighbour_masks(edges, nl, rows)
+    assert g.column_masks(cols) == neighbour_masks({(j, i) for i, j in edges}, nr, cols)
+    assert g.value_edges() == sorted((a.vals[i], b.vals[j]) for i, j in edges)
+    assert PairGraph(a, b, g.edges) == g and hash(PairGraph(a, b, g.edges)) == hash(g)
+    full = PairGraph.complete(a, b)
+    assert full.edges == set(itertools.product(range(nl), range(nr)))
+    assert full == PairGraph(a, b, full.edges) and hash(full) == hash(PairGraph(a, b, full.edges))
+    assert (full == g) == (len(edges) == nl * nr)
+    assert full.left_degrees() == [nr] * nl and full.right_degrees() == [nl] * nr
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(graph_sides(nonzero=True),
+       st.sampled_from([Fraction(1, 64), Fraction(1, 4), Fraction(1, 2)]))
+def test_popular_ratio_graph_equals_the_graph_of_its_edge_set(sides, eps):
+    a, b = sides
+    res = popular_ratio_graph(a, b, eps)
+    div = a.ctx.div
+    want = {(i, j) for i, x in enumerate(a.vals) for j, y in enumerate(b.vals)
+            if div(x, y) in res.x_set}
+    g = PairGraph(a, b, want)
+    assert res.graph.edges == want
+    assert res.graph == g and hash(res.graph) == hash(g)
 
 
 @settings(max_examples=60, deadline=None)
