@@ -8,10 +8,16 @@ monkeypatch must reach those same modules, whatever order the tests run in.
 
 Hypothesis draws its examples from a seed fixed by each test, and keeps no
 example database, so no run replays what an earlier run in the same
-directory saved.  Its home directory, where it caches the constants it
-mines from the source, is a temporary directory of the session, and so is
-the storage that pytest-benchmark, when installed, makes at start-up: a run
-writes nothing under the directory it is started from.
+directory saved.  It would also mix into its draws the constants it mines
+from every local module in `sys.modules`, so a test's examples would change
+with what else was collected (the tier-1 command collects `perfbench/`
+after `tests/`) and with any constant edited in `src/`.  The pool of those
+constants is pinned empty: `_get_local_constants` is a private Hypothesis
+function (6.155.2), with no public switch, so it is replaced with one that
+returns the empty pool it starts from.  Its home directory is a temporary
+directory of the session, and so is the storage that pytest-benchmark,
+when installed, makes at start-up: a run writes nothing under the
+directory it is started from.
 """
 import sys
 import tempfile
@@ -19,9 +25,14 @@ import tempfile
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
+from hypothesis.internal.conjecture import providers
 
 settings.register_profile("expanderlab", derandomize=True)
 settings.load_profile("expanderlab")
+
+# no draw has been made yet, so the pool is still the empty one it starts as
+_NO_LOCAL_CONSTANTS = providers._local_constants
+providers._get_local_constants = lambda: _NO_LOCAL_CONSTANTS
 
 _SESSION_DIR = pytest.StashKey[tempfile.TemporaryDirectory]()
 

@@ -6,9 +6,9 @@ the slope-family incidence certificate over the rationals, and extremal
 search for sets with a small expander image.  Sumsets, product sets,
 partial difference sets, multiplicity spectra and energies all come from one
 scaled-integer pair kernel, `sets._pair_ints`, except where a cost model
-sends an F_p energy to a convolution of discrete logarithms in byte-wide
-slots (`sets.DiscreteLog`), or an F_p sumset size to p-bit residue masks
-(`sets.sumset_size`).
+sends an F_p energy or R6 count to one convolution of discrete logarithms
+in byte-wide slots (`energy._slot_convolution`), or an F_p sumset size to
+p-bit residue masks (`sets.sumset_size`).
 No floating point participates in any verdict.
 """
 

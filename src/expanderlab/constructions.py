@@ -119,8 +119,6 @@ def popular_ratio_graph(a: FSet, b: FSet, epsilon) -> PopularRatioResult:
     x_set = _from_ints(ctx, popular, scale)
     graph = PairGraph._from_flags(a, b, bytes(map(popular.__contains__, ratios)))
 
-    if sum(mult[r] for r in popular) != len(graph):
-        raise InvariantViolation("sum of popular multiplicities != |G|")
     if Fraction(len(graph)) < (1 - eps) * na * nb:
         raise InvariantViolation("popular graph lost more than an eps-fraction of pairs")
 

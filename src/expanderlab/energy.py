@@ -26,44 +26,41 @@ diagonal.  For eta != 0 we have delta = xi*eta != 0, so delta = 0 never
 meets a nonzero twist.  So `twist_spectrum` is one `Counter` of the ratios
 delta/eta, and `twist_witness` finds a quadruple for one chosen xi.
 
-Over F_p, E2 has a second exact kernel on discrete logarithms
+Over F_p, E2 and R6 have a second exact kernel on discrete logarithms
 (`sets.DiscreteLog`).  Let r(v) = #{(x, y) in X x Y : xy = v}.  Then
 
   E2(X, Y) = sum over v of r(v)^2,
 
 and in log coordinates r is the cyclic convolution over Z/(p-1) of the
-indicators of X and Y.  The slot kernel holds it in one int of p - 1 slots
-of s bytes, w = 8s bits, with X the smaller set and s the fewest of 1, 2, 4
-and 8 bytes with 2^w > |X| (s = 1 when X is empty): Y's indicator is the
-int with 1 in slot log(y), the sum of its shifts by w*log(x) over x in X
-has every coefficient at most |X| < 2^w, so no slot carries, and one AND,
-shift and add fold the top p - 1 slots onto the bottom ones.  The slots are
-read as a `memoryview` of native s-byte ints, and E2 is the sum of c*v^2
-over the `Counter` of their values: |X| shift-adds over w(p-1)-bit ints.
-Only the multiset of values counts, so the byte order does not matter.
+indicators of X and Y.  `_slot_convolution` holds it in one int of p - 1
+slots of s bytes, w = 8s bits, with X the smaller set and s the fewest of
+1, 2, 4 and 8 bytes with 2^w > |X| (s = 1 when X is empty): Y's indicator
+is the int with 1 in slot log(y), the sum of its shifts by w*log(x) over x
+in X has every coefficient at most |X| < 2^w, so no slot carries, and one
+AND, shift and add fold the top p - 1 slots onto the bottom ones.  The
+slots are read as a `memoryview` of native s-byte ints, r(v) in slot
+log(v): |X| shift-adds over w(p-1)-bit ints.  E2 is the sum of c*v^2 over
+the `Counter` of the slot values, which drops the zero bytes of 1-byte
+slots, most of a sparse convolution, before `Counter` sees them.
 
-R6's sum over x in A/B of |A ∩ xB| counts the pairs (x, b) with xb in A, so
-summed over b instead it is the sum over b in B of |b(A/B) ∩ A|, where a
-subset S of F_p^* is the (p-1)-bit log-mask with bit log(s) set and the
-mask of bS is that of S rotated by log(b): |B| rotations and AND-popcounts
-in place of |A/B||B| products.  0 has no discrete logarithm, so neither
-kernel takes a set holding 0; both raise ZeroElementPresent, as the pair
-kernel's product spectrum does.
+R6's sum over x in A/B of |A ∩ xB| counts the pairs (x, b) of A/B x B with
+xb in A, so it is the sum of r(a) over a in A for X = A/B and Y = B: the
+slots at the logs of A (`verify._r6_slots`).  0 has no discrete logarithm,
+so the kernel takes no set holding 0 and raises ZeroElementPresent, as the
+pair kernel's product spectrum does.
 
-Each kernel has one dispatch point, `e2` here and `verify._check_r6`, with
-a cost model in pair steps that reads only set sizes, p and, for E2,
-whether the log table is built (`sets.mask_steps`): the pair kernel costs
-|X||Y| steps (R6: |A/B||B|).  Both other kernels pay for the log table
-(p steps), one step per element looked up in it and a fixed setup; the
-slot kernel pays for the table only while its `DiscreteLog` has not built
-it, so an `Instance`'s first E2 on slots pays for its later ones.  R6 adds
-one step per 16 words for each pass over a ceil((p-1)/64)-word mask; the
-slot kernel adds a quarter step per slot for the count and, for each x,
-half such a pass per slot bit for its shift and add (`_slot_steps`).  The
-count drops the zero bytes of 1-byte slots, most of a sparse convolution,
-before `Counter` sees them.  The table is an `array`, and the masks and
-slots are ints.  `multiplicative_energy` and `verify._r6_pairs` stay
-on the pair kernel, as the oracles the other kernels are tested against.
+One cost rule, `_slot_steps`, dispatches both, in `e2` here and in
+`verify._check_r6`: the slots run when they cost fewer pair steps than the
+pair kernel's |X||Y| (R6: |A/B||B|).  In `sets.mask_steps` units it reads
+only set sizes, p and whether the log table is built: the table (p steps)
+while its `DiscreteLog` has not built it, so an `Instance`'s first slot
+kernel pays for its later ones; one step per element looked up in it and a
+fixed setup; a quarter step per slot for the count; and, for each x, half
+a pass over the ceil((p-1)/64) words of the slots per slot bit for its
+shift and add, at one step per 16 words.  R6 reads only |A| slots, so the
+rule charges it a count it does not make.  The table is an `array` and the
+slots are one int.  `multiplicative_energy` and `verify._r6_pairs` stay on
+the pair kernel, as the oracles the slot kernel is tested against.
 """
 from __future__ import annotations
 
@@ -332,10 +329,10 @@ def _slot_int(ks: list, s: int, slots: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _slot_energy(x: FSet, y: FSet, logs: DiscreteLog) -> int:
-    """E2(x, y) over F_p as the sum of r(v)^2, where r is the cyclic
-    convolution over Z/(p-1) of the log indicators of x and y: the smaller
-    set's shifts of the other's slot int, summed and folded mod p - 1."""
+def _slot_convolution(x: FSet, y: FSet, logs: DiscreteLog) -> memoryview:
+    """The cyclic convolution over Z/(p-1) of the log indicators of x and y:
+    the p - 1 native slots of the sum of the smaller set's shifts of the
+    other's slot int, folded mod p - 1, with r(v) in slot log(v)."""
     _same_ctx(x, y)
     _require_units(x, y, "product")
     x, y = (x, y) if len(x) <= len(y) else (y, x)
@@ -347,20 +344,25 @@ def _slot_energy(x: FSet, y: FSet, logs: DiscreteLog) -> int:
     for k in logs._logs_of(x):
         acc += row << w * k
     acc = (acc & ((1 << w * n) - 1)) + (acc >> w * n)
-    data = acc.to_bytes(s * n, sys.byteorder)
+    return memoryview(acc.to_bytes(s * n, sys.byteorder)).cast(_SLOT_FORMATS[s])
+
+
+def _slot_energy(x: FSet, y: FSet, logs: DiscreteLog) -> int:
+    """E2(x, y) over F_p as the sum of r(v)^2 over the slots of
+    `_slot_convolution`."""
+    slots = _slot_convolution(x, y, logs)
     # a zero slot adds nothing to the sum; 1-byte slots are the bytes themselves
-    counts = Counter(data.translate(None, b"\0") if s == 1
-                     else memoryview(data).cast(_SLOT_FORMATS[s]))
+    counts = Counter(slots.obj.translate(None, b"\0") if slots.itemsize == 1 else slots)
     return sum(c * v * v for v, c in counts.items())
 
 
 def _slot_steps(logs: DiscreteLog, nx: int, ny: int) -> int:
-    """The slot kernel's cost for sets of nx and ny units of F_p, in
-    `mask_steps` units: the log table unless `logs` has built it already,
-    the nx + ny lookups, a quarter step for each of the p - 1 slots it
-    counts, and, for each x of the smaller set, a shift and an add over a
-    w(p-1)-bit int at half a pass per slot bit, as measured against the
-    pair kernel on CPython 3.11."""
+    """The cost of `_slot_convolution` of sets of nx and ny units of F_p and
+    a count of its slots, in `mask_steps` units: the log table unless `logs`
+    has built it already, the nx + ny lookups, a quarter step for each of
+    the p - 1 slots, and, for each x of the smaller set, a shift and an add
+    over a w(p-1)-bit int at half a pass per slot bit, as measured for E2
+    against the pair kernel on CPython 3.11.  `e2` and R6 both read it."""
     p, n = logs.p, min(nx, ny)
     steps = mask_steps(p, nx + ny + (p - 1) // 4, 4 * _slot_bytes(n) * n)
     return steps - p if "log" in vars(logs) else steps

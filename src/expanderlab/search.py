@@ -26,7 +26,8 @@ count a candidate, and one is chosen per search:
   residue count serves F_p and Q.  A residue set cannot give a product
   back, so each rest is built afresh.
 - discrete-log masks over F_p (`_mask_rest`, `_mask_size_with`): a subset
-  of F_p^* is a (p-1)-bit int (`sets.DiscreteLog`), and its doubled mask
+  of F_p^* is the (p-1)-bit int with bit log(x) set for each member x,
+  the logs read from `sets.DiscreteLog`, and its doubled mask
   D = M | M << (p - 1) turns a rotation by log z into one shift.  A rest
   holds D_R, D_{R+1}, |R(R+1)| and the complement of R(R+1) in F_p^*; the
   candidate's value is |R(R+1)| plus the popcount of z(R+1), R(z+1) and
@@ -303,7 +304,7 @@ def _mask_size_with(rest: _MaskRest, z: int, logs: _Logs) -> int:
     return base + ((d1 >> s0 | d0 >> s1 | 1 << (-s0 - s1) % order) & free).bit_count()
 
 
-MASK_PASSES = 8      # word passes of one mask candidate: two rotations, the bit, ORs, AND, popcount
+MASK_PASSES = 8      # word passes of one mask candidate: two shifts, the bit, ORs, AND, popcount
 PRODUCT_STEPS = 4    # pair steps of one residue product in `_size_with`, measured on CPython 3.11
 
 

@@ -13,15 +13,15 @@ for an int k.  Scaling one side by a nonzero constant is a bijection, so
 distinct results stay distinct and every multiplicity is unchanged; and as
 scale > 0, sorted ints give the results in Fraction order.
 
-Over F_p two bit-mask encodings stand in for pairs where a cost model says
-they are cheaper.  A log mask (`DiscreteLog`) is a subset of F_p^* as the
-(p-1)-bit int with bit log(x) set for each member, so a dilate is a
-rotation; it needs the log table and refuses 0.  A residue mask is a subset
-of F_p as the p-bit int with bit x set for each member x, so a translate is
-a rotation: with D = M | M << p, the mask of X + y is the low p bits of
-D >> (p - y) and that of X - y those of D >> y.  It needs no table and
-allows every residue; `sumset_size` and `kfold_size` count sums and
-differences on it without building them.
+Over F_p two encodings on ints stand in for pairs where a cost model says
+they are cheaper.  Discrete logarithms (`DiscreteLog`) put F_p^* in log
+coordinates, where a dilate is a cyclic shift over Z/(p-1): `energy`'s slot
+convolution and `search`'s log masks read the one table.  A residue mask is
+a subset of F_p as the p-bit int with bit x set for each member x, so a
+translate is a rotation: with D = M | M << p, the mask of X + y is the low
+p bits of D >> (p - y) and that of X - y those of D >> y.  It needs no
+table and allows every residue; `sumset_size` and `kfold_size` count sums
+and differences on it without building them.
 """
 from __future__ import annotations
 
@@ -239,7 +239,7 @@ def _pair_groups(a: FSet, b: FSet, op: str, labels=None) -> Tuple[dict, int]:
 
 def _mask_of(ints: Iterable[int], width: int) -> int:
     """The `width`-bit int with bit k set for each k in `ints`, each in
-    [0, width): a log mask of p - 1 bits, or a residue mask of p bits."""
+    [0, width): with width p, the residue mask of a subset of F_p."""
     bits = bytearray((width + 7) >> 3)
     for k in ints:
         bits[k >> 3] |= 1 << (k & 7)
@@ -259,14 +259,13 @@ def _prime_factors(n: int) -> list:
 
 
 class DiscreteLog:
-    """Discrete logarithms on F_p^* to its least primitive root g, and the
-    log-masks they give: a subset S of F_p^* is the (p-1)-bit int with bit
-    log(s) set for each s in S, so the mask of aS is the mask of S rotated
-    by log(a).  0 has no logarithm, so a mask of a set holding 0 is refused.
+    """Discrete logarithms on F_p^* to its least primitive root g: log(x) is
+    the k in [0, p - 1) with g^k = x, so log(ax) = log(a) + log(x) mod p - 1.
+    0 has no logarithm, so `_logs_of` refuses a set holding 0.
 
-    Only p is kept until a mask is first asked for; then g and the table
-    (an `array('l')` of p entries) are built once for the object's life.
-    The search for g starts at 1, the primitive root of F_2."""
+    Only p is kept until the table is first read; then g and the table (an
+    `array('l')` of p entries) are built once for the object's life.  The
+    search for g starts at 1, the primitive root of F_2."""
 
     def __init__(self, p: int):
         self.p = p
@@ -293,16 +292,6 @@ class DiscreteLog:
             raise ZeroElementPresent("0 has no discrete logarithm")
         log = self.log
         return [log[v] for v in a.vals]
-
-    def mask(self, a: FSet) -> int:
-        return _mask_of(self._logs_of(a), self.p - 1)
-
-    def rotations(self, mask: int, by: FSet) -> list:
-        """The masks of v*S for v in `by`, where `mask` is that of S:
-        rotations by log(v) in p - 1 bits."""
-        n = self.p - 1
-        full = (1 << n) - 1
-        return [((mask << k) | (mask >> (n - k))) & full for k in self._logs_of(by)]
 
 
 MASK_SETUP_STEPS = 100
@@ -469,9 +458,13 @@ class PairGraph:
         _same_ctx(left, right)
         nl, nr = len(left), len(right)
         flags = bytearray(nl * nr)
-        for i, j in edges:
+        for edge in edges:
+            try:
+                i, j = edge
+            except (TypeError, ValueError):
+                i = j = None  # not a pair: refused below
             if not (_is_index(i, nl) and _is_index(j, nr)):
-                raise InvalidGraphEdge(f"edge ({i!r}, {j!r}) out of range {nl}x{nr}")
+                raise InvalidGraphEdge(f"edge {edge!r} out of range {nl}x{nr}")
             flags[i * nr + j] = 1
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)

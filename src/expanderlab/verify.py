@@ -22,6 +22,8 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from . import constructions as cons
 from .energy import (
     PRECISION_START,
+    _slot_convolution,
+    _slot_steps,
     e2,
     energy,
     energy_at,
@@ -53,7 +55,6 @@ from .sets import (
     dilate,
     expander_set,
     kfold_size,
-    mask_steps,
     negate,
     sumset_size,
     translate,
@@ -176,8 +177,8 @@ class Instance:
     moments, `e2_a` and `e2_a1` their second, and the other `e2_*`
     multiplicative energies, `e2_mixed` being E2(A, A+1).  `e15` keeps the
     3/2-energy enclosures of the spectra.  Over F_p, `logs` is the one
-    discrete-log table the slot kernel of every E2 and the mask kernel of
-    R6 share; it is built only if one runs."""
+    discrete-log table that the slot kernel of every E2 and of R6 reads;
+    it is built only if one runs."""
 
     A: FSet
 
@@ -304,12 +305,12 @@ def _r6_pairs(A: FSet, ratios: FSet, B: FSet) -> int:
     return sum(map(a_ints.__contains__, products))
 
 
-def _r6_masks(A: FSet, ratios: FSet, B: FSet, logs: DiscreteLog) -> int:
-    """The same sum over F_p from log-masks, summed over b in B instead: it
-    counts the pairs (x, b) with xb in A, so it is the sum over b of
-    |b*ratios ∩ A|."""
-    a = logs.mask(A)
-    return sum((a & row).bit_count() for row in logs.rotations(logs.mask(ratios), B))
+def _r6_slots(A: FSet, ratios: FSet, B: FSet, logs: DiscreteLog) -> int:
+    """The same sum over F_p, read off the convolution r of `ratios` and B:
+    it counts the pairs (x, b) with xb in A, so it is the sum over a in A of
+    r(a), the slot at log(a)."""
+    slots = _slot_convolution(ratios, B, logs)
+    return sum(map(slots.__getitem__, logs._logs_of(A)))
 
 
 def _check_r6(*, inst: Instance, B: FSet, digest: str, cap: Optional[int]) -> InequalityReport:
@@ -317,10 +318,9 @@ def _check_r6(*, inst: Instance, B: FSet, digest: str, cap: Optional[int]) -> In
     _exclude(A, (0,), "A")
     _exclude(B, (0,), "B")
     ratios = combine(A, B, "ratio")
-    ctx = A.ctx
-    if ctx.kind == KIND_PRIME and (
-            mask_steps(ctx.p, len(A) + len(ratios) + len(B), 2 * len(B)) < len(ratios) * len(B)):
-        total = _r6_masks(A, ratios, B, inst.logs)
+    if (A.ctx.kind == KIND_PRIME
+            and _slot_steps(inst.logs, len(ratios), len(B)) < len(ratios) * len(B)):
+        total = _r6_slots(A, ratios, B, inst.logs)
     else:
         total = _r6_pairs(A, ratios, B)
     return _hold_report("R6", total, len(A) * len(B), digest,

@@ -12,7 +12,7 @@ from expanderlab.energy import PRECISION_START, precision_cap
 from expanderlab.errors import CollisionFound, InvariantViolation
 from expanderlab.incidence import Line
 from expanderlab.intervals import RatInterval, iroot_floor, pow_interval
-from expanderlab.sets import _lcd, _scaled
+from expanderlab.sets import DiscreteLog, _lcd, _mask_of, _scaled
 
 PRIMES_TO_101 = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101]
@@ -60,6 +60,13 @@ def dense_random_graph(rng: random.Random, a: FSet, b: FSet, epsilon: Fraction):
 def transpose(g: PairGraph) -> PairGraph:
     """The graph on right x left with the edge (j, i) for each edge (i, j) of g."""
     return PairGraph(g.right, g.left, ((j, i) for i, j in g.edges))
+
+
+def log_mask(a: FSet) -> int:
+    """The log mask of a subset of F_p^*: the (p-1)-bit int with bit log(x)
+    set for each member x."""
+    p = a.ctx.p
+    return _mask_of(DiscreteLog(p)._logs_of(a), p - 1)
 
 
 # -- edge-set oracles for the flag-byte PairGraph ------------------------------------

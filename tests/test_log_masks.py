@@ -1,17 +1,19 @@
-"""The F_p kernels on discrete logarithms against the pair kernel they stand
+"""The F_p kernel on discrete logarithms against the pair kernel it stands
 in for.
 
-`energy._slot_energy` (E2 as one cyclic convolution in byte-wide slots) and
-`verify._r6_masks` (R6 on log-masks) are called directly, not through their
-dispatch, and compared with `multiplicative_energy`, the brute-force
-quadruple count and the `_pair_ints` R6 count.  The primes include p = 2,
-whose primitive root is 1, and primes with 64 | p - 1, whose masks end on a
-word boundary; the slot cases include full 1-byte slots (every r(v) = 255
-at p = 257) and the first 2-byte slots (|X| = 256 at p = 263).  The
-dispatch tests count the pairs `_pair_ints` forms and the slot ints the
-kernel builds, so a cost model that sends a verify-sized instance back to
-the pair kernel, or a huge p to the slots, fails here.  Two verify-sized
-instances over F_40009 pin the bytes of their `verify --all` reports.
+`energy._slot_convolution` is the cyclic convolution over Z/(p-1) of two
+log indicators in byte-wide slots.  Its two readers, `energy._slot_energy`
+(E2, the sum of the squared slots) and `verify._r6_slots` (R6, the slots at
+the logs of A), are called directly, not through their dispatch, and
+compared with `multiplicative_energy`, the brute-force quadruple count and
+the `_pair_ints` R6 count.  The primes include p = 2, whose primitive root
+is 1, and primes with 64 | p - 1, whose slot ints end on a word boundary;
+the slot cases include full 1-byte slots (every r(v) = 255 at p = 257) and
+the first 2-byte slots (|X| = 256 at p = 263).  The dispatch tests count
+the pairs `_pair_ints` forms and the slot ints the kernel builds, so a cost
+rule that sends a verify-sized instance back to the pair kernel, or a huge
+p to the slots, fails here.  Two verify-sized instances over F_40009 pin
+the bytes of their `verify --all` reports.
 """
 import hashlib
 import importlib
@@ -28,6 +30,7 @@ from expanderlab import sets, verify
 from expanderlab.cli import main
 from expanderlab.energy import (
     _slot_bytes,
+    _slot_convolution,
     _slot_energy,
     e2,
     multiplicative_energy,
@@ -35,8 +38,8 @@ from expanderlab.energy import (
 )
 from expanderlab.errors import ContextMismatch, ZeroElementPresent
 from expanderlab.sets import DiscreteLog
-from expanderlab.verify import _r6_masks, _r6_pairs
-from helpers import Q
+from expanderlab.verify import _r6_pairs, _r6_slots
+from helpers import Q, log_mask
 
 # the package's `energy` attribute is the function of that name
 energy_module = importlib.import_module("expanderlab.energy")
@@ -73,24 +76,34 @@ def test_the_log_table_inverts_powers_of_a_primitive_root(p):
 def test_f2_has_primitive_root_one():
     logs = DiscreteLog(2)
     assert logs.log[1] == 0
-    assert logs.mask(units(2, [1])) == 1
+    assert log_mask(units(2, [1])) == 1
     assert _slot_energy(units(2, [1]), units(2, [1]), logs) == 1
+
+
+def rotate(mask, k, n):
+    """The n-bit mask rotated left by k."""
+    return ((mask << k) | (mask >> (n - k))) & ((1 << n) - 1)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_masks_rotate_as_sets_dilate(p):
-    logs = DiscreteLog(p)
+    # the log masks the search tests build their oracles from, and the slots
+    # of a convolution with one element v: both are S in log coordinates
+    # shifted by log(v), the indicator of vS
+    logs, n = DiscreteLog(p), p - 1
     rng = random.Random(p)
-    s = units(p, rng.sample(range(1, p), min(p - 1, 9)))
+    s = units(p, rng.sample(range(1, p), min(n, 9)))
     everything = units(p, range(1, p))
-    full = (1 << (p - 1)) - 1
-    assert logs.mask(everything) == full
-    assert logs.mask(units(p, [])) == 0
-    for v, row in zip(everything.vals, logs.rotations(logs.mask(s), everything)):
-        assert row == logs.mask(units(p, [v * x for x in s.vals]))
-    # 1 has log 0: rotating by it is the identity
-    assert logs.rotations(logs.mask(s), units(p, [1])) == [logs.mask(s)]
-    assert logs.rotations(full, everything) == [full] * (p - 1)
+    full = (1 << n) - 1
+    assert log_mask(everything) == full
+    assert log_mask(units(p, [])) == 0
+    log = logs.log
+    for v in everything.vals:
+        vs = units(p, [v * x for x in s.vals])
+        assert rotate(log_mask(s), log[v], n) == log_mask(vs)
+        ones = {log[x] for x in vs}
+        slots = _slot_convolution(units(p, [v]), s, logs)
+        assert slots.tolist() == [int(k in ones) for k in range(n)]
 
 
 @given(unit_sets())
@@ -145,19 +158,23 @@ def test_a_slot_is_the_fewest_bytes_that_hold_the_smaller_set():
 
 @given(unit_sets(sizes=(20, 20)), st.data())
 @example((units(2, [1]), units(2, [1])), None)
+@example((units(2, []), units(2, [1])), None)
 @example((units(7, []), units(7, [3])), None)
+@example((units(7, [2, 3]), units(7, [])), None)
 @example((units(257, range(1, 257)), units(257, [3, 5, 256])), None)
-def test_r6_masks_match_the_pair_count(pair, data):
+# A/B = B = F_263^*: 262 products per slot need 2-byte slots
+@example((units(263, range(1, 257)), units(263, range(1, 263))), None)
+def test_r6_slots_match_the_pair_count(pair, data):
     a, b = pair
     ratios = combine(a, b, "ratio")
     # any set of units in place of A/B: the kernels count the same pairs
     if data is not None:
         ratios = units(a.ctx.p, data.draw(st.sets(st.integers(1, a.ctx.p - 1), max_size=30)))
     logs = DiscreteLog(a.ctx.p)
-    assert _r6_masks(a, ratios, b, logs) == _r6_pairs(a, ratios, b)
-    assert _r6_masks(b, ratios, a, logs) == _r6_pairs(b, ratios, a)
+    assert _r6_slots(a, ratios, b, logs) == _r6_pairs(a, ratios, b)
+    assert _r6_slots(b, ratios, a, logs) == _r6_pairs(b, ratios, a)
     full = combine(a, b, "ratio")
-    assert _r6_masks(a, full, b, logs) == _r6_pairs(a, full, b) == len(a) * len(b)
+    assert _r6_slots(a, full, b, logs) == _r6_pairs(a, full, b) == len(a) * len(b)
 
 
 @given(unit_sets(sizes=(12, 12)), st.booleans())
@@ -177,7 +194,7 @@ def test_zero_raises_what_the_pair_kernel_raises(pair, first):
         assert str(slot_error.value) == str(pair_error.value)
     for args in ((x, y, y), (y, x, y), (y, y, x)):
         with pytest.raises(ZeroElementPresent):
-            _r6_masks(*args, logs)
+            _r6_slots(*args, logs)
 
 
 def test_kernels_refuse_sets_of_another_field():
@@ -188,9 +205,9 @@ def test_kernels_refuse_sets_of_another_field():
             _slot_energy(*args, logs)
     for args in ((a, a, b), (a, b, a), (b, a, a)):
         with pytest.raises(ContextMismatch):
-            _r6_masks(*args, logs)
+            _r6_slots(*args, logs)
     with pytest.raises(ContextMismatch):
-        logs.mask(FSet(Q, [2]))
+        logs._logs_of(FSet(Q, [2]))
 
 
 @given(unit_sets(sizes=(40, 120)))
@@ -216,6 +233,19 @@ def count_pairs(monkeypatch):
     return passes
 
 
+def count_slot_ints(monkeypatch):
+    """Every slot int the slot kernel builds, as (bytes per slot, slots)."""
+    built = []
+    real = energy_module._slot_int
+
+    def spy(ks, s, slots):
+        built.append((s, slots))
+        return real(ks, s, slots)
+
+    monkeypatch.setattr(energy_module, "_slot_int", spy)
+    return built
+
+
 def test_a_verify_sized_instance_makes_no_full_pair_pass(monkeypatch):
     rng = random.Random(40009)
     ctx = FieldCtx.prime(40009)
@@ -227,9 +257,12 @@ def test_a_verify_sized_instance_makes_no_full_pair_pass(monkeypatch):
     inst.e2_a_aa1
     inst.e2_a1_aa1
     assert passes == []
+    built = count_slot_ints(monkeypatch)
     check("R6", A=inst, B=b)
-    # A/B from one pass over A x B, and no pass over A/B x B
+    # A/B from one pass over A x B, and no pass over A/B x B: one slot int of
+    # A/B, shifted by the logs of B, in 1-byte slots as |B| = 100 < 256
     assert passes == [("ratio", 100 * 100)]
+    assert built == [(1, 40008)]
     del passes[:]
     check("R5", A=inst, B=b)
     # A·B and the ratio spectra of A and B, each one pass over 100 x 100 pairs
@@ -268,23 +301,10 @@ def test_reports_are_the_same_on_either_kernel(monkeypatch, p, n):
         inst = Instance(a)
         return [check(name, A=inst, B=b).to_json() for name in names]
 
-    masked = reports()
-    for module in (energy_module, verify):
-        monkeypatch.setattr(module, "mask_steps", lambda *args: float("inf"))
-    assert reports() == masked
-
-
-def count_slot_ints(monkeypatch):
-    """Every slot int the slot kernel builds, as (bytes per slot, slots)."""
-    built = []
-    real = energy_module._slot_int
-
-    def spy(ks, s, slots):
-        built.append((s, slots))
-        return real(ks, s, slots)
-
-    monkeypatch.setattr(energy_module, "_slot_int", spy)
-    return built
+    slotted = reports()
+    # one cost rule dispatches E2 and R6: an infinite step sends both to pairs
+    monkeypatch.setattr(energy_module, "mask_steps", lambda *args: float("inf"))
+    assert reports() == slotted
 
 
 def test_a_verify_sized_mixed_energy_takes_the_slot_kernel(monkeypatch):
@@ -337,6 +357,7 @@ def test_q_never_reaches_the_cost_model(monkeypatch):
 
     for name in ("_slot_steps", "mask_steps"):
         monkeypatch.setattr(energy_module, name, refuse)
+    monkeypatch.setattr(verify, "_slot_steps", refuse)  # R6's dispatch
     inst = Instance(FSet(Q, [2, 3, 5, Fraction(7, 2), Fraction(-3, 2), Fraction(4, 3)]))
     b = FSet(Q, [2, Fraction(5, 3), -2, 6])
     energies = (inst.e2_a, inst.e2_a1, inst.e2_mixed, inst.e2_a_aa1, inst.e2_a1_aa1)
@@ -346,6 +367,7 @@ def test_q_never_reaches_the_cost_model(monkeypatch):
                         multiplicative_energy(inst.A, inst.aa1),
                         multiplicative_energy(inst.a1, inst.aa1))
     check("R5", A=inst, B=b)
+    check("R6", A=inst, B=b)
 
 
 # -- report bytes where the slot kernel fires ----------------------------------------------

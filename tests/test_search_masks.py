@@ -6,7 +6,7 @@
   masks at 64-bit word boundaries and empty or singleton rests.
 - The rests a restart derives from its set's doubled masks (`_mask_without`)
   and the masks it keeps after a move (`_mask_join`) against those built
-  from scratch by `_mask_rest` and `DiscreteLog.mask`.
+  from scratch by `_mask_rest` and `helpers.log_mask`.
 - The orbit-halved `exhaustive_min` against the brute-force minimum of
   (value, sum, colex) over every set of the pool, on either kernel.
 - The dispatch `_kernel`: no log table where the residue set is chosen.
@@ -36,6 +36,7 @@ from expanderlab.search import (
     expander_size,
 )
 from expanderlab.sets import DiscreteLog, FSet
+from helpers import log_mask
 
 Q = FieldCtx.rational()
 
@@ -91,9 +92,9 @@ def test_mask_count_matches_residues_and_pair_kernel(case):
 # -- rests derived from a set's masks against rests built from scratch ----------
 
 def doubled_masks(p, vals):
-    """(D_S, D_{S+1}) of S = vals from `DiscreteLog.mask`."""
-    ctx, logs = FieldCtx.prime(p), DiscreteLog(p)
-    masks = (logs.mask(FSet(ctx, vals)), logs.mask(FSet(ctx, [v + 1 for v in vals])))
+    """(D_S, D_{S+1}) of S = vals from `helpers.log_mask`."""
+    ctx = FieldCtx.prime(p)
+    masks = (log_mask(FSet(ctx, vals)), log_mask(FSet(ctx, [v + 1 for v in vals])))
     return tuple(m | m << (p - 1) for m in masks)
 
 

@@ -158,9 +158,11 @@ def test_pairgraph_basics():
 
 
 @pytest.mark.parametrize("edge", [(0, 2), (2, 0), (-1, 0), (0, -1),
-                                  (0.7, 0), (0, 1.0), ("1", 0), (True, 0), (0, False)])
+                                  (0.7, 0), (0, 1.0), ("1", 0), (True, 0), (0, False),
+                                  0, (0,), (0, 0, 1), None])
 def test_pairgraph_rejects_an_out_of_range_edge(edge):
-    # a float, a str or a bool is no index, even where int() of it is one
+    # a float, a str or a bool is no index, even where int() of it is one,
+    # and an edge that is not a pair has no index at all
     a = FSet(F7, [1, 2])
     b = FSet(F7, [3, 4])
     with pytest.raises(ValueError, match="out of range 2x2") as err:
