@@ -101,22 +101,29 @@ class PopularRatioResult:
 def popular_ratio_graph(a: FSet, b: FSet, epsilon) -> PopularRatioResult:
     """Keep the ratios x with |A ∩ xB| >= eps|A||B|/|A/B| and take all pairs
     realising them; the kept graph has at least (1 - eps)|A||B| edges."""
-    ctx = _same_ctx(a, b)
+    _same_ctx(a, b)
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise EpsilonOutOfRange(f"epsilon = {eps} outside (0, 1)")
-    if 0 in a.member_set() or 0 in b.member_set():
+    if 0 in a or 0 in b:
         raise ZeroElementPresent("popular-ratio construction needs 0 excluded")
 
     ints, scale = _pair_ints(a, b, "ratio")
-    ratios = list(ints)  # pair (i, j) at position i * |B| + j
-    mult = Counter(ratios)
+    ratios = list(ints)
+    return _popular_graph(a, b, eps, ratios, scale, Counter(ratios))
+
+
+def _popular_graph(a: FSet, b: FSet, eps: Fraction, ratios: list, scale: int,
+                   mult: Counter) -> PopularRatioResult:
+    """`popular_ratio_graph(a, b, eps)` from the ratio ints of a x b, pair
+    (i, j) at position i * |b| + j, their scale and their Counter `mult`;
+    eps in (0, 1) and 0 in neither set."""
     na, nb = len(a), len(b)
     threshold = eps * na * nb / len(mult)
     least = math.ceil(threshold)  # c >= threshold iff c >= least, for ints c
     popular = {r for r, c in mult.items() if c >= least}
 
-    x_set = _from_ints(ctx, popular, scale)
+    x_set = _from_ints(a.ctx, popular, scale)
     graph = PairGraph._from_flags(a, b, bytes(map(popular.__contains__, ratios)))
 
     if Fraction(len(graph)) < (1 - eps) * na * nb:
@@ -153,7 +160,7 @@ def injection_witness(a: FSet, b: FSet, g: PairGraph, epsilon=None) -> Injection
     |S| <= |A(B+1)||B(A+1)| on this instance).
     """
     ctx = _same_ctx(a, b)
-    if 0 in b.member_set():
+    if 0 in b:
         raise ZeroElementPresent("ratios need 0 excluded from the right set")
 
     # representative edge per partial difference: lexicographically smallest

@@ -216,7 +216,7 @@ _KIND_OPS = {"product": "prod", "ratio": "ratio", "additive": "sum"}
 
 
 def _require_units(a: FSet, b: FSet, kind: str) -> None:
-    if 0 in a.member_set() or 0 in b.member_set():
+    if 0 in a or 0 in b:
         raise ZeroElementPresent(f"{kind} spectrum needs 0 excluded from both sets")
 
 
@@ -234,13 +234,17 @@ def histogram(a: FSet, b: FSet, kind: str) -> MultiplicityHistogram:
     if kind not in HIST_KINDS:
         raise ValueError(f"unknown histogram kind {kind!r}")
     counts, _ = _pair_counter(a, b, kind)
-    spectrum = Counter(counts.values())
+    return _spectrum(counts, kind, len(a), len(b))
+
+
+def _spectrum(counts: Counter, kind: str, na: int, nb: int) -> MultiplicityHistogram:
+    """The spectrum of the pair counts `counts` of two sets of sizes na and nb."""
     return MultiplicityHistogram(
         kind=kind,
-        entries=tuple(sorted(spectrum.items())),
+        entries=tuple(sorted(Counter(counts.values()).items())),
         total_support=len(counts),
-        pair_total=len(a) * len(b),
-        max_multiplicity_bound=min(len(a), len(b)),
+        pair_total=na * nb,
+        max_multiplicity_bound=min(na, nb),
     )
 
 

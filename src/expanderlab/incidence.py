@@ -3,8 +3,12 @@ slope-family construction l_{alpha,b}: y = (alpha*x - 1)*b together with its
 rich-point lower bound.
 
 `Line` and `count_incidences` work on Fractions and are the exact oracle.
-The rich-point check builds no Line: its family, witness points and
-incidence tests are keyed by scaled ints, as in the pair kernel.
+The rich-point check builds no Line and no Fraction short of a failure
+message: its family, witness points and incidence tests are keyed by
+scaled ints, each taken from the int form of its set (`FSet._int_form`)
+or from the pair kernel, which reads the same int forms.  A kernel-built
+set's scale need not be the LCD of its values, so no scale is worked out
+afresh.
 
 Everything here is rational-line only: the incidence bound this instruments
 is false over prime fields at this generality, so prime-field inputs are
@@ -25,7 +29,7 @@ from .errors import (
     ZeroElementPresent,
 )
 from .field import KIND_RATIONAL
-from .sets import FSet, _from_ints, _lcd, _pair_groups, _same_ctx, _scaled, expander_set
+from .sets import FSet, _from_ints, _pair_groups, _same_ctx, expander_set
 
 Point = Tuple[Fraction, Fraction]
 
@@ -106,9 +110,9 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
     the product representations of s.  Any failure raises WitnessFailure with
     the offending witness; it would falsify the bound on this instance.
 
-    Everything runs on scaled ints: x = x_int/sa and a_i = a_int/sa with sa
-    the LCD of A, b = j/sb with sb that of B, s = s_int/(sa*sb), and
-    alpha = k/scale with scale the LCD of A(A+1).  The line l_{alpha,b} has
+    Everything runs on the int forms: x = x_int/sa and a_i = a_int/sa with
+    sa the scale of A's, b = j/sb with sb that of B's, s = s_int/(sa*sb),
+    and alpha = k/scale with scale that of A(A+1)'s.  The line l_{alpha,b} has
     slope alpha*b = k*j/(scale*sb) and intercept -b = -j/sb, so it is keyed
     by (k*j, -j); points are keyed by (x_int, s_int).  A point is rendered
     as Fractions only in a failure message.
@@ -116,22 +120,20 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
     ctx = _same_ctx(a, b)
     if ctx.kind != KIND_RATIONAL:
         raise FieldMismatch("incidence geometry runs over the rationals only")
-    if 0 in a.member_set() or 0 in b.member_set():
+    if 0 in a or 0 in b:
         raise ZeroElementPresent("the construction needs 0 excluded")
 
     _require_t(a, b, t)
 
-    sa, sb = _lcd(a.vals), _lcd(b.vals)
-    a_ints, b_ints = _scaled(a.vals, sa), _scaled(b.vals, sb)
+    (a_ints, sa), (b_ints, sb) = a._int_form(), b._int_form()
     # product representations s = a_i * b_i as pairs (a_int, j), keyed by the
     # kernel int of s, whose scale is sa*sb; S_t is the products with at
     # least t of them
     reps, rep_scale = _pair_groups(a, b, "prod", (a_ints, b_ints))
     s_ints = sorted(k for k, ps in reps.items() if len(ps) >= t)
     s_t = _from_ints(ctx, s_ints, rep_scale)
-    alphas = expander_set(a, a)
-    scale = _lcd(alphas.vals)
-    alpha_ints = set(_scaled(alphas.vals, scale))
+    alpha_ints, scale = expander_set(a, a)._int_form()
+    alpha_ints = set(alpha_ints)
     b_set = set(b_ints)
     # the family: distinct parameter pairs give distinct lines, but the keys
     # are counted, not assumed distinct

@@ -2,16 +2,29 @@
 A(B+1), signed k-fold sums, dilates, and partial difference sets over
 explicit bipartite graphs.
 
-FSet instances are immutable, canonically sorted and duplicate-free; all
-operations return new sets and never change their operands.
+FSet instances are immutable and duplicate-free; all operations return new
+sets and never change their operands.  A set keeps the form it was built
+in and makes its canonical form, the values in sorted order, only when
+that is first read, then keeps it.  A pair-kernel result stays a frozenset
+of kernel ints until then: over F_p the residues, whose size and
+membership need no sort; over Q the ints k of the values k/scale, whose
+size and membership need no Fraction.  Equality, hashing, iteration,
+`repr` and `to_json` read the canonical form, so no observable value
+depends on how a set was built.
 
-Over F_p the ints are the residues.  Over Q the pair kernel clears
-denominators once per operand: for products each side is multiplied by its
-own positive LCD (for ratios, after inverting the right side), for sums and
-differences both sides by one common LCD, so a pair's result is k / scale
-for an int k.  Scaling one side by a nonzero constant is a bijection, so
-distinct results stay distinct and every multiplicity is unchanged; and as
-scale > 0, sorted ints give the results in Fraction order.
+Over F_p the ints are the residues.  Over Q the pair kernel reads each
+operand's int form, the sorted ints of its values at one positive scale:
+a kernel-built set's own ints and scale, or, for a set built from
+Fractions, its values scaled by their LCD, worked out once and kept.  For
+products each side stays at its own scale (for ratios, after inverting
+the right side, at the LCD of the inverses), for sums and differences
+both sides go to the lcm of the two scales, so a pair's result is
+k / scale for an int k.  Scaling one side by a nonzero constant is a
+bijection, so distinct results stay distinct and every multiplicity is
+unchanged; and as scale > 0, sorted ints give the results in Fraction
+order.  A kernel scale need not be the LCD of its values, so code that
+sets its own scaled ints next to kernel output takes them from the same
+int form.
 
 Over F_p two encodings on ints stand in for pairs where a cost model says
 they are cheaper.  Discrete logarithms (`DiscreteLog`) put F_p^* in log
@@ -48,65 +61,109 @@ COMBINE_OPS = ("sum", "diff", "prod", "ratio")
 
 
 class FSet:
-    """A finite set of field elements with canonical ordering."""
+    """A finite set of field elements, read in canonical (sorted) order.
 
-    __slots__ = ("ctx", "_vals", "_members")
+    `_members` is the frozenset of the values, or None for a set over Q
+    built from kernel ints whose values are not read yet: then `_kints` is
+    the frozenset of those ints and `_scale` their scale, and size and
+    membership read them.  `_vals`, the sorted values, and over Q `_ints`,
+    the int form (the sorted ints of the values at `_scale`), are each
+    built on first read and kept.  Building `_members` drops `_kints`."""
+
+    __slots__ = ("ctx", "_members", "_vals", "_kints", "_ints", "_scale")
 
     def __init__(self, ctx: FieldCtx, values: Iterable[ElemLike] = ()):
         canon = ctx.canon
-        members = frozenset(canon(v) for v in values)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_vals", tuple(sorted(members)))
-        object.__setattr__(self, "_members", members)
+        self._set(ctx, frozenset(canon(v) for v in values), None, None)
+
+    def _set(self, ctx, members, kints, scale) -> None:
+        for name, value in (("ctx", ctx), ("_members", members), ("_vals", None),
+                            ("_kints", kints), ("_ints", None), ("_scale", scale)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FSet is immutable")
 
     @classmethod
-    def _from_canonical(cls, ctx: FieldCtx, members: frozenset) -> "FSet":
+    def _from_canonical(cls, ctx: FieldCtx, members: frozenset, scale=None) -> "FSet":
+        """The set of the canonical values `members`; or, over Q with a
+        `scale`, of the values k/scale for the ints k in `members`."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "ctx", ctx)
-        object.__setattr__(obj, "_vals", tuple(sorted(members)))
-        object.__setattr__(obj, "_members", members)
-        return obj
-
-    @classmethod
-    def _from_sorted(cls, ctx: FieldCtx, vals: Tuple[RawValue, ...]) -> "FSet":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "ctx", ctx)
-        object.__setattr__(obj, "_vals", vals)
-        object.__setattr__(obj, "_members", frozenset(vals))
+        if scale is None or ctx.kind == KIND_PRIME:
+            obj._set(ctx, members, None, None)
+        else:
+            obj._set(ctx, None, members, scale)
         return obj
 
     @property
     def vals(self) -> Tuple[RawValue, ...]:
-        return self._vals
+        vals = self._vals
+        if vals is None:
+            if self._members is None:
+                ints, scale = self._int_form()
+                vals = tuple(Fraction(k, scale) for k in ints)
+            else:
+                vals = tuple(sorted(self._members))
+            object.__setattr__(self, "_vals", vals)
+        return vals
+
+    def _int_form(self) -> Tuple[Tuple[int, ...], int]:
+        """The sorted ints k of the values k/scale, with the scale: over Q a
+        kernel-built set's own ints, else the values scaled by their LCD;
+        over F_p the residues, at scale 1."""
+        if self.ctx.kind == KIND_PRIME:
+            return self.vals, 1
+        ints = self._ints
+        if ints is None:
+            if self._members is None:
+                ints = tuple(sorted(self._kints))
+            else:
+                vals = self.vals
+                object.__setattr__(self, "_scale", _lcd(vals))
+                ints = tuple(_scaled(vals, self._scale))
+            object.__setattr__(self, "_ints", ints)
+        return ints, self._scale
+
+    def member_set(self) -> frozenset:
+        members = self._members
+        if members is None:
+            members = frozenset(self.vals)
+            object.__setattr__(self, "_members", members)
+            object.__setattr__(self, "_kints", None)
+        return members
 
     def __len__(self) -> int:
-        return len(self._vals)
+        members = self._members
+        return len(self._kints if members is None else members)
 
     def __iter__(self) -> Iterator[RawValue]:
-        return iter(self._vals)
+        return iter(self.vals)
 
     def __contains__(self, x: ElemLike) -> bool:
         try:
-            return self.ctx.canon(x) in self._members
+            v = self.ctx.canon(x)
         except (ContextMismatch, DivisionByZero):
             return False
+        members = self._members
+        if members is None:  # v is a member iff v * scale is one of the ints
+            k, rem = divmod(v.numerator * self._scale, v.denominator)
+            return rem == 0 and k in self._kints
+        return v in members
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FSet)
             and self.ctx == other.ctx
-            and self._members == other._members
+            and self.member_set() == other.member_set()
         )
 
     def __hash__(self):
-        return hash((self.ctx, self._members))
+        return hash((self.ctx, self.member_set()))
 
     def __repr__(self):
-        body = ", ".join(self.ctx.render(v) for v in self._vals[:12])
-        if len(self._vals) > 12:
+        vals = self.vals
+        body = ", ".join(self.ctx.render(v) for v in vals[:12])
+        if len(vals) > 12:
             body += ", ..."
         return f"FSet[{self.ctx!r}]{{{body}}}"
 
@@ -115,21 +172,18 @@ class FSet:
 
     def intersection(self, other: "FSet") -> "FSet":
         _same_ctx(self, other)
-        return FSet._from_canonical(self.ctx, self._members & other._members)
+        return FSet._from_canonical(self.ctx, self.member_set() & other.member_set())
 
     def is_subset(self, other: "FSet") -> bool:
         _same_ctx(self, other)
-        return self._members <= other._members
-
-    def member_set(self) -> frozenset:
-        return self._members
+        return self.member_set() <= other.member_set()
 
     # -- serialisation ---------------------------------------------------------
 
     def to_json(self) -> dict:
         if self.ctx.kind == KIND_PRIME:
-            return {"field": "fp", "p": self.ctx.p, "elements": list(self._vals)}
-        return {"field": "q", "elements": [self.ctx.render(v) for v in self._vals]}
+            return {"field": "fp", "p": self.ctx.p, "elements": list(self.vals)}
+        return {"field": "q", "elements": [self.ctx.render(v) for v in self.vals]}
 
     @classmethod
     def from_json(cls, doc: dict) -> "FSet":
@@ -190,15 +244,19 @@ def _scaled(vals: Iterable[Fraction], scale: int) -> list:
 
 
 def _pair_ints(a: FSet, b: FSet, op: str) -> Tuple[Iterator[int], int]:
-    """Every pairwise result of `op` over a x b as a plain int, one per pair.
+    """Every pairwise result of `op` over a x b as a plain int, one per pair,
+    pair (i, j) of a.vals x b.vals at position i * |b| + j.
 
     `op` is a COMBINE_OPS name or "expand" (x(y+1)).  Returns the ints with
     their scale: over F_p the int is the residue itself (scale 1); over Q the
-    result is Fraction(int, scale).  Callers reject 0 in b before a ratio.
+    result is Fraction(int, scale), from the operands' int forms at scales
+    sa and sb: lcm(sa, sb) for "sum" and "diff", sa * sb for "prod" and
+    "expand", and sa times the LCD of the inverses for "ratio".  Callers
+    reject 0 in b before a ratio.
     """
     ctx = _same_ctx(a, b)
-    av, bv = a.vals, b.vals
     if ctx.kind == KIND_PRIME:
+        av, bv = a.vals, b.vals
         p = ctx.p
         if op == "sum":
             return ((x + y) % p for x in av for y in bv), 1
@@ -210,18 +268,20 @@ def _pair_ints(a: FSet, b: FSet, op: str) -> Tuple[Iterator[int], int]:
             invs = [pow(y, -1, p) for y in bv]
             return ((x * iy) % p for x in av for iy in invs), 1
         return ((x * (y + 1)) % p for x in av for y in bv), 1
+    (ai, sa), (bi, sb) = a._int_form(), b._int_form()
     if op in ("sum", "diff"):
-        scale = _lcd(av + bv)
-        ai, bi = _scaled(av, scale), _scaled(bv, scale)
+        scale = math.lcm(sa, sb)
+        ai = [x * (scale // sa) for x in ai]
+        bi = [y * (scale // sb) for y in bi]
         if op == "sum":
             return (x + y for x in ai for y in bi), scale
         return (x - y for x in ai for y in bi), scale
     if op == "ratio":
-        bv = [1 / y for y in bv]
+        # 1/y = sb/k for y = k/sb, at the LCD of the inverses' denominators
+        inv = math.lcm(*(abs(k) // math.gcd(k, sb) for k in bi))
+        bi, sb = [sb * inv // k for k in bi], inv
     elif op == "expand":
-        bv = [y + 1 for y in bv]
-    sa, sb = _lcd(av), _lcd(bv)
-    ai, bi = _scaled(av, sa), _scaled(bv, sb)
+        bi = [k + sb for k in bi]
     return (x * y for x in ai for y in bi), sa * sb
 
 
@@ -288,10 +348,10 @@ class DiscreteLog:
     def _logs_of(self, a: FSet) -> list:
         if a.ctx.kind != KIND_PRIME or a.ctx.p != self.p:
             raise ContextMismatch(f"{a.ctx!r} vs the logs of F_{self.p}")
-        if 0 in a.member_set():
+        if 0 in a:
             raise ZeroElementPresent("0 has no discrete logarithm")
         log = self.log
-        return [log[v] for v in a.vals]
+        return [log[v] for v in a.member_set()]
 
 
 MASK_SETUP_STEPS = 100
@@ -337,11 +397,9 @@ def _translates(mask: int, p: int, shifts: Iterable[int]) -> int:
 
 
 def _from_ints(ctx: FieldCtx, ints: Iterable[int], scale: int) -> FSet:
-    """The FSet of the distinct values int/scale (residues over F_p)."""
-    ks = sorted(set(ints))
-    if ctx.kind == KIND_PRIME:
-        return FSet._from_sorted(ctx, tuple(ks))
-    return FSet._from_sorted(ctx, tuple(Fraction(k, scale) for k in ks))
+    """The FSet of the distinct values int/scale (residues over F_p), kept
+    as the frozenset of the ints until its values are read."""
+    return FSet._from_canonical(ctx, frozenset(ints), scale)
 
 
 def combine(a: FSet, b: FSet, op: str) -> FSet:
@@ -349,7 +407,7 @@ def combine(a: FSet, b: FSet, op: str) -> FSet:
     ctx = _same_ctx(a, b)
     if op not in COMBINE_OPS:
         raise ValueError(f"unknown combine op {op!r}")
-    if op == "ratio" and 0 in b.member_set():
+    if op == "ratio" and 0 in b:
         raise DivisionByZero("ratio set with 0 in the denominator set")
     return _from_ints(ctx, *_pair_ints(a, b, op))
 
@@ -372,8 +430,9 @@ def sumset_size(a: FSet, b: FSet, op: str) -> int:
         a, b = b, a
     if ctx.kind == KIND_PRIME and _residue_masks_cheaper(ctx.p, len(a), len(b)):
         p = ctx.p
-        shifts = [p - y for y in b.vals] if op == "sum" else b.vals
-        return _translates(_mask_of(a.vals, p), p, shifts).bit_count()
+        ys = b.member_set()
+        shifts = [p - y for y in ys] if op == "sum" else ys
+        return _translates(_mask_of(a.member_set(), p), p, shifts).bit_count()
     return len(set(_pair_ints(a, b, op)[0]))
 
 
@@ -384,13 +443,13 @@ def kfold_size(a: FSet, signs: Sequence[int]) -> int:
     residue mask from the first step where the mask is cheaper; it never
     goes back, since |X + a| >= |X| for nonempty a.  It stops once it is
     all of F_p: the whole field plus or minus a nonempty set is the whole
-    field again.  Over Q it runs on the ints of a scaled by its LCD.
+    field again.  Over Q it runs on the int form of a.
     """
     if not signs or any(s not in (1, -1) for s in signs):
         raise ValueError("need k >= 1 signs, each +1 or -1")
     ctx = a.ctx
     p = ctx.p if ctx.kind == KIND_PRIME else None
-    ys = a.vals if p else _scaled(a.vals, _lcd(a.vals))
+    ys = a.member_set() if p else a._int_form()[0]
     acc, mask = {0}, None
     for s in signs:
         if mask is None and p and _residue_masks_cheaper(p, len(acc), len(ys)):
@@ -415,7 +474,7 @@ def affine_image(a: FSet, x: ElemLike, y: ElemLike) -> FSet:
     xv, yv = ctx.canon(x), ctx.canon(y)
     if xv == 0:
         raise ZeroDilation("dilation by zero collapses the set")
-    out = frozenset(ctx.add(ctx.mul(xv, v), yv) for v in a.vals)
+    out = frozenset(ctx.add(ctx.mul(xv, v), yv) for v in a.member_set())
     return FSet._from_canonical(ctx, out)
 
 
@@ -424,7 +483,7 @@ def dilate(a: FSet, x: ElemLike) -> FSet:
 
 
 def negate(a: FSet) -> FSet:
-    return FSet._from_canonical(a.ctx, frozenset(a.ctx.neg(v) for v in a.vals))
+    return FSet._from_canonical(a.ctx, frozenset(a.ctx.neg(v) for v in a.member_set()))
 
 
 def translate(a: FSet, y: ElemLike) -> FSet:

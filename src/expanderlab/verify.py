@@ -22,8 +22,10 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from . import constructions as cons
 from .energy import (
     PRECISION_START,
+    _require_units,
     _slot_convolution,
     _slot_steps,
+    _spectrum,
     e2,
     energy,
     energy_at,
@@ -50,7 +52,6 @@ from .sets import (
     FSet,
     _from_ints,
     _pair_ints,
-    _scaled,
     combine,
     dilate,
     expander_set,
@@ -173,18 +174,21 @@ class Instance:
 
     `a1` is A+1.  `rows` is the one pass over A x A, |A| kernel ints per a
     with their scale, that gives `aa1` = A(A+1) and the F_p pipeline's
-    base-point rows.  `hist_*` are ratio spectra, `e3_*` their third
-    moments, `e2_a` and `e2_a1` their second, and the other `e2_*`
-    multiplicative energies, `e2_mixed` being E2(A, A+1).  `e15` keeps the
-    3/2-energy enclosures of the spectra.  Over F_p, `logs` is the one
-    discrete-log table that the slot kernel of every E2 and of R6 reads;
-    it is built only if one runs."""
+    base-point rows.  `ratios` is the one ratio pass over A x A, the kernel
+    ints in pair order with their scale and their Counter, that gives
+    `hist_a` and the F_p pipeline's self popular-ratio graph.  `hist_*` are
+    ratio spectra, `e3_*` their third moments, `e2_a` and `e2_a1` their
+    second, and the other `e2_*` multiplicative energies, `e2_mixed` being
+    E2(A, A+1).  `e15` keeps the 3/2-energy enclosures of the spectra.
+    Over F_p, `logs` is the one discrete-log table that the slot kernel of
+    every E2 and of R6 reads; it is built only if one runs."""
 
     A: FSet
 
     a1 = cached_property(lambda self: translate(self.A, 1))
     aa1 = cached_property(lambda self: _from_ints(self.A.ctx, *self.rows))
-    hist_a = cached_property(lambda self: histogram(self.A, self.A, "ratio"))
+    hist_a = cached_property(
+        lambda self: _spectrum(self.ratios[2], "ratio", len(self.A), len(self.A)))
     hist_a1 = cached_property(lambda self: histogram(self.a1, self.a1, "ratio"))
     e3_a = cached_property(lambda self: energy(self.hist_a, 3).exact)
     e3_a1 = cached_property(lambda self: energy(self.hist_a1, 3).exact)
@@ -200,6 +204,13 @@ class Instance:
     def rows(self) -> Tuple[list, int]:
         ints, scale = _pair_ints(self.A, self.A, "expand")
         return list(ints), scale
+
+    @cached_property
+    def ratios(self) -> Tuple[list, int, Counter]:
+        _require_units(self.A, self.A, "ratio")
+        ints, scale = _pair_ints(self.A, self.A, "ratio")
+        ints = list(ints)
+        return ints, scale, Counter(ints)
 
     def e15(self, spectrum: str, bits: int) -> RatInterval:
         """E1.5 of the ratio spectrum `spectrum` ("hist_a" or "hist_a1") at
@@ -299,9 +310,11 @@ def _r6_pairs(A: FSet, ratios: FSet, B: FSet) -> int:
     """The sum over x in `ratios` of |A ∩ xB|, by the pair kernel."""
     # |A ∩ xB| summed over x counts the products x*b that land in A.  Each
     # a = (a/b)*b is such a product, so a*scale is an int whenever B is
-    # nonempty; with B empty there are no products to count.
+    # nonempty, and k*scale/sa is exact for a = k/sa in A's int form; with
+    # B empty there are no products to count.
     products, scale = _pair_ints(ratios, B, "prod")
-    a_ints = set(_scaled(A.vals, scale))
+    ints, sa = A._int_form()
+    a_ints = {k * scale // sa for k in ints}
     return sum(map(a_ints.__contains__, products))
 
 
@@ -580,8 +593,9 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
     aa1 = inst.aa1
     eighth_shape = Fraction(len(aa1) ** 8, n ** 7)
 
-    # constructive difference-set evidence (self graphs)
-    pop = cons.popular_ratio_graph(A, A, eps)
+    # constructive difference-set evidence (self graphs), on the Instance's
+    # ratio pass
+    pop = cons._popular_graph(A, A, eps, *inst.ratios)
     steps.append(PipelineStep(
         "partial difference set of the popular-ratio graph on (A, A)",
         _r8_report(pop, len(aa1), len(aa1), digest)))

@@ -612,7 +612,7 @@ def test_forced_collision_fails_alike_on_every_path():
     # corrupt FSet can: both give every witness pair the same image
     f = FieldCtx.prime(101)
     a, c = FSet(f, [2, 3]), FSet(f, [5])
-    b = FSet._from_sorted(f, (1, 102))
+    b = FSet._from_canonical(f, frozenset({1, 102}))
     g, h = PairGraph.complete(a, b), PairGraph.complete(b, c)
     failure = failure_of(partial_ruzsa, g, h, Fraction(0))
     # x = 2 - 5 = 98 is the first difference; b = 1 and b = 102 both give (1, 97)

@@ -388,10 +388,10 @@ def test_real_pipeline_builds_each_quantity_once(monkeypatch):
     e15 = count_e15(monkeypatch)
     real_pipeline(Q29)
     # A(A+1) from the Instance's one expand pass, not `expander_set`; the
-    # ratio spectra of A and A+1, whose second moments are E2(A) and E2(A+1);
-    # E2(A, A+1), E2(A, A(A+1)) and E2(A+1, A(A+1)); A+1 -- and no product
-    # set A·(A+1)
-    assert counts == {"expander_set": 0, "histogram": 2, "e2": 3,
+    # ratio spectrum of A+1 (that of A is read off the Instance's ratio
+    # pass), their second moments being E2(A) and E2(A+1); E2(A, A+1),
+    # E2(A, A(A+1)) and E2(A+1, A(A+1)); A+1 -- and no product set A·(A+1)
+    assert counts == {"expander_set": 0, "histogram": 1, "e2": 3,
                       "translate": 1, "combine": 0}
     # E1.5(A) and E1.5(A+1) at 128 bits serve both R5 steps, the combined
     # step and R12
@@ -415,8 +415,9 @@ def test_verify_all_shares_one_instance(monkeypatch, tmp_path, capsys):
     e15 = count_e15(monkeypatch)
     assert main(["verify", str(path), "--all"]) == 0
     # R2-R4 and R10-R14 on one set: one A(A+1) from the expand pass, two
-    # spectra, which also give E2(A) and E2(A+1), and three more energies
-    assert counts == {"expander_set": 0, "histogram": 2, "e2": 3,
+    # spectra, which also give E2(A) and E2(A+1), the one of A from the
+    # ratio pass, and three more energies
+    assert counts == {"expander_set": 0, "histogram": 1, "e2": 3,
                       "translate": 1, "combine": 0}
     assert e15 == [Fraction(3, 2)] * 2  # R12's E1.5(A) and E1.5(A+1)
     reports = [line for line in capsys.readouterr().err.splitlines() if "] R" in line]
@@ -436,10 +437,11 @@ def test_fp_pipeline_takes_its_expander_set_from_its_instance(monkeypatch):
     cons_counts = count_calls(monkeypatch, cons, "expander_set")
     a = FSet(FieldCtx.prime(109), [1, 5, 10, 31, 36, 40, 43, 65, 71])
     verify.finite_field_pipeline(a)
-    # the Instance's one expand pass gives A(A+1) and the base-point rows; no
-    # popular-ratio graph, self or covering, builds an expander set
+    # the Instance's one expand pass gives A(A+1) and the base-point rows,
+    # and its one ratio pass the ratio spectrum and the self popular-ratio
+    # graph; no popular-ratio graph, self or covering, builds an expander set
     assert counts["expander_set"] == 0
-    assert calls == ["expand"]
+    assert calls == ["expand", "ratio"]
     assert cons_counts["expander_set"] == 0
 
 
@@ -456,10 +458,11 @@ def test_fp_pipeline_makes_one_expand_pass_over_a_x_a(monkeypatch):
     for module in (sets, energy_module, verify, cons):
         monkeypatch.setattr(module, "_pair_ints", spy)
     verify.finite_field_pipeline(a)
-    # the Instance's A(A+1) and base-point rows; its ratio spectrum (R2) and
-    # popular_ratio_graph(A, A)'s own ratio list; partial_combine of that
-    # graph, kept at its edges, and partial_ruzsa's witness scan
-    assert passes == {"expand": 1, "ratio": 2, "diff": 2}
+    # the Instance's A(A+1) and base-point rows; its ratio pass, which gives
+    # both the ratio spectrum (R2) and the self popular-ratio graph;
+    # partial_combine of that graph, kept at its edges, and partial_ruzsa's
+    # witness scan
+    assert passes == {"expand": 1, "ratio": 1, "diff": 2}
 
 
 def test_popular_ratio_graph_builds_no_expander_set(monkeypatch):
