@@ -37,6 +37,7 @@ from .errors import (
     ContextMismatch,
     EpsilonOutOfRange,
     GraphTooSparse,
+    InvalidKernelArgument,
     InvariantViolation,
     SetTooSmall,
     ZeroElementPresent,
@@ -61,21 +62,21 @@ def ge_one_minus_k_sqrt(value, scale, eps: Fraction, k: int = 1) -> bool:
 
     Rearranged to k*sqrt(eps)*scale >= scale - value; if the right side is
     non-positive the inequality is immediate, otherwise both sides are
-    non-negative and squaring decides it.
+    non-negative and squaring decides it, with eps's numerator and
+    denominator multiplied across: on ints, for int value and scale.
     """
-    value, scale, eps = Fraction(value), Fraction(scale), Fraction(eps)
     rhs = scale - value
     if rhs <= 0:
         return True
-    return k * k * eps * scale * scale >= rhs * rhs
+    return k * k * eps.numerator * scale * scale >= rhs * rhs * eps.denominator
 
 
 def gt_k_sqrt(value, scale, eps: Fraction, k: int = 1) -> bool:
-    """Exact test of  value > k*sqrt(eps) * scale  for rationals >= 0."""
-    value, scale, eps = Fraction(value), Fraction(scale), Fraction(eps)
+    """Exact test of  value > k*sqrt(eps) * scale  for rationals >= 0,
+    squared as in `ge_one_minus_k_sqrt`."""
     if value <= 0:
         return False
-    return value * value > k * k * eps * scale * scale
+    return value * value * eps.denominator > k * k * eps.numerator * scale * scale
 
 
 def _check_density(g: PairGraph, eps: Fraction) -> None:
@@ -258,9 +259,15 @@ def greedy_cover(a: FSet, b: FSet, g: PairGraph, epsilon, sign: str = "+") -> Co
     elements, and stops once the remainder is at most sqrt(eps)|A1|.  Each
     step's discard count is checked exactly against the pigeonhole guarantee
     |A*| (1 - sqrt(eps))^2 |B| / |A -_G B|.
+
+    The translate by t covers r iff r - w = t (sign "+") or r + w = t
+    (sign "-") for some w in b, so the pair counts of the shifts r -+ w over
+    remainder x b are the coverages of every candidate.  They are counted
+    once, over A1 x b, and each step takes off the pairs of the elements it
+    covers; the count of the chosen shift must equal the elements covered.
     """
     if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
+        raise InvalidKernelArgument(f"sign must be '+' or '-', not {sign!r}")
     ctx = _same_ctx(a, b)
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 4):
@@ -273,36 +280,46 @@ def greedy_cover(a: FSet, b: FSet, g: PairGraph, epsilon, sign: str = "+") -> Co
     bvals = b.vals
     bset = b.member_set()
     nb = len(b)
-    # translate t covers r in the remainder iff r = t + w (sign "+") or
-    # r = t - w (sign "-") for some w in b, so the pair counts of r - w (or
-    # r + w) over remainder x b give the coverage of every candidate shift
-    pair_op = "diff" if sign == "+" else "sum"
+    ints, scale = _pair_ints(a1, b, "diff" if sign == "+" else "sum")
+    ints = list(ints)
+    shifts_of = {v: ints[i * nb:(i + 1) * nb] for i, v in enumerate(a1.vals)}
+    coverage = Counter(ints)
 
+    en, ed = eps.numerator, eps.denominator
     remaining = set(a1.vals)
+    gstar = sum(degree[v] for v in remaining)
     n1 = len(a1)
     translates = []
     per_step = []
     while gt_k_sqrt(len(remaining), n1, eps):
-        gstar = sum(degree[v] for v in remaining)
-        rem = FSet._from_canonical(ctx, frozenset(remaining))
-        ints, scale = _pair_ints(rem, b, pair_op)
+        if not coverage:
+            raise SetTooSmall("no translate of an empty set covers anything")
         # the most coverage, ties to the smallest shift (ints sort as values)
-        best_int, best_cov = min(Counter(ints).items(), key=lambda kc: (-kc[1], kc[0]))
+        best_cov = max(coverage.values())
+        best_int = min(itertools.compress(coverage, map(best_cov.__eq__, coverage.values())))
         best_shift = best_int if ctx.kind == KIND_PRIME else Fraction(best_int, scale)
         # pigeonhole: the best translate covers at least the average, which the
         # Cauchy-Schwarz energy bound pushes up to |G*|^2 / (|A*||B| |A -_G B|)
         nstar = len(remaining)
         if best_cov * nstar * nb * pdiff_size < gstar * gstar:
             raise InvariantViolation("greedy step below the energy guarantee")
-        r = Fraction(best_cov * pdiff_size, nstar * nb)
-        t = 1 + eps - r
-        if t > 0 and 4 * eps < t * t:
+        # t = 1 + eps - best_cov |A -_G B| / (|A*||B|) = tn / (ed |A*||B|) must
+        # have t <= 0 or t^2 <= 4 eps, for eps = en / ed: on ints
+        den = nstar * nb
+        tn = (ed + en) * den - best_cov * pdiff_size * ed
+        if tn > 0 and 4 * en * ed * den * den < tn * tn:
             raise InvariantViolation("greedy step below (1 - sqrt(eps))^2 form")
         if sign == "+":
             covered_now = {w for w in (ctx.add(best_shift, y) for y in bvals) if w in remaining}
         else:
             covered_now = {w for w in (ctx.sub(best_shift, y) for y in bvals) if w in remaining}
+        if len(covered_now) != best_cov:
+            raise InvariantViolation(
+                f"shift {best_shift} covers {len(covered_now)}, counted {best_cov}")
         remaining -= covered_now
+        gstar -= sum(map(degree.__getitem__, covered_now))
+        for k in itertools.chain.from_iterable(map(shifts_of.__getitem__, covered_now)):
+            coverage[k] -= 1
         translates.append(best_shift)
         per_step.append((best_shift, len(covered_now)))
 

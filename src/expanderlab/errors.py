@@ -55,6 +55,12 @@ class InvalidGraphEdge(ExpanderlabError, ValueError):
     and right sets: out of range, not an int, or a bool."""
 
 
+class InvalidKernelArgument(ExpanderlabError, ValueError):
+    """An argument a set kernel does not define: an op other than those of
+    `combine` or `sumset_size`, a `greedy_cover` sign other than "+" or
+    "-", or `kfold_size` signs that are not one or more of +1 and -1."""
+
+
 class EpsilonOutOfRange(ExpanderlabError):
     pass
 

@@ -51,6 +51,7 @@ from .errors import (
     ContextMismatch,
     DivisionByZero,
     InvalidGraphEdge,
+    InvalidKernelArgument,
     InvalidSetFile,
     ZeroDilation,
     ZeroElementPresent,
@@ -406,7 +407,7 @@ def combine(a: FSet, b: FSet, op: str) -> FSet:
     """All pairwise sums / differences / products / ratios of a and b."""
     ctx = _same_ctx(a, b)
     if op not in COMBINE_OPS:
-        raise ValueError(f"unknown combine op {op!r}")
+        raise InvalidKernelArgument(f"unknown combine op {op!r}")
     if op == "ratio" and 0 in b:
         raise DivisionByZero("ratio set with 0 in the denominator set")
     return _from_ints(ctx, *_pair_ints(a, b, op))
@@ -425,7 +426,7 @@ def sumset_size(a: FSet, b: FSet, op: str) -> int:
     |a - b| = |b - a|, so the smaller set is the one stepped over."""
     ctx = _same_ctx(a, b)
     if op not in ("sum", "diff"):
-        raise ValueError(f"unknown sumset op {op!r}")
+        raise InvalidKernelArgument(f"unknown sumset op {op!r}")
     if len(b) > len(a):
         a, b = b, a
     if ctx.kind == KIND_PRIME and _residue_masks_cheaper(ctx.p, len(a), len(b)):
@@ -446,7 +447,7 @@ def kfold_size(a: FSet, signs: Sequence[int]) -> int:
     field again.  Over Q it runs on the int form of a.
     """
     if not signs or any(s not in (1, -1) for s in signs):
-        raise ValueError("need k >= 1 signs, each +1 or -1")
+        raise InvalidKernelArgument("need k >= 1 signs, each +1 or -1")
     ctx = a.ctx
     p = ctx.p if ctx.kind == KIND_PRIME else None
     ys = a.member_set() if p else a._int_form()[0]

@@ -22,6 +22,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from . import constructions as cons
 from .energy import (
     PRECISION_START,
+    MultiplicityHistogram,
     _require_units,
     _slot_convolution,
     _slot_steps,
@@ -174,9 +175,10 @@ class Instance:
 
     `a1` is A+1.  `rows` is the one pass over A x A, |A| kernel ints per a
     with their scale, that gives `aa1` = A(A+1) and the F_p pipeline's
-    base-point rows.  `ratios` is the one ratio pass over A x A, the kernel
-    ints in pair order with their scale and their Counter, that gives
-    `hist_a` and the F_p pipeline's self popular-ratio graph.  `hist_*` are
+    base-point rows.  `ratios` is the F_p pipeline's one ratio pass over
+    A x A, the kernel ints in pair order with their scale and their
+    Counter, that gives its self popular-ratio graph and `hist_a`; without
+    it, `hist_a` counts the ratio ints and keeps neither.  `hist_*` are
     ratio spectra, `e3_*` their third moments, `e2_a` and `e2_a1` their
     second, and the other `e2_*` multiplicative energies, `e2_mixed` being
     E2(A, A+1).  `e15` keeps the 3/2-energy enclosures of the spectra.
@@ -187,8 +189,6 @@ class Instance:
 
     a1 = cached_property(lambda self: translate(self.A, 1))
     aa1 = cached_property(lambda self: _from_ints(self.A.ctx, *self.rows))
-    hist_a = cached_property(
-        lambda self: _spectrum(self.ratios[2], "ratio", len(self.A), len(self.A)))
     hist_a1 = cached_property(lambda self: histogram(self.a1, self.a1, "ratio"))
     e3_a = cached_property(lambda self: energy(self.hist_a, 3).exact)
     e3_a1 = cached_property(lambda self: energy(self.hist_a1, 3).exact)
@@ -205,12 +205,23 @@ class Instance:
         ints, scale = _pair_ints(self.A, self.A, "expand")
         return list(ints), scale
 
+    def _ratio_ints(self):
+        _require_units(self.A, self.A, "ratio")
+        return _pair_ints(self.A, self.A, "ratio")
+
     @cached_property
     def ratios(self) -> Tuple[list, int, Counter]:
-        _require_units(self.A, self.A, "ratio")
-        ints, scale = _pair_ints(self.A, self.A, "ratio")
+        ints, scale = self._ratio_ints()
         ints = list(ints)
         return ints, scale, Counter(ints)
+
+    @cached_property
+    def hist_a(self) -> MultiplicityHistogram:
+        # the F_p pipeline's ratio pass if it has made one, else a Counter
+        # of the ratio ints that keeps no list
+        made = vars(self).get("ratios")
+        counts = made[2] if made else Counter(self._ratio_ints()[0])
+        return _spectrum(counts, "ratio", len(self.A), len(self.A))
 
     def e15(self, spectrum: str, bits: int) -> RatInterval:
         """E1.5 of the ratio spectrum `spectrum` ("hist_a" or "hist_a1") at
@@ -624,18 +635,21 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
 
     # b0 selection by maximal total intersection with a(A+1): the total for b
     # is sum over a of |a(A+1) & b(A+1)| = sum over x in b(A+1) of m(x), with
-    # m(x) = #{a : x in a(A+1)}
+    # m(x) = #{a : x in a(A+1)}.  The row of a is a(A+1), |A| distinct
+    # residues as 0 and -1 are not in A, so m is the Counter of the rows.
     rows, _ = inst.rows
-    shifted = {a: frozenset(rows[i * n:(i + 1) * n]) for i, a in enumerate(A.vals)}
-    mult = Counter(x for s in shifted.values() for x in s)
-    best_total, b0 = max((sum(mult[x] for x in shifted[b]), -b) for b in A.vals)
+    mult = Counter(rows)
+    row_of = [rows[i * n:(i + 1) * n] for i in range(n)]
+    best_total, b0 = max((sum(map(mult.__getitem__, row)), -b)
+                         for b, row in zip(A.vals, row_of))
     b0 = -b0
     steps.append(PipelineStep(
         "pair-intersection mass of the selected base point",
         _hold_report("fp-base-point", Fraction(n ** 3, len(aa1)), best_total, digest,
                      f"b0 = {b0}; Cauchy-Schwarz average over base points")))
 
-    counts = {a: len(shifted[a] & shifted[b0]) for a in A.vals}
+    b0_row = set(row_of[A.vals.index(b0)])
+    counts = {a: len(b0_row.intersection(row)) for a, row in zip(A.vals, row_of)}
     classes: Dict[int, list] = {}
     for a in A.vals:
         c = counts[a]
@@ -722,13 +736,12 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
 
     # covering steps: alpha, beta, gamma by translates of b0*A, delta by -b0*A
     shape = Fraction(len(aa1) ** 2 * inst.hist_a.total_support, N ** 2 * len(A1))
-    b0_shift = shifted[b0]
     b0a = dilate(A, b0).member_set()
     a_parts = []
     counts_product = 1
     for label, sym, sign in (("alpha", al, "+"), ("beta", be, "+"),
                              ("gamma", ga, "+"), ("delta", de, "-")):
-        b_n, cover = _fp_cover_symbol(A, A1, b0_shift, sym, sign, eps, ctx)
+        b_n, cover = _fp_cover_symbol(A, A1, b0_row, sym, sign, eps, ctx)
         target = "translates of b0*A" if sign == "+" else "translates of -(b0*A)"
         for v in cover.covered.vals:
             sv = sym * v % p

@@ -47,6 +47,7 @@ from expanderlab.errors import (
     ExpanderlabError,
     FieldMismatch,
     GraphTooSparse,
+    InvalidKernelArgument,
     InvariantViolation,
     SetTooSmall,
 )
@@ -401,14 +402,114 @@ def test_dense_degree_subset_threshold_at_every_degree(eps):
 
 # -- greedy cover -------------------------------------------------------------------------
 
-@settings(max_examples=120, deadline=None)
-@given(fp_set_pairs(min_size=2, max_size=9, nonzero=False) | q_set_pairs(2, 7),
+@st.composite
+def multi_step_pairs(draw):
+    """(a, b) over F_p or Q with 8 to 24 elements in a and 2 to 8 in b, so
+    that most covers take several steps of the running shift count."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([101, 257, 1009]))
+        vals, ctx = st.integers(0, p - 1), FieldCtx.prime(p)
+    else:
+        vals, ctx = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 7)), Q
+    return (FSet(ctx, draw(st.sets(vals, min_size=8, max_size=24))),
+            FSet(ctx, draw(st.sets(vals, min_size=2, max_size=8))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fp_set_pairs(min_size=2, max_size=9, nonzero=False) | q_set_pairs(2, 7)
+       | multi_step_pairs(),
        st.sampled_from([Fraction(1, 16), Fraction(1, 64), Fraction(1, 5)]),
        st.sampled_from("+-"), st.randoms(use_true_random=False))
 def test_greedy_cover_matches_per_candidate_rescan(pair, eps, sign, rng):
     a, b = pair
     g = dense_random_graph(rng, a, b, eps)
     assert greedy_cover(a, b, g, eps, sign) == literal_greedy_cover(a, b, g, eps, sign)
+
+
+def test_greedy_cover_counts_its_shifts_in_one_pair_pass(monkeypatch):
+    passes = []
+    real = cons._pair_ints
+
+    def spy(x, y, op):
+        passes.append((x, y, op))
+        return real(x, y, op)
+
+    monkeypatch.setattr(cons, "_pair_ints", spy)
+    f = FieldCtx.prime(101)
+    a = FSet(f, range(2, 40, 3))
+    b = FSet(f, [1, 4, 9, 16])
+    g = PairGraph.complete(a, b)
+    for sign, op in (("+", "diff"), ("-", "sum")):
+        passes.clear()
+        res = greedy_cover(a, b, g, Fraction(1, 64), sign)
+        assert res.iterations > 1
+        assert passes == [(res.base, b, op)]
+
+
+@pytest.mark.parametrize("sign", ["", "+-", "*", 1, None])
+def test_greedy_cover_bad_sign_is_an_expanderlab_error(sign):
+    f = FieldCtx.prime(7)
+    a, b = FSet(f, [1, 2]), FSet(f, [3])
+    with pytest.raises(InvalidKernelArgument):
+        greedy_cover(a, b, PairGraph.complete(a, b), Fraction(1, 16), sign)
+    with pytest.raises(ValueError):  # as before, for library callers
+        greedy_cover(a, b, PairGraph.complete(a, b), Fraction(1, 16), sign)
+
+
+def test_greedy_cover_by_an_empty_set_is_set_too_small():
+    f = FieldCtx.prime(7)
+    a, b = FSet(f, [1, 2]), FSet(f, [])
+    with pytest.raises(SetTooSmall):
+        greedy_cover(a, b, PairGraph(a, b, []), Fraction(1, 16))
+    # an empty a needs no step, so nothing is raised
+    assert greedy_cover(b, b, PairGraph(b, b, []), Fraction(1, 16)).iterations == 0
+
+
+# -- the sqrt thresholds on ints ------------------------------------------------------------
+
+def fraction_ge_one_minus_k_sqrt(value, scale, eps, k=1):
+    value, scale, eps = Fraction(value), Fraction(scale), Fraction(eps)
+    rhs = scale - value
+    if rhs <= 0:
+        return True
+    return k * k * eps * scale * scale >= rhs * rhs
+
+
+def fraction_gt_k_sqrt(value, scale, eps, k=1):
+    value, scale, eps = Fraction(value), Fraction(scale), Fraction(eps)
+    if value <= 0:
+        return False
+    return value * value > k * k * eps * scale * scale
+
+
+THRESHOLD_EPSILONS = ([Fraction(1, d) for d in range(1, 65)]
+                      + [Fraction(c, d) for d in range(3, 17) for c in range(2, d)
+                         if math.gcd(c, d) == 1])
+
+
+def around_the_roots(scale, eps, k):
+    """0, scale, and the ints within 2 of k sqrt(eps) scale and of
+    (1 - k sqrt(eps)) scale, the two thresholds' roots, where >= 0."""
+    root = math.isqrt(k * k * eps.numerator * scale * scale // eps.denominator)
+    near = {0, scale}
+    for r in (root, scale - root):
+        near.update(range(r - 2, r + 3))
+    return sorted(v for v in near if v >= 0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_int_thresholds_match_the_fraction_formulas(k):
+    for eps in THRESHOLD_EPSILONS:
+        for scale in range(0, 25):
+            for value in around_the_roots(scale, eps, k):
+                want_ge = fraction_ge_one_minus_k_sqrt(value, scale, eps, k)
+                want_gt = fraction_gt_k_sqrt(value, scale, eps, k)
+                assert ge_one_minus_k_sqrt(value, scale, eps, k) == want_ge
+                assert gt_k_sqrt(value, scale, eps, k) == want_gt
+                # Fraction arguments, at the same ratio, give the same answers
+                fv, fs = Fraction(value, 3), Fraction(scale, 3)
+                assert ge_one_minus_k_sqrt(fv, fs, eps, k) == want_ge
+                assert gt_k_sqrt(fv, fs, eps, k) == want_gt
 
 
 # -- partial triangle ---------------------------------------------------------------------

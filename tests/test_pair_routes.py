@@ -8,13 +8,15 @@ Each is compared here with a literal copy of that hand-written loop, and
 `twist_spectrum` with the difference pass it replaced.
 """
 import dataclasses
+import importlib
 import inspect
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from expanderlab import (
@@ -50,6 +52,8 @@ from helpers import (
     literal_partial_diff,
     transpose,
 )
+
+energy_module = importlib.import_module("expanderlab.energy")
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
@@ -293,6 +297,99 @@ def test_twist_spectrum_matches_literal_difference_pass(a):
         assert twist_witness(a, xi) == old_quads[xi]
 
 
+
+# -- the twist spectrum's two paths -------------------------------------------------------
+# `twist_spectrum` takes the slot product or the pair Counter by the cost rule
+# `energy._twist_slot_steps`; patching the rule forces either path.
+
+def on_path(path, a):
+    cost = {"slots": -1, "pairs": math.inf}[path]
+    with mock.patch.object(energy_module, "_twist_slot_steps", lambda p, nu: cost):
+        return twist_spectrum(a)
+
+
+def literal_excess(a):
+    """E_xi(a) - |a|^2 for each nonzero xi, from `literal_twist_spectrum`."""
+    n2 = len(a) ** 2
+    return Counter({xi: e - n2 for xi, e in literal_twist_spectrum(a)[1].items()})
+
+
+def slot_width(n):
+    """The slot bytes `_twist_slots` uses for a set of n elements."""
+    nu = n * (n - 1) // 2
+    return energy_module._slot_bytes(2 * nu * nu)
+
+
+@st.composite
+def twist_classes(draw):
+    """A set over F_p: two elements over F_2, F_3 or F_5, where R is all of
+    F_2 and F_3 (ReqFp) but not of F_5 (RneqFp), or up to 21 elements over a
+    small prime, across the slot widths 1, 2 and 4."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([2, 3, 5]))
+        return FSet(FieldCtx.prime(p), draw(st.sets(st.integers(0, p - 1), min_size=2,
+                                                     max_size=2)))
+    p = draw(st.sampled_from([7, 11, 13, 31, 61, 101, 499, 503]))
+    n = draw(st.integers(0, min(21, p)))
+    return FSet(FieldCtx.prime(p), draw(st.sets(st.integers(0, p - 1), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(twist_classes())
+@example(FSet(FieldCtx.prime(2), [0, 1]))                 # -1 = 1: the half turn is none
+@example(FSet(FieldCtx.prime(3), [0, 2]))                 # R = F_3
+@example(FSet(FieldCtx.prime(5), [1, 3]))                 # R = {0, 1, 4}
+@example(FSet(FieldCtx.prime(61), range(1, 6)))           # 1-byte slots, the widest
+@example(FSet(FieldCtx.prime(61), range(1, 7)))           # 2-byte slots, the narrowest
+@example(FSet(FieldCtx.prime(101), range(3, 22)))         # 2-byte slots, the widest
+@example(FSet(FieldCtx.prime(101), range(3, 23)))         # 4-byte slots, the narrowest
+def test_twist_spectrum_on_either_path_matches_the_literal_pass(a):
+    want = literal_excess(a)
+    assert on_path("slots", a) == want
+    assert on_path("pairs", a) == want
+
+
+def test_twist_slot_widths_reach_every_edge():
+    # the examples above sit on each side of the 1-, 2- and 4-byte edges
+    assert [slot_width(n) for n in (5, 6, 19, 20)] == [1, 2, 2, 4]
+    assert [slot_width(n) for n in (304, 305)] == [4, 8]
+    for p, full in ((2, True), (3, True), (5, False)):
+        a = FSet(FieldCtx.prime(p), [0, 1])
+        assert (len(set(twist_spectrum(a)) | {0}) == p) == full
+
+
+def test_twist_slots_at_the_eight_byte_edge():
+    # 305 of the 306 units of F_307: 46360 differences x > z, so 8-byte slots;
+    # the pairs would be 2 * 46360^2, so only the slots are compared
+    a = FSet(FieldCtx.prime(307), range(1, 306))
+    assert slot_width(len(a)) == 8
+    assert on_path("slots", a) == literal_excess(a)
+
+
+# a dense ReqFp class (|A1| = 17, p = 3001) and a progression-subset RneqFp
+# class (|A1| = 9, p = 40009), as the fp pipeline selects them on the first
+# pass of the seed-1 fp-chain benchmark
+DENSE_CLASS = FSet(FieldCtx.prime(3001), [2, 6, 182, 400, 632, 898, 1111, 1295, 1362, 1438,
+                                          1784, 1820, 1971, 2125, 2715, 2822, 2864])
+SPARSE_CLASS = FSet(FieldCtx.prime(40009), [9, 12, 24, 45, 48, 54, 108, 132, 144])
+
+
+def test_twist_spectrum_dispatch_on_dense_and_sparse_classes():
+    taken = []
+    real_slots, real_pairs = energy_module._twist_slots, energy_module._twist_pairs
+    with mock.patch.object(energy_module, "_twist_slots",
+                           lambda *args: taken.append("slots") or real_slots(*args)), \
+            mock.patch.object(energy_module, "_twist_pairs",
+                              lambda *args: taken.append("pairs") or real_pairs(*args)):
+        dense = twist_spectrum(DENSE_CLASS)
+        sparse = twist_spectrum(SPARSE_CLASS)
+    assert taken == ["slots", "pairs"]
+    assert len(set(dense) | {0}) == 3001       # ReqFp
+    assert len(set(sparse) | {0}) < 40009      # RneqFp
+    assert dense == on_path("pairs", DENSE_CLASS)
+    assert sparse == on_path("slots", SPARSE_CLASS)
+
+
 # -- R6, injection witness, the S_t certificate ----------------------------------------
 
 @settings(max_examples=300, deadline=None)
@@ -418,9 +515,33 @@ def pipeline_inputs(draw):
     return FSet(FieldCtx.prime(p), vals)
 
 
-@settings(max_examples=60, deadline=None)
-@given(pipeline_inputs())
+@st.composite
+def structured_pipeline_inputs(draw):
+    """Progressions, geometric progressions and random sets of up to 20
+    units of F_p other than -1, whose rows tie often: b0 and the class
+    come from the Counter of the rows, and their ties from the order."""
+    p = draw(st.sampled_from([401, 409, 1009]))
+    n = draw(st.integers(3, 20))
+    kind = draw(st.sampled_from(["arithmetic", "geometric", "random"]))
+    if kind == "random":
+        vals = draw(st.sets(st.integers(1, p - 2), min_size=n, max_size=n))
+    else:
+        start, step = draw(st.integers(1, p - 1)), draw(st.integers(2, p - 2))
+        if kind == "arithmetic":
+            vals = {(start + k * step) % p for k in range(n)}
+        else:
+            vals = {start * pow(step, k, p) % p for k in range(n)}
+        vals -= {0, p - 1}
+    assume(len(vals) >= 3)
+    return FSet(FieldCtx.prime(p), vals)
+
+
+
+@settings(max_examples=120, deadline=None)
+@given(pipeline_inputs() | structured_pipeline_inputs())
 @example(FSet(FieldCtx.prime(109), [1, 5, 10, 31, 36, 40, 43, 65, 71]))
+@example(FSet(FieldCtx.prime(401), range(2, 22)))
+@example(FSet(FieldCtx.prime(409), [pow(3, k, 409) for k in range(1, 18)]))
 def test_base_point_rows_match_literal_loop(a):
     b0, best_total, a1 = literal_base_point(a)
     trace = finite_field_pipeline(a)
@@ -428,6 +549,7 @@ def test_base_point_rows_match_literal_loop(a):
     assert trace.selected["A1"] == [str(v) for v in a1]
     (base,) = [s.report for s in trace.steps if s.report.name == "fp-base-point"]
     assert base.rhs == best_total
+
 
 
 # -- the partial difference set A -_G B -------------------------------------------------

@@ -19,11 +19,13 @@ from expanderlab import (
     partial_combine,
     popular_ratio_graph,
     save_set,
+    sumset_size,
 )
 from expanderlab.errors import (
     ContextMismatch,
     DivisionByZero,
     ExpanderlabError,
+    InvalidKernelArgument,
     InvalidSetFile,
     ZeroDilation,
 )
@@ -134,6 +136,29 @@ def test_kfold_examples():
     for signs in ([], [1, 2], [0]):
         with pytest.raises(ValueError):
             kfold_size(a, signs)
+
+
+
+KERNEL_ARGUMENT_ERRORS = [
+    ("combine", lambda a: combine(a, a, "expand")),
+    ("combine", lambda a: combine(a, a, "")),
+    ("sumset_size", lambda a: sumset_size(a, a, "prod")),
+    ("sumset_size", lambda a: sumset_size(a, a, "ratio")),
+    ("kfold_size", lambda a: kfold_size(a, [])),
+    ("kfold_size", lambda a: kfold_size(a, [1, 2])),
+    ("kfold_size", lambda a: kfold_size(a, [0])),
+]
+
+
+@pytest.mark.parametrize("a", [FSet(F7, [1, 2]), FSet(Q, [Fraction(1, 2), 3])], ids=["fp", "q"])
+@pytest.mark.parametrize("name, call", KERNEL_ARGUMENT_ERRORS,
+                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(KERNEL_ARGUMENT_ERRORS)])
+def test_kernel_argument_errors_are_expanderlab_errors(name, call, a):
+    # one class for every bad kernel argument, still a ValueError for
+    # callers that caught one before
+    with pytest.raises(InvalidKernelArgument) as err:
+        call(a)
+    assert isinstance(err.value, ExpanderlabError) and isinstance(err.value, ValueError)
 
 
 def test_affine_image():
