@@ -236,7 +236,7 @@ def _dense_side(side: FSet, degrees: Sequence[int], other: int, eps: Fraction) -
     kept = [v for v, d in zip(side.vals, degrees) if d >= least]
     if not ge_one_minus_k_sqrt(len(kept), len(side), eps):
         raise InvariantViolation("dense-degree subset smaller than guaranteed")
-    return side.with_values(kept)
+    return FSet._from_canonical(side.ctx, frozenset(kept))
 
 
 # -- greedy covering --------------------------------------------------------------
@@ -323,7 +323,7 @@ def greedy_cover(a: FSet, b: FSet, g: PairGraph, epsilon, sign: str = "+") -> Co
         translates.append(best_shift)
         per_step.append((best_shift, len(covered_now)))
 
-    covered = a1.with_values(set(a1.vals) - remaining)
+    covered = FSet._from_canonical(ctx, a1.member_set() - remaining)
     # exact containment and size contracts
     for v in covered.vals:
         ok = any(
@@ -535,7 +535,7 @@ def plunnecke_witness(a: FSet, xs: Sequence[FSet], budget: int = 10) -> Plunneck
 
     iterated, sub = best
     return PlunneckeResult(
-        subset=a.with_values(a.vals[i] for i in sub),
+        subset=FSet._from_canonical(a.ctx, frozenset(a.vals[i] for i in sub)),
         slack=Fraction(iterated * n ** (len(xs) - 1), math.prod(single)),
         subset_ratio=Fraction(len(sub), n),
         iterated_size=iterated,

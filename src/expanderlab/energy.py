@@ -99,7 +99,7 @@ from .errors import (
     ZeroTwist,
 )
 from .field import KIND_PRIME
-from .intervals import RatInterval, iroot_floor, pow_interval
+from .intervals import RatInterval, _root_ends, iroot_floor
 from .sets import (
     DiscreteLog,
     FSet,
@@ -279,13 +279,20 @@ def _exact_energy(hist: MultiplicityHistogram, alpha: Fraction) -> Optional[Ener
 
 def energy_at(hist: MultiplicityHistogram, alpha, bits: int) -> EnergyValue:
     """E_alpha = sum over the spectrum of count * m^alpha, evaluated once:
-    exact if `_exact_energy` gives it, else enclosed with `bits`-bit roots."""
+    exact if `_exact_energy` gives it, else enclosed with `bits`-bit roots.
+    Each term's enclosure, `pow_interval(m, alpha, bits) * count`, has
+    endpoints over 2^bits, so the sums are taken on their ints."""
     alpha = Fraction(alpha)
     exact = _exact_energy(hist, alpha)
     if exact is not None:
         return exact
-    acc = sum((pow_interval(m, alpha, bits) * c for m, c in hist.entries), RatInterval.point(0))
-    return EnergyValue(alpha, acc.lo, acc.hi, bits)
+    lo = hi = 0
+    for m, c in hist.entries:
+        m_lo, m_hi = _root_ends(m ** alpha.numerator, 1, alpha.denominator, bits)
+        lo += c * m_lo
+        hi += c * m_hi
+    scale = 1 << bits
+    return EnergyValue(alpha, Fraction(lo, scale), Fraction(hi, scale), bits)
 
 
 def energy(hist: MultiplicityHistogram, alpha, cap: Optional[int] = None) -> EnergyValue:

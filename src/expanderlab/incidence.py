@@ -10,14 +10,23 @@ or from the pair kernel, which reads the same int forms.  A kernel-built
 set's scale need not be the LCD of its values, so no scale is worked out
 afresh.
 
+The check's independent recount of the lines through each witness is made
+per (product, b) slope, not per (product, x, b): the slope is reduced to
+lowest terms once, and only the x whose ints its denominator divides are
+tested, a C-level pass over a per-denominator row of A.
+
 Everything here is rational-line only: the incidence bound this instruments
 is false over prime fields at this generality, so prime-field inputs are
 refused with FieldMismatch.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, compress, repeat
+from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Tuple
 
 from .energy import _require_t
@@ -116,6 +125,15 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
     slope alpha*b = k*j/(scale*sb) and intercept -b = -j/sb, so it is keyed
     by (k*j, -j); points are keyed by (x_int, s_int).  A point is rendered
     as Fractions only in a failure message.
+
+    The recount of every family line through (1/x, s), which must find at
+    least the designated ones, runs once per s ahead of its witnesses and
+    raises nothing itself.  The line of b = j/sb passes through (1/x, s)
+    iff x*(s+b)/b*scale = x_int*n/d is one of the alpha ints, with
+    n/d = (s_int + j*sa)*scale/(sa^2*j) in lowest terms and d > 0.  As
+    gcd(n, d) = 1, that holds iff d divides x_int and (x_int // d)*n is an
+    alpha int; so n/d is reduced once per (s, b), and the x_int that d
+    divides, with their quotients, are kept per d for the call.
     """
     ctx = _same_ctx(a, b)
     if ctx.kind != KIND_RATIONAL:
@@ -132,22 +150,45 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
     reps, rep_scale = _pair_groups(a, b, "prod", (a_ints, b_ints))
     s_ints = sorted(k for k, ps in reps.items() if len(ps) >= t)
     s_t = _from_ints(ctx, s_ints, rep_scale)
-    alpha_ints, scale = expander_set(a, a)._int_form()
-    alpha_ints = set(alpha_ints)
+    alphas, scale = expander_set(a, a)._int_form()
+    alpha_ints = set(alphas)
     b_set = set(b_ints)
-    # the family: distinct parameter pairs give distinct lines, but the keys
-    # are counted, not assumed distinct
-    family_size = len({(k * j, -j) for k in alpha_ints for j in b_ints})
+    # the family: lines of distinct b have distinct intercepts -j, and per b
+    # the slope keys k*j are counted, not assumed distinct
+    family_size = sum(len({k * j for k in alphas}) for j in b_ints)
 
     def point(x_int, s_int):
         return (1 / Fraction(x_int, sa), Fraction(s_int, rep_scale))
 
     sa2 = sa * sa
+    # per b = j/sb the slope's parts (j*sa, sa^2*j); and per denominator d
+    # the x_int of A that d divides, with their quotients
+    slopes = [(j * sa, sa2 * j) for j in b_ints]
+    divisible = {}
+    in_family = alpha_ints.__contains__
+
+    def divisible_by(d):
+        xs = [x_int for x_int in a_ints if x_int % d == 0]
+        row = divisible[d] = (xs, [x_int // d for x_int in xs])
+        return row
+
+    def recount(s_int) -> Counter:
+        """The number of family lines through (1/x, s), per x_int."""
+        hits = []
+        for j_sa, d in slopes:
+            n = (s_int + j_sa) * scale
+            g = gcd(n, d)
+            if d < 0:
+                g = -g
+            n, d = n // g, d // g
+            xs, quotients = divisible.get(d) or divisible_by(d)
+            hits.append(compress(xs, map(in_family, map(mul, repeat(n), quotients))))
+        return Counter(chain.from_iterable(hits))
+
     min_lines = None
     witnesses = set()
     for s_int in s_ints:
-        # the recount's shifts: x*(s+b)/b*scale = x_int*n/d for b = j/sb
-        shifts = [((s_int + j * sa) * scale, sa2 * j) for j in b_ints]
+        through = recount(s_int)
         for x_int in a_ints:
             if (x_int, s_int) in witnesses:
                 raise InvariantViolation("witness points must be pairwise distinct")
@@ -172,16 +213,10 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
                     f"witness {point(x_int, s_int)} lies on {len(designated)} "
                     f"designated lines < t = {t}"
                 )
-            # independent recount: lines of the family through the point, one
-            # per b; x*(s+b)/b is in A(A+1) iff x_int*n/d is one of alpha_ints
-            through = 0
-            for n, d in shifts:
-                k, rem = divmod(x_int * n, d)
-                if rem == 0 and k in alpha_ints:
-                    through += 1
-            if through < len(designated):
+            lines = through[x_int]
+            if lines < len(designated):
                 raise InvariantViolation("recount found fewer lines than designated")
-            min_lines = through if min_lines is None else min(min_lines, through)
+            min_lines = lines if min_lines is None else min(min_lines, lines)
 
     if len(witnesses) != len(s_t) * len(a):
         raise InvariantViolation("witness count mismatch")

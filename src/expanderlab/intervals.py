@@ -4,7 +4,9 @@ Fractional powers and logarithms are irrational; comparisons involving them
 are decided through intervals [lo, hi] whose endpoints are Fractions and
 which provably contain the true value.  Roots come from integer Newton
 iteration on scaled operands (floor on the low side, floor-plus-one on the
-high side), so enclosures at doubled precision nest inside earlier ones.
+high side), so enclosures at doubled precision nest inside earlier ones;
+the iteration starts from a float root just above the true one, so even a
+56th root of thousands of bits takes a few steps.
 Logarithms use the classic square-and-shift bit extraction with directed
 fixed-point rounding.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -98,7 +100,8 @@ def _as_interval(x) -> RatInterval:
 
 
 def iroot_floor(n: int, q: int) -> int:
-    """floor(n ** (1/q)) for integers n >= 0, q >= 1, by Newton iteration."""
+    """floor(n ** (1/q)) for integers n >= 0, q >= 1, by Newton iteration
+    from a float seed."""
     if n < 0:
         raise ValueError("negative radicand")
     if q < 1:
@@ -107,7 +110,13 @@ def iroot_floor(n: int, q: int) -> int:
         return n
     if q == 2:
         return math.isqrt(n)
-    x = 1 << ((n.bit_length() + q - 1) // q + 1)
+    # seed from above, within a relative 2^-30 of the root: the float root
+    # of n >> q*k, whose root has about 64 bits, scaled back by 2^k.  As
+    # (m + 1)^(1/q) <= m^(1/q) + 1, the +2 keeps the seed at or above the
+    # floor root, so integer Newton descends to it in a few steps.
+    k = max(0, n.bit_length() // q - 64)
+    root = 2.0 ** (math.log2(n >> q * k) / q)
+    x = (int(root * (1 + 2.0 ** -30)) + 2) << k
     while True:
         y = ((q - 1) * x + n // x ** (q - 1)) // q
         if y >= x:
@@ -130,10 +139,15 @@ def root_interval(x: Rat, q: int, bits: int) -> RatInterval:
     if x == 0:
         return RatInterval.point(0)
     scale = 1 << bits
-    shifted = (x.numerator << (q * bits)) // x.denominator  # floor(2^(q*bits) * x)
-    r = iroot_floor(shifted, q)
-    s = iroot_floor(shifted + 1, q)
-    return RatInterval(Fraction(r, scale), Fraction(s + 1, scale))
+    lo, hi = _root_ends(x.numerator, x.denominator, q, bits)
+    return RatInterval(Fraction(lo, scale), Fraction(hi, scale))
+
+
+def _root_ends(num: int, den: int, q: int, bits: int) -> Tuple[int, int]:
+    """The ints lo, hi with root_interval(num/den, q, bits) = [lo, hi]/2^bits,
+    for ints num > 0 and den > 0."""
+    shifted = (num << (q * bits)) // den  # floor(2^(q*bits) * x)
+    return iroot_floor(shifted, q), iroot_floor(shifted + 1, q) + 1
 
 
 def pow_interval(x: Rat, alpha: Fraction, bits: int) -> RatInterval:

@@ -565,7 +565,7 @@ def _fp_cover_symbol(A, A1, b0_shift_set, sym, sign, eps, ctx):
     in the claimed translate union is re-checked exactly by the caller.
     """
     b_vals = [a for a in A.vals if (sym * (a + 1)) % ctx.p in b0_shift_set]
-    b_n = A.with_values(b_vals)
+    b_n = FSet._from_canonical(ctx, frozenset(b_vals))
     inner_eps = eps * eps / 4
     pop = cons.popular_ratio_graph(A1, b_n, inner_eps)
     cover = cons.greedy_cover(A1, b_n, pop.graph, inner_eps, sign)
@@ -658,7 +658,7 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
     n_classes = n.bit_length() - 1 + 1  # floor(log2 |A|) + 1 possible classes
     j_sel = min(classes, key=lambda j: (-(1 << j) * len(classes[j]), j))
     N = 1 << j_sel
-    A1 = A.with_values(classes[j_sel])
+    A1 = FSet._from_canonical(A.ctx, frozenset(classes[j_sel]))
     for a in A1.vals:
         if not N <= counts[a] < 2 * N:
             raise cons.InvariantViolation(f"dyadic membership broken at {a}")
@@ -707,7 +707,8 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
             raise cons.InvariantViolation("no shiftable twist in a proper ratio set")
     else:
         branch = "ReqFp"
-        xi = min((twist_excess[c], c) for c in range(1, p))[1]
+        # R(A1) = F_p, so every c in 1..p-1 is a key of twist_excess
+        xi = min(zip(twist_excess.values(), twist_excess))[1]
     al, be, ga, de = twist_witness(A1, xi)
     selected.update({
         "branch": branch,

@@ -1,6 +1,7 @@
 """Shared instance generators for the test suite; all seeded and deterministic."""
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -8,7 +9,7 @@ from typing import Tuple
 
 from expanderlab import FieldCtx, FSet, PairGraph, combine
 from expanderlab import constructions as cons
-from expanderlab.energy import PRECISION_START, precision_cap
+from expanderlab.energy import PRECISION_START, EnergyValue, _exact_energy, precision_cap
 from expanderlab.errors import CollisionFound, InvariantViolation
 from expanderlab.incidence import Line
 from expanderlab.intervals import RatInterval, iroot_floor, pow_interval
@@ -202,6 +203,48 @@ def pure_partial_ruzsa(g, h, epsilon) -> cons.PartialTriangleResult:
         diff_ac=diff_ac,
         slack=Fraction(len(diff_ac) * nb, len(pab) * len(pbc)),
     )
+
+
+# -- literal copies of the root and energy enclosures before their int forms ------
+
+def newton_iroot_floor(n: int, q: int) -> int:
+    """The old `iroot_floor`: Newton iteration seeded at a power of two at
+    least twice the root."""
+    if q == 1 or n in (0, 1):
+        return n
+    if q == 2:
+        return math.isqrt(n)
+    x = 1 << ((n.bit_length() + q - 1) // q + 1)
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            break
+        x = y
+    while x ** q > n:
+        x -= 1
+    return x
+
+
+def newton_root_interval(x, q: int, bits: int) -> RatInterval:
+    """The old `root_interval`, on `newton_iroot_floor`."""
+    x = Fraction(x)
+    if x == 0:
+        return RatInterval.point(0)
+    scale = 1 << bits
+    shifted = (x.numerator << (q * bits)) // x.denominator
+    r = newton_iroot_floor(shifted, q)
+    s = newton_iroot_floor(shifted + 1, q)
+    return RatInterval(Fraction(r, scale), Fraction(s + 1, scale))
+
+
+def rat_interval_energy_at(hist, alpha, bits: int) -> EnergyValue:
+    """The old `energy_at`: the enclosure as a sum of `RatInterval` terms."""
+    alpha = Fraction(alpha)
+    exact = _exact_energy(hist, alpha)
+    if exact is not None:
+        return exact
+    acc = sum((pow_interval(m, alpha, bits) * c for m, c in hist.entries), RatInterval.point(0))
+    return EnergyValue(alpha, acc.lo, acc.hi, bits)
 
 
 # -- literal copies of the enclosure code that `energy_at` replaced ----------------

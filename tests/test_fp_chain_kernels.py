@@ -9,6 +9,7 @@ neighbour-mask scan replaced (`helpers.pure_partial_ruzsa`).
 """
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -32,7 +33,7 @@ from expanderlab import (
     twisted_energy,
 )
 from expanderlab import constructions as cons
-from expanderlab import sets
+from expanderlab import sets, verify
 from expanderlab.constructions import (
     CoverResult,
     PartialTriangleResult,
@@ -330,6 +331,31 @@ def test_pipeline_req_branch_twist_is_the_min_energy_twist():
     xi = min_energy_twist(a1, quads)
     assert sel["xi"] == str(xi)
     assert sel["quad"] == [str(v) for v in quads[xi]]
+
+
+def test_req_branch_twist_matches_the_range_loop_on_dense_classes():
+    # near-dense random sets (|A|^2 ~ 0.9p), as fp-chain draws them; on the
+    # ReqFp branch every c in 1..p-1 is a twist, so the C-level min over the
+    # spectrum picks what the loop over range(1, p) picked
+    rng = random.Random(1)
+    spectra = []
+    real = verify.twist_spectrum
+
+    def spy(a1):
+        spectra.append(real(a1))
+        return spectra[-1]
+
+    req = 0
+    with mock.patch.object(verify, "twist_spectrum", spy):
+        for _ in range(8):
+            p = rng.choice([2503, 3001])
+            a = FSet(FieldCtx.prime(p), rng.sample(range(1, p), math.isqrt(9 * p // 10)))
+            sel = finite_field_pipeline(a).selected
+            if sel["branch"] == "ReqFp":
+                req += 1
+                excess = spectra[-1]
+                assert sel["xi"] == str(min((excess[c], c) for c in range(1, p))[1])
+    assert req >= 3
 
 
 # -- popular ratio graph ---------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expanderlab.intervals import (
@@ -16,6 +16,7 @@ from expanderlab.intervals import (
     pow_interval,
     root_interval,
 )
+from helpers import newton_iroot_floor, newton_root_interval
 
 
 @settings(max_examples=200, derandomize=True)
@@ -23,6 +24,43 @@ from expanderlab.intervals import (
 def test_iroot_floor_defining_property(n, q):
     r = iroot_floor(n, q)
     assert r ** q <= n < (r + 1) ** q
+
+
+def test_iroot_floor_matches_the_newton_loop_on_small_radicands():
+    for q in range(3, 65):
+        for n in range(301):
+            assert iroot_floor(n, q) == newton_iroot_floor(n, q), (n, q)
+
+
+@st.composite
+def radicands(draw):
+    """(n, q) for q = 3..64: a perfect q-th power or one off it, or any n
+    of up to 9,000 bits."""
+    q = draw(st.integers(3, 64))
+    if draw(st.booleans()):
+        r = draw(st.integers(2, 1 << draw(st.sampled_from([8, 64, 140]))))
+        return r ** q + draw(st.sampled_from([-1, 0, 1])), q
+    return draw(st.integers(0, 1 << draw(st.integers(1, 9000)))), q
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(radicands())
+@example((2 ** 64 - 1, 3))
+@example((30 ** 57 << 56 * 128, 56))                 # R14's radicand at 128 bits
+@example(((1 << 9000) - 1, 64))
+def test_iroot_floor_matches_the_newton_loop(case):
+    n, q = case
+    r = iroot_floor(n, q)
+    assert r == newton_iroot_floor(n, q)
+    assert r ** q <= n < (r + 1) ** q
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.fractions(min_value=0, max_value=10 ** 40, max_denominator=10 ** 12),
+       st.integers(3, 64), st.sampled_from([1, 64, 128]))
+@example(Fraction(30 ** 57), 56, 128)
+def test_root_interval_matches_the_newton_loop(x, q, bits):
+    assert root_interval(x, q, bits) == newton_root_interval(x, q, bits)
 
 
 def test_root_interval_encloses():

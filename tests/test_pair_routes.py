@@ -11,11 +11,13 @@ import dataclasses
 import importlib
 import inspect
 import math
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +52,7 @@ from helpers import (
     line_from_expander_params,
     literal_line_family,
     literal_partial_diff,
+    random_q_set,
     transpose,
 )
 
@@ -431,6 +434,10 @@ r7_sets = st.one_of(
 
 R7_FIELDS = [f.name for f in dataclasses.fields(StLowerBoundResult)]
 
+# sets of the shape `verify --all` draws: 20 members k/d, |k| <= 40, d <= 8
+VERIFY_SHAPED = [random_q_set(random.Random(f"r7/{k}"), 20, num_range=40, den_range=8)
+                 for k in range(2)]
+
 
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(r7_sets, r7_sets)
@@ -439,13 +446,80 @@ R7_FIELDS = [f.name for f in dataclasses.fields(StLowerBoundResult)]
 @example(FSet(Q, [-1, 2, 3, 4, 6]), FSet(Q, [-6, -4, -3, -2, 2, 3]))
 @example(FSet(Q, [-1, Fraction(1, 2), Fraction(-1, 3), 5]),
          FSet(Q, [Fraction(-3, 4), Fraction(10 ** 6 - 1, 10 ** 6), 2]))
+# -1 in A and s = -b: -6 = -1*6 = 2*(-3) = -2*3 with 6 in B, so the recount's
+# numerator n is 0 and 0 = -1*(-1+1) is a slope
+@example(FSet(Q, [-1, -2, 2, 3]), FSet(Q, [-3, 2, 3, 6]))
+@example(FSet(Q, [-1, Fraction(-1, 2), 2, 3]), FSet(Q, [Fraction(-3, 2), -1, 1, 3]))
+# negative b only, and B = A
+@example(FSet(Q, [Fraction(-5, 3), 2, Fraction(1, 2), 4]),
+         FSet(Q, [Fraction(-5, 3), -2, Fraction(-1, 2), -4]))
+@example(FSet(Q, [-3, -2, Fraction(-1, 2), 2, 3, 6]), FSet(Q, [-3, -2, Fraction(-1, 2), 2, 3, 6]))
+@example(VERIFY_SHAPED[0], VERIFY_SHAPED[1])
+@example(VERIFY_SHAPED[0], VERIFY_SHAPED[0])
 def test_st_lower_bound_check_matches_literal_loop(a, b):
-    # every field of the result, at every valid t
-    for t in range(1, min(len(a), len(b)) + 1):
+    # every field of the result, at every valid t up to 8: every drawn set
+    # has at most 8 members, and no verify-shaped product has 8 representations
+    for t in range(1, min(len(a), len(b), 8) + 1):
         new, old = st_lower_bound_check(a, b, t), literal_st_lower_bound_check(a, b, t)
         for name in R7_FIELDS:
             assert getattr(new, name) == getattr(old, name), name
         assert new.s_t.vals == old.s_t.vals
+
+
+def test_r7_recount_reduces_one_slope_per_product_and_b():
+    # gcd runs once per (s, b) of S_t x B; divmod only in the designated
+    # checks, once per representation of s per x, never in the recount
+    a, b = VERIFY_SHAPED
+    calls = Counter()
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    reps = Counter(x * y for x in a.vals for y in b.vals)
+    with mock.patch.object(incidence, "gcd", counted("gcd", math.gcd)), \
+            mock.patch.object(incidence, "divmod", counted("divmod", divmod), create=True):
+        for t in (1, 2, 3):
+            calls.clear()
+            res = st_lower_bound_check(a, b, t)
+            s_t = [s for s, r in reps.items() if r >= t]
+            assert len(res.s_t) == len(s_t) > 0
+            assert calls["gcd"] == len(s_t) * len(b)
+            assert calls["divmod"] == sum(reps[s] for s in s_t) * len(a)
+
+
+def literal_lines_through(a: FSet, b: FSet, t: int):
+    """Per s of S_t, in order, the number of family lines through (1/x, s) for
+    each x of A: the b with x*(s + b)/b in A(A+1)."""
+    alphas = expander_set(a, a).member_set()
+    reps = Counter(x * y for x in a.vals for y in b.vals)
+    return [{x: sum(x * (s + y) / y in alphas for y in b.vals) for x in a.vals}
+            for s in sorted(s for s, r in reps.items() if r >= t)]
+
+
+@pytest.mark.parametrize("a, b, t", [
+    (VERIFY_SHAPED[0], VERIFY_SHAPED[1], 2),
+    (VERIFY_SHAPED[0], VERIFY_SHAPED[0], 2),
+    (FSet(Q, [-1, -2, 2, 3]), FSet(Q, [-3, 2, 3, 6]), 1),         # s = -b, 0 a slope
+    (FSet(Q, [Fraction(-5, 3), 2, Fraction(1, 2), 4]),
+     FSet(Q, [Fraction(-5, 3), -2, Fraction(-1, 2), -4]), 1),    # negative b only
+])
+def test_r7_recount_counts_every_family_line_through_each_witness(a, b, t):
+    # the result keeps only the least count, which designated lines alone
+    # usually set; so the counts of every witness are read off the recount
+    counts = []
+
+    def kept(*args):
+        counts.append(Counter(*args))
+        return counts[-1]
+
+    with mock.patch.object(incidence, "Counter", kept):
+        st_lower_bound_check(a, b, t)
+    a_ints, sa = a._int_form()
+    assert [{Fraction(x, sa): c[x] for x in a_ints} for c in counts] == \
+        literal_lines_through(a, b, t)
 
 
 def dropping(index):

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from expanderlab import FieldCtx, FSet, combine, finite_field_pipeline, real_pipeline
@@ -29,7 +29,7 @@ from expanderlab.energy import (
 from expanderlab.errors import FieldMismatch, PrecisionCapExceeded
 from expanderlab.intervals import iroot_floor
 from expanderlab.verify import FAILS, HOLDS, INCONCLUSIVE, REGISTRY, _decide, check
-from helpers import Q, old_e15_capped, old_energy_loop
+from helpers import Q, old_e15_capped, old_energy_loop, rat_interval_energy_at
 
 P101 = FieldCtx.prime(101)
 INSTANCES = {
@@ -210,6 +210,19 @@ def test_energy_at_matches_old_e15_capped(hist, cap):
     capv = precision_cap(cap)
     for bits in [*_old_ladder(capv), min(PRECISION_START, capv)]:
         assert energy_at(hist, Fraction(3, 2), bits).interval == old_e15_capped(hist, cap, bits)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(spectra(), st.sampled_from(ALPHAS + [Fraction(2), Fraction(3)]))
+@example(MultiplicityHistogram("ratio", ((1, 7), (2, 5), (3, 1)), 13, 20, 3), Fraction(3, 2))
+@example(MultiplicityHistogram("ratio", ((4, 2), (9, 3)), 5, 35, 9), Fraction(3, 2))
+def test_energy_at_int_sums_match_the_rat_interval_sum(hist, alpha):
+    # the same endpoints, as Fractions of the same value, at every precision
+    for bits in (1, 64, 128, 4096):
+        got, want = energy_at(hist, alpha, bits), rat_interval_energy_at(hist, alpha, bits)
+        assert (got.alpha, got.lo, got.hi, got.precision_bits) == (
+            want.alpha, want.lo, want.hi, want.precision_bits)
+        assert type(got.lo) is type(got.hi) is Fraction
 
 
 @settings(max_examples=150, deadline=None)
