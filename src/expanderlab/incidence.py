@@ -154,8 +154,9 @@ def st_lower_bound_check(a: FSet, b: FSet, t: int) -> StLowerBoundResult:
     alpha_ints = set(alphas)
     b_set = set(b_ints)
     # the family: lines of distinct b have distinct intercepts -j, and per b
-    # the slope keys k*j are counted, not assumed distinct
-    family_size = sum(len({k * j for k in alphas}) for j in b_ints)
+    # the slope keys k*j are distinct, since the alpha ints are and j != 0
+    # (0 is not in B, checked above), so k -> k*j is injective
+    family_size = len(alphas) * len(b_ints)
 
     def point(x_int, s_int):
         return (1 / Fraction(x_int, sa), Fraction(s_int, rep_scale))

@@ -12,11 +12,18 @@ smaller witness, i.e. the one whose largest element is smallest.
 Both modes count each candidate incrementally.  A candidate is a rest R of
 n - 1 elements plus one element z, and of its n^2 products x(y+1) only the
 2n - 1 that involve z are new.  Exhaustive enumeration builds one rest per
-(n-1)-prefix and extends it by every later pool element.  A restart caches
-each swap index's rest of its current set S; when a move x -> z is
-accepted, the rest just counted is exactly the new set minus z, so it is
-kept as the new set's rest at z's sorted index and the others are dropped.  Two kernels
-count a candidate, and one is chosen per search:
+(n-1)-prefix and extends it by every later pool element, unless |R(R+1)|
+is already above the best value found: z only adds products, so none of
+the rest's candidates can reach the best.  A rest whose count equals the
+best is still extended, since its candidates may tie and win on the
+witness key.  A restart caches each swap index's rest of its current set S
+in a list indexed by swap index, and tests a drawn element against a set
+of S's members; when a move x -> z is accepted, the rest just counted is
+exactly the new set minus z, so it is kept as the new set's rest at z's
+sorted index and the others are dropped.  On masks the restart makes the
+count of `_mask_size_with` inline, its expression copied into the loop,
+so that counting a candidate makes no call; the residue count stays a
+call.  Two kernels count a candidate, and one is chosen per search:
 
 - the residue set (`_rest`, `_size_with`): R, R+1 and the residues of
   R(R+1), and |R(R+1)| + |{z(y+1), x(z+1), z(z+1) : x, y in R} - R(R+1)|.
@@ -24,7 +31,8 @@ count a candidate, and one is chosen per search:
   integer range; there the products are reduced modulo a number larger than
   twice their largest absolute value, which keeps them distinct, so one
   residue count serves F_p and Q.  A residue set cannot give a product
-  back, so each rest is built afresh.
+  back, so each rest is built afresh.  The rest keeps |R(R+1)| at the
+  same index as a mask rest does, where exhaustive search reads it.
 - discrete-log masks over F_p (`_mask_rest`, `_mask_size_with`): a subset
   of F_p^* is the (p-1)-bit int with bit log(x) set for each member x,
   the logs read from `sets.DiscreteLog`, and its doubled mask
@@ -59,7 +67,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceeded,
@@ -203,7 +211,9 @@ def _modulus(ctx: FieldCtx, pool: Sequence[int]) -> int:
     return 2 * k * (k + 1) + 1
 
 
-_Rest = Tuple[List[int], List[int], frozenset]
+# (R, R+1, the residues of R(R+1), |R(R+1)|): the count sits at index 3 in
+# both kernels' rests, where exhaustive search reads it to prune
+_Rest = Tuple[List[int], List[int], frozenset, int]
 
 
 def _rest(vals: List[int], m: int) -> _Rest:
@@ -212,19 +222,20 @@ def _rest(vals: List[int], m: int) -> _Rest:
     shifted = [y + 1 for y in vals]
     # frozenset of a set, not of a list: the copy's table is sized to fit, half
     # the size of one grown element by element, and up to n rests are cached
-    return vals, shifted, frozenset({x * y1 % m for x in vals for y1 in shifted})
+    products = frozenset({x * y1 % m for x in vals for y1 in shifted})
+    return vals, shifted, products, len(products)
 
 
 def _size_with(rest: _Rest, z: int, m: int) -> int:
     """|(R + z)(R + z + 1)| from the 2|R| + 1 products that involve z."""
-    vals, shifted, products = rest
+    vals, shifted, products, base = rest
     z1 = z + 1
     new = {z * z1 % m}
     for y1 in shifted:  # plain loops: a comprehension costs a frame per call
         new.add(z * y1 % m)
     for x in vals:
         new.add(x * z1 % m)
-    return len(products) + len(new - products)
+    return base + len(new - products)
 
 
 def _rest_without(summary: None, vals: List[int], i: int, m: int) -> _Rest:
@@ -368,6 +379,8 @@ def exhaustive_min(cfg: SearchConfig) -> ExtremalRecord:
     best = (n * n + 1,)  # above every key: no size-n set has more than n^2 products
     for vals, zs in _extensions(pool, n, top):
         rest = rest_of(vals, arg)
+        if rest[3] > best[0]:
+            continue  # z only adds products; a rest equal to the best may still tie
         for z in zs:
             value = size_with(rest, z, arg)
             if value <= best[0]:
@@ -402,15 +415,19 @@ def _draw_below(draw, k: int, bits: int) -> int:
 
 def _one_restart(cfg: SearchConfig, pool: Sequence[int], kernel: Tuple, seed: int) -> Tuple:
     rest_of, size_with, arg, without, join = kernel
+    masks = size_with is _mask_size_with
+    shift, order = (arg[0], arg[1]) if masks else (None, None)
     rng = random.Random(seed)
     draw = rng.getrandbits
     n, size = cfg.set_size, len(pool)
     n_bits, size_bits = n.bit_length(), size.bit_length()
     current = sorted(rng.sample(pool, n))
+    members = set(current)
     rest = rest_of(current[1:], arg)
     cur_val = size_with(rest, current[0], arg)
     summary = join(rest, current[0], arg)  # the kernel's summary of `current`
-    rests: Dict[int, Tuple] = {0: rest}  # swap index -> rest of `current`
+    rests: List[Optional[Tuple]] = [None] * n  # swap index -> rest of `current`
+    rests[0] = rest
     cur_key = (cur_val,) + _witness_key(current)
     best_key = cur_key
     temp = INITIAL_TEMP
@@ -418,13 +435,18 @@ def _one_restart(cfg: SearchConfig, pool: Sequence[int], kernel: Tuple, seed: in
     for _ in range(cfg.iteration_cap):
         idx = _draw_below(draw, n, n_bits)
         replacement = pool[_draw_below(draw, size, size_bits)]
-        if replacement in current:
+        if replacement in members:
             temp *= COOLING
             continue
-        rest = rests.get(idx)
+        rest = rests[idx]
         if rest is None:
             rest = rests[idx] = without(summary, current, idx, arg)
-        val = size_with(rest, replacement, arg)
+        if masks:  # the count of `_mask_size_with`, inline
+            _, d0, d1, base, free = rest
+            s0, s1 = shift[replacement], shift[replacement + 1]
+            val = base + ((d1 >> s0 | d0 >> s1 | 1 << (-s0 - s1) % order) & free).bit_count()
+        else:
+            val = size_with(rest, replacement, arg)
         # a larger value is a larger key, so only an anneal draw can take an uphill move
         uphill = val > cur_val
         if uphill and not (anneal and temp > 1e-9
@@ -435,9 +457,11 @@ def _one_restart(cfg: SearchConfig, pool: Sequence[int], kernel: Tuple, seed: in
         key = (val,) + _witness_key(proposal)
         if uphill or key < cur_key:
             current, cur_val, cur_key = proposal, val, key
+            members = set(proposal)
             summary = join(rest, replacement, arg)
             # the rest just counted is the new set without `replacement`
-            rests = {proposal.index(replacement): rest}
+            rests = [None] * n
+            rests[proposal.index(replacement)] = rest
             if key < best_key:
                 best_key = key
         temp *= COOLING

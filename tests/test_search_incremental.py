@@ -4,7 +4,12 @@ A candidate is a rest R plus one element z, counted from the 2|R| + 1
 products that involve z.  The count is checked against `expander_size` (the
 pair kernel), and `exhaustive_min` / `stochastic_search` against literal
 copies of the loops that rebuilt all n^2 products of every candidate.  The
-sha256 pins of `to_row()` were recorded with those loops.
+sha256 pins of `to_row()` were recorded with those loops, and the last four
+before the pruning of exhaustive search and the inline mask count of a
+restart.  The pruning is checked on its own too: a derandomized
+differential at sizes where it fires, a spy showing that no candidate of
+a pruned rest is counted, and a rest whose count equals the best that is
+still extended and decides the witness.
 """
 import hashlib
 import itertools
@@ -179,6 +184,94 @@ def test_exhaustive_matches_old_loop(ctx, n, admit, lo, width):
     assert_matches(exhaustive_min(cfg), old_exhaustive_min(cfg))
 
 
+# -- the pruning of exhaustive search -----------------------------------------
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(ctx=st.one_of(st.sampled_from([7, 11, 13, 17, 19, 23, 29, 31]).map(FieldCtx.prime),
+                     st.just(Q)),
+       n=st.integers(3, 5), admit=st.booleans(), lo=st.integers(-9, 0),
+       width=st.integers(8, 16))
+@example(ctx=FieldCtx.prime(31), n=5, admit=False, lo=0, width=0)
+@example(ctx=FieldCtx.prime(31), n=5, admit=True, lo=0, width=0)
+@example(ctx=FieldCtx.prime(29), n=4, admit=False, lo=0, width=0)
+@example(ctx=Q, n=5, admit=False, lo=-9, width=16)
+@example(ctx=Q, n=4, admit=True, lo=-8, width=16)
+def test_pruned_exhaustive_matches_old_loop(ctx, n, admit, lo, width):
+    # sizes at which rests above the best are skipped, on both kernels
+    cfg = SearchConfig(ctx=ctx, set_size=n, exclude_degenerate=not admit,
+                       density_guard=False, rational_range=(lo, lo + width))
+    assert_matches(exhaustive_min(cfg), old_exhaustive_min(cfg))
+
+
+def recording_kernel(events):
+    """A `_kernel` whose rests and counts append ("rest", vals, |R(R+1)|)
+    and ("count", z, value) to `events`, in the order the search makes them."""
+    real = search._kernel
+
+    def kernel(cfg, pool, candidates):
+        rest_of, size_with, arg, without, join = real(cfg, pool, candidates)
+
+        def rest_spy(vals, arg):
+            rest = rest_of(vals, arg)
+            events.append(("rest", list(vals), rest[3]))
+            return rest
+
+        def count_spy(rest, z, arg):
+            value = size_with(rest, z, arg)
+            events.append(("count", z, value))
+            return value
+        return rest_spy, count_spy, arg, without, join
+    return kernel
+
+
+def replay(events):
+    """Per rest, in order: (vals, |R(R+1)|, the best value counted before
+    it, the (z, value) of its counted candidates)."""
+    rests, best = [], math.inf
+    for event in events:
+        if event[0] == "rest":
+            rests.append((event[1], event[2], best, []))
+        else:
+            rests[-1][3].append(event[1:])
+            best = min(best, event[2])
+    return rests
+
+
+@pytest.mark.parametrize("cfg", [
+    SearchConfig(ctx=FieldCtx.prime(31), set_size=4),
+    SearchConfig(ctx=FieldCtx.prime(31), set_size=4, exclude_degenerate=False,
+                 density_guard=False),
+    # over Q no rest of 3 is above the minimum 9 of n = 4, so n = 5
+    SearchConfig(ctx=Q, set_size=5, rational_range=(-9, 7)),
+], ids=["masks", "admit-degenerate", "Q"])
+def test_no_candidate_of_a_pruned_rest_is_counted(cfg):
+    events = []
+    with mock.patch.object(search, "_kernel", recording_kernel(events)):
+        rec = exhaustive_min(cfg)
+    assert_matches(rec, old_exhaustive_min(cfg))
+    rests = replay(events)
+    pruned = [r for r in rests if r[1] > r[2]]
+    assert pruned and all(not counted for _, _, _, counted in pruned)
+    # every other rest is extended by each pool element above its last
+    assert sum(len(r[3]) for r in rests) > 0
+    assert all(counted for _, count, best, counted in rests if count <= best)
+
+
+def test_rest_equal_to_the_best_is_extended_and_decides_the_witness():
+    # over F_29 the rest {10, 11, 17} has 8 products when the best value is
+    # already 8; adding 18 adds none, and {10, 11, 17, 18} wins on the sum
+    cfg = SearchConfig(ctx=FieldCtx.prime(29), set_size=4)
+    events = []
+    with mock.patch.object(search, "_kernel", recording_kernel(events)):
+        rec = exhaustive_min(cfg)
+    assert (rec.value, rec.witness.vals) == (8, (10, 11, 17, 18))
+    assert_matches(rec, old_exhaustive_min(cfg))
+    [(count, best, counted)] = [(count, best, counted) for vals, count, best, counted
+                                in replay(events) if vals == [10, 11, 17]]
+    assert count == best == 8 and (18, 8) in counted
+    assert expander_size(cfg.ctx, [10, 11, 17]) == 8
+
+
 @settings(max_examples=60, deadline=None)
 @given(ctx=st.one_of(fields, st.sampled_from([101, 193, 257, 997, 4999]).map(FieldCtx.prime)),
        mode=st.sampled_from(["hillclimb", "anneal"]), seed=st.integers(0, 2 ** 64 - 1),
@@ -238,6 +331,17 @@ PINNED = [
      "e8a9072fca807ef33f95c95c1088659853f78fa7aaffed0c7381d5f7ac57ed71"),
     ("anneal", 4999, 12, 2 ** 64 - 1, {"restarts": 2, "iteration_cap": 500},
      "c713b95ba64104654faf874a68c0715c1c739c1d1475a580e309df48b8c6c01e"),
+    # recorded before the list-indexed rest cache, the inline mask count and
+    # the pruning of exhaustive search; the stochastic rows take the CLI's
+    # default 20 restarts of 2000 iterations
+    ("hillclimb", 4999, 12, 6, {},
+     "3d535d463af4c90c0ec9f4905a3a764567a02073bf1b449d837c3d6a9b6b0ff7"),
+    ("anneal", 997, 6, 8, {},
+     "bfa2ee191be98aeb6fa80e9e221c97da251584a6dc1cb35bdca62f1ef43a899b"),
+    ("exhaustive", 61, 3, 0, {},
+     "77dec374d5727a7feab2a415c8140f6621d6f30a196cff226f3992a8f585b22c"),
+    ("exhaustive", None, 4, 9, {"rational_range": (-9, 7)},
+     "c440c80fd883e0049d6653b763bccea2671064da248516f14d165190e6de8cd7"),
 ]
 
 

@@ -9,10 +9,12 @@
   from scratch by `_mask_rest` and `helpers.log_mask`.
 - The orbit-halved `exhaustive_min` against the brute-force minimum of
   (value, sum, colex) over every set of the pool, on either kernel.
-- The dispatch `_kernel`: no log table where the residue set is chosen.
+- The dispatch `_kernel`: no log table where the residue set is chosen,
+  and on a mid-size prime the log table, read by every move's count.
 """
 import itertools
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -196,13 +198,50 @@ def test_residue_searches_build_no_log_table(cfg):
     assert built == []
 
 
+class CountedShifts(list):
+    """A shift table of `_mask_logs` that counts the lookups made by a mask
+    count, inline in `_one_restart` or in `_mask_size_with`; the rest builds
+    read it too, but are not counted."""
+
+    counting = (search._one_restart.__code__, _mask_size_with.__code__)
+
+    def __init__(self, shifts):
+        super().__init__(shifts)
+        self.lookups = 0
+
+    def __getitem__(self, i):
+        if sys._getframe(1).f_code in self.counting:
+            self.lookups += 1
+        return super().__getitem__(i)
+
+
 def test_mid_size_prime_search_takes_masks():
     cfg = SearchConfig(ctx=FieldCtx.prime(1009), set_size=10, mode="hillclimb", seed=3,
                        restarts=2)
+    tables = []
+
+    def counted_logs(p):
+        shift, *rest = _mask_logs(p)
+        tables.append(CountedShifts(shift))
+        return (tables[-1], *rest)
+
     built, patch = counting_log_tables()
-    with patch, mock.patch.object(search, "_mask_size_with",
-                                  wraps=_mask_size_with) as counted:
+    with patch, mock.patch.object(search, "_mask_logs", counted_logs):
         rec = stochastic_search(cfg)
     assert built == [1009]
-    assert counted.call_count > cfg.restarts  # every move's count, not just the first
+    # the moves counted: on the residue set, one `_size_with` call per restart
+    # and one per move, and the same moves, since both count the same values
+    counts = []
+
+    def residue_count(rest, z, m):
+        counts.append(z)
+        return _size_with(rest, z, m)
+    with mock.patch.object(search, "_kernel", lambda cfg, pool, candidates: (
+            _rest, residue_count, cfg.ctx.p, _rest_without, _rest_join)):
+        assert stochastic_search(cfg) == rec
+    moves = len(counts) - cfg.restarts
+    assert moves > cfg.restarts
+    # every move's count, not just the first, reads log z and log(z + 1)
+    [shifts] = tables
+    assert shifts.lookups >= 2 * moves
     assert expander_size(rec.witness.ctx, rec.witness.vals) == rec.value
