@@ -99,7 +99,7 @@ from .errors import (
     ZeroTwist,
 )
 from .field import KIND_PRIME
-from .intervals import RatInterval, _root_ends, iroot_floor
+from .intervals import RatInterval, _root_ends, interval_to_decimal, iroot_floor
 from .sets import (
     DiscreteLog,
     FSet,
@@ -217,12 +217,9 @@ class EnergyValue:
         return RatInterval(self.lo, self.hi)
 
     def to_json(self) -> dict:
-        from .intervals import fraction_to_decimal
-
         return {
             "alpha": str(self.alpha),
-            "lo": fraction_to_decimal(self.lo, 30, "floor"),
-            "hi": fraction_to_decimal(self.hi, 30, "ceil"),
+            **interval_to_decimal(self.interval),
             "exact": str(self.lo) if self.is_exact else None,
             "precision_bits": self.precision_bits,
         }

@@ -9,6 +9,9 @@ the iteration starts from a float root just above the true one, so even a
 56th root of thousands of bits takes a few steps.
 Logarithms use the classic square-and-shift bit extraction with directed
 fixed-point rounding.
+Products, quotients and powers of nonnegative intervals are taken endpoint
+by endpoint; mixed-sign and zero-crossing operands take the four-product
+min/max path.  Decimal rendering rounds on the endpoint's ints.
 """
 from __future__ import annotations
 
@@ -26,8 +29,10 @@ class RatInterval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        if not isinstance(self.lo, Fraction):
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if not isinstance(self.hi, Fraction):
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
 
@@ -36,32 +41,14 @@ class RatInterval:
         x = Fraction(x)
         return cls(x, x)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    def contains(self, x: Rat) -> bool:
-        return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "RatInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __add__(self, other):
         other = _as_interval(other)
         return RatInterval(self.lo + other.lo, self.hi + other.hi)
 
-    def __neg__(self):
-        return RatInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-_as_interval(other))
-
     def __mul__(self, other):
         other = _as_interval(other)
+        if self.lo >= 0 and other.lo >= 0:
+            return RatInterval(self.lo * other.lo, self.hi * other.hi)
         products = (self.lo * other.lo, self.lo * other.hi,
                     self.hi * other.lo, self.hi * other.hi)
         return RatInterval(min(products), max(products))
@@ -71,6 +58,8 @@ class RatInterval:
 
     def __truediv__(self, other):
         other = _as_interval(other)
+        if self.lo >= 0 and other.lo > 0:
+            return RatInterval(self.lo / other.hi, self.hi / other.lo)
         if other.lo <= 0 <= other.hi:
             raise ZeroDivisionError("interval division through zero")
         quotients = (self.lo / other.lo, self.lo / other.hi,
@@ -84,6 +73,8 @@ class RatInterval:
         """Integer power, k >= 0."""
         if k < 0:
             raise ValueError("negative powers unsupported; divide instead")
+        if self.lo >= 0:
+            return RatInterval(self.lo ** k, self.hi ** k)
         out = RatInterval.point(1)
         for _ in range(k):
             out = out * self
@@ -224,28 +215,28 @@ def log_ratio_interval(value: Rat, base: Rat, bits: int = 128) -> RatInterval:
 
 
 def fraction_to_decimal(x: Rat, digits: int = 30, direction: str = "nearest") -> str:
-    """Exact decimal rendering of a Fraction with directed rounding.
+    """Exact decimal rendering of a Fraction or int with directed rounding.
 
     direction: "floor", "ceil", or "nearest" (round half away from zero).
     Used for serialising interval endpoints outward.
     """
-    x = Fraction(x)
-    if x == 0:
+    if digits < 0:
+        raise ValueError(f"digits must be nonnegative, got {digits}")
+    num, den = x.numerator, x.denominator
+    if num == 0:
         return "0"
-    sign = "-" if x < 0 else ""
-    mag = -x if x < 0 else x
-    scaled = mag * Fraction(10) ** digits
-    n, rem = divmod(scaled.numerator, scaled.denominator)
+    sign = "-" if num < 0 else ""
+    unit = 10 ** digits
+    n, rem = divmod(abs(num) * unit, den)
     if rem:
         if direction == "ceil" and sign == "":
             n += 1
         elif direction == "floor" and sign == "-":
             n += 1
-        elif direction == "nearest" and 2 * rem >= scaled.denominator:
+        elif direction == "nearest" and 2 * rem >= den:
             n += 1
-    text = str(n).rjust(digits + 1, "0")
-    whole, frac = text[:-digits], text[-digits:]
-    frac = frac.rstrip("0")
+    whole, frac = divmod(n, unit)
+    frac = str(frac).rjust(digits, "0").rstrip("0")
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
 
 

@@ -488,7 +488,15 @@ def negate(a: FSet) -> FSet:
 
 
 def translate(a: FSet, y: ElemLike) -> FSet:
-    return affine_image(a, a.ctx.one, y)
+    """a + y; over Q, when y * scale is an int, a's int form shifted."""
+    ctx = a.ctx
+    if ctx.kind != KIND_PRIME:
+        yv = ctx.canon(y)
+        ints, scale = a._int_form()
+        shift, rem = divmod(yv.numerator * scale, yv.denominator)
+        if not rem:
+            return _from_ints(ctx, (k + shift for k in ints), scale)
+    return affine_image(a, ctx.one, y)
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")

@@ -138,16 +138,12 @@ def _require_rational(a: FSet) -> None:
 def _ratio_slack(lhs, rhs):
     """slack = lhs / rhs for mixed exact/interval operands; None when the
     denominator vanishes (degenerate empty-set instances)."""
-    if isinstance(lhs, RatInterval) or isinstance(rhs, RatInterval):
-        lhs_iv = lhs if isinstance(lhs, RatInterval) else RatInterval.point(lhs)
-        rhs_iv = rhs if isinstance(rhs, RatInterval) else RatInterval.point(rhs)
-        try:
-            return lhs_iv / rhs_iv
-        except ZeroDivisionError:
-            return None
-    if rhs == 0:
+    try:
+        if isinstance(lhs, RatInterval) or isinstance(rhs, RatInterval):
+            return lhs / rhs
+        return Fraction(lhs, rhs)
+    except ZeroDivisionError:
         return None
-    return Fraction(lhs) / Fraction(rhs)
 
 
 def _hold_report(name, lhs, rhs, digest, notes="", strict_equal=False) -> InequalityReport:

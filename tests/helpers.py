@@ -247,6 +247,71 @@ def rat_interval_energy_at(hist, alpha, bits: int) -> EnergyValue:
     return EnergyValue(alpha, acc.lo, acc.hi, bits)
 
 
+# -- interval readers only tests use, and the general-path interval oracles --------
+
+def width(iv: RatInterval) -> Fraction:
+    return iv.hi - iv.lo
+
+
+def is_point(iv: RatInterval) -> bool:
+    return iv.lo == iv.hi
+
+
+def contains(iv: RatInterval, x) -> bool:
+    return iv.lo <= x <= iv.hi
+
+
+def contains_interval(outer: RatInterval, inner: RatInterval) -> bool:
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def four_product_mul(a: RatInterval, b: RatInterval) -> RatInterval:
+    """The old `RatInterval.__mul__`: min and max of the four endpoint products."""
+    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return RatInterval(min(products), max(products))
+
+
+def four_quotient_div(a: RatInterval, b: RatInterval) -> RatInterval:
+    """The old `RatInterval.__truediv__`: min and max of the four quotients."""
+    if b.lo <= 0 <= b.hi:
+        raise ZeroDivisionError("interval division through zero")
+    quotients = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
+    return RatInterval(min(quotients), max(quotients))
+
+
+def kfold_power(iv: RatInterval, k: int) -> RatInterval:
+    """The old `RatInterval.power`: k four-product multiplications from 1."""
+    out = RatInterval.point(1)
+    for _ in range(k):
+        out = four_product_mul(out, iv)
+    return out
+
+
+def fraction_decimal(x, digits: int, direction: str) -> str:
+    """The old `fraction_to_decimal` on Fractions (x * 10^digits reduced by
+    its gcd), with the integer part kept at 0 digits."""
+    x = Fraction(x)
+    if x == 0:
+        return "0"
+    sign = "-" if x < 0 else ""
+    mag = -x if x < 0 else x
+    scaled = mag * Fraction(10) ** digits
+    n, rem = divmod(scaled.numerator, scaled.denominator)
+    if rem:
+        if direction == "ceil" and sign == "":
+            n += 1
+        elif direction == "floor" and sign == "-":
+            n += 1
+        elif direction == "nearest" and 2 * rem >= scaled.denominator:
+            n += 1
+    if digits == 0:
+        return f"{sign}{n}"
+    text = str(n).rjust(digits + 1, "0")
+    whole, frac = text[:-digits], text[-digits:]
+    frac = frac.rstrip("0")
+    return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+
+
 # -- literal copies of the enclosure code that `energy_at` replaced ----------------
 
 def old_energy_loop(hist, alpha, cap, min_bits):

@@ -24,10 +24,12 @@ from expanderlab.sets import (
     COMBINE_OPS,
     _from_ints,
     _lcd,
+    affine_image,
     combine,
     expander_set,
     kfold_size,
     sumset_size,
+    translate,
 )
 from expanderlab.verify import Instance, _r6_pairs
 from helpers import Q
@@ -200,3 +202,67 @@ def test_energies_and_combine_read_the_kernel_int_form(a, b):
         agree(lambda x, y: histogram(x, y, kind), a, b)
     for op in COMBINE_OPS:
         agree(lambda x, y: combine(x, y, op).vals, a, b)
+
+
+# -- translates over Q kept as kernel ints ----------------------------------------------
+
+shifts = st.one_of(st.integers(-5, 5),
+                   st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+
+
+def assert_translate_reads_as_affine_image(make, y):
+    """translate(make(), y) reads as affine_image(make(), 1, y) on every
+    reader: ==, hash, vals, len, the int form, and membership of 0, 1 and
+    -1, which `_exclude` reads; each translate is made afresh for the
+    reading, since the first reading builds the canonical form."""
+    want = affine_image(make(), 1, y)
+
+    def got():
+        return translate(make(), y)
+
+    assert got() == want and want == got()
+    assert hash(got()) == hash(want)
+    assert got().vals == want.vals
+    assert len(got()) == len(want)
+    assert [v in got() for v in (0, 1, -1)] == [v in want for v in (0, 1, -1)]
+    ints, scale = got()._int_form()
+    assert tuple(Fraction(k, scale) for k in ints) == want.vals
+    # the int form is the operand's, shifted at its scale, when y*scale is an int
+    a_ints, a_scale = make()._int_form()
+    kernel = (y * a_scale).denominator == 1
+    assert (got()._members is None) == kernel
+    if kernel:
+        assert (ints, scale) == (tuple(k + int(y * a_scale) for k in a_ints), a_scale)
+    return want
+
+
+@settings(max_examples=80, deadline=None)
+@given(q_sets(), shifts)
+def test_q_translate_reads_as_affine_image(a, y):
+    fresh, eager = a
+    assert_translate_reads_as_affine_image(fresh, y)
+    assert_translate_reads_as_affine_image(lambda: FSet(Q, eager.vals), y)
+
+
+def test_q_translate_of_kernel_built_expander_set():
+    a = FSet(Q, [2, 3, Fraction(5, 2), Fraction(-7, 3), 11])
+    inst = Instance(a)
+    assert inst.a1._members is None  # A+1 as kernel ints
+    assert inst.a1 == FSet(Q, [v + 1 for v in a.vals])
+    for y in (1, Fraction(-1, 6), Fraction(1, 72)):
+        assert_translate_reads_as_affine_image(lambda: Instance(a).aa1, y)
+
+
+def test_q_translate_falls_back_for_a_non_integral_shift():
+    a = FSet(Q, [1, 2, 5])  # scale 1, so y * scale = 1/2 is not an int
+    want = assert_translate_reads_as_affine_image(lambda: FSet(Q, [1, 2, 5]), Fraction(1, 2))
+    assert want.vals == (Fraction(3, 2), Fraction(5, 2), Fraction(11, 2))
+    assert translate(a, Fraction(1, 2))._members is not None
+
+
+@pytest.mark.parametrize("p", (2, 5, 1009))
+def test_fp_translate_is_the_affine_image(p):
+    ctx = FieldCtx.prime(p)
+    a = FSet(ctx, range(0, p, 3))
+    for y in (0, 1, p - 1, 7):
+        assert translate(a, y).vals == affine_image(a, 1, y).vals

@@ -29,7 +29,7 @@ from expanderlab.energy import (
 from expanderlab.errors import FieldMismatch, PrecisionCapExceeded
 from expanderlab.intervals import iroot_floor
 from expanderlab.verify import FAILS, HOLDS, INCONCLUSIVE, REGISTRY, _decide, check
-from helpers import Q, old_e15_capped, old_energy_loop, rat_interval_energy_at
+from helpers import Q, is_point, old_e15_capped, old_energy_loop, rat_interval_energy_at
 
 P101 = FieldCtx.prime(101)
 INSTANCES = {
@@ -100,7 +100,7 @@ def test_rational_only_relations_refuse_fp(name):
 def test_pinned_r5_is_decided_by_refinement():
     # the pin exercises the enclosure path, not the perfect-power shortcut
     rep = check("R5", **_inputs("q", "R5"))
-    assert not rep.lhs.is_point
+    assert not is_point(rep.lhs)
 
 
 @pytest.mark.parametrize("key", sorted(TRACE_SHA256))
