@@ -7,8 +7,9 @@ search for sets with a small expander image.  Sumsets, product sets,
 partial difference sets, multiplicity spectra and energies all come from one
 scaled-integer pair kernel, `sets._pair_ints`, except where a cost model
 sends an F_p energy or R6 count to one convolution of discrete logarithms
-in byte-wide slots (`energy._slot_convolution`), or an F_p sumset size to
-p-bit residue masks (`sets.sumset_size`).
+in byte-wide slots (`energy._slot_convolution`), an F_p sumset size to
+p-bit residue masks (`sets.sumset_size`), or an F_p product, ratio or
+expander set to a (p-1)-bit log mask (`sets.log_mask`).
 No floating point participates in any verdict.
 """
 

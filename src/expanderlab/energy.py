@@ -76,6 +76,14 @@ shift and add, at one step per 16 words.  R6 reads only |A| slots, so the
 rule charges it a count it does not make.  The table is an `array` and the
 slots are one int.  `multiplicative_energy` and `verify._r6_pairs` stay on
 the pair kernel, as the oracles the slot kernel is tested against.
+
+The larger set of E2(A, A·B), E2(A, A(A+1)), E2(A+1, A(A+1)) and R6's A/B
+comes as a `sets.Combination`, which gives the slot int, not the shifts.
+Its slot int (`_slot_row`) is its log mask spread into slots by
+`_mask_slots` (`bin`, one `translate` and a strided slice), with no lookup
+per member, unless its pair set is built and looking up its members costs
+less than the mask still does; either way the Combination keeps it, so
+E2(A, A(A+1)) and E2(A+1, A(A+1)) build one.
 """
 from __future__ import annotations
 
@@ -101,11 +109,13 @@ from .errors import (
 from .field import KIND_PRIME
 from .intervals import RatInterval, _root_ends, interval_to_decimal, iroot_floor
 from .sets import (
+    Combination,
     DiscreteLog,
     FSet,
     _from_ints,
     _pair_groups,
     _pair_ints,
+    _pass_steps,
     _same_ctx,
     dilate,
     mask_steps,
@@ -353,25 +363,74 @@ def _slot_int(ks: list, s: int, slots: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _slot_convolution(x: FSet, y: FSet, logs: DiscreteLog) -> memoryview:
+_BIT_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _mask_slots(mask: int, s: int, slots: int) -> int:
+    """`_slot_int` of the set bits of `mask`, which has at most `slots`
+    bits: `bin` writes the bits as digits, reversed so that bit k is
+    character k, one `translate` makes them 0 and 1 bytes, and a strided
+    slice sets them s bytes apart.  No Python loop: at p = 40009, 0.1 ms
+    for 1-byte slots, where `_slot_int` of the 9000-19000 logs of a
+    verify-sized A(A+1) takes 0.8-1.7 ms."""
+    flags = bin(mask)[:1:-1].encode().translate(_BIT_DIGITS)
+    buf = bytearray(s * slots)
+    buf[:s * len(flags):s] = flags
+    return int.from_bytes(buf, "little")
+
+
+def _mask_slot_steps(p: int, s: int) -> int:
+    """The cost of `_mask_slots` over p - 1 slots of s bytes, in
+    `mask_steps` units: 24 word passes over p - 1 bits for the digit
+    string, one byte per bit, with its reversal, encoding and translate,
+    and 8s for the slot bytes and their int.  At p = 40009 that is 0.13 ms
+    for s = 1 and 0.16 ms for s = 2, at 0.1 us a step, against 0.10 and
+    0.15 ms measured on CPython 3.11."""
+    return (24 + 8 * s) * _pass_steps(p - 1)
+
+
+def _slot_row(y, s: int, logs: DiscreteLog) -> int:
+    """The slot int of y in s-byte slots.  A set's comes from its logs.  A
+    `Combination` keeps them by width and builds each from its log mask
+    (`_mask_slots`) or from its set's logs, whichever costs less in
+    `mask_steps` units: what the mask still costs plus the spread, against
+    what the set still costs plus one step per member."""
+    n = logs.p - 1
+    if not isinstance(y, Combination):
+        return _slot_int(logs._logs_of(y), s, n)
+    row = y.slot_ints.get(s)
+    if row is None:
+        if y.mask_steps_left() + _mask_slot_steps(logs.p, s) < y.pair_steps_left() + len(y):
+            row = _mask_slots(y.mask, s, n)
+        else:
+            row = _slot_int(logs._logs_of(y.fset), s, n)
+        y.slot_ints[s] = row
+    return row
+
+
+def _slot_convolution(x, y, logs: DiscreteLog) -> memoryview:
     """The cyclic convolution over Z/(p-1) of the log indicators of x and y:
-    the p - 1 native slots of the sum of the smaller set's shifts of the
-    other's slot int, folded mod p - 1, with r(v) in slot log(v)."""
+    the p - 1 native slots of the sum of the shifts of one's slot int by
+    the logs of the other, folded mod p - 1, with r(v) in slot log(v).  The
+    smaller set gives the shifts, except that a `Combination` (at most one
+    of x and y) always gives the slot int."""
     _same_ctx(x, y)
     _require_units(x, y, "product")
-    x, y = (x, y) if len(x) <= len(y) else (y, x)
+    if isinstance(x, Combination) or (len(x) > len(y) and not isinstance(y, Combination)):
+        x, y = y, x
     n = logs.p - 1
     s = _slot_bytes(len(x))
     w = 8 * s
-    row = _slot_int(logs._logs_of(y), s, n)
+    ks = logs._logs_of(x)  # builds the table before `_slot_row` prices the mask
+    row = _slot_row(y, s, logs)
     acc = 0
-    for k in logs._logs_of(x):
+    for k in ks:
         acc += row << w * k
     acc = (acc & ((1 << w * n) - 1)) + (acc >> w * n)
     return memoryview(acc.to_bytes(s * n, sys.byteorder)).cast(_SLOT_FORMATS[s])
 
 
-def _slot_energy(x: FSet, y: FSet, logs: DiscreteLog) -> int:
+def _slot_energy(x, y, logs: DiscreteLog) -> int:
     """E2(x, y) over F_p as the sum of r(v)^2 over the slots of
     `_slot_convolution`."""
     slots = _slot_convolution(x, y, logs)
@@ -382,24 +441,25 @@ def _slot_energy(x: FSet, y: FSet, logs: DiscreteLog) -> int:
 
 def _slot_steps(logs: DiscreteLog, nx: int, ny: int) -> int:
     """The cost of `_slot_convolution` of sets of nx and ny units of F_p and
-    a count of its slots, in `mask_steps` units: the log table unless `logs`
-    has built it already, the nx + ny lookups, a quarter step for each of
-    the p - 1 slots, and, for each x of the smaller set, a shift and an add
-    over a w(p-1)-bit int at half a pass per slot bit, as measured for E2
-    against the pair kernel on CPython 3.11.  `e2` and R6 both read it."""
-    p, n = logs.p, min(nx, ny)
-    steps = mask_steps(p, nx + ny + (p - 1) // 4, 4 * _slot_bytes(n) * n)
-    return steps - p if "log" in vars(logs) else steps
+    a count of its slots, in `mask_steps` units by `DiscreteLog.steps` (the
+    table only until it is built): the nx + ny lookups, a quarter step for
+    each of the p - 1 slots, and, for each x of the smaller set, a shift and
+    an add over a w(p-1)-bit int at half a pass per slot bit, as measured
+    for E2 against the pair kernel on CPython 3.11.  `e2` and R6 both read
+    it."""
+    n = min(nx, ny)
+    return logs.steps(nx + ny + (logs.p - 1) // 4, 4 * _slot_bytes(n) * n)
 
 
-def e2(a: FSet, b: FSet, logs: DiscreteLog) -> int:
+def e2(a: FSet, b, logs: DiscreteLog) -> int:
     """E2(a, b), the number of quadruples with a1 * b1 = a2 * b2, from the
     cheaper kernel by the cost model in the module docstring: the pair
-    kernel, or over F_p the slot kernel, which reads its table from `logs`."""
+    kernel, or over F_p the slot kernel, which reads its table from `logs`.
+    b may be a `Combination`, which the slot kernel reads as a slot int."""
     ctx = _same_ctx(a, b)
     if ctx.kind == KIND_PRIME and _slot_steps(logs, len(a), len(b)) < len(a) * len(b):
         return _slot_energy(a, b, logs)
-    return multiplicative_energy(a, b)
+    return multiplicative_energy(a, b.fset if isinstance(b, Combination) else b)
 
 
 def twisted_energy(a: FSet, xi) -> int:

@@ -11,7 +11,8 @@ Logarithms use the classic square-and-shift bit extraction with directed
 fixed-point rounding.
 Products, quotients and powers of nonnegative intervals are taken endpoint
 by endpoint; mixed-sign and zero-crossing operands take the four-product
-min/max path.  Decimal rendering rounds on the endpoint's ints.
+min/max path.  No code of the package adds intervals, so they have no sum.
+Decimal rendering rounds on the endpoint's ints.
 """
 from __future__ import annotations
 
@@ -41,10 +42,6 @@ class RatInterval:
         x = Fraction(x)
         return cls(x, x)
 
-    def __add__(self, other):
-        other = _as_interval(other)
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
     def __mul__(self, other):
         other = _as_interval(other)
         if self.lo >= 0 and other.lo >= 0:
@@ -52,9 +49,6 @@ class RatInterval:
         products = (self.lo * other.lo, self.lo * other.hi,
                     self.hi * other.lo, self.hi * other.hi)
         return RatInterval(min(products), max(products))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _as_interval(other)
@@ -218,7 +212,8 @@ def fraction_to_decimal(x: Rat, digits: int = 30, direction: str = "nearest") ->
     """Exact decimal rendering of a Fraction or int with directed rounding.
 
     direction: "floor", "ceil", or "nearest" (round half away from zero).
-    Used for serialising interval endpoints outward.
+    A value that rounds to 0 renders as "0", with no sign.  Used for
+    serialising interval endpoints outward.
     """
     if digits < 0:
         raise ValueError(f"digits must be nonnegative, got {digits}")
@@ -235,6 +230,8 @@ def fraction_to_decimal(x: Rat, digits: int = 30, direction: str = "nearest") ->
             n += 1
         elif direction == "nearest" and 2 * rem >= den:
             n += 1
+    if n == 0:  # a magnitude that rounds to 0 has no sign
+        return "0"
     whole, frac = divmod(n, unit)
     frac = str(frac).rjust(digits, "0").rstrip("0")
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"

@@ -49,13 +49,12 @@ from .field import KIND_PRIME, KIND_RATIONAL
 from .incidence import st_lower_bound_check
 from .intervals import RatInterval, interval_to_decimal, root_interval
 from .sets import (
+    Combination,
     DiscreteLog,
     FSet,
-    _from_ints,
     _pair_ints,
     combine,
     dilate,
-    expander_set,
     kfold_size,
     negate,
     sumset_size,
@@ -169,22 +168,30 @@ class Instance:
     lives for one call.  Checkers ask for a field by name, so nothing is
     ever looked up by set equality.
 
-    `a1` is A+1.  `rows` is the one pass over A x A, |A| kernel ints per a
-    with their scale, that gives `aa1` = A(A+1) and the F_p pipeline's
-    base-point rows.  `ratios` is the F_p pipeline's one ratio pass over
-    A x A, the kernel ints in pair order with their scale and their
-    Counter, that gives its self popular-ratio graph and `hist_a`; without
-    it, `hist_a` counts the ratio ints and keeps neither.  `hist_*` are
-    ratio spectra, `e3_*` their third moments, `e2_a` and `e2_a1` their
-    second, and the other `e2_*` multiplicative energies, `e2_mixed` being
-    E2(A, A+1).  `e15` keeps the 3/2-energy enclosures of the spectra.
+    `a1` is A+1.  `expander` is A(A+1) as a `sets.Combination`: its size,
+    which R2, R3, R9-R14 and the F_p pipeline read, and its slot int, which
+    E2(A, A(A+1)) and E2(A+1, A(A+1)) share, come from its log mask over
+    F_p where that costs less, and else from `aa1`, its pair set.  `rows`
+    is its one pair pass over A x A kept as a list, |A| kernel ints per a
+    with their scale: the F_p pipeline reads these base-point rows first,
+    so that `aa1` comes from the same pass, and nothing else keeps them.
+    `ratios` is the F_p pipeline's one ratio pass over A x A, the kernel
+    ints in pair order with their scale and their Counter, that gives its
+    self popular-ratio graph and `hist_a`; without it, `hist_a` counts the
+    ratio ints and keeps neither.  `hist_*` are ratio spectra, `e3_*` their
+    third moments, `e2_a` and `e2_a1` their second, and the other `e2_*`
+    multiplicative energies, `e2_mixed` being E2(A, A+1).  `e15` keeps the
+    3/2-energy enclosures of the spectra.
     Over F_p, `logs` is the one discrete-log table that the slot kernel of
-    every E2 and of R6 reads; it is built only if one runs."""
+    every E2 and of R6, and every log mask, reads; it is built only if one
+    runs, and the cost rules charge it to the first."""
 
     A: FSet
 
     a1 = cached_property(lambda self: translate(self.A, 1))
-    aa1 = cached_property(lambda self: _from_ints(self.A.ctx, *self.rows))
+    expander = cached_property(lambda self: Combination(self.A, self.A, "expand", self.logs))
+    aa1 = cached_property(lambda self: self.expander.fset)
+    rows = cached_property(lambda self: self.expander.ints)
     hist_a1 = cached_property(lambda self: histogram(self.a1, self.a1, "ratio"))
     e3_a = cached_property(lambda self: energy(self.hist_a, 3).exact)
     e3_a1 = cached_property(lambda self: energy(self.hist_a1, 3).exact)
@@ -192,14 +199,9 @@ class Instance:
     e2_a1 = cached_property(lambda self: energy(self.hist_a1, 2).exact)
     logs = cached_property(lambda self: DiscreteLog(self.A.ctx.p))
     e2_mixed = cached_property(lambda self: e2(self.A, self.a1, self.logs))
-    e2_a_aa1 = cached_property(lambda self: e2(self.A, self.aa1, self.logs))
-    e2_a1_aa1 = cached_property(lambda self: e2(self.a1, self.aa1, self.logs))
+    e2_a_aa1 = cached_property(lambda self: e2(self.A, self.expander, self.logs))
+    e2_a1_aa1 = cached_property(lambda self: e2(self.a1, self.expander, self.logs))
     _e15 = cached_property(lambda self: {})
-
-    @cached_property
-    def rows(self) -> Tuple[list, int]:
-        ints, scale = _pair_ints(self.A, self.A, "expand")
-        return list(ints), scale
 
     def _ratio_ints(self):
         _require_units(self.A, self.A, "ratio")
@@ -247,14 +249,14 @@ def _check_r2(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityR
     _exclude(inst.A, (0, -1), "A")
     _require_nonempty(inst.A, "A")
     lhs = inst.hist_a.total_support  # |A/A|
-    rhs = Fraction(len(inst.aa1) ** 2, len(inst.A))
+    rhs = Fraction(len(inst.expander) ** 2, len(inst.A))
     return _hold_report("R2", lhs, rhs, digest, "ratio set bounded by the expander set squared")
 
 
 def _check_r3(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(inst.A, (0, 1, -1), "A")
     _require_nonempty(inst.A, "A")
-    lhs = Fraction(len(inst.A) ** 4, len(inst.aa1))
+    lhs = Fraction(len(inst.A) ** 4, len(inst.expander))
     return _hold_report("R3", lhs, inst.e2_mixed, digest,
                         "Cauchy-Schwarz lower bound on the mixed energy")
 
@@ -308,7 +310,7 @@ def _check_r5(*, inst: Instance, B: FSet, digest: str, cap: Optional[int]) -> In
     _exclude(A, (0,), "A")
     _exclude(B, (0,), "B")
     cap = precision_cap(cap)
-    e2_mixed = e2(A, combine(A, B, "prod"), inst.logs)
+    e2_mixed = e2(A, Combination(A, B, "prod", inst.logs), inst.logs)
     e3b = energy(histogram(B, B, "ratio"), 3).exact
     return _r5_report(e2_mixed, partial(inst.e15, "hist_a"), inst.e3_a, e3b, len(B), digest, cap)
 
@@ -325,10 +327,10 @@ def _r6_pairs(A: FSet, ratios: FSet, B: FSet) -> int:
     return sum(map(a_ints.__contains__, products))
 
 
-def _r6_slots(A: FSet, ratios: FSet, B: FSet, logs: DiscreteLog) -> int:
-    """The same sum over F_p, read off the convolution r of `ratios` and B:
-    it counts the pairs (x, b) with xb in A, so it is the sum over a in A of
-    r(a), the slot at log(a)."""
+def _r6_slots(A: FSet, ratios, B: FSet, logs: DiscreteLog) -> int:
+    """The same sum over F_p, read off the convolution r of `ratios` (a set
+    or a `Combination`) and B: it counts the pairs (x, b) with xb in A, so
+    it is the sum over a in A of r(a), the slot at log(a)."""
     slots = _slot_convolution(ratios, B, logs)
     return sum(map(slots.__getitem__, logs._logs_of(A)))
 
@@ -337,12 +339,12 @@ def _check_r6(*, inst: Instance, B: FSet, digest: str, cap: Optional[int]) -> In
     A = inst.A
     _exclude(A, (0,), "A")
     _exclude(B, (0,), "B")
-    ratios = combine(A, B, "ratio")
+    ratios = Combination(A, B, "ratio", inst.logs)
     if (A.ctx.kind == KIND_PRIME
             and _slot_steps(inst.logs, len(ratios), len(B)) < len(ratios) * len(B)):
         total = _r6_slots(A, ratios, B, inst.logs)
     else:
-        total = _r6_pairs(A, ratios, B)
+        total = _r6_pairs(A, ratios.fset, B)
     return _hold_report("R6", total, len(A) * len(B), digest,
                         "pair-counting identity over the ratio support", strict_equal=True)
 
@@ -382,8 +384,8 @@ def _check_r8(*, inst: Instance, B: FSet, epsilon: Fraction, digest: str,
     _require_nonempty(inst.A, "A")
     _require_nonempty(B, "B")
     A = inst.A
-    ab1 = len(expander_set(A, B))
-    ba1 = ab1 if B is A else len(expander_set(B, A))
+    ab1 = len(Combination(A, B, "expand", inst.logs))
+    ba1 = ab1 if B is A else len(Combination(B, A, "expand", inst.logs))
     return _r8_report(cons.popular_ratio_graph(A, B, epsilon), ab1, ba1, digest)
 
 
@@ -396,14 +398,14 @@ def _check_r9(*, inst: Instance, B: FSet, t: int, digest: str,
     _exclude(A, (0, 1, -1), "A")
     _exclude(B, (0,), "B")
     lhs = len(rich_products(A, B, t))
-    rhs = Fraction(len(inst.aa1) ** 2 * len(B) ** 2, len(A) * t ** 3)
+    rhs = Fraction(len(inst.expander) ** 2 * len(B) ** 2, len(A) * t ** 3)
     return _slack_report("R9", lhs, rhs, digest, "rich-product count vs incidence shape")
 
 
 def _check_r10(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(inst.A, (0, 1, -1), "A")
     e3a, e3b = inst.e3_a, inst.e3_a1
-    rhs = len(inst.aa1) ** 2 * len(inst.A)
+    rhs = len(inst.expander) ** 2 * len(inst.A)
     note = f"third moments E3(A) = {e3a}, E3(A+1) = {e3b}; log factors fold into slack"
     return _slack_report("R10", max(e3a, e3b), rhs, digest, note)
 
@@ -411,7 +413,7 @@ def _check_r10(*, inst: Instance, digest: str, cap: Optional[int]) -> Inequality
 def _check_r11(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(inst.A, (0, 1, -1), "A")
     e2a, e2b = inst.e2_a_aa1, inst.e2_a1_aa1
-    rhs = root_interval(len(inst.aa1) ** 5, 2, PRECISION_START)
+    rhs = root_interval(len(inst.expander) ** 5, 2, PRECISION_START)
     note = f"mixed energies {e2a} and {e2b} vs expander set to the 5/2"
     return _slack_report("R11", max(e2a, e2b), rhs, digest, note)
 
@@ -419,7 +421,7 @@ def _check_r11(*, inst: Instance, digest: str, cap: Optional[int]) -> Inequality
 def _check_r12(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(inst.A, (0, 1, -1), "A")
     _require_nonempty(inst.A, "A")
-    lhs = Fraction(len(inst.A) ** 11, len(inst.aa1) ** 5)
+    lhs = Fraction(len(inst.A) ** 11, len(inst.expander) ** 5)
     bits = min(PRECISION_START, precision_cap(cap))
     rhs = inst.e15("hist_a", bits) * inst.e15("hist_a1", bits)
     return _slack_report("R12", lhs, rhs, digest, "lower shape for the product of 3/2-energies")
@@ -427,14 +429,14 @@ def _check_r12(*, inst: Instance, digest: str, cap: Optional[int]) -> Inequality
 
 def _check_r13(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(inst.A, (0, 1, -1), "A")
-    return _slack_report("R13", len(inst.A) ** 24, len(inst.aa1) ** 19, digest,
+    return _slack_report("R13", len(inst.A) ** 24, len(inst.expander) ** 19, digest,
                          "final exponent comparison, 24 against 19")
 
 
 def _check_r14(*, inst: Instance, digest: str, cap: Optional[int]) -> InequalityReport:
     _exclude(inst.A, (0, 1, -1), "A")
     lhs = root_interval(len(inst.A) ** 57, 56, PRECISION_START)
-    return _slack_report("R14", lhs, len(inst.aa1), digest,
+    return _slack_report("R14", lhs, len(inst.expander), digest,
                          "expander growth probe at exponent 57/56")
 
 
@@ -597,7 +599,8 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
     digest = instance_digest(pipeline="fp", A=A, epsilon=eps)
     steps = []
     inst = Instance(A)
-    aa1 = inst.aa1
+    rows, _ = inst.rows  # the base-point rows, read first: A(A+1) comes from their pass
+    aa1 = inst.expander
     eighth_shape = Fraction(len(aa1) ** 8, n ** 7)
 
     # constructive difference-set evidence (self graphs), on the Instance's
@@ -633,7 +636,6 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
     # is sum over a of |a(A+1) & b(A+1)| = sum over x in b(A+1) of m(x), with
     # m(x) = #{a : x in a(A+1)}.  The row of a is a(A+1), |A| distinct
     # residues as 0 and -1 are not in A, so m is the Counter of the rows.
-    rows, _ = inst.rows
     mult = Counter(rows)
     row_of = [rows[i * n:(i + 1) * n] for i in range(n)]
     best_total, b0 = max((sum(map(mult.__getitem__, row)), -b)

@@ -243,7 +243,9 @@ def rat_interval_energy_at(hist, alpha, bits: int) -> EnergyValue:
     exact = _exact_energy(hist, alpha)
     if exact is not None:
         return exact
-    acc = sum((pow_interval(m, alpha, bits) * c for m, c in hist.entries), RatInterval.point(0))
+    acc = RatInterval.point(0)
+    for m, c in hist.entries:
+        acc = interval_add(acc, pow_interval(m, alpha, bits) * c)
     return EnergyValue(alpha, acc.lo, acc.hi, bits)
 
 
@@ -259,6 +261,18 @@ def is_point(iv: RatInterval) -> bool:
 
 def contains(iv: RatInterval, x) -> bool:
     return iv.lo <= x <= iv.hi
+
+
+def interval_add(a, b) -> RatInterval:
+    """The old `RatInterval.__add__` and `__radd__`: the sums of the endpoints,
+    with a number taken as a point."""
+    a, b = (x if isinstance(x, RatInterval) else RatInterval.point(x) for x in (a, b))
+    return RatInterval(a.lo + b.lo, a.hi + b.hi)
+
+
+def interval_rmul(k, iv: RatInterval) -> RatInterval:
+    """The old `RatInterval.__rmul__`: k * iv for a number k, taken as iv * k."""
+    return iv * k
 
 
 def contains_interval(outer: RatInterval, inner: RatInterval) -> bool:
@@ -304,6 +318,8 @@ def fraction_decimal(x, digits: int, direction: str) -> str:
             n += 1
         elif direction == "nearest" and 2 * rem >= scaled.denominator:
             n += 1
+    if n == 0:  # the old code kept the sign here and gave "-0"
+        return "0"
     if digits == 0:
         return f"{sign}{n}"
     text = str(n).rjust(digits + 1, "0")
@@ -323,7 +339,7 @@ def old_energy_loop(hist, alpha, cap, min_bits):
     while True:
         acc = RatInterval.point(0)
         for m, c in hist.entries:
-            acc = acc + pow_interval(m, alpha, bits) * c
+            acc = interval_add(acc, pow_interval(m, alpha, bits) * c)
         if acc.lo > 0 and (acc.hi - acc.lo) * (1 << 64) < acc.lo:
             return acc, bits, False
         if bits >= cap:

@@ -22,6 +22,8 @@ from helpers import (
     four_product_mul,
     four_quotient_div,
     fraction_decimal,
+    interval_add,
+    interval_rmul,
     is_point,
     kfold_power,
     newton_iroot_floor,
@@ -135,7 +137,9 @@ def test_log_ratio_interval():
 def test_interval_arithmetic():
     a = RatInterval(Fraction(1), Fraction(2))
     b = RatInterval(Fraction(-3), Fraction(4))
-    assert (a + b).lo == -2 and (a + b).hi == 6
+    assert interval_add(a, b) == RatInterval(Fraction(-2), Fraction(6))
+    assert interval_add(3, a) == interval_add(a, 3) == RatInterval(Fraction(4), Fraction(5))
+    assert interval_rmul(2, b) == RatInterval(Fraction(-6), Fraction(8))
     assert (a * b).lo == -6 and (a * b).hi == 8
     assert (a / RatInterval(Fraction(2), Fraction(4))).lo == Fraction(1, 4)
     with pytest.raises(ZeroDivisionError):
@@ -191,7 +195,7 @@ def rat_intervals(draw):
 @given(rat_intervals(), rat_intervals(), st.integers(-5, 9))
 def test_mul_matches_four_products(a, b, k):
     assert a * b == four_product_mul(a, b)
-    assert a * k == k * a == four_product_mul(a, RatInterval.point(k))
+    assert a * k == interval_rmul(k, a) == four_product_mul(a, RatInterval.point(k))
 
 
 @settings(max_examples=400, derandomize=True)
@@ -264,8 +268,16 @@ def test_fraction_endpoints_are_kept_as_they_are():
 @example(Fraction(1, 2), 0, "nearest")
 @example(Fraction(-1, 2), 0, "nearest")
 @example(Fraction(-1, 10 ** 41), 40, "nearest")
+@example(Fraction(-1, 3), 0, "ceil")
 def test_fraction_to_decimal_matches_the_fraction_oracle(x, digits, direction):
     assert fraction_to_decimal(x, digits, direction) == fraction_decimal(x, digits, direction)
+
+
+@pytest.mark.parametrize("x, digits, direction", [
+    (Fraction(-1, 10 ** 41), 40, "nearest"), (Fraction(-1, 3), 0, "ceil"),
+    (Fraction(-1, 3), 0, "nearest"), (Fraction(-4, 10 ** 6), 5, "ceil")])
+def test_a_negative_that_rounds_to_zero_has_no_sign(x, digits, direction):
+    assert fraction_to_decimal(x, digits, direction) == "0"
 
 
 def test_fraction_to_decimal_at_zero_digits_keeps_the_integer_part():

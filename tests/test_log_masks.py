@@ -2,43 +2,57 @@
 in for.
 
 `energy._slot_convolution` is the cyclic convolution over Z/(p-1) of two
-log indicators in byte-wide slots.  Its two readers, `energy._slot_energy`
+log indicators in byte-wide slots, and `sets.log_mask` builds the log mask
+of X·Y, X/Y or X(Y+1) as an OR of rotations; `sets.Combination` holds such
+a set and builds its size and slot int from the mask or from its pair
+set, by one cost rule.  Its two readers, `energy._slot_energy`
 (E2, the sum of the squared slots) and `verify._r6_slots` (R6, the slots at
 the logs of A), are called directly, not through their dispatch, and
 compared with `multiplicative_energy`, the brute-force quadruple count and
 the `_pair_ints` R6 count.  The primes include p = 2, whose primitive root
 is 1, and primes with 64 | p - 1, whose slot ints end on a word boundary;
 the slot cases include full 1-byte slots (every r(v) = 255 at p = 257) and
-the first 2-byte slots (|X| = 256 at p = 263).  The dispatch tests count
-the pairs `_pair_ints` forms and the slot ints the kernel builds, so a cost
-rule that sends a verify-sized instance back to the pair kernel, or a huge
-p to the slots, fails here.  Two verify-sized instances over F_40009 pin
-the bytes of their `verify --all` reports.
+the first 2-byte slots (|X| = 256 at p = 263).  The log masks and their
+slot ints are compared with `combine` and `expander_set`, which stay the
+oracle.  The dispatch tests count the pairs `_pair_ints` forms, the slot
+ints the kernel builds (from logs or from a log mask) and the log tables
+built, so a cost rule that sends a verify-sized instance back to the pair
+kernel, a huge p to the slots, or a pipeline to a table it does not need,
+fails here.  Two verify-sized instances over F_40009 pin the bytes of their
+`verify --all` reports.
 """
+import gc
 import hashlib
 import importlib
 import json
+import math
 import random
+import weakref
 from fractions import Fraction
+from functools import cached_property
+from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expanderlab import FieldCtx, FSet, Instance, check, combine
+from expanderlab import constructions as cons
 from expanderlab import sets, verify
 from expanderlab.cli import main
 from expanderlab.energy import (
+    _mask_slots,
     _slot_bytes,
     _slot_convolution,
     _slot_energy,
+    _slot_int,
     e2,
     multiplicative_energy,
     multiplicative_energy_bruteforce,
 )
-from expanderlab.errors import ContextMismatch, ZeroElementPresent
-from expanderlab.sets import DiscreteLog
-from expanderlab.verify import _r6_pairs, _r6_slots
+from expanderlab.errors import ContextMismatch, DivisionByZero, ZeroElementPresent
+from expanderlab.sets import Combination, DiscreteLog, expander_set
+from expanderlab.verify import _r6_pairs, _r6_slots, finite_field_pipeline
 from helpers import Q, log_mask
 
 # the package's `energy` attribute is the function of that name
@@ -217,6 +231,85 @@ def test_e2_takes_either_path_to_the_same_energy(pair):
     assert e2(x, y, logs) == e2(y, x, logs) == multiplicative_energy(x, y)
 
 
+# -- log masks of products, ratios and expander sets -----------------------------------------
+
+PAIR_SETS = {"prod": lambda x, y: combine(x, y, "prod"),
+             "ratio": lambda x, y: combine(x, y, "ratio"),
+             "expand": expander_set}
+
+
+def maskable(y, op):
+    """y without -1 for "expand", whose log mask refuses it (y = -1 gives 0)."""
+    return units(y.ctx.p, [v for v in y.vals if v != y.ctx.p - 1]) if op == "expand" else y
+
+
+@settings(derandomize=True, max_examples=150)
+@given(unit_sets(sizes=(20, 30)), st.sampled_from(sorted(PAIR_SETS)))
+@example((units(2, [1]), units(2, [1])), "prod")
+@example((units(2, [1]), units(2, [1])), "ratio")
+@example((units(2, [1]), units(2, [0])), "expand")  # -1 = 1 over F_2, so y = 0 only
+@example((units(3, [1, 2]), units(3, [2])), "ratio")
+@example((units(3, [2]), units(3, [0, 1])), "expand")
+@example((units(193, range(1, 193, 7)), units(193, [5, 77])), "ratio")  # 64 | p - 1
+@example((units(257, [3]), units(257, range(1, 256))), "expand")
+@example((units(101, [5]), units(101, [7])), "prod")  # singletons
+@example((units(101, [5]), units(101, [7])), "expand")
+@example((units(101, range(1, 60)), units(101, range(2, 70))), "prod")  # all of F_101^*
+@example((units(769, range(1, 769, 2)), units(769, range(3, 769, 5))), "ratio")
+def test_log_masks_match_the_pair_kernel(pair, op):
+    x, y = pair[0], maskable(pair[1], op)
+    p = x.ctx.p
+    logs, n = DiscreteLog(p), p - 1
+    expected = PAIR_SETS[op](x, y)
+    mask = sets.log_mask(x, y, op, logs)
+    assert mask == log_mask(expected) and mask.bit_count() == len(expected)
+    for s in (1, 2, 8):
+        assert _mask_slots(mask, s, n) == _slot_int(logs._logs_of(expected), s, n)
+
+
+@pytest.mark.parametrize("op", sorted(PAIR_SETS))
+def test_the_log_mask_refuses_a_member_that_would_be_zero(op):
+    logs = DiscreteLog(13)
+    x, y = units(13, [2, 5]), units(13, [3, 4])
+    zero_y = units(13, [3, 12 if op == "expand" else 0])
+    for args in ((units(13, [0, 2]), y), (x, zero_y)):
+        with pytest.raises(ZeroElementPresent):
+            sets.log_mask(*args, op, logs)
+        comb = Combination(*args, op, logs)
+        # however cheap the mask, the combination takes the pair kernel, with
+        # its size or its error
+        with mock.patch.object(sets, "log_mask_steps", lambda *_: -1):
+            if op == "ratio" and args[1] is zero_y:
+                with pytest.raises(DivisionByZero):
+                    len(comb)
+            else:
+                assert len(comb) == len(PAIR_SETS[op](*args)) and "mask" not in vars(comb)
+    with pytest.raises(ContextMismatch):
+        sets.log_mask(x, units(11, [2]), op, logs)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(unit_sets(sizes=(20, 30)), st.sampled_from(sorted(PAIR_SETS)), st.booleans())
+@example((units(2, [1]), units(2, [1])), "prod", True)
+@example((units(101, range(1, 60)), units(101, range(2, 70))), "expand", True)
+@example((units(257, range(1, 257)), units(257, range(1, 257))), "prod", False)
+def test_a_combination_reads_the_same_set_on_either_path(pair, op, masks):
+    # the rule forced each way: every form of the combination, and what the
+    # slot kernel reads from it, against the pair kernel's set
+    x, y = pair[0], maskable(pair[1], op)
+    p = x.ctx.p
+    expected = PAIR_SETS[op](x, y)
+    with mock.patch.object(sets, "log_mask_steps", lambda *args: -1 if masks else math.inf):
+        comb = Combination(x, y, op, DiscreteLog(p))
+        assert len(comb) == len(expected)
+        assert ("mask" in vars(comb)) is masks and ("fset" in vars(comb)) is not masks
+        assert [v for v in range(p) if v in comb] == list(expected.vals)
+        assert e2(x, comb, comb.logs) == multiplicative_energy(x, expected)
+        if op == "ratio":
+            assert _r6_slots(x, comb, y, comb.logs) == _r6_pairs(x, expected, y)
+        assert comb.fset == expected
+
+
 # -- the dispatch --------------------------------------------------------------------------
 
 def count_pairs(monkeypatch):
@@ -234,15 +327,32 @@ def count_pairs(monkeypatch):
 
 
 def count_slot_ints(monkeypatch):
-    """Every slot int the slot kernel builds, as (bytes per slot, slots)."""
+    """Every slot int the slot kernel builds, from logs or from a log mask,
+    as (bytes per slot, slots)."""
     built = []
-    real = energy_module._slot_int
+    for name in ("_slot_int", "_mask_slots"):
+        real = getattr(energy_module, name)
 
-    def spy(ks, s, slots):
-        built.append((s, slots))
-        return real(ks, s, slots)
+        def spy(ks, s, slots, _real=real):
+            built.append((s, slots))
+            return _real(ks, s, slots)
 
-    monkeypatch.setattr(energy_module, "_slot_int", spy)
+        monkeypatch.setattr(energy_module, name, spy)
+    return built
+
+
+def count_tables(monkeypatch):
+    """The p of every discrete-log table built from here on."""
+    built = []
+    real = DiscreteLog.log.func
+
+    def spy(self):
+        built.append(self.p)
+        return real(self)
+
+    table = cached_property(spy)
+    table.__set_name__(DiscreteLog, "log")
+    monkeypatch.setattr(DiscreteLog, "log", table)
     return built
 
 
@@ -254,19 +364,21 @@ def test_a_verify_sized_instance_makes_no_full_pair_pass(monkeypatch):
     inst = Instance(a)
     aa1 = inst.aa1  # one pass over A x A
     passes = count_pairs(monkeypatch)
+    built = count_slot_ints(monkeypatch)
     inst.e2_a_aa1
     inst.e2_a1_aa1
-    assert passes == []
-    built = count_slot_ints(monkeypatch)
+    # both energies read one slot int of A(A+1), spread from its log mask
+    assert passes == [] and built == [(1, 40008)]
+    del built[:]
     check("R6", A=inst, B=b)
-    # A/B from one pass over A x B, and no pass over A/B x B: one slot int of
-    # A/B, shifted by the logs of B, in 1-byte slots as |B| = 100 < 256
-    assert passes == [("ratio", 100 * 100)]
+    # A/B as a log mask, and no pass over A/B x B: one slot int of A/B,
+    # shifted by the logs of B, in 1-byte slots as |B| = 100 < 256
+    assert passes == []
     assert built == [(1, 40008)]
-    del passes[:]
     check("R5", A=inst, B=b)
-    # A·B and the ratio spectra of A and B, each one pass over 100 x 100 pairs
-    assert sorted(passes) == [("prod", 100 * 100)] + [("ratio", 100 * 100)] * 2
+    # A·B as a log mask; the ratio spectra of A and B, each one pass over
+    # 100 x 100 pairs
+    assert passes == [("ratio", 100 * 100)] * 2
     assert len(aa1) * len(a) > 50 * 100 * 100
 
 
@@ -295,15 +407,16 @@ def test_reports_are_the_same_on_either_kernel(monkeypatch, p, n):
     ctx = FieldCtx.prime(p)
     a = FSet(ctx, rng.sample(range(2, p - 1), n))
     b = FSet(ctx, rng.sample(range(1, p), n // 2))
-    names = ("R3", "R4", "R5", "R6", "R11")
+    names = ("R2", "R3", "R4", "R5", "R6", "R8", "R10", "R11", "R12", "R13", "R14")
 
     def reports():
         inst = Instance(a)
-        return [check(name, A=inst, B=b).to_json() for name in names]
+        return [check(name, A=inst, B=b, epsilon=Fraction(1, 8)).to_json() for name in names]
 
     slotted = reports()
-    # one cost rule dispatches E2 and R6: an infinite step sends both to pairs
-    monkeypatch.setattr(energy_module, "mask_steps", lambda *args: float("inf"))
+    # one cost rule dispatches E2, R6 and the log masks: an infinite step
+    # sends all of them to the pair kernel
+    monkeypatch.setattr(sets, "mask_steps", lambda *args: float("inf"))
     assert reports() == slotted
 
 
@@ -351,12 +464,123 @@ def test_a_built_log_table_is_not_charged_again(monkeypatch):
     assert passes == [] and built == [(1, p - 1)] * 2
 
 
+def pin_sets():
+    ctx = FieldCtx.prime(40009)
+    return FSet(ctx, PIN_A), FSet(ctx, PIN_B)
+
+
+def count_all_pairs(monkeypatch):
+    """`count_pairs`, and the pair passes of `constructions` too."""
+    real = sets._pair_ints
+    passes = count_pairs(monkeypatch)
+    monkeypatch.setattr(cons, "_pair_ints",
+                        lambda a, b, op: passes.append((op, len(a) * len(b))) or real(a, b, op))
+    return passes
+
+
+def test_the_first_log_kernel_of_an_instance_pays_for_the_table(monkeypatch):
+    # 130 x 130 pairs cost less than the 40009-entry table, so the first
+    # reads of |A(A+1)| (R10 in `verify --all`) and |A·B| (R5) take the pair
+    # kernel; E2's slot kernel then builds the table, and the slot ints of
+    # A(A+1) and A·B come from log masks
+    a, b = pin_sets()
+    for name, op, kwargs in (("R10", "expand", {}), ("R5", "prod", {"B": b})):
+        inst = Instance(a)
+        passes, built = count_pairs(monkeypatch), count_slot_ints(monkeypatch)
+        tables = count_tables(monkeypatch)
+        check(name, A=inst, **kwargs)
+        assert (op, 130 * 130) in passes
+        if name == "R10":
+            assert tables == [] and built == []
+            check("R11", A=inst)
+        assert tables == [40009] and built == [(1, 40008)]
+        assert sum(o == op for o, _ in passes) == 1
+        monkeypatch.undo()
+
+
+def test_with_the_table_built_verify_makes_no_pass_over_a_x_b(monkeypatch):
+    # as it is built by the first slot kernel, or by the first log mask
+    # once a pair pass costs more than the table
+    a, b = pin_sets()
+    inst = Instance(a)
+    inst.logs.log
+    passes, built = count_all_pairs(monkeypatch), count_slot_ints(monkeypatch)
+    for name in ("R10", "R11", "R12", "R13", "R14", "R2", "R3", "R4"):
+        check(name, A=inst)
+    # the ratio spectra of A and A+1 (E3, E2 and |A/A|), and E2(A, A+1) on
+    # the pair kernel; A(A+1) only as a log mask, with one slot int for both
+    # E2(A, A(A+1)) and E2(A+1, A(A+1))
+    assert sorted(passes) == [("prod", 130 * 130)] + [("ratio", 130 * 130)] * 2
+    assert built == [(1, 40008)]
+    del passes[:], built[:]
+    inst = Instance(a)
+    inst.logs.log
+    for name in ("R5", "R6", "R8"):
+        check(name, A=inst, B=b, epsilon=Fraction(1, 128))
+    # A·B, A/B, A(B+1) and B(A+1) as log masks; the ratio spectra of A and
+    # B for R5, and R8's popular-ratio graph and its partial difference set,
+    # which read each pair of A x B
+    assert sorted(passes) == [("diff", 130 * 130)] + [("ratio", 130 * 130)] * 3
+    assert built == [(1, 40008)] * 2  # A·B for R5, A/B for R6
+
+
+def test_an_instance_goes_with_its_last_reference():
+    # nothing an Instance builds refers back to it, so what it keeps (the
+    # pair ints, masks, slot ints and log table) goes when a call ends, not
+    # at the next cyclic collection
+    a, b = pin_sets()
+    q = FSet(Q, [2, 3, 5, Fraction(7, 2), Fraction(-3, 2), Fraction(4, 3)])
+    gc.disable()
+    try:
+        for A, B in ((a, b), (q, FSet(Q, [2, Fraction(5, 3), -2, 6]))):
+            inst = Instance(A)
+            for name in ("R10", "R11", "R2", "R5", "R6", "R8"):
+                check(name, A=inst, B=B, epsilon=Fraction(1, 128))
+            inst.rows
+            ref = weakref.ref(inst)
+            del inst
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("files, tables", [
+    (("A.json",), [40009]), (("A.json", "B.json"), [40009]),
+    (("A.json", "B.json", "C.json"), []),  # R1, on residue masks
+    (("Q.json",), []), (("Q.json", "Q.json"), []),
+])
+def test_verify_all_builds_one_log_table_per_f_p_group(tmp_path, monkeypatch, files, tables):
+    monkeypatch.chdir(tmp_path)
+    docs = {"A.json": PIN_A, "B.json": PIN_B, "C.json": PIN_A[::3]}
+    for name, vals in docs.items():
+        (tmp_path / name).write_text(json.dumps({"field": "fp", "p": 40009, "elements": vals}))
+    (tmp_path / "Q.json").write_text(json.dumps(
+        {"field": "q", "elements": ["2", "3", "5", "7/2", "-3/2", "4/3", "9", "11/5"]}))
+    built = count_tables(monkeypatch)
+    main(["verify", *files, "--all", "--t", "2", "--out", "report.json"])
+    assert built == tables
+
+
+def test_fp_pipelines_build_the_tables_they_built_before_log_masks(monkeypatch):
+    # a sparse set ends degenerate with no table; a dense ReqFp one builds
+    # one, for its twist spectrum, and not the Instance's
+    built = count_tables(monkeypatch)
+    p = 40009
+    trace = finite_field_pipeline(FSet(FieldCtx.prime(p), random.Random(80).sample(range(2, p - 1), 80)))
+    assert trace.selected["branch"] == "degenerate" and built == []
+    p = 3001
+    trace = finite_field_pipeline(FSet(FieldCtx.prime(p), random.Random(1).sample(range(2, p - 1), 51)))
+    assert trace.selected["branch"] == "ReqFp" and built == [3001]
+
+
 def test_q_never_reaches_the_cost_model(monkeypatch):
     def refuse(*args):
         raise AssertionError("the cost model was asked over Q")
 
     for name in ("_slot_steps", "mask_steps"):
         monkeypatch.setattr(energy_module, name, refuse)
+    for name in ("mask_steps", "log_mask_steps"):
+        monkeypatch.setattr(sets, name, refuse)
     monkeypatch.setattr(verify, "_slot_steps", refuse)  # R6's dispatch
     inst = Instance(FSet(Q, [2, 3, 5, Fraction(7, 2), Fraction(-3, 2), Fraction(4, 3)]))
     b = FSet(Q, [2, Fraction(5, 3), -2, 6])
