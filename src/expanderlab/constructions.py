@@ -21,6 +21,17 @@ the same kernel on a subset of the same edges and could not fail.  The map
 is injective as the image sums to x and, given x, fixes b; the scan's one
 guard is for a middle set that repeats a value, which only a corrupt FSet
 can.
+
+A popular-ratio graph keeps a ratio when its count reaches
+least = ceil(eps|A||B|/|A/B|), which is 1 whenever |A/B| >= eps|A||B|: for
+any pair of sets without strong multiplicative structure the graph is all
+of A x B.  Complete graphs take an exact short path.  `_popular_graph`
+keeps every ratio and flags no pair, `partial_combine` is the difference
+set A - B, and `partial_ruzsa` on two complete graphs has A' = A, C' = C,
+every overlap |B| and so |Y| = |A - C||B|, with no neighbour mask: for a
+self graph on A one A - A is A -_G B, B -_H C and A' - C' at once.  The
+overlap, witness-count and injection-bound checks stay on this path, and a
+middle set that repeats a value takes the scan.
 """
 from __future__ import annotations
 
@@ -101,31 +112,41 @@ class PopularRatioResult:
 
 def popular_ratio_graph(a: FSet, b: FSet, epsilon) -> PopularRatioResult:
     """Keep the ratios x with |A ∩ xB| >= eps|A||B|/|A/B| and take all pairs
-    realising them; the kept graph has at least (1 - eps)|A||B| edges."""
+    realising them; the kept graph has at least (1 - eps)|A||B| edges.
+
+    When |A/B| >= eps|A||B| every ratio is kept, and the graph is the
+    complete graph A x B, its partial difference set A - B."""
     _same_ctx(a, b)
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise EpsilonOutOfRange(f"epsilon = {eps} outside (0, 1)")
+    if not (len(a) and len(b)):
+        raise SetTooSmall("popular-ratio graph needs nonempty A and B")
     if 0 in a or 0 in b:
         raise ZeroElementPresent("popular-ratio construction needs 0 excluded")
 
     ints, scale = _pair_ints(a, b, "ratio")
-    ratios = list(ints)
-    return _popular_graph(a, b, eps, ratios, scale, Counter(ratios))
+    return _popular_graph(a, b, eps, scale, Counter(ints))
 
 
-def _popular_graph(a: FSet, b: FSet, eps: Fraction, ratios: list, scale: int,
+def _popular_graph(a: FSet, b: FSet, eps: Fraction, scale: int,
                    mult: Counter) -> PopularRatioResult:
-    """`popular_ratio_graph(a, b, eps)` from the ratio ints of a x b, pair
-    (i, j) at position i * |b| + j, their scale and their Counter `mult`;
-    eps in (0, 1) and 0 in neither set."""
+    """`popular_ratio_graph(a, b, eps)` from the Counter `mult` of the ratio
+    ints of a x b and their scale; eps in (0, 1), both sets nonempty and 0
+    in neither.  Only an incomplete graph makes a second ratio pass, to
+    flag its edges in pair order."""
     na, nb = len(a), len(b)
     threshold = eps * na * nb / len(mult)
     least = math.ceil(threshold)  # c >= threshold iff c >= least, for ints c
-    popular = {r for r, c in mult.items() if c >= least}
-
-    x_set = _from_ints(a.ctx, popular, scale)
-    graph = PairGraph._from_flags(a, b, bytes(map(popular.__contains__, ratios)))
+    if least <= 1:
+        # every ratio is popular: X is A/B and G is all of A x B
+        x_set = _from_ints(a.ctx, mult, scale)
+        graph = PairGraph.complete(a, b)
+    else:
+        popular = {r for r, c in mult.items() if c >= least}
+        x_set = _from_ints(a.ctx, popular, scale)
+        ratios = _pair_ints(a, b, "ratio")[0]  # pair (i, j) at i * |b| + j
+        graph = PairGraph._from_flags(a, b, bytes(map(popular.__contains__, ratios)))
 
     if Fraction(len(graph)) < (1 - eps) * na * nb:
         raise InvariantViolation("popular graph lost more than an eps-fraction of pairs")
@@ -377,6 +398,17 @@ def _rows(side: FSet, of: FSet) -> list:
     return [row_of[v] for v in side.vals]
 
 
+def _repeats_a_value(side: FSet) -> bool:
+    """Whether two members of `side` are one field element, which only a
+    corrupt FSet can have."""
+    vals = side.vals
+    return len({side.ctx.canon(v) for v in vals}) < len(vals)
+
+
+def _overlap_failure(av, cv) -> InvariantViolation:
+    return InvariantViolation(f"overlap below (1 - 2 sqrt(eps))|B| at ({av}, {cv})")
+
+
 def _witness_scan(g, h, a_side, c_side, least):
     """(|Y|, A' - C'), or the first failing check raised.
 
@@ -399,9 +431,7 @@ def _witness_scan(g, h, a_side, c_side, least):
     overlaps = [(ma & mc).bit_count() for ma in a_masks for mc in c_masks]
     if min(overlaps) < least:
         i, k = divmod(next(n for n, o in enumerate(overlaps) if o < least), nc)
-        raise InvariantViolation(
-            f"overlap below (1 - 2 sqrt(eps))|B| at ({a_side.vals[i]}, {c_side.vals[k]})"
-        )
+        raise _overlap_failure(a_side.vals[i], c_side.vals[k])
     ints, scale = _pair_ints(a_side, c_side, "diff")
     xs = list(ints)
     # difference -> the position i * |C'| + k of its first pair: walked
@@ -410,7 +440,7 @@ def _witness_scan(g, h, a_side, c_side, least):
     y_size = sum(map(overlaps.__getitem__, first.values()))
 
     bvals = g.right.vals
-    if len({ctx.canon(v) for v in bvals}) < len(bvals):
+    if _repeats_a_value(g.right):
         # only a corrupt FSet repeats a value: name the first repeated image,
         # difference by difference in sorted order, then b by b in B's order
         for x in sorted(first):
@@ -441,6 +471,11 @@ def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
 
     exactly (squared form).  eps = 0 with complete graphs recovers the plain
     triangle inequality.
+
+    When both graphs are complete (as a popular-ratio graph is when
+    |A/B| >= eps|A||B|), A' = A and C' = C, every overlap is |B|, and
+    |Y| = |A - C||B| with A' - C' = A - C, which is A -_G B = A - B when
+    C = B.
     """
     eps = Fraction(epsilon)
     if not 0 <= eps < Fraction(1, 4):
@@ -452,13 +487,24 @@ def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
     _check_density(g, eps)
     _check_density(h, eps)
 
-    a_side = dense_degree_subset(g, eps)
-    c_side = _dense_side(h.right, h.right_degrees(), len(h.left), eps)
     nb = len(g.right)
     least = _least_passing(nb, eps, k=2)
-    pab = partial_combine(g)
-    pbc = partial_combine(h)
-    y_size, diff_ac = _witness_scan(g, h, a_side, c_side, least)
+    if g.is_complete and h.is_complete and not _repeats_a_value(g.right):
+        # every degree is full, so A' = A and C' = C, and every overlap is
+        # |B|: the witnesses are all (x, b), |Y| = |A - C||B|
+        a_side, c_side = g.left, h.right
+        if nb < least:
+            raise _overlap_failure(a_side.vals[0], c_side.vals[0])
+        pab = partial_combine(g)
+        pbc = partial_combine(h)
+        diff_ac = pab if c_side == g.right else combine(a_side, c_side, "diff")
+        y_size = nb * len(diff_ac)
+    else:
+        a_side = dense_degree_subset(g, eps)
+        c_side = _dense_side(h.right, h.right_degrees(), len(h.left), eps)
+        pab = partial_combine(g)
+        pbc = partial_combine(h)
+        y_size, diff_ac = _witness_scan(g, h, a_side, c_side, least)
     # (1 - 2 sqrt(eps)) |B| |A' - C'| <= |Y| <= |A -_G B| |B -_H C|
     if not ge_one_minus_k_sqrt(y_size, nb * len(diff_ac), eps, k=2):
         raise InvariantViolation("witness count below the overlap guarantee")

@@ -705,6 +705,11 @@ class PairGraph:
     def __len__(self) -> int:
         return self.flags.count(1)
 
+    @property
+    def is_complete(self) -> bool:
+        """Whether every pair of left x right is an edge."""
+        return 0 not in self.flags
+
     def __eq__(self, other):
         return (
             isinstance(other, PairGraph)
@@ -747,11 +752,14 @@ class PairGraph:
 
 def partial_combine(g: PairGraph) -> FSet:
     """The partial difference set A -_G B = {a - b : (a, b) in G}: the kernel
-    ints of a - b over left x right, kept where g has an edge.  Built once
-    per graph and kept in `g._diff`."""
+    ints of a - b over left x right, kept where g has an edge, or all of
+    them, A - B, when g is complete.  Built once per graph and kept in
+    `g._diff`."""
     done = g._diff
     if done is None:
         ints, scale = _pair_ints(g.left, g.right, "diff")
-        done = _from_ints(g.left.ctx, itertools.compress(ints, g.flags), scale)
+        if not g.is_complete:
+            ints = itertools.compress(ints, g.flags)
+        done = _from_ints(g.left.ctx, ints, scale)
         object.__setattr__(g, "_diff", done)
     return done

@@ -175,10 +175,11 @@ class Instance:
     is its one pair pass over A x A kept as a list, |A| kernel ints per a
     with their scale: the F_p pipeline reads these base-point rows first,
     so that `aa1` comes from the same pass, and nothing else keeps them.
-    `ratios` is the F_p pipeline's one ratio pass over A x A, the kernel
-    ints in pair order with their scale and their Counter, that gives its
-    self popular-ratio graph and `hist_a`; without it, `hist_a` counts the
-    ratio ints and keeps neither.  `hist_*` are ratio spectra, `e3_*` their
+    `ratios` is the F_p pipeline's ratio pass over A x A, the scale of
+    its kernel ints and their Counter, that gives its self popular-ratio
+    graph and `hist_a`; without it, `hist_a` counts the ratio ints and
+    keeps no Counter.  An incomplete self graph makes a second ratio pass
+    to flag its edges.  `hist_*` are ratio spectra, `e3_*` their
     third moments, `e2_a` and `e2_a1` their second, and the other `e2_*`
     multiplicative energies, `e2_mixed` being E2(A, A+1).  `e15` keeps the
     3/2-energy enclosures of the spectra.
@@ -208,17 +209,16 @@ class Instance:
         return _pair_ints(self.A, self.A, "ratio")
 
     @cached_property
-    def ratios(self) -> Tuple[list, int, Counter]:
+    def ratios(self) -> Tuple[int, Counter]:
         ints, scale = self._ratio_ints()
-        ints = list(ints)
-        return ints, scale, Counter(ints)
+        return scale, Counter(ints)
 
     @cached_property
     def hist_a(self) -> MultiplicityHistogram:
-        # the F_p pipeline's ratio pass if it has made one, else a Counter
-        # of the ratio ints that keeps no list
+        # the F_p pipeline's ratio Counter if it has made one, else one that
+        # is not kept
         made = vars(self).get("ratios")
-        counts = made[2] if made else Counter(self._ratio_ints()[0])
+        counts = made[1] if made else Counter(self._ratio_ints()[0])
         return _spectrum(counts, "ratio", len(self.A), len(self.A))
 
     def e15(self, spectrum: str, bits: int) -> RatInterval:
@@ -830,7 +830,8 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
 
     # translate-product bound: the four-fold dilate sum against shift counts
     aaaa = kfold_size(A, (1, -1, -1, -1))
-    diff_size = sumset_size(A, A, "diff")
+    # A - A is the partial difference set of a complete self graph
+    diff_size = len(pop.partial_diff) if pop.graph.is_complete else sumset_size(A, A, "diff")
     steps.append(PipelineStep(
         "four-fold dilate sum against the translate-count product",
         _hold_report("fp-translate-product", four_fold,

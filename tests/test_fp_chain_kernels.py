@@ -5,7 +5,10 @@ The twist spectrum and its witness, `partial_ruzsa`, `popular_ratio_graph`,
 a literal copy of the per-pair (or per-quadruple, or per-subset) loop they
 replace, written out in this file; `kfold_size` on each of its two paths.
 `partial_ruzsa` is also compared with the pure-int witness scan its
-neighbour-mask scan replaced (`helpers.pure_partial_ruzsa`).
+neighbour-mask scan replaced (`helpers.pure_partial_ruzsa`).  On complete
+graphs, `popular_ratio_graph`, `partial_combine`, `partial_ruzsa` and
+`greedy_cover` are also compared with their own path for an arbitrary
+graph (`general_path`).
 """
 import itertools
 import math
@@ -52,8 +55,8 @@ from expanderlab.errors import (
     InvariantViolation,
     SetTooSmall,
 )
-from helpers import (Q, dense_random_graph, neighbors_left, pure_partial_ruzsa, random_q_set,
-                     transpose)
+from helpers import (Q, dense_random_graph, literal_partial_diff, neighbors_left,
+                     pure_partial_ruzsa, random_q_set, transpose)
 
 SMALL_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
@@ -763,6 +766,201 @@ def test_partial_ruzsa_empty_side_is_set_too_small(empty):
 def test_least_passing_is_the_threshold(nb, eps):
     least = cons._least_passing(nb, eps, k=2)
     assert all(ge_one_minus_k_sqrt(v, nb, eps, k=2) == (v >= least) for v in range(nb + 1))
+
+
+# -- complete graphs ------------------------------------------------------------------------
+
+def general_path():
+    """A patch under which every PairGraph reads as incomplete, so
+    `partial_combine`, `partial_ruzsa` and `greedy_cover` take their path
+    for an arbitrary graph: flags, neighbour masks and the witness scan."""
+    return mock.patch.object(PairGraph, "is_complete", property(lambda self: False))
+
+
+def fresh(g: PairGraph) -> PairGraph:
+    """g anew, without the partial difference set it keeps."""
+    return PairGraph._from_flags(g.left, g.right, g.flags)
+
+
+@st.composite
+def one_field_sides(draw, count, nonzero):
+    """`count` nonempty sets, singletons included, over one field: F_2,
+    F_3, another small F_p or Q, with 0 in none when `nonzero`."""
+    if draw(st.booleans()):
+        f = FieldCtx.prime(draw(st.sampled_from((2, 3, 5, 7, 13, 101))))
+        elems = st.integers(1 if nonzero else 0, f.p - 1)
+    else:
+        f, elems = Q, small_q  # small_q has no 0
+    return [FSet(f, draw(st.sets(elems, min_size=1, max_size=6))) for _ in range(count)]
+
+
+F101 = FieldCtx.prime(101)
+POWERS_OF_TWO = FSet(F101, [1, 2, 4])  # |A/A| = 5: least is 1 at eps 1/2, 2 at eps 3/4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(one_field_sides(2, nonzero=True),
+       st.sampled_from([Fraction(1, 64), Fraction(1, 5), Fraction(1, 2), Fraction(3, 4),
+                        Fraction(9, 10)]))
+@example([POWERS_OF_TWO, POWERS_OF_TWO], Fraction(1, 2))      # complete
+@example([POWERS_OF_TWO, POWERS_OF_TWO], Fraction(3, 4))      # 4 and 1/4 dropped
+@example([FSet(FieldCtx.prime(2), [1])] * 2, Fraction(9, 10))  # |A| = 1 over F_2
+@example([FSet(FieldCtx.prime(3), [1, 2])] * 2, Fraction(3, 4))  # least 2, yet complete
+@example([FSet(Q, [Fraction(-1, 2)]), FSet(Q, [3, Fraction(1, 4)])], Fraction(1, 2))
+def test_popular_ratio_graph_is_complete_when_least_is_one(sides, eps):
+    # least >= 2 can keep every ratio too, as {1, 2} over F_3 at eps 3/4
+    a, b = sides
+    res = popular_ratio_graph(a, b, eps)
+    assert res == literal_popular_ratio_graph(a, b, eps)
+    assert res.partial_diff == literal_partial_diff(res.graph)
+    if math.ceil(res.threshold) <= 1:
+        assert res.graph.is_complete
+        assert res.x_set == combine(a, b, "ratio")
+        assert res.partial_diff == combine(a, b, "diff")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(one_field_sides(2, nonzero=False))
+def test_partial_combine_of_a_complete_graph_is_the_difference_set(sides):
+    a, b = sides
+    g = PairGraph.complete(a, b)
+    assert g.is_complete
+    got = partial_combine(g)
+    assert got == combine(a, b, "diff") == literal_partial_diff(g)
+    with general_path():
+        assert partial_combine(fresh(g)) == got
+
+
+def complete_triangle(sides, shape):
+    """Complete g on A x B and h on B x C from three drawn sides, with
+    A = B = C and h = g ("="), A = B ("<"), C = B (">") or all three drawn
+    ("-")."""
+    a, b, c = sides
+    if shape == "=":
+        g = PairGraph.complete(b, b)
+        return g, g
+    a = b if shape == "<" else a
+    c = b if shape == ">" else c
+    return PairGraph.complete(a, b), PairGraph.complete(b, c)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(one_field_sides(3, nonzero=False), st.sampled_from("=<>-"),
+       st.sampled_from([Fraction(0), Fraction(1, 64), Fraction(1, 16), Fraction(1, 5)]))
+@example([FSet(FieldCtx.prime(3), [0, 1, 2])] * 3, "=", Fraction(1, 5))  # all of F_3
+@example([FSet(FieldCtx.prime(2), [1]), FSet(FieldCtx.prime(2), [0, 1]),
+          FSet(FieldCtx.prime(2), [0])], "-", Fraction(0))
+def test_partial_ruzsa_on_complete_graphs_matches_the_scan(sides, shape, eps):
+    g, h = complete_triangle(sides, shape)
+    res = partial_ruzsa(g, h, eps)
+    with general_path():
+        g2 = fresh(g)
+        assert partial_ruzsa(g2, g2 if h is g else fresh(h), eps) == res
+    assert_matches_both_oracles(g, h, eps)
+    assert res.partial_ab == literal_partial_diff(g)
+    assert res.partial_bc == literal_partial_diff(h)
+    assert (res.a_side, res.c_side) == (g.left, h.right)
+    assert res.y_size == len(g.right) * len(combine(g.left, h.right, "diff"))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(one_field_sides(2, nonzero=False),
+       st.sampled_from([Fraction(1, 64), Fraction(1, 16), Fraction(1, 5)]),
+       st.sampled_from("+-"))
+def test_greedy_cover_on_a_complete_graph_matches_the_general_path(sides, eps, sign):
+    a, b = sides
+    g = PairGraph.complete(a, b)
+    res = greedy_cover(a, b, g, eps, sign)
+    with general_path():
+        assert greedy_cover(a, b, fresh(g), eps, sign) == res
+    assert res == literal_greedy_cover(a, b, g, eps, sign)
+
+
+def test_complete_overlap_failure_names_the_first_pair(monkeypatch):
+    # a k = 2 threshold above |B|: the complete path, the scan and the pure
+    # scan all fail at the first pair (a, c) with one message
+    real = cons._least_passing
+    monkeypatch.setattr(cons, "_least_passing",
+                        lambda scale, eps, k: real(scale, eps, k) + (k == 2) * (scale + 1))
+    a, b, c = FSet(F101, [7, 3]), FSet(F101, [1, 4, 9]), FSet(F101, [50, 5])
+    g, h = PairGraph.complete(a, b), PairGraph.complete(b, c)
+    expected = (InvariantViolation, "overlap below (1 - 2 sqrt(eps))|B| at (3, 5)", None, None)
+    assert failure_of(partial_ruzsa, g, h, Fraction(1, 64)) == expected
+    with general_path():
+        assert failure_of(partial_ruzsa, fresh(g), fresh(h), Fraction(1, 64)) == expected
+    assert failure_of(pure_partial_ruzsa, g, h, Fraction(1, 64)) == expected
+
+
+def test_incomplete_popular_ratio_graph_keeps_the_flag_path():
+    # twenty powers of 3 mod 1009: |A/A| = 39, so least = ceil(100/39) = 3
+    # and the ratios 3^19 and 3^-19, 3^18 and 3^-18, one or two pairs
+    # each, are not popular
+    a = FSet(FieldCtx.prime(1009), [pow(3, i, 1009) for i in range(1, 21)])
+    res = popular_ratio_graph(a, a, Fraction(1, 4))
+    assert (len(res.graph), res.graph.is_complete) == (394, False)
+    assert res == literal_popular_ratio_graph(a, a, Fraction(1, 4))
+    assert res.partial_diff == literal_partial_diff(res.graph)
+    assert_matches_both_oracles(res.graph, res.graph, Fraction(1, 64))
+
+
+def assert_reads_the_difference_set(trace, a: FSet):
+    """The fp pipeline's |A - A| (fp-diff-assumed and fp-fourfold) is that
+    of the literal difference set, on either kind of self graph."""
+    diff_size = len(literal_partial_diff(PairGraph.complete(a, a)))
+    reports = {step.report.name: step.report for step in trace.steps}
+    assert reports["fp-diff-assumed"].lhs == diff_size
+    assert reports["fp-fourfold"].rhs == Fraction(diff_size ** 3, len(a) ** 2)
+
+
+def test_fp_pipeline_on_an_incomplete_self_graph_matches_the_oracles(monkeypatch):
+    # 38 powers of 7 mod 1453 (|A|^2 < p): at eps = 1/17, |A/A| = 75 <
+    # eps|A|^2, so least = 2, and the ratios 7^37 and 7^-37, one pair each,
+    # are not popular.  Their differences have no other pair, so A -_G A
+    # is smaller than A - A, and the trace runs on to the ReqFp branch
+    p, eps = 1453, Fraction(1, 17)
+    a = FSet(FieldCtx.prime(p), [pow(7, i, p) for i in range(1, 39)])
+    calls = []
+    real = cons.partial_ruzsa
+
+    def spy(g, h, eps):
+        calls.append((g, h, eps, real(g, h, eps)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(cons, "partial_ruzsa", spy)
+    trace = finite_field_pipeline(a, eps)
+    assert trace.selected["branch"] == "ReqFp"
+    [(g, h, _, res)] = calls
+    assert g is h and len(g) == 38 ** 2 - 2
+    assert g == literal_popular_ratio_graph(a, a, eps).graph
+    assert len(res.partial_ab) == len(combine(a, a, "diff")) - 2
+    assert res == literal_partial_ruzsa(g, h, eps)
+    assert res == pure_partial_ruzsa(g, h, eps)
+    assert_reads_the_difference_set(trace, a)
+    monkeypatch.setattr(cons, "partial_ruzsa", real)
+    with general_path():
+        assert finite_field_pipeline(a, eps).to_bytes() == trace.to_bytes()
+
+
+@pytest.mark.parametrize("a, branch", [
+    (FSet(FieldCtx.prime(103), [24, 27, 39, 58, 61, 62, 65, 88, 93]), "ReqFp"),
+    (FSet(FieldCtx.prime(109), [1, 5, 10, 31, 36, 40, 43, 65, 71]), "RneqFp"),
+], ids=["ReqFp", "RneqFp"])
+def test_fp_pipeline_trace_is_the_same_on_the_general_path(a, branch):
+    # the self graph and the covering graphs are complete
+    trace = finite_field_pipeline(a)
+    assert trace.selected["branch"] == branch
+    assert_reads_the_difference_set(trace, a)
+    with general_path():
+        assert finite_field_pipeline(a).to_bytes() == trace.to_bytes()
+
+
+@pytest.mark.parametrize("field", [F101, Q], ids=["F101", "Q"])
+@pytest.mark.parametrize("empty", "AB")
+def test_popular_ratio_graph_of_an_empty_side_is_set_too_small(field, empty):
+    sides = {"A": FSet(field, [1, 2]), "B": FSet(field, [3])}
+    sides[empty] = FSet(field, [])
+    with pytest.raises(SetTooSmall):
+        popular_ratio_graph(sides["A"], sides["B"], Fraction(1, 4))
 
 
 # -- k-fold sums ----------------------------------------------------------------------------

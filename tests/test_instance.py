@@ -468,10 +468,10 @@ def test_fp_pipeline_makes_one_expand_pass_over_a_x_a(monkeypatch):
         monkeypatch.setattr(module, "_pair_ints", spy)
     verify.finite_field_pipeline(a)
     # the Instance's A(A+1) and base-point rows; its ratio pass, which gives
-    # both the ratio spectrum (R2) and the self popular-ratio graph;
-    # partial_combine of that graph, kept at its edges, and partial_ruzsa's
-    # witness scan
-    assert passes == {"expand": 1, "ratio": 1, "diff": 2}
+    # both the ratio spectrum (R2) and the self popular-ratio graph; and
+    # A - A, the partial difference set of that graph, which is complete
+    # here, and so also partial_ruzsa's A' - C' and fp-fourfold's |A - A|
+    assert passes == {"expand": 1, "ratio": 1, "diff": 1}
 
 
 def test_popular_ratio_graph_builds_no_expander_set(monkeypatch):
