@@ -5,11 +5,12 @@ registry of certified inequality instances, executable proof constructions,
 the slope-family incidence certificate over the rationals, and extremal
 search for sets with a small expander image.  Sumsets, product sets,
 partial difference sets, multiplicity spectra and energies all come from one
-scaled-integer pair kernel, `sets._pair_ints`, except where a cost model
-sends an F_p energy or R6 count to one convolution of discrete logarithms
-in byte-wide slots (`energy._slot_convolution`), an F_p sumset size to
-p-bit residue masks (`sets.sumset_size`), or an F_p product, ratio or
-expander set to a (p-1)-bit log mask (`sets.log_mask`).
+scaled-integer pair kernel, `sets._pair_ints`, except where `sets.choose`,
+from its one price table, sends an F_p energy or R6 count to one
+convolution of discrete logarithms in byte-wide slots
+(`energy._slot_convolution`), an F_p sumset size to p-bit residue masks
+(`sets.sumset_size`), or an F_p product, ratio or expander set to a
+(p-1)-bit log mask (`sets.log_mask`).
 No floating point participates in any verdict.
 """
 

@@ -106,8 +106,12 @@ class PopularRatioResult:
     graph: PairGraph                # G = {(a, b) : a/b in X}
     epsilon: Fraction
     threshold: Fraction             # eps |A||B| / |A/B|
-    partial_diff: FSet              # A -_G B
     ratio_support: int              # |A/B|
+
+    @property
+    def partial_diff(self) -> FSet:
+        """A -_G B, built on first read and kept with the graph."""
+        return partial_combine(self.graph)
 
 
 def popular_ratio_graph(a: FSet, b: FSet, epsilon) -> PopularRatioResult:
@@ -156,7 +160,6 @@ def _popular_graph(a: FSet, b: FSet, eps: Fraction, scale: int,
         graph=graph,
         epsilon=eps,
         threshold=threshold,
-        partial_diff=partial_combine(graph),
         ratio_support=len(mult),
     )
 
@@ -286,6 +289,8 @@ def greedy_cover(a: FSet, b: FSet, g: PairGraph, epsilon, sign: str = "+") -> Co
     remainder x b are the coverages of every candidate.  They are counted
     once, over A1 x b, and each step takes off the pairs of the elements it
     covers; the count of the chosen shift must equal the elements covered.
+    On a complete graph A1 is all of A, so for sign "+" the shifts counted
+    are A - B = A -_G B, and no second difference pass is made.
     """
     if sign not in ("+", "-"):
         raise InvalidKernelArgument(f"sign must be '+' or '-', not {sign!r}")
@@ -297,7 +302,6 @@ def greedy_cover(a: FSet, b: FSet, g: PairGraph, epsilon, sign: str = "+") -> Co
 
     a1 = dense_degree_subset(g, eps)
     degree = dict(zip(g.left.vals, g.left_degrees()))
-    pdiff_size = len(partial_combine(g))
     bvals = b.vals
     bset = b.member_set()
     nb = len(b)
@@ -305,6 +309,10 @@ def greedy_cover(a: FSet, b: FSet, g: PairGraph, epsilon, sign: str = "+") -> Co
     ints = list(ints)
     shifts_of = {v: ints[i * nb:(i + 1) * nb] for i, v in enumerate(a1.vals)}
     coverage = Counter(ints)
+    if sign == "+" and g.is_complete and b == g.right:
+        pdiff_size = len(coverage)
+    else:
+        pdiff_size = len(partial_combine(g))
 
     en, ed = eps.numerator, eps.denominator
     remaining = set(a1.vals)

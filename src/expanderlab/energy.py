@@ -34,12 +34,8 @@ times the same slots reversed, is their cyclic correlation, so a fold mod
 p - 1 gives the count of d/e at log(d/e), a rotation by (p - 1)/2 adds the
 negation, as -1 has log (p - 1)/2, and a shift doubles it.  The slots are
 `_slot_bytes(2|ups|^2)` wide for the list ups of the d, 2 bytes on the
-dense classes of the F_p pipeline, so no slot carries.  `_twist_slot_steps`
-prices the slots in `sets.mask_steps` units (a fresh log table, the
-read-back, and the product, Karatsuba or one shift-add per nonzero slot,
-whichever is cheaper) against the 2|ups|^2 pair steps, so dense classes
-take the slots and sparse ones, whose log table alone outweighs their
-pairs, the Counter.
+dense classes of the F_p pipeline, so no slot carries.  `sets.choose`
+("twist") picks the slots or the Counter.
 
 Over F_p, E2 and R6 have a second exact kernel on discrete logarithms
 (`sets.DiscreteLog`).  Let r(v) = #{(x, y) in X x Y : xy = v}.  Then
@@ -64,26 +60,19 @@ slots at the logs of A (`verify._r6_slots`).  0 has no discrete logarithm,
 so the kernel takes no set holding 0 and raises ZeroElementPresent, as the
 pair kernel's product spectrum does.
 
-One cost rule, `_slot_steps`, dispatches both, in `e2` here and in
-`verify._check_r6`: the slots run when they cost fewer pair steps than the
-pair kernel's |X||Y| (R6: |A/B||B|).  In `sets.mask_steps` units it reads
-only set sizes, p and whether the log table is built: the table (p steps)
-while its `DiscreteLog` has not built it, so an `Instance`'s first slot
-kernel pays for its later ones; one step per element looked up in it and a
-fixed setup; a quarter step per slot for the count; and, for each x, half
-a pass over the ceil((p-1)/64) words of the slots per slot bit for its
-shift and add, at one step per 16 words.  R6 reads only |A| slots, so the
-rule charges it a count it does not make.  The table is an `array` and the
-slots are one int.  `multiplicative_energy` and `verify._r6_pairs` stay on
-the pair kernel, as the oracles the slot kernel is tested against.
+One entry of `sets.choose`'s price table, "slots", dispatches both, in `e2`
+here and in `verify._check_r6`, against the pair kernel's |X||Y| (R6:
+|A/B||B|).  The table is an `array` and the slots are one int.
+`multiplicative_energy` and `verify._r6_pairs` stay on the pair kernel, as
+the oracles the slot kernel is tested against.
 
 The larger set of E2(A, A·B), E2(A, A(A+1)), E2(A+1, A(A+1)) and R6's A/B
 comes as a `sets.Combination`, which gives the slot int, not the shifts.
 Its slot int (`_slot_row`) is its log mask spread into slots by
 `_mask_slots` (`bin`, one `translate` and a strided slice), with no lookup
-per member, unless its pair set is built and looking up its members costs
-less than the mask still does; either way the Combination keeps it, so
-E2(A, A(A+1)) and E2(A+1, A(A+1)) build one.
+per member, unless its pair set is built and `sets.choose` ("spread")
+prices looking up its members below what the mask still costs; either way
+the Combination keeps it, so E2(A, A(A+1)) and E2(A+1, A(A+1)) build one.
 """
 from __future__ import annotations
 
@@ -115,10 +104,10 @@ from .sets import (
     _from_ints,
     _pair_groups,
     _pair_ints,
-    _pass_steps,
     _same_ctx,
+    _slot_bytes,
+    choose,
     dilate,
-    mask_steps,
 )
 
 HIST_KINDS = ("product", "ratio", "additive")
@@ -346,12 +335,6 @@ def multiplicative_energy(a: FSet, b: FSet) -> int:
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _slot_bytes(n: int) -> int:
-    """The fewest bytes s in {1, 2, 4, 8} with 2^(8s) > n: the width of a
-    slot that holds any count up to n without a carry."""
-    return next(s for s in _SLOT_FORMATS if n >> 8 * s == 0)
-
-
 def _slot_int(ks: list, s: int, slots: int) -> int:
     """The int of `slots` slots of s bytes with 1 in slot k for each k in
     `ks`: the indicator of a set in log coordinates.  One byte store per
@@ -379,28 +362,16 @@ def _mask_slots(mask: int, s: int, slots: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _mask_slot_steps(p: int, s: int) -> int:
-    """The cost of `_mask_slots` over p - 1 slots of s bytes, in
-    `mask_steps` units: 24 word passes over p - 1 bits for the digit
-    string, one byte per bit, with its reversal, encoding and translate,
-    and 8s for the slot bytes and their int.  At p = 40009 that is 0.13 ms
-    for s = 1 and 0.16 ms for s = 2, at 0.1 us a step, against 0.10 and
-    0.15 ms measured on CPython 3.11."""
-    return (24 + 8 * s) * _pass_steps(p - 1)
-
-
 def _slot_row(y, s: int, logs: DiscreteLog) -> int:
     """The slot int of y in s-byte slots.  A set's comes from its logs.  A
     `Combination` keeps them by width and builds each from its log mask
-    (`_mask_slots`) or from its set's logs, whichever costs less in
-    `mask_steps` units: what the mask still costs plus the spread, against
-    what the set still costs plus one step per member."""
+    (`_mask_slots`) or from its set's logs, as `choose` ("spread") takes."""
     n = logs.p - 1
     if not isinstance(y, Combination):
         return _slot_int(logs._logs_of(y), s, n)
     row = y.slot_ints.get(s)
     if row is None:
-        if y.mask_steps_left() + _mask_slot_steps(logs.p, s) < y.pair_steps_left() + len(y):
+        if choose("spread", logs.p, s, len(y.x), len(y.y), len(y), logs.built, vars(y)):
             row = _mask_slots(y.mask, s, n)
         else:
             row = _slot_int(logs._logs_of(y.fset), s, n)
@@ -439,25 +410,13 @@ def _slot_energy(x, y, logs: DiscreteLog) -> int:
     return sum(c * v * v for v, c in counts.items())
 
 
-def _slot_steps(logs: DiscreteLog, nx: int, ny: int) -> int:
-    """The cost of `_slot_convolution` of sets of nx and ny units of F_p and
-    a count of its slots, in `mask_steps` units by `DiscreteLog.steps` (the
-    table only until it is built): the nx + ny lookups, a quarter step for
-    each of the p - 1 slots, and, for each x of the smaller set, a shift and
-    an add over a w(p-1)-bit int at half a pass per slot bit, as measured
-    for E2 against the pair kernel on CPython 3.11.  `e2` and R6 both read
-    it."""
-    n = min(nx, ny)
-    return logs.steps(nx + ny + (logs.p - 1) // 4, 4 * _slot_bytes(n) * n)
-
-
 def e2(a: FSet, b, logs: DiscreteLog) -> int:
     """E2(a, b), the number of quadruples with a1 * b1 = a2 * b2, from the
-    cheaper kernel by the cost model in the module docstring: the pair
-    kernel, or over F_p the slot kernel, which reads its table from `logs`.
+    kernel `choose` takes ("slots"): the pair kernel, or over F_p the slot
+    kernel, which reads its table from `logs`.
     b may be a `Combination`, which the slot kernel reads as a slot int."""
     ctx = _same_ctx(a, b)
-    if ctx.kind == KIND_PRIME and _slot_steps(logs, len(a), len(b)) < len(a) * len(b):
+    if ctx.kind == KIND_PRIME and choose("slots", ctx.p, len(a), len(b), logs.built):
         return _slot_energy(a, b, logs)
     return multiplicative_energy(a, b.fset if isinstance(b, Combination) else b)
 
@@ -516,21 +475,6 @@ def _twist_slots(ups: list, logs: DiscreteLog) -> Counter:
     return ratios
 
 
-def _twist_slot_steps(p: int, nu: int) -> int:
-    """The cost of `_twist_slots` on nu differences over F_p, in
-    `mask_steps` units: a fresh log table, the nu lookups, a quarter step
-    per slot read back through the table, and the product of two slot ints
-    of K = 8s(p-1)/1024 kilobits each, s = `_slot_bytes(2 nu^2)`: about
-    8 K^1.585 steps (Karatsuba), or 3K steps per nonzero slot where those
-    are few, whichever is less.  `twist_spectrum` sets it against the
-    2 nu^2 pair steps of `_twist_pairs`.  Measured on CPython 3.11 at 134
-    points, p = 53 to 80021 and |a| = 3 to 40 on random sets, the rule
-    never took the slower path."""
-    kbits = 8 * _slot_bytes(2 * nu * nu) * (p - 1) / 1024
-    product = min(8 * kbits ** 1.585, 3 * nu * kbits)
-    return mask_steps(p, nu + (p - 1) // 4, 0) + round(product)
-
-
 def twist_spectrum(a: FSet) -> Counter:
     """E_xi(a) - |a|^2 for each nonzero xi in R(a) = {(x - z)/(w - y) : w != y}
     over F_p: the number of pairs (delta, eta) of nonzero differences of
@@ -539,13 +483,13 @@ def twist_spectrum(a: FSet) -> Counter:
     their negatives, and (+-d)/(+-e) = +-(d/e), so the Counter of d/e over
     those, plus its negation, counts each ratio half as often.  The Counter
     comes from one product per pair or from one slot product in log
-    coordinates, whichever `_twist_slot_steps` says is cheaper."""
+    coordinates, as `choose` takes ("twist")."""
     ctx = a.ctx
     if ctx.kind != KIND_PRIME:
         raise FieldMismatch("the twist spectrum is defined over F_p")
     p, vals = ctx.p, a.vals
     ups = [x - z for i, x in enumerate(vals) for z in vals[:i]]
-    if _twist_slot_steps(p, len(ups)) < 2 * len(ups) ** 2:
+    if choose("twist", p, len(ups)):
         return _twist_slots(ups, DiscreteLog(p))
     return _twist_pairs(ups, p)
 

@@ -46,11 +46,10 @@ call.  Two kernels count a candidate, and one is chosen per search:
   with the bits of z and z + 1 set (`_mask_join`).  Every log must exist,
   so it needs the default pool, which drops 0 and -1.
 
-`_kernel` takes the masks over F_p with 0 and -1 excluded when their cost,
-in the pair steps of `sets.mask_steps` (the log table plus a few passes
-over (p-1)-bit ints per candidate), is below that of the 2n - 1 residue
-products per candidate; so small p and large n take masks, large p (where a
-pass outgrows the products) and Q or `--admit-degenerate` the residue set.
+`_kernel` takes the masks over F_p with 0 and -1 excluded where
+`sets.choose` ("search") prices them below the 2n - 1 residue products per
+candidate; so small p and large n take masks, large p (where a pass
+outgrows the products) and Q or `--admit-degenerate` the residue set.
 
 Over F_p, x -> -1 - x maps A(A+1) onto itself, since (-1-a)(-b) = b(a+1),
 and maps both pools onto themselves; min + max of A and of its mirror sum
@@ -78,7 +77,7 @@ from .errors import (
 )
 from .field import KIND_PRIME, FieldCtx
 from .intervals import RatInterval, fraction_to_decimal, log_ratio_interval
-from .sets import DiscreteLog, FSet, expander_set, mask_steps
+from .sets import DiscreteLog, FSet, choose, expander_set
 
 MODES = ("exhaustive", "hillclimb", "anneal")
 _LOG_BITS = 128
@@ -315,23 +314,16 @@ def _mask_size_with(rest: _MaskRest, z: int, logs: _Logs) -> int:
     return base + ((d1 >> s0 | d0 >> s1 | 1 << (-s0 - s1) % order) & free).bit_count()
 
 
-MASK_PASSES = 8      # word passes of one mask candidate: two shifts, the bit, ORs, AND, popcount
-PRODUCT_STEPS = 4    # pair steps of one residue product in `_size_with`, measured on CPython 3.11
-
-
 def _kernel(cfg: SearchConfig, pool: Sequence[int], candidates: int) -> Tuple:
     """The kernel of a search that counts about `candidates` candidates:
     (rest builder, candidate counter, their shared argument, the rest of a
     set without its i-th element given the set's summary, the summary of a
     rest plus one element).  Log masks over F_p when the pool excludes 0
-    and -1 and their cost in `sets.mask_steps` units (the log table, two
-    lookups and MASK_PASSES passes per candidate) is below that of the
-    2n - 1 residue products per candidate, else the residue set."""
+    and -1 and `choose` takes them ("search"), else the residue set."""
     ctx = cfg.ctx
-    if ctx.kind == KIND_PRIME and cfg.exclude_degenerate:
-        masks = mask_steps(ctx.p, 2 * candidates, MASK_PASSES * candidates)
-        if masks < PRODUCT_STEPS * (2 * cfg.set_size - 1) * candidates:
-            return _mask_rest, _mask_size_with, _mask_logs(ctx.p), _mask_without, _mask_join
+    if (ctx.kind == KIND_PRIME and cfg.exclude_degenerate
+            and choose("search", ctx.p, cfg.set_size, candidates)):
+        return _mask_rest, _mask_size_with, _mask_logs(ctx.p), _mask_without, _mask_join
     return _rest, _size_with, _modulus(ctx, pool), _rest_without, _rest_join
 
 

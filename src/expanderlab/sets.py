@@ -26,7 +26,7 @@ order.  A kernel scale need not be the LCD of its values, so code that
 sets its own scaled ints next to kernel output takes them from the same
 int form.
 
-Over F_p two encodings on ints stand in for pairs where a cost model says
+Over F_p two encodings on ints stand in for pairs where `choose` says
 they are cheaper.  Discrete logarithms (`DiscreteLog`) put F_p^* in log
 coordinates, where a dilate is a cyclic shift over Z/(p-1): `energy`'s slot
 convolution and `search`'s log masks read the one table.  A residue mask is
@@ -39,9 +39,10 @@ the log mask, a subset of F_p^* as the (p-1)-bit int with bit log(x) set:
 a dilate by u is a rotation by log u, so `log_mask` builds X·Y, X/Y and
 X(Y+1) as the OR of one factor's doubled mask shifted once per element of
 the other, and their size is a popcount.  A `Combination` holds such a set
-and builds its size from the mask or from the pair kernel's set, by the
-one cost rule `log_mask_steps`, which, like every kernel on the table
-(`DiscreteLog.steps`), charges the table only until it is built.
+and builds its size from the mask or from the pair kernel's set.  Every
+fork between a kernel and the pair kernel, here and in `energy`, `verify`
+and `search`, asks `choose` of the kernel-choice section, whose one price
+table, `KERNELS`, prices both sides of each.
 """
 from __future__ import annotations
 
@@ -361,44 +362,117 @@ class DiscreteLog:
         log = self.log
         return [log[v] for v in a.member_set()]
 
-    def steps(self, lookups: int, word_passes: int) -> int:
-        """`mask_steps` of a kernel that reads this table, less the table
-        itself once it is built: an Instance's first log kernel pays for the
-        table and the later ones do not."""
-        steps = mask_steps(self.p, lookups, word_passes)
-        return steps - self.p if "log" in vars(self) else steps
+    @property
+    def built(self) -> bool:
+        """Whether the table has been read, and so built."""
+        return "log" in vars(self)
 
 
-MASK_SETUP_STEPS = 100
+def _slot_bytes(n: int) -> int:
+    """The fewest bytes s in {1, 2, 4, 8} with 2^(8s) > n: the width of a
+    slot that holds any count up to n without a carry."""
+    return next(s for s in (1, 2, 4, 8) if n >> 8 * s == 0)
 
 
-def _pass_steps(bits: int) -> int:
-    """The cost of one word pass over a `bits`-bit int, such as one
-    AND-popcount, shift or rotation, in pair steps of `_pair_ints`: measured
-    on CPython 3.11, one pair step per 16 64-bit words and at least one."""
-    return -(-bits // 1024)
+# -- kernel choice ----------------------------------------------------------------
+
+KERNEL_COSTS = {
+    "setup": 100,          # steps: a log kernel's primitive root and buffers
+    "words": 16,           # 64-bit words one step passes over
+    "search_passes": 8,    # word passes of one search mask candidate
+    "search_product": 4,   # steps of one residue product of search
+    "slot_reads": 4,       # slots read back in one step
+    "spread": 24,          # word passes of a mask spread into s-byte slots,
+    "spread_byte": 8,      # and these per slot byte
+    "karatsuba": 8,        # steps of a product of two K-kilobit ints: 8 K^1.585,
+    "karatsuba_power": 1.585,
+    "sparse": 3,           # or 3K steps per nonzero slot, where those are fewer
+}
 
 
-def mask_steps(p: int, lookups: int, word_passes: int) -> int:
-    """The cost of a kernel on discrete logs over F_p, in pair steps of
-    `_pair_ints`: the log table (p steps), one step per element looked up in
-    it, a fixed setup (the primitive root, the buffers), and `word_passes`
-    passes over (p-1)-bit ints."""
-    return p + MASK_SETUP_STEPS + lookups + word_passes * _pass_steps(p - 1)
+def _passes(bits: int) -> int:
+    """The cost unit: the steps of one word pass over a `bits`-bit int (an
+    AND-popcount, shift or rotation), at least one."""
+    return -(-bits // (64 * KERNEL_COSTS["words"]))
 
 
-def _residue_masks_cheaper(p: int, nx: int, ny: int) -> bool:
-    """Whether X + Y or X - Y over F_p, with |X| = nx and |Y| = ny, costs
-    less on residue masks than its nx * ny pairs do, in `mask_steps` units
-    with no log table and no setup: one step per element, and half a pass
-    over p bits for each y (the shift of D and the OR) and for each of four
-    fixed passes (the mask of X, D, the last AND and the popcount).
-    Measured on CPython 3.11 at p = 61 to 1000003: on random sets with
-    |X||Y| <= 400k the rule takes a path more than 10% slower than the other
-    at 10 of 1042 points, where one pass per y and no fixed work did at 40
-    (most at p = 1000003, where masks measured up to 4 times faster).
-    """
-    return nx + ny + (ny + 4) * _pass_steps(p) // 2 < nx * ny
+def _log_kernel(p: int, table: bool, lookups: int, passes: int) -> int:
+    """The steps of a kernel on the discrete logs of F_p: the table, p steps
+    unless it is built, the setup, a step per lookup and `passes` word
+    passes over p - 1 bits."""
+    return (0 if table else p) + KERNEL_COSTS["setup"] + lookups + passes * _passes(p - 1)
+
+
+def _twist(p: int, nu: int) -> Tuple[int, int]:
+    kbits = 8 * _slot_bytes(2 * nu * nu) * (p - 1) / 1024
+    product = min(KERNEL_COSTS["karatsuba"] * kbits ** KERNEL_COSTS["karatsuba_power"],
+                  KERNEL_COSTS["sparse"] * nu * kbits)
+    reads = nu + (p - 1) // KERNEL_COSTS["slot_reads"]
+    return _log_kernel(p, False, reads, 0) + round(product), 2 * nu * nu
+
+
+KERNELS = {
+    "residue": lambda p, nx, ny: (nx + ny + (ny + 4) * _passes(p) // 2, nx * ny),
+    "log_mask": lambda p, nx, ny, table: (
+        _log_kernel(p, table, nx + ny, (min(nx, ny) + 4) // 2), nx * ny),
+    "spread": lambda p, s, nx, ny, size, table, made: (
+        (0 if "mask" in made else KERNELS["log_mask"](p, nx, ny, table)[0])
+        + (KERNEL_COSTS["spread"] + KERNEL_COSTS["spread_byte"] * s) * _passes(p - 1),
+        (0 if "fset" in made else nx * ny) + size),
+    "slots": lambda p, nx, ny, table: (_log_kernel(
+        p, table, nx + ny + (p - 1) // KERNEL_COSTS["slot_reads"],
+        4 * _slot_bytes(min(nx, ny)) * min(nx, ny)), nx * ny),
+    "twist": _twist,
+    "search": lambda p, n, candidates: (
+        _log_kernel(p, False, 2 * candidates, KERNEL_COSTS["search_passes"] * candidates),
+        KERNEL_COSTS["search_product"] * (2 * n - 1) * candidates),
+}
+
+
+def choose(fork: str, *args) -> bool:
+    """Whether `fork` runs its kernel rather than the pair kernel: only when
+    its entry in KERNELS prices the kernel strictly below the pairs.
+
+    An entry gives what either side still costs, in pair steps of
+    `_pair_ints`, from the constants of KERNEL_COSTS, measured on CPython
+    3.11.  A log kernel pays for the table only until it is built
+    (`_log_kernel`), so an Instance's first one pays for its later ones.
+    A caller asks only where the kernel can run: over F_p, on operands it
+    takes.  One row per fork:
+
+    - "residue" (p, |X|, |Y|), `sumset_size` (|X| >= |Y|) and `kfold_size`:
+      residue masks, a step per element and half a pass over p bits per y
+      and for 4 fixed passes, against |X||Y|.  At p = 61 to 1000003, on
+      random sets with |X||Y| <= 400k, it took a path over 10% slower than
+      the other at 10 of 1042 points, one pass per y and no fixed work at 40.
+    - "log_mask" (p, |X|, |Y|, table), `Combination.size` with neither form
+      built: the lookups and half a pass over p - 1 bits per element of the
+      smaller set and for 4 fixed passes, against |X||Y|.  At p = 40009 and
+      |X| = |Y| = 100 to 160 the mask took 0.2-0.4 ms, the pair set 0.9-2.9
+      and the table 3.5; at p = 1009 to 1000003 and |X| = |Y| = 5 to 800 it
+      took a path over 10% slower at 1 of 68 points (24% at p = 160001,
+      400 x 400, no table).
+    - "spread" (p, s, |X|, |Y|, size, table, built forms), `energy._slot_row`
+      of a Combination: what its mask still costs plus `_mask_slots`
+      (24 + 8s passes: the digit string, then the slot bytes), against what
+      its set still costs plus a lookup per member.  At 0.1 us a step the
+      spread prices 0.13 and 0.16 ms for s = 1 and 2 at p = 40009, and
+      measured 0.10 and 0.15 ms.
+    - "slots" (p, |X|, |Y|, table), `energy.e2` and `verify._check_r6`: the
+      lookups, a quarter step per slot read back, and per element of the
+      smaller set a shift and an add at half a pass per slot bit, against
+      |X||Y|.  R6 reads only |A| slots, so it pays for a count it skips.
+    - "twist" (p, nu), `energy.twist_spectrum`: a fresh table, the lookups,
+      the read-back, and the product of two slot ints of K = 8s(p-1)/1024
+      kilobits, s = `_slot_bytes(2 nu^2)`, against 2 nu^2.  It never took
+      the slower path at 134 points, p = 53 to 80021 and |a| = 3 to 40, but
+      misprices larger classes: at nu = 1596 and p = 160001 it takes the
+      pairs (1.6-1.8 s) over the slots (1.08 s).
+    - "search" (p, n, candidates), `search._kernel`: log masks, a fresh
+      table and per candidate 2 lookups and 8 passes (two shifts, the bit,
+      the ORs, the AND, the popcount), against 2n - 1 residue products."""
+    kernel, pairs = KERNELS[fork](*args)
+    return kernel < pairs
 
 
 def _translates(mask: int, width: int, shifts: Iterable[int]) -> int:
@@ -445,22 +519,6 @@ def log_mask(x: FSet, y: FSet, op: str, logs: DiscreteLog) -> int:
     return _translates(_mask_of(vs, n), n, [n - k for k in us])
 
 
-def log_mask_steps(logs: DiscreteLog, nx: int, ny: int) -> int:
-    """The cost of `log_mask` on sets of nx and ny elements, in `mask_steps`
-    units by `DiscreteLog.steps` (the table only until it is built): the
-    nx + ny lookups, and half a pass over p - 1 bits for each rotation, one
-    per element of the smaller set, and for each of four fixed passes (the
-    mask, D, the last AND and the popcount), as `_residue_masks_cheaper`
-    prices its translates.  Measured on CPython 3.11 at p = 40009 and
-    |X| = |Y| = 100 to 160, the mask costs 0.2-0.4 ms and the pair kernel's
-    set 0.9-2.9 ms; the table alone is 3.5 ms.  Against |X||Y| pair steps,
-    on random sets at p = 1009 to 1000003 and |X| = |Y| = 5 to 800, with and
-    without the table built, the rule took a path more than 10% slower
-    than the other at 1 of 68 points (24% at p = 160001, 400 x 400, no
-    table)."""
-    return logs.steps(nx + ny, (min(nx, ny) + 4) // 2)
-
-
 class Combination:
     """X·Y ("prod"), X/Y ("ratio") or X(Y+1) ("expand") of two sets over one
     field, built only as far as it is read.  `fset` is the set from the pair
@@ -468,12 +526,12 @@ class Combination:
     their scale, if a caller that reads the pairs has asked for them, and
     else from `combine` or `expander_set`, which keep no list.  `mask` is
     its log mask from `log_mask`.  Each is built on first read and kept.  Its
-    size reads whichever is built, and else builds the mask when
-    `log_mask_steps` prices it below the |X||Y| pair steps of the set: over
-    F_p only, and only where no member would be 0, so Q, and a set the mask
-    refuses, take the pair kernel and raise what it raises.  `slot_ints`
-    keeps the slot ints that `energy` builds from it, by slot width, so
-    that two convolutions against one combination build one."""
+    size reads whichever is built, and else builds the mask where `choose`
+    takes it ("log_mask"): over F_p only, and only where no member would be
+    0, so Q, and a set the mask refuses, take the pair kernel and raise what
+    it raises.  `slot_ints` keeps the slot ints that `energy` builds from
+    it, by slot width, so that two convolutions against one combination
+    build one."""
 
     def __init__(self, x: FSet, y: FSet, op: str, logs: DiscreteLog):
         if op not in LOG_MASK_OPS:
@@ -501,11 +559,13 @@ class Combination:
 
     @cached_property
     def size(self) -> int:
-        made = vars(self)
-        if "fset" in made or ("mask" not in made
-                              and self.pair_steps_left() <= self.mask_steps_left()):
-            return len(self.fset)
-        return self.mask.bit_count()
+        made, x, y = vars(self), self.x, self.y
+        if "fset" not in made and ("mask" in made or (
+                self.ctx.kind == KIND_PRIME and 0 not in x
+                and (-1 if self.op == "expand" else 0) not in y
+                and choose("log_mask", self.logs.p, len(x), len(y), self.logs.built))):
+            return self.mask.bit_count()
+        return len(self.fset)
 
     def __len__(self) -> int:
         return self.size
@@ -519,20 +579,6 @@ class Combination:
         except (ContextMismatch, DivisionByZero):
             return False
         return v != 0 and self.mask >> self.logs.log[v] & 1 == 1
-
-    def pair_steps_left(self) -> int:
-        """What `fset` still costs: 0 once built, else |X||Y| pair steps."""
-        return 0 if "fset" in vars(self) else len(self.x) * len(self.y)
-
-    def mask_steps_left(self) -> float:
-        """What `mask` still costs: 0 once built, `log_mask_steps` if
-        `log_mask` takes the operands, and infinity if it refuses them."""
-        if "mask" in vars(self):
-            return 0
-        x, y = self.x, self.y
-        if self.ctx.kind != KIND_PRIME or 0 in x or (-1 if self.op == "expand" else 0) in y:
-            return math.inf
-        return log_mask_steps(self.logs, len(x), len(y))
 
 
 def _from_ints(ctx: FieldCtx, ints: Iterable[int], scale: int) -> FSet:
@@ -559,15 +605,15 @@ def expander_set(a: FSet, b: FSet) -> FSet:
 def sumset_size(a: FSet, b: FSet, op: str) -> int:
     """|a + b| (op "sum") or |a - b| (op "diff"), without building the set.
 
-    Over F_p it counts on residue masks when `_residue_masks_cheaper` says
-    so, and otherwise, as over Q, counts the distinct ints of `_pair_ints`.
+    Over F_p it counts on residue masks where `choose` takes them
+    ("residue"), and otherwise, as over Q, counts the distinct ints of `_pair_ints`.
     |a - b| = |b - a|, so the smaller set is the one stepped over."""
     ctx = _same_ctx(a, b)
     if op not in ("sum", "diff"):
         raise InvalidKernelArgument(f"unknown sumset op {op!r}")
     if len(b) > len(a):
         a, b = b, a
-    if ctx.kind == KIND_PRIME and _residue_masks_cheaper(ctx.p, len(a), len(b)):
+    if ctx.kind == KIND_PRIME and choose("residue", ctx.p, len(a), len(b)):
         p = ctx.p
         ys = b.member_set()
         shifts = [p - y for y in ys] if op == "sum" else ys
@@ -591,7 +637,7 @@ def kfold_size(a: FSet, signs: Sequence[int]) -> int:
     ys = a.member_set() if p else a._int_form()[0]
     acc, mask = {0}, None
     for s in signs:
-        if mask is None and p and _residue_masks_cheaper(p, len(acc), len(ys)):
+        if mask is None and p and choose("residue", p, len(acc), len(ys)):
             mask = _mask_of(acc, p)
         if mask is not None:
             mask = _translates(mask, p, [p - y for y in ys] if s == 1 else ys)

@@ -25,7 +25,6 @@ from .energy import (
     MultiplicityHistogram,
     _require_units,
     _slot_convolution,
-    _slot_steps,
     _spectrum,
     e2,
     energy,
@@ -53,6 +52,7 @@ from .sets import (
     DiscreteLog,
     FSet,
     _pair_ints,
+    choose,
     combine,
     dilate,
     kfold_size,
@@ -185,7 +185,7 @@ class Instance:
     3/2-energy enclosures of the spectra.
     Over F_p, `logs` is the one discrete-log table that the slot kernel of
     every E2 and of R6, and every log mask, reads; it is built only if one
-    runs, and the cost rules charge it to the first."""
+    runs, and `sets.choose` charges it to the first."""
 
     A: FSet
 
@@ -340,8 +340,8 @@ def _check_r6(*, inst: Instance, B: FSet, digest: str, cap: Optional[int]) -> In
     _exclude(A, (0,), "A")
     _exclude(B, (0,), "B")
     ratios = Combination(A, B, "ratio", inst.logs)
-    if (A.ctx.kind == KIND_PRIME
-            and _slot_steps(inst.logs, len(ratios), len(B)) < len(ratios) * len(B)):
+    if A.ctx.kind == KIND_PRIME and choose("slots", A.ctx.p, len(ratios), len(B),
+                                           inst.logs.built):
         total = _r6_slots(A, ratios, B, inst.logs)
     else:
         total = _r6_pairs(A, ratios.fset, B)

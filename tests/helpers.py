@@ -6,8 +6,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
+from unittest import mock
 
-from expanderlab import FieldCtx, FSet, PairGraph, combine
+from expanderlab import FieldCtx, FSet, PairGraph, combine, sets
 from expanderlab import constructions as cons
 from expanderlab.energy import PRECISION_START, EnergyValue, _exact_energy, precision_cap
 from expanderlab.errors import CollisionFound, InvariantViolation
@@ -61,6 +62,14 @@ def dense_random_graph(rng: random.Random, a: FSet, b: FSet, epsilon: Fraction):
 def transpose(g: PairGraph) -> PairGraph:
     """The graph on right x left with the edge (j, i) for each edge (i, j) of g."""
     return PairGraph(g.right, g.left, ((j, i) for i, j in g.edges))
+
+
+def force_kernels(kernel: bool, *forks):
+    """A patch of the price table under which `sets.choose` takes the kernel
+    (kernel=True) or the pair kernel at each of `forks`, or at every fork
+    when none is named."""
+    costs = (0, 1) if kernel else (1, 0)
+    return mock.patch.dict(sets.KERNELS, {f: lambda *args: costs for f in forks or sets.KERNELS})
 
 
 def log_mask(a: FSet) -> int:

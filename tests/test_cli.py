@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from expanderlab.cli import build_parser, main
 
@@ -551,3 +553,83 @@ def test_no_command_loads_numpy(tmp_path):
     assert codes == [0] * 10
     assert not before
     assert not after
+
+
+# -- fuzzing the command line ---------------------------------------------------------
+# Every command, on random F_p and Q set files and bad option values, ends in
+# a documented exit code and never in a raw traceback.  It pins what the CLI
+# does now: nothing here is checked but the code and the absence of a trace.
+
+EXIT_CODES = {0, 2, 3, 64, 65}
+PRIMES = (2, 3, 5, 7, 13, 61, 101, 1009)
+
+
+@st.composite
+def set_doc(draw):
+    """A set file of 0-12 elements, with 0 and -1 among the draws: over a
+    small F_p (sometimes the whole field) or over Q."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(PRIMES))
+        if p <= 13 and draw(st.integers(0, 5)) == 0:
+            return {"field": "fp", "p": p, "elements": list(range(p))}
+        members = st.sampled_from([0, p - 1]) | st.integers(0, p - 1)
+        return {"field": "fp", "p": p,
+                "elements": draw(st.lists(members, max_size=12, unique=True))}
+    values = st.sampled_from(["0", "-1", "1"]) | st.fractions(-20, 20, max_denominator=6).map(str)
+    return {"field": "q", "elements": draw(st.lists(values, max_size=12, unique=True))}
+
+
+# good values repeat, so that most draws get past the parser
+EPSILONS = ["1/4", "1/64", "1/100", "1/20", "1/8"] * 2 + ["0", "1", "-1/2", "2", "abc", "1/0"]
+CAPS = [[]] * 4 + [["--precision-cap", c] for c in ("0", "8", "128", "-5", "x")]
+
+
+@st.composite
+def command(draw, files):
+    """An argv for one of the four commands over the set files `files`."""
+    name = draw(st.sampled_from(["verify", "pipeline", "search", "energy"]))
+    pick = st.sampled_from
+    if name == "verify":
+        select = draw(pick([["--all"]] * 3 + [["--relation", f"R{k}"] for k in (1, 2, 6, 8, 99)]))
+        return ["verify", *files[:draw(st.integers(1, 4))], *select,
+                "--t", draw(pick(["1", "2"] * 2 + ["0", "-1", "99", "x"])),
+                "--epsilon", draw(pick(EPSILONS)), *draw(pick(CAPS))]
+    if name == "pipeline":
+        eps = draw(pick([[], [], ["--epsilon", draw(pick(EPSILONS))]]))
+        return ["pipeline", files[0], "--mode", draw(pick(["fp", "real"] * 2 + ["both"])), *eps,
+                *draw(pick(CAPS))]
+    if name == "search":
+        primes = ["13", "61", "101"] * 3 + ["2", "3", "1", "0", "-7", "4", "x"]
+        ranges = [("-3", "3"), ("-6", "6")] * 2 + [("0", "0"), ("5", "-5")]
+        field = draw(pick([["--p", draw(pick(primes))],
+                           ["--rational-range", *draw(pick(ranges))]]))
+        sizes = st.lists(pick(["1", "2", "3"] * 3 + ["0", "-1", "20"]), min_size=1, max_size=2)
+        return ["search", *field, "--n", *draw(sizes),
+                "--mode", draw(pick(["exhaustive", "hillclimb", "anneal"] * 2 + ["random"])),
+                "--iterations", draw(pick(["0", "5", "50", "50", "-1"])),
+                "--restarts", draw(pick(["1", "2", "2", "0"])),
+                "--budget", draw(pick(["3000", "3000", "10", "-1"])),
+                "--seed", draw(pick(["0", "7", "7", "-1"])),
+                *draw(pick([[], ["--admit-degenerate"]]))]
+    alphas = draw(st.lists(pick(["2", "3/2", "1", "5/4"] * 2 + ["0", "1/2", "-3", "x"]),
+                           max_size=2))
+    delta = draw(pick([[], ["--delta", draw(pick(["0", "1", "3", "-1", "x"]))]]))
+    return ["energy", *files[:draw(st.integers(1, 3))],
+            "--kind", draw(pick(["product", "ratio", "additive"] * 2 + ["sum"])),
+            *[arg for alpha in alphas for arg in ("--alpha", alpha)], *delta, *draw(pick(CAPS))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_commands_end_in_an_exit_code(tmp_path, monkeypatch, capsys, data):
+    monkeypatch.chdir(tmp_path)
+    docs = [data.draw(set_doc()) for _ in range(4)]
+    files = [write(tmp_path, f"s{i}.json", doc) for i, doc in enumerate(docs)]
+    argv = data.draw(command(files))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    assert code in EXIT_CODES, argv
+    assert "Traceback" not in capsys.readouterr().err

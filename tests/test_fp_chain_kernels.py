@@ -55,8 +55,8 @@ from expanderlab.errors import (
     InvariantViolation,
     SetTooSmall,
 )
-from helpers import (Q, dense_random_graph, literal_partial_diff, neighbors_left,
-                     pure_partial_ruzsa, random_q_set, transpose)
+from helpers import (Q, dense_random_graph, force_kernels, literal_partial_diff,
+                     neighbors_left, pure_partial_ruzsa, random_q_set, transpose)
 
 SMALL_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
@@ -115,7 +115,6 @@ def literal_popular_ratio_graph(a: FSet, b: FSet, epsilon) -> PopularRatioResult
         graph=graph,
         epsilon=eps,
         threshold=threshold,
-        partial_diff=partial_combine(graph),
         ratio_support=len(mult),
     )
 
@@ -464,15 +463,55 @@ def test_greedy_cover_counts_its_shifts_in_one_pair_pass(monkeypatch):
         return real(x, y, op)
 
     monkeypatch.setattr(cons, "_pair_ints", spy)
+    diffs = []
+    real_diff = cons.partial_combine
+    monkeypatch.setattr(cons, "partial_combine", lambda g: diffs.append(g) or real_diff(g))
     f = FieldCtx.prime(101)
     a = FSet(f, range(2, 40, 3))
     b = FSet(f, [1, 4, 9, 16])
-    g = PairGraph.complete(a, b)
-    for sign, op in (("+", "diff"), ("-", "sum")):
-        passes.clear()
-        res = greedy_cover(a, b, g, Fraction(1, 64), sign)
-        assert res.iterations > 1
-        assert passes == [(res.base, b, op)]
+    complete = PairGraph.complete(a, b)
+    # one edge short, with every vertex of A still dense: A1 is all of A
+    short = PairGraph(a, b, [(i, j) for i in range(len(a)) for j in range(len(b)) if i + j])
+    for g in (complete, short):
+        for sign, op in (("+", "diff"), ("-", "sum")):
+            passes.clear()
+            diffs.clear()
+            res = greedy_cover(a, b, g, Fraction(1, 16), sign)
+            assert res.iterations > 1 and res.base == a
+            assert passes == [(res.base, b, op)]
+            # the shifts of a "+" cover on a complete graph are A -_G B itself
+            assert len(diffs) == (0 if sign == "+" and g is complete else 1)
+
+
+def test_each_plus_cover_of_the_fp_pipeline_makes_one_difference_pass(monkeypatch):
+    # a "+" cover's popular-ratio graph is complete, so the shifts it counts,
+    # A1 - B_sym, are the graph's partial difference set: one pass gives both
+    passes = []
+    real = sets._pair_ints
+
+    def spy(x, y, op):
+        passes.append((op, x, y))
+        return real(x, y, op)
+
+    for module in (sets, cons, verify):
+        monkeypatch.setattr(module, "_pair_ints", spy)
+    covers = []
+    real_cover = cons.greedy_cover
+
+    def cover_spy(a, b, g, eps, sign):
+        covers.append((a, b, g, sign))
+        return real_cover(a, b, g, eps, sign)
+
+    monkeypatch.setattr(cons, "greedy_cover", cover_spy)
+    p = 3001
+    a = FSet(FieldCtx.prime(p), random.Random(1).sample(range(2, p - 1), 51))
+    assert verify.finite_field_pipeline(a).selected["branch"] == "ReqFp"
+    assert [sign for *_, sign in covers] == ["+", "+", "+", "-"]
+    for a1, b, g, sign in covers:
+        assert g.is_complete and g.left is a1 and g.right is b
+        made = Counter(op for op, x, y in passes if x == a1 and y is b)
+        assert made == ({"ratio": 1, "diff": 1} if sign == "+" else
+                        {"ratio": 1, "diff": 1, "sum": 1})
 
 
 @pytest.mark.parametrize("sign", ["", "+-", "*", 1, None])
@@ -973,7 +1012,7 @@ def test_popular_ratio_graph_of_an_empty_side_is_set_too_small(field, empty):
 def test_kfold_sum_matches_literal_loop(a, signs):
     want = len(literal_kfold_sum(a, signs))
     for masks in (True, False):
-        with mock.patch.object(sets, "_residue_masks_cheaper", lambda p, nx, ny: masks):
+        with force_kernels(masks, "residue"):
             assert kfold_size(a, signs) == want
 
 
@@ -981,7 +1020,7 @@ def test_kfold_sum_saturated_field_stays_full():
     a = FSet(FieldCtx.prime(11), [0, 1, 2, 3])
     assert len(literal_kfold_sum(a, [1, -1, -1, -1])) == 11
     for masks in (True, False):
-        with mock.patch.object(sets, "_residue_masks_cheaper", lambda p, nx, ny: masks):
+        with force_kernels(masks, "residue"):
             assert kfold_size(a, [1, -1, -1, -1]) == 11
 
 

@@ -5,7 +5,7 @@ in for.
 log indicators in byte-wide slots, and `sets.log_mask` builds the log mask
 of X·Y, X/Y or X(Y+1) as an OR of rotations; `sets.Combination` holds such
 a set and builds its size and slot int from the mask or from its pair
-set, by one cost rule.  Its two readers, `energy._slot_energy`
+set, as `sets.choose` picks.  Its two readers, `energy._slot_energy`
 (E2, the sum of the squared slots) and `verify._r6_slots` (R6, the slots at
 the logs of A), are called directly, not through their dispatch, and
 compared with `multiplicative_energy`, the brute-force quadruple count and
@@ -25,12 +25,10 @@ import gc
 import hashlib
 import importlib
 import json
-import math
 import random
 import weakref
 from fractions import Fraction
 from functools import cached_property
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,7 +51,7 @@ from expanderlab.energy import (
 from expanderlab.errors import ContextMismatch, DivisionByZero, ZeroElementPresent
 from expanderlab.sets import Combination, DiscreteLog, expander_set
 from expanderlab.verify import _r6_pairs, _r6_slots, finite_field_pipeline
-from helpers import Q, log_mask
+from helpers import Q, force_kernels, log_mask
 
 # the package's `energy` attribute is the function of that name
 energy_module = importlib.import_module("expanderlab.energy")
@@ -278,7 +276,7 @@ def test_the_log_mask_refuses_a_member_that_would_be_zero(op):
         comb = Combination(*args, op, logs)
         # however cheap the mask, the combination takes the pair kernel, with
         # its size or its error
-        with mock.patch.object(sets, "log_mask_steps", lambda *_: -1):
+        with force_kernels(True, "log_mask"):
             if op == "ratio" and args[1] is zero_y:
                 with pytest.raises(DivisionByZero):
                     len(comb)
@@ -294,12 +292,12 @@ def test_the_log_mask_refuses_a_member_that_would_be_zero(op):
 @example((units(101, range(1, 60)), units(101, range(2, 70))), "expand", True)
 @example((units(257, range(1, 257)), units(257, range(1, 257))), "prod", False)
 def test_a_combination_reads_the_same_set_on_either_path(pair, op, masks):
-    # the rule forced each way: every form of the combination, and what the
-    # slot kernel reads from it, against the pair kernel's set
+    # the mask and its spread forced each way: every form of the combination,
+    # and what the slot kernel reads from it, against the pair kernel's set
     x, y = pair[0], maskable(pair[1], op)
     p = x.ctx.p
     expected = PAIR_SETS[op](x, y)
-    with mock.patch.object(sets, "log_mask_steps", lambda *args: -1 if masks else math.inf):
+    with force_kernels(masks, "log_mask", "spread"):
         comb = Combination(x, y, op, DiscreteLog(p))
         assert len(comb) == len(expected)
         assert ("mask" in vars(comb)) is masks and ("fset" in vars(comb)) is not masks
@@ -402,7 +400,7 @@ def test_q_and_small_sets_stay_on_the_pair_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("p, n", [(29, 12), (193, 16), (1009, 30)])
-def test_reports_are_the_same_on_either_kernel(monkeypatch, p, n):
+def test_reports_are_the_same_on_either_kernel(p, n):
     rng = random.Random(p)
     ctx = FieldCtx.prime(p)
     a = FSet(ctx, rng.sample(range(2, p - 1), n))
@@ -414,10 +412,9 @@ def test_reports_are_the_same_on_either_kernel(monkeypatch, p, n):
         return [check(name, A=inst, B=b, epsilon=Fraction(1, 8)).to_json() for name in names]
 
     slotted = reports()
-    # one cost rule dispatches E2, R6 and the log masks: an infinite step
-    # sends all of them to the pair kernel
-    monkeypatch.setattr(sets, "mask_steps", lambda *args: float("inf"))
-    assert reports() == slotted
+    # the pair kernel forced at every fork that reads the log table
+    with force_kernels(False, "log_mask", "spread", "slots", "twist", "search"):
+        assert reports() == slotted
 
 
 def test_a_verify_sized_mixed_energy_takes_the_slot_kernel(monkeypatch):
@@ -577,11 +574,7 @@ def test_q_never_reaches_the_cost_model(monkeypatch):
     def refuse(*args):
         raise AssertionError("the cost model was asked over Q")
 
-    for name in ("_slot_steps", "mask_steps"):
-        monkeypatch.setattr(energy_module, name, refuse)
-    for name in ("mask_steps", "log_mask_steps"):
-        monkeypatch.setattr(sets, name, refuse)
-    monkeypatch.setattr(verify, "_slot_steps", refuse)  # R6's dispatch
+    monkeypatch.setattr(sets, "KERNELS", dict.fromkeys(sets.KERNELS, refuse))
     inst = Instance(FSet(Q, [2, 3, 5, Fraction(7, 2), Fraction(-3, 2), Fraction(4, 3)]))
     b = FSet(Q, [2, Fraction(5, 3), -2, 6])
     energies = (inst.e2_a, inst.e2_a1, inst.e2_mixed, inst.e2_a_aa1, inst.e2_a1_aa1)

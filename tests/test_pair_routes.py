@@ -49,6 +49,7 @@ from expanderlab.incidence import StLowerBoundResult
 from expanderlab.sets import _lcd, _scaled, combine, expander_set, partial_combine
 from helpers import (
     Q,
+    force_kernels,
     line_from_expander_params,
     literal_line_family,
     literal_partial_diff,
@@ -302,12 +303,11 @@ def test_twist_spectrum_matches_literal_difference_pass(a):
 
 
 # -- the twist spectrum's two paths -------------------------------------------------------
-# `twist_spectrum` takes the slot product or the pair Counter by the cost rule
-# `energy._twist_slot_steps`; patching the rule forces either path.
+# `twist_spectrum` takes the slot product or the pair Counter as `sets.choose`
+# picks ("twist"); forcing the pick takes either path.
 
 def on_path(path, a):
-    cost = {"slots": -1, "pairs": math.inf}[path]
-    with mock.patch.object(energy_module, "_twist_slot_steps", lambda p, nu: cost):
+    with force_kernels(path == "slots", "twist"):
         return twist_spectrum(a)
 
 

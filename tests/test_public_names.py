@@ -66,14 +66,14 @@ MODULES = {
         "log2_interval", "log_ratio_interval", "pow_interval", "root_interval",
     },
     "search": {
-        "COOLING", "CSV_COLUMNS", "ExtremalRecord", "INITIAL_TEMP", "MASK_PASSES", "MODES",
-        "PRODUCT_STEPS", "SearchConfig", "candidate_pool", "exhaustive_min", "expander_size",
-        "exponent_table", "reevaluate", "stochastic_search", "write_csv",
+        "COOLING", "CSV_COLUMNS", "ExtremalRecord", "INITIAL_TEMP", "MODES", "SearchConfig",
+        "candidate_pool", "exhaustive_min", "expander_size", "exponent_table", "reevaluate",
+        "stochastic_search", "write_csv",
     },
     "sets": {
-        "COMBINE_OPS", "Combination", "DiscreteLog", "FSet", "LOG_MASK_OPS", "MASK_SETUP_STEPS",
-        "PairGraph", "affine_image", "combine", "dilate", "expander_set", "kfold_size",
-        "load_set", "log_mask", "log_mask_steps", "mask_steps", "negate", "partial_combine",
+        "COMBINE_OPS", "Combination", "DiscreteLog", "FSet", "KERNELS", "KERNEL_COSTS",
+        "LOG_MASK_OPS", "PairGraph", "affine_image", "choose", "combine", "dilate",
+        "expander_set", "kfold_size", "load_set", "log_mask", "negate", "partial_combine",
         "save_set", "sumset_size", "translate",
     },
     "verify": {

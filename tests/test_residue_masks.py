@@ -2,8 +2,8 @@
 
 `sets.sumset_size` and `sets.kfold_size` count X + Y, X - Y and signed k-fold
 sums without building them: over F_p on p-bit residue masks where
-`sets._residue_masks_cheaper` says so, and otherwise from the pair kernel.
-Each property runs with that rule patched to each answer, so both paths meet
+`sets.choose` takes them ("residue"), and otherwise from the pair kernel.
+Each property runs with that pick forced each way, so both paths meet
 the same oracle (the size of `combine`, and `literal_kfold_sum`) at F_2, F_3
 and F_5, at primes on either side of a multiple of 64 bits, and at p = 1031
 and 40009.  The dispatch tests pin where a pipeline-sized count takes masks,
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from expanderlab import FieldCtx, FSet, combine, kfold_size, sets, sumset_size
 from expanderlab.cli import main
 from expanderlab.errors import ContextMismatch
-from helpers import Q
+from helpers import Q, force_kernels
 from test_fp_chain_kernels import literal_kfold_sum
 
 TINY = (2, 3, 5)
@@ -31,11 +31,11 @@ PRIMES = TINY + WORD_EDGE + LARGE
 
 
 def on_each_path(count):
-    """count() with the rule patched to take residue masks, then pairs, and
-    then with the rule as it is, which can switch a k-fold sum midway."""
+    """count() with residue masks forced, then pairs, and then with the
+    rule as it is, which can switch a k-fold sum midway."""
     sizes = []
     for masks in (True, False):
-        with mock.patch.object(sets, "_residue_masks_cheaper", lambda p, nx, ny: masks):
+        with force_kernels(masks, "residue"):
             sizes.append(count())
     return sizes + [count()]
 
@@ -158,7 +158,7 @@ def spy_masks(monkeypatch):
 ])
 def test_the_rule_takes_the_path_measured_faster(p, nx, ny, masks):
     # single calls of sumset_size on CPython 3.11, random sets, best of 5
-    assert sets._residue_masks_cheaper(p, nx, ny) is masks
+    assert sets.choose("residue", p, nx, ny) is masks
 
 
 def test_a_huge_prime_builds_no_mask(monkeypatch, tmp_path):
@@ -179,7 +179,7 @@ def test_a_huge_prime_builds_no_mask(monkeypatch, tmp_path):
 def test_a_benchmark_sized_kfold_sum_takes_masks_by_its_third_step(monkeypatch):
     p = 40009
     a = fp(p, random.Random(80).sample(range(2, p - 1), 80))
-    assert sets._residue_masks_cheaper(p, sumset_size(a, a, "diff"), len(a))
+    assert sets.choose("residue", p, sumset_size(a, a, "diff"), len(a))
     built = spy_masks(monkeypatch)
     steps = []
     real = sets._translates
