@@ -18,7 +18,13 @@ returns the empty pool it starts from.  Its home directory is a temporary
 directory of the session, and so is the storage that pytest-benchmark,
 when installed, makes at start-up: a run writes nothing under the
 directory it is started from.
+
+The package keeps the discrete-log tables of its last few primes for the
+life of the process (`sets.discrete_log`).  Each test starts with none, so
+a test that counts tables or the kernels `sets.choose` picks reads the
+same whatever ran before it, in any order and under any test runner.
 """
+import importlib
 import sys
 import tempfile
 
@@ -65,3 +71,8 @@ def _restore_package_modules():
     for name in _package_modules():
         del sys.modules[name]
     sys.modules.update(saved)
+
+
+@pytest.fixture(autouse=True)
+def _no_log_tables(_restore_package_modules):
+    importlib.import_module(f"{PACKAGE}.sets").discrete_log.cache_clear()

@@ -30,8 +30,10 @@ keeps every ratio and flags no pair, `partial_combine` is the difference
 set A - B, and `partial_ruzsa` on two complete graphs has A' = A, C' = C,
 every overlap |B| and so |Y| = |A - C||B|, with no neighbour mask: for a
 self graph on A one A - A is A -_G B, B -_H C and A' - C' at once.  The
-overlap, witness-count and injection-bound checks stay on this path, and a
-middle set that repeats a value takes the scan.
+checks read only sizes, and `sets.partial_diff_size` counts |A - B| of a
+complete graph without building the set, so a caller that reads only the
+sizes builds none.  The overlap, witness-count and injection-bound checks
+stay on this path, and a middle set that repeats a value takes the scan.
 """
 from __future__ import annotations
 
@@ -64,6 +66,7 @@ from .sets import (
     combine,
     expander_set,
     partial_combine,
+    partial_diff_size,
     sumset_size,
 )
 
@@ -290,7 +293,8 @@ def greedy_cover(a: FSet, b: FSet, g: PairGraph, epsilon, sign: str = "+") -> Co
     once, over A1 x b, and each step takes off the pairs of the elements it
     covers; the count of the chosen shift must equal the elements covered.
     On a complete graph A1 is all of A, so for sign "+" the shifts counted
-    are A - B = A -_G B, and no second difference pass is made.
+    are A - B = A -_G B, and no second difference pass is made; for sign
+    "-" |A -_G B| is `partial_diff_size`, which builds no set there.
     """
     if sign not in ("+", "-"):
         raise InvalidKernelArgument(f"sign must be '+' or '-', not {sign!r}")
@@ -312,7 +316,7 @@ def greedy_cover(a: FSet, b: FSet, g: PairGraph, epsilon, sign: str = "+") -> Co
     if sign == "+" and g.is_complete and b == g.right:
         pdiff_size = len(coverage)
     else:
-        pdiff_size = len(partial_combine(g))
+        pdiff_size = partial_diff_size(g)
 
     en, ed = eps.numerator, eps.denominator
     remaining = set(a1.vals)
@@ -376,15 +380,52 @@ def greedy_cover(a: FSet, b: FSet, g: PairGraph, epsilon, sign: str = "+") -> Co
 
 # -- dense partial triangle (Ruzsa with high-density graphs) ----------------------
 
-@dataclass(frozen=True)
 class PartialTriangleResult:
-    a_side: FSet                    # A'
-    c_side: FSet                    # C'
-    y_size: int                     # |Y|, the counted witness pairs
-    partial_ab: FSet                # A -_G B
-    partial_bc: FSet                # B -_H C
-    diff_ac: FSet                   # A' - C'
-    slack: Fraction                 # |A' - C'| |B| / (|A -_G B| |B -_H C|)
+    """A' (`a_side`), C' (`c_side`), |Y| (`y_size`), the counted witness
+    pairs, A -_G B (`partial_ab`), B -_H C (`partial_bc`), A' - C'
+    (`diff_ac`) and `slack` = |A' - C'| |B| / (|A -_G B| |B -_H C|).
+
+    Each of the three sets is given as an FSet or as a PairGraph whose
+    partial difference set it is (A' - C' as the complete graph on
+    A' x C').  A graph's set is built on first read and kept with the
+    graph (`partial_combine`), and `sizes` reads its size from
+    `partial_diff_size`, so a caller that reads only sizes builds no set of
+    a complete graph.  Two results are equal when what they read is."""
+
+    __slots__ = ("a_side", "c_side", "y_size", "_sets", "slack")
+
+    def __init__(self, a_side: FSet, c_side: FSet, y_size: int, partial_ab, partial_bc,
+                 diff_ac, slack: Fraction):
+        self.a_side, self.c_side, self.y_size, self.slack = a_side, c_side, y_size, slack
+        self._sets = (partial_ab, partial_bc, diff_ac)
+
+    partial_ab = property(lambda self: _partial_set(self._sets[0]))
+    partial_bc = property(lambda self: _partial_set(self._sets[1]))
+    diff_ac = property(lambda self: _partial_set(self._sets[2]))
+
+    @property
+    def sizes(self) -> Tuple[int, int, int]:
+        """(|A -_G B|, |B -_H C|, |A' - C'|)."""
+        return tuple(partial_diff_size(x) if isinstance(x, PairGraph) else len(x)
+                     for x in self._sets)
+
+    def _key(self) -> tuple:
+        return (self.a_side, self.c_side, self.y_size, self.partial_ab, self.partial_bc,
+                self.diff_ac, self.slack)
+
+    def __eq__(self, other):
+        return isinstance(other, PartialTriangleResult) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"PartialTriangleResult(|A'| = {len(self.a_side)}, |C'| = {len(self.c_side)}, "
+                f"|Y| = {self.y_size}, sizes = {self.sizes}, slack = {self.slack})")
+
+
+def _partial_set(x) -> FSet:
+    return partial_combine(x) if isinstance(x, PairGraph) else x
 
 
 def _least_passing(scale: int, eps: Fraction, k: int) -> int:
@@ -503,30 +544,31 @@ def partial_ruzsa(g: PairGraph, h: PairGraph, epsilon) -> PartialTriangleResult:
         a_side, c_side = g.left, h.right
         if nb < least:
             raise _overlap_failure(a_side.vals[0], c_side.vals[0])
-        pab = partial_combine(g)
-        pbc = partial_combine(h)
-        diff_ac = pab if c_side == g.right else combine(a_side, c_side, "diff")
-        y_size = nb * len(diff_ac)
+        # A - C is the partial difference set of g when C = B, else that of
+        # the complete graph on A x C
+        diff_ac = g if c_side == g.right else PairGraph.complete(a_side, c_side)
+        n_ac = partial_diff_size(diff_ac)
+        y_size = nb * n_ac
     else:
         a_side = dense_degree_subset(g, eps)
         c_side = _dense_side(h.right, h.right_degrees(), len(h.left), eps)
-        pab = partial_combine(g)
-        pbc = partial_combine(h)
         y_size, diff_ac = _witness_scan(g, h, a_side, c_side, least)
+        n_ac = len(diff_ac)
+    n_ab, n_bc = partial_diff_size(g), partial_diff_size(h)
     # (1 - 2 sqrt(eps)) |B| |A' - C'| <= |Y| <= |A -_G B| |B -_H C|
-    if not ge_one_minus_k_sqrt(y_size, nb * len(diff_ac), eps, k=2):
+    if not ge_one_minus_k_sqrt(y_size, nb * n_ac, eps, k=2):
         raise InvariantViolation("witness count below the overlap guarantee")
-    if y_size > len(pab) * len(pbc):
+    if y_size > n_ab * n_bc:
         raise InvariantViolation("injection bound violated")
 
     return PartialTriangleResult(
         a_side=a_side,
         c_side=c_side,
         y_size=y_size,
-        partial_ab=pab,
-        partial_bc=pbc,
+        partial_ab=g,
+        partial_bc=h,
         diff_ac=diff_ac,
-        slack=Fraction(len(diff_ac) * nb, len(pab) * len(pbc)),
+        slack=Fraction(n_ac * nb, n_ab * n_bc),
     )
 
 

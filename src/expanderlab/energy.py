@@ -108,6 +108,7 @@ from .sets import (
     _slot_bytes,
     choose,
     dilate,
+    discrete_log,
 )
 
 HIST_KINDS = ("product", "ratio", "additive")
@@ -483,14 +484,16 @@ def twist_spectrum(a: FSet) -> Counter:
     their negatives, and (+-d)/(+-e) = +-(d/e), so the Counter of d/e over
     those, plus its negation, counts each ratio half as often.  The Counter
     comes from one product per pair or from one slot product in log
-    coordinates, as `choose` takes ("twist")."""
+    coordinates on the process's table of p (`sets.discrete_log`), as
+    `choose` takes ("twist")."""
     ctx = a.ctx
     if ctx.kind != KIND_PRIME:
         raise FieldMismatch("the twist spectrum is defined over F_p")
     p, vals = ctx.p, a.vals
     ups = [x - z for i, x in enumerate(vals) for z in vals[:i]]
-    if choose("twist", p, len(ups)):
-        return _twist_slots(ups, DiscreteLog(p))
+    logs = discrete_log(p)
+    if choose("twist", p, len(ups), logs.built):
+        return _twist_slots(ups, logs)
     return _twist_pairs(ups, p)
 
 

@@ -35,16 +35,18 @@ call.  Two kernels count a candidate, and one is chosen per search:
   same index as a mask rest does, where exhaustive search reads it.
 - discrete-log masks over F_p (`_mask_rest`, `_mask_size_with`): a subset
   of F_p^* is the (p-1)-bit int with bit log(x) set for each member x,
-  the logs read from `sets.DiscreteLog`, and its doubled mask
-  D = M | M << (p - 1) turns a rotation by log z into one shift.  A rest
-  holds D_R, D_{R+1}, |R(R+1)| and the complement of R(R+1) in F_p^*; the
-  candidate's value is |R(R+1)| plus the popcount of z(R+1), R(z+1) and
-  the bit of z(z+1) ANDed with that complement.  A restart also keeps
-  D_S and D_{S+1}: the rest S - x clears the two bits of x in one and of
-  x + 1 in the other (`_mask_without`), so only its n - 1 product shifts
-  are made anew, and after a move the new set's masks are the kept rest's
-  with the bits of z and z + 1 set (`_mask_join`).  Every log must exist,
-  so it needs the default pool, which drops 0 and -1.
+  the logs read from the process's table of p (`sets.discrete_log`, so
+  searches over one p, each size of `--n` among them, build it once), and
+  its doubled mask D = M | M << (p - 1) turns a rotation by log z into one
+  shift.  A rest holds D_R, D_{R+1}, |R(R+1)| and the complement of
+  R(R+1) in F_p^*; the candidate's value is |R(R+1)| plus the popcount of
+  z(R+1), R(z+1) and the bit of z(z+1) ANDed with that complement.  A
+  restart also keeps D_S and D_{S+1}: the rest S - x clears the two bits
+  of x in one and of x + 1 in the other (`_mask_without`), so only its
+  n - 1 product shifts are made anew, and after a move the new set's
+  masks are the kept rest's with the bits of z and z + 1 set
+  (`_mask_join`).  Every log must exist, so it needs the default pool,
+  which drops 0 and -1.
 
 `_kernel` takes the masks over F_p with 0 and -1 excluded where
 `sets.choose` ("search") prices them below the 2n - 1 residue products per
@@ -77,7 +79,7 @@ from .errors import (
 )
 from .field import KIND_PRIME, FieldCtx
 from .intervals import RatInterval, fraction_to_decimal, log_ratio_interval
-from .sets import DiscreteLog, FSet, choose, expander_set
+from .sets import FSet, choose, discrete_log, expander_set
 
 MODES = ("exhaustive", "hillclimb", "anneal")
 _LOG_BITS = 128
@@ -260,7 +262,7 @@ _Masks = Tuple[int, int]
 
 def _mask_logs(p: int) -> _Logs:
     order = p - 1
-    return ([order - k for k in DiscreteLog(p).log], order, (1 << order) - 1,
+    return ([order - k for k in discrete_log(p).log], order, (1 << order) - 1,
             1 << 2 * order | 1 << order)
 
 
@@ -322,7 +324,7 @@ def _kernel(cfg: SearchConfig, pool: Sequence[int], candidates: int) -> Tuple:
     and -1 and `choose` takes them ("search"), else the residue set."""
     ctx = cfg.ctx
     if (ctx.kind == KIND_PRIME and cfg.exclude_degenerate
-            and choose("search", ctx.p, cfg.set_size, candidates)):
+            and choose("search", ctx.p, cfg.set_size, candidates, discrete_log(ctx.p).built)):
         return _mask_rest, _mask_size_with, _mask_logs(ctx.p), _mask_without, _mask_join
     return _rest, _size_with, _modulus(ctx, pool), _rest_without, _rest_join
 

@@ -29,7 +29,12 @@ int form.
 Over F_p two encodings on ints stand in for pairs where `choose` says
 they are cheaper.  Discrete logarithms (`DiscreteLog`) put F_p^* in log
 coordinates, where a dilate is a cyclic shift over Z/(p-1): `energy`'s slot
-convolution and `search`'s log masks read the one table.  A residue mask is
+convolution and twist spectrum, `verify`'s log masks and `search`'s masks
+read one table, built once per prime per process.  `discrete_log(p)` is
+the one way to it: it keeps the DiscreteLog of the last
+LOG_TABLE_PRIMES = 2 primes asked for, so the cache holds at most two
+tables of 8p bytes each (0.32 MB at p = 40009, 1.28 MB at p = 160001), and
+a third prime drops the least recently asked one.  A residue mask is
 a subset of F_p as the p-bit int with bit x set for each member x, so a
 translate is a rotation: with D = M | M << p, the mask of X + y is the low
 p bits of D >> (p - y) and that of X - y those of D >> y.  It needs no
@@ -46,6 +51,7 @@ table, `KERNELS`, prices both sides of each.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -333,8 +339,11 @@ class DiscreteLog:
     0 has no logarithm, so `_logs_of` refuses a set holding 0.
 
     Only p is kept until the table is first read; then g and the table (an
-    `array('l')` of p entries) are built once for the object's life.  The
-    search for g starts at 1, the primitive root of F_2."""
+    `array('l')` of p entries, 8p bytes) are built once for the object's
+    life.  The package takes its DiscreteLog from `discrete_log`, so the
+    table is built once per prime per process while p stays among the last
+    LOG_TABLE_PRIMES primes asked for.  The search for g starts at 1, the
+    primitive root of F_2."""
 
     def __init__(self, p: int):
         self.p = p
@@ -364,8 +373,24 @@ class DiscreteLog:
 
     @property
     def built(self) -> bool:
-        """Whether the table has been read, and so built."""
+        """Whether the table has been read, and so built: for the
+        DiscreteLog of `discrete_log(p)`, whether the process holds p's
+        table."""
         return "log" in vars(self)
+
+
+# the primes whose tables the process keeps: a process that alternates two
+# primes rebuilds neither, and the tables take at most 16p bytes
+LOG_TABLE_PRIMES = 2
+
+
+@functools.lru_cache(maxsize=LOG_TABLE_PRIMES)
+def discrete_log(p: int) -> DiscreteLog:
+    """The process's DiscreteLog of F_p: the same object, and so one table,
+    for every caller while p is among the last LOG_TABLE_PRIMES primes
+    asked for; a prime asked for after it has dropped out gets a new one,
+    whose table is built again on first read.  Asking builds nothing."""
+    return DiscreteLog(p)
 
 
 def _slot_bytes(n: int) -> int:
@@ -403,12 +428,12 @@ def _log_kernel(p: int, table: bool, lookups: int, passes: int) -> int:
     return (0 if table else p) + KERNEL_COSTS["setup"] + lookups + passes * _passes(p - 1)
 
 
-def _twist(p: int, nu: int) -> Tuple[int, int]:
+def _twist(p: int, nu: int, table: bool) -> Tuple[int, int]:
     kbits = 8 * _slot_bytes(2 * nu * nu) * (p - 1) / 1024
     product = min(KERNEL_COSTS["karatsuba"] * kbits ** KERNEL_COSTS["karatsuba_power"],
                   KERNEL_COSTS["sparse"] * nu * kbits)
     reads = nu + (p - 1) // KERNEL_COSTS["slot_reads"]
-    return _log_kernel(p, False, reads, 0) + round(product), 2 * nu * nu
+    return _log_kernel(p, table, reads, 0) + round(product), 2 * nu * nu
 
 
 KERNELS = {
@@ -423,8 +448,8 @@ KERNELS = {
         p, table, nx + ny + (p - 1) // KERNEL_COSTS["slot_reads"],
         4 * _slot_bytes(min(nx, ny)) * min(nx, ny)), nx * ny),
     "twist": _twist,
-    "search": lambda p, n, candidates: (
-        _log_kernel(p, False, 2 * candidates, KERNEL_COSTS["search_passes"] * candidates),
+    "search": lambda p, n, candidates, table: (
+        _log_kernel(p, table, 2 * candidates, KERNEL_COSTS["search_passes"] * candidates),
         KERNEL_COSTS["search_product"] * (2 * n - 1) * candidates),
 }
 
@@ -436,9 +461,11 @@ def choose(fork: str, *args) -> bool:
     An entry gives what either side still costs, in pair steps of
     `_pair_ints`, from the constants of KERNEL_COSTS, measured on CPython
     3.11.  A log kernel pays for the table only until it is built
-    (`_log_kernel`), so an Instance's first one pays for its later ones.
-    A caller asks only where the kernel can run: over F_p, on operands it
-    takes.  One row per fork:
+    (`_log_kernel`): its `table` argument is `built` of the process's
+    DiscreteLog (`discrete_log`), so the process's first log kernel at a
+    prime pays for every later one at that prime, in any Instance or call,
+    while the prime stays in the cache.  A caller asks only where the
+    kernel can run: over F_p, on operands it takes.  One row per fork:
 
     - "residue" (p, |X|, |Y|), `sumset_size` (|X| >= |Y|) and `kfold_size`:
       residue masks, a step per element and half a pass over p bits per y
@@ -462,15 +489,17 @@ def choose(fork: str, *args) -> bool:
       lookups, a quarter step per slot read back, and per element of the
       smaller set a shift and an add at half a pass per slot bit, against
       |X||Y|.  R6 reads only |A| slots, so it pays for a count it skips.
-    - "twist" (p, nu), `energy.twist_spectrum`: a fresh table, the lookups,
-      the read-back, and the product of two slot ints of K = 8s(p-1)/1024
-      kilobits, s = `_slot_bytes(2 nu^2)`, against 2 nu^2.  It never took
-      the slower path at 134 points, p = 53 to 80021 and |a| = 3 to 40, but
-      misprices larger classes: at nu = 1596 and p = 160001 it takes the
-      pairs (1.6-1.8 s) over the slots (1.08 s).
-    - "search" (p, n, candidates), `search._kernel`: log masks, a fresh
-      table and per candidate 2 lookups and 8 passes (two shifts, the bit,
-      the ORs, the AND, the popcount), against 2n - 1 residue products."""
+    - "twist" (p, nu, table), `energy.twist_spectrum`: the table unless it
+      is built, the lookups, the read-back, and the product of two slot
+      ints of K = 8s(p-1)/1024 kilobits, s = `_slot_bytes(2 nu^2)`, against
+      2 nu^2.  It never took the slower path at 134 points, p = 53 to 80021
+      and |a| = 3 to 40, each with no table built, but misprices larger
+      classes: at nu = 1596 and p = 160001 it takes the pairs (1.6-1.8 s)
+      over the slots (1.08 s).
+    - "search" (p, n, candidates, table), `search._kernel`: log masks, the
+      table unless it is built, and per candidate 2 lookups and 8 passes
+      (two shifts, the bit, the ORs, the AND, the popcount), against 2n - 1
+      residue products."""
     kernel, pairs = KERNELS[fork](*args)
     return kernel < pairs
 
@@ -702,9 +731,10 @@ class PairGraph:
     i * |right| + j, 1 for an edge and 0 otherwise.  Sizes, degrees and
     neighbour masks are counts, slices and translations of those bytes; the
     index pairs (i, j) are rebuilt by `edges` only when asked for.
-    `partial_combine` keeps the partial difference set it builds in `_diff`."""
+    `partial_combine` keeps the partial difference set it builds in `_diff`,
+    and `partial_diff_size` its size in `_diff_size`."""
 
-    __slots__ = ("left", "right", "flags", "_diff")
+    __slots__ = ("left", "right", "flags", "_diff", "_diff_size")
 
     def __init__(self, left: FSet, right: FSet, edges: Iterable[Tuple[int, int]]):
         _same_ctx(left, right)
@@ -718,20 +748,19 @@ class PairGraph:
             if not (_is_index(i, nl) and _is_index(j, nr)):
                 raise InvalidGraphEdge(f"edge {edge!r} out of range {nl}x{nr}")
             flags[i * nr + j] = 1
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "flags", bytes(flags))
-        object.__setattr__(self, "_diff", None)
+        self._set(left, right, bytes(flags))
+
+    def _set(self, left: FSet, right: FSet, flags: bytes) -> None:
+        for name, value in (("left", left), ("right", right), ("flags", flags),
+                            ("_diff", None), ("_diff_size", None)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _from_flags(cls, left: FSet, right: FSet, flags: bytes) -> "PairGraph":
         """A graph on |left| * |right| flag bytes, each 0 or 1, with `left`
         and `right` over one field: no check."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "left", left)
-        object.__setattr__(obj, "right", right)
-        object.__setattr__(obj, "flags", flags)
-        object.__setattr__(obj, "_diff", None)
+        obj._set(left, right, flags)
         return obj
 
     def __setattr__(self, name, value):
@@ -809,3 +838,18 @@ def partial_combine(g: PairGraph) -> FSet:
         done = _from_ints(g.left.ctx, ints, scale)
         object.__setattr__(g, "_diff", done)
     return done
+
+
+def partial_diff_size(g: PairGraph) -> int:
+    """|A -_G B|, kept in `g._diff_size`: the size of `partial_combine(g)`,
+    or, while that is not built and g is complete, |A - B| from
+    `sumset_size`, which counts it on residue masks where `choose` takes
+    them and builds no set."""
+    size = g._diff_size
+    if size is None:
+        if g._diff is None and g.is_complete:
+            size = sumset_size(g.left, g.right, "diff")
+        else:
+            size = len(partial_combine(g))
+        object.__setattr__(g, "_diff_size", size)
+    return size

@@ -55,8 +55,10 @@ from .sets import (
     choose,
     combine,
     dilate,
+    discrete_log,
     kfold_size,
     negate,
+    partial_diff_size,
     sumset_size,
     translate,
 )
@@ -183,9 +185,12 @@ class Instance:
     third moments, `e2_a` and `e2_a1` their second, and the other `e2_*`
     multiplicative energies, `e2_mixed` being E2(A, A+1).  `e15` keeps the
     3/2-energy enclosures of the spectra.
-    Over F_p, `logs` is the one discrete-log table that the slot kernel of
-    every E2 and of R6, and every log mask, reads; it is built only if one
-    runs, and `sets.choose` charges it to the first."""
+    Over F_p, `logs` is the process's DiscreteLog of p (`sets.discrete_log`),
+    whose one table the slot kernel of every E2 and of R6, and every log
+    mask, reads: it is built once per prime per process, only if one of
+    them runs, and `sets.choose` charges it to the process's first log
+    kernel at p, so a later Instance over p takes its log kernels from its
+    first relation on.  Over Q no kernel reads it, and it is None."""
 
     A: FSet
 
@@ -198,7 +203,8 @@ class Instance:
     e3_a1 = cached_property(lambda self: energy(self.hist_a1, 3).exact)
     e2_a = cached_property(lambda self: energy(self.hist_a, 2).exact)
     e2_a1 = cached_property(lambda self: energy(self.hist_a1, 2).exact)
-    logs = cached_property(lambda self: DiscreteLog(self.A.ctx.p))
+    logs = cached_property(lambda self: (
+        discrete_log(self.A.ctx.p) if self.A.ctx.kind == KIND_PRIME else None))
     e2_mixed = cached_property(lambda self: e2(self.A, self.a1, self.logs))
     e2_a_aa1 = cached_property(lambda self: e2(self.A, self.expander, self.logs))
     e2_a1_aa1 = cached_property(lambda self: e2(self.a1, self.expander, self.logs))
@@ -375,7 +381,7 @@ def _r8_report(res: cons.PopularRatioResult, ab1: int, ba1: int,
     """R8 from the popular-ratio graph on (A, B), |A(B+1)| and |B(A+1)|."""
     g = res.graph
     shape = Fraction(ab1 * ba1 * res.ratio_support, len(g.left) * len(g.right))
-    return _slack_report("R8", len(res.partial_diff), shape, digest,
+    return _slack_report("R8", partial_diff_size(g), shape, digest,
                          f"partial difference set vs expander shape; |G| = {len(res.graph)}")
 
 
@@ -554,18 +560,22 @@ class PipelineTrace:
         return INCONCLUSIVE in self.verdicts()
 
 
-def _fp_cover_symbol(A, A1, b0_shift_set, sym, sign, eps, ctx):
+def _fp_cover_symbol(A, A1, b0_shift_set, sym, sign, eps, ctx, graphs):
     """Covering step for one symbol: cover most of A1 so that sym * A_sym sits
     inside few translates of b0*A (sign +) or -b0*A (sign -).
 
     Returns (B_sym, cover), where B_sym = {a in A : sym*(a + 1) in b0(A + 1)}
     is the set the class is covered by.  Membership of every covered element
     in the claimed translate union is re-checked exactly by the caller.
+    `graphs` keeps B_sym and its popular-ratio graph by B_sym's values, so
+    two symbols with one B_sym build one graph.
     """
-    b_vals = [a for a in A.vals if (sym * (a + 1)) % ctx.p in b0_shift_set]
-    b_n = FSet._from_canonical(ctx, frozenset(b_vals))
+    b_vals = tuple(a for a in A.vals if (sym * (a + 1)) % ctx.p in b0_shift_set)
     inner_eps = eps * eps / 4
-    pop = cons.popular_ratio_graph(A1, b_n, inner_eps)
+    if b_vals not in graphs:
+        b_n = FSet._from_canonical(ctx, frozenset(b_vals))
+        graphs[b_vals] = b_n, cons.popular_ratio_graph(A1, b_n, inner_eps)
+    b_n, pop = graphs[b_vals]
     cover = cons.greedy_cover(A1, b_n, pop.graph, inner_eps, sign)
     return b_n, cover
 
@@ -610,25 +620,25 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
         "partial difference set of the popular-ratio graph on (A, A)",
         _r8_report(pop, len(aa1), len(aa1), digest)))
     tri = cons.partial_ruzsa(pop.graph, pop.graph, eps)
+    n_ab, n_bc, n_core = tri.sizes
     steps.append(PipelineStep(
         "dense partial triangle inequality on the self graph",
         _slack_report("fp-partial-triangle",
-                      len(tri.diff_ac) * len(A),
-                      len(tri.partial_ab) * len(tri.partial_bc),
+                      n_core * len(A),
+                      n_ab * n_bc,
                       digest,
                       f"witness pairs |Y| = {tri.y_size}; overlap checks exact")))
     # a ratio r and 1/r are equally popular on A x A, so the self graph is
     # its own transpose and A' = C'
     if tri.a_side != tri.c_side:
         raise cons.InvariantViolation("the self graph's dense sides differ")
-    a_core, diff_core = tri.a_side, tri.diff_ac
     steps.append(PipelineStep(
         "difference set of the extracted core against the eighth-power shape",
         _slack_report("fp-difference-shape",
-                      len(diff_core),
+                      n_core,
                       eighth_shape,
                       digest,
-                      f"|core| = {len(a_core)}; subset passage carries hidden log factors")))
+                      f"|core| = {len(tri.a_side)}; subset passage carries hidden log factors")))
     steps.append(PipelineStep("ratio-set bound on A",
                               _check_r2(inst=inst, digest=digest, cap=None)))
 
@@ -738,9 +748,10 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
     b0a = dilate(A, b0).member_set()
     a_parts = []
     counts_product = 1
+    graphs = {}
     for label, sym, sign in (("alpha", al, "+"), ("beta", be, "+"),
                              ("gamma", ga, "+"), ("delta", de, "-")):
-        b_n, cover = _fp_cover_symbol(A, A1, b0_row, sym, sign, eps, ctx)
+        b_n, cover = _fp_cover_symbol(A, A1, b0_row, sym, sign, eps, ctx, graphs)
         target = "translates of b0*A" if sign == "+" else "translates of -(b0*A)"
         for v in cover.covered.vals:
             sv = sym * v % p
@@ -830,8 +841,10 @@ def finite_field_pipeline(A: FSet, epsilon=Fraction(1, 64)) -> PipelineTrace:
 
     # translate-product bound: the four-fold dilate sum against shift counts
     aaaa = kfold_size(A, (1, -1, -1, -1))
-    # A - A is the partial difference set of a complete self graph
-    diff_size = len(pop.partial_diff) if pop.graph.is_complete else sumset_size(A, A, "diff")
+    # A - A is the partial difference set of a complete self graph, counted
+    # once for R8
+    g = pop.graph
+    diff_size = partial_diff_size(g) if g.is_complete else sumset_size(A, A, "diff")
     steps.append(PipelineStep(
         "four-fold dilate sum against the translate-count product",
         _hold_report("fp-translate-product", four_fold,

@@ -10,6 +10,7 @@ graphs, `popular_ratio_graph`, `partial_combine`, `partial_ruzsa` and
 `greedy_cover` are also compared with their own path for an arbitrary
 graph (`general_path`).
 """
+import hashlib
 import itertools
 import math
 import random
@@ -464,28 +465,31 @@ def test_greedy_cover_counts_its_shifts_in_one_pair_pass(monkeypatch):
 
     monkeypatch.setattr(cons, "_pair_ints", spy)
     diffs = []
-    real_diff = cons.partial_combine
-    monkeypatch.setattr(cons, "partial_combine", lambda g: diffs.append(g) or real_diff(g))
+    real_diff = sets.partial_combine
+    monkeypatch.setattr(sets, "partial_combine", lambda g: diffs.append(g) or real_diff(g))
     f = FieldCtx.prime(101)
     a = FSet(f, range(2, 40, 3))
     b = FSet(f, [1, 4, 9, 16])
-    complete = PairGraph.complete(a, b)
-    # one edge short, with every vertex of A still dense: A1 is all of A
-    short = PairGraph(a, b, [(i, j) for i in range(len(a)) for j in range(len(b)) if i + j])
-    for g in (complete, short):
-        for sign, op in (("+", "diff"), ("-", "sum")):
+    for sign, op in (("+", "diff"), ("-", "sum")):
+        complete = PairGraph.complete(a, b)
+        # one edge short, with every vertex of A still dense: A1 is all of A
+        short = PairGraph(a, b, [(i, j) for i in range(len(a)) for j in range(len(b)) if i + j])
+        for g in (complete, short):
             passes.clear()
             diffs.clear()
             res = greedy_cover(a, b, g, Fraction(1, 16), sign)
             assert res.iterations > 1 and res.base == a
             assert passes == [(res.base, b, op)]
-            # the shifts of a "+" cover on a complete graph are A -_G B itself
-            assert len(diffs) == (0 if sign == "+" and g is complete else 1)
+            # the shifts of a "+" cover on a complete graph are A -_G B
+            # itself, and a "-" cover there counts A - B without the set
+            assert len(diffs) == (g is short)
 
 
 def test_each_plus_cover_of_the_fp_pipeline_makes_one_difference_pass(monkeypatch):
     # a "+" cover's popular-ratio graph is complete, so the shifts it counts,
-    # A1 - B_sym, are the graph's partial difference set: one pass gives both
+    # A1 - B_sym, are the graph's partial difference set: one pass gives both.
+    # The "-" cover counts A1 - B_sym by `sumset_size`, a pair pass only
+    # where residue masks cost more, and builds no set
     passes = []
     real = sets._pair_ints
 
@@ -503,15 +507,42 @@ def test_each_plus_cover_of_the_fp_pipeline_makes_one_difference_pass(monkeypatc
         return real_cover(a, b, g, eps, sign)
 
     monkeypatch.setattr(cons, "greedy_cover", cover_spy)
+    real_diff = sets.partial_combine
+    diffs = []
+    monkeypatch.setattr(sets, "partial_combine", lambda g: diffs.append(g) or real_diff(g))
     p = 3001
     a = FSet(FieldCtx.prime(p), random.Random(1).sample(range(2, p - 1), 51))
     assert verify.finite_field_pipeline(a).selected["branch"] == "ReqFp"
     assert [sign for *_, sign in covers] == ["+", "+", "+", "-"]
-    for a1, b, g, sign in covers:
+    a1 = covers[0][0]
+    for _, b, g, _ in covers:
         assert g.is_complete and g.left is a1 and g.right is b
+        assert all(built is not g for built in diffs)
+    # one popular-ratio graph, so one ratio pass, per distinct B_sym (beta
+    # and delta share theirs here)
+    for b in {id(b): b for _, b, _, _ in covers}.values():
+        signs = Counter(sign for _, cover_b, _, sign in covers if cover_b is b)
+        minus_by_pairs = signs["-"] and not sets.choose(
+            "residue", p, max(len(a1), len(b)), min(len(a1), len(b)))
         made = Counter(op for op, x, y in passes if x == a1 and y is b)
-        assert made == ({"ratio": 1, "diff": 1} if sign == "+" else
-                        {"ratio": 1, "diff": 1, "sum": 1})
+        assert made == +Counter(ratio=1, diff=signs["+"] + minus_by_pairs, sum=signs["-"])
+
+
+def test_two_symbols_with_one_b_sym_build_one_popular_ratio_graph(monkeypatch):
+    # alpha and delta give one B_sym here, and beta and gamma another, so
+    # the four covers share two graphs; the trace is the one recorded when
+    # each symbol built its own
+    graphs, covers = [], []
+    real_graph, real_cover = cons.popular_ratio_graph, cons.greedy_cover
+    monkeypatch.setattr(cons, "popular_ratio_graph",
+                        lambda a, b, eps: graphs.append(b) or real_graph(a, b, eps))
+    monkeypatch.setattr(cons, "greedy_cover", lambda a, b, g, eps, sign: (
+        covers.append(g) or real_cover(a, b, g, eps, sign)))
+    trace = verify.finite_field_pipeline(FSet(FieldCtx.prime(101), [5, 14, 28, 50, 51, 64, 85]))
+    assert hashlib.sha256(trace.to_bytes()).hexdigest() == (
+        "0a8391d78cd319bb61ed051d129cc44c7aac4c63b9042b51bb8ced8c82565202")
+    assert len(covers) == 4 and covers[0] is covers[3] and covers[1] is covers[2]
+    assert len(graphs) == len({id(g) for g in covers}) == 2
 
 
 @pytest.mark.parametrize("sign", ["", "+-", "*", 1, None])

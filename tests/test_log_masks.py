@@ -21,14 +21,19 @@ kernel, a huge p to the slots, or a pipeline to a table it does not need,
 fails here.  Two verify-sized instances over F_40009 pin the bytes of their
 `verify --all` reports.
 """
+import ast
 import gc
 import hashlib
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -446,18 +451,20 @@ def test_a_huge_prime_builds_no_slot_int(monkeypatch):
 
 def test_a_built_log_table_is_not_charged_again(monkeypatch):
     # 120 * 480 pairs cost less than the slot kernel with its 40009-step
-    # table, and more than the slot kernel once the table exists
+    # table, and more than the slot kernel once the process holds the table
     p = 40009
     rng = random.Random(p)
     x, y = (units(p, rng.sample(range(1, p), k)) for k in (120, 480))
-    logs, expected = DiscreteLog(p), multiplicative_energy(x, y)
+    logs, expected = sets.discrete_log(p), multiplicative_energy(x, y)
     passes, built = count_pairs(monkeypatch), count_slot_ints(monkeypatch)
     assert e2(x, y, logs) == expected
     assert passes == [("prod", 120 * 480)] and built == []
-    assert "log" not in vars(logs)
+    assert not logs.built
     logs.log
     del passes[:]
-    assert e2(x, y, logs) == e2(y, x, logs) == expected
+    # asked for again, in any caller, it is the one built table
+    assert sets.discrete_log(p) is logs and logs.built
+    assert e2(x, y, sets.discrete_log(p)) == e2(y, x, logs) == expected
     assert passes == [] and built == [(1, p - 1)] * 2
 
 
@@ -475,13 +482,16 @@ def count_all_pairs(monkeypatch):
     return passes
 
 
-def test_the_first_log_kernel_of_an_instance_pays_for_the_table(monkeypatch):
-    # 130 x 130 pairs cost less than the 40009-entry table, so the first
-    # reads of |A(A+1)| (R10 in `verify --all`) and |A·B| (R5) take the pair
-    # kernel; E2's slot kernel then builds the table, and the slot ints of
-    # A(A+1) and A·B come from log masks
+def test_the_first_log_kernel_of_the_process_at_p_pays_for_the_table(monkeypatch):
+    # 130 x 130 pairs cost less than the 40009-entry table, so in a process
+    # that holds no table at 40009 the first reads of |A(A+1)| (R10 in
+    # `verify --all`) and |A·B| (R5) take the pair kernel; E2's slot kernel
+    # then builds the table, and the slot ints of A(A+1) and A·B come from
+    # log masks.  A later Instance over 40009 takes the masks from its first
+    # relation on, and builds no table.
     a, b = pin_sets()
     for name, op, kwargs in (("R10", "expand", {}), ("R5", "prod", {"B": b})):
+        sets.discrete_log.cache_clear()
         inst = Instance(a)
         passes, built = count_pairs(monkeypatch), count_slot_ints(monkeypatch)
         tables = count_tables(monkeypatch)
@@ -492,6 +502,11 @@ def test_the_first_log_kernel_of_an_instance_pays_for_the_table(monkeypatch):
             check("R11", A=inst)
         assert tables == [40009] and built == [(1, 40008)]
         assert sum(o == op for o, _ in passes) == 1
+        del passes[:], built[:]
+        check(name, A=Instance(a), **kwargs)
+        assert (op, 130 * 130) not in passes
+        # R10 reads only |A(A+1)|, R5 a slot int of A·B
+        assert tables == [40009] and built == ([] if name == "R10" else [(1, 40008)])
         monkeypatch.undo()
 
 
@@ -515,9 +530,10 @@ def test_with_the_table_built_verify_makes_no_pass_over_a_x_b(monkeypatch):
     for name in ("R5", "R6", "R8"):
         check(name, A=inst, B=b, epsilon=Fraction(1, 128))
     # A·B, A/B, A(B+1) and B(A+1) as log masks; the ratio spectra of A and
-    # B for R5, and R8's popular-ratio graph and its partial difference set,
-    # which read each pair of A x B
-    assert sorted(passes) == [("diff", 130 * 130)] + [("ratio", 130 * 130)] * 3
+    # B for R5, and R8's popular-ratio graph, which reads each pair of
+    # A x B.  The graph is complete, so R8 counts its partial difference
+    # set, A - B, on residue masks.
+    assert sorted(passes) == [("ratio", 130 * 130)] * 3
     assert built == [(1, 40008)] * 2  # A·B for R5, A/B for R6
 
 
@@ -556,6 +572,9 @@ def test_verify_all_builds_one_log_table_per_f_p_group(tmp_path, monkeypatch, fi
     built = count_tables(monkeypatch)
     main(["verify", *files, "--all", "--t", "2", "--out", "report.json"])
     assert built == tables
+    # and none again in the same process
+    main(["verify", *files, "--all", "--t", "2", "--out", "report.json"])
+    assert built == tables
 
 
 def test_fp_pipelines_build_the_tables_they_built_before_log_masks(monkeypatch):
@@ -566,8 +585,12 @@ def test_fp_pipelines_build_the_tables_they_built_before_log_masks(monkeypatch):
     trace = finite_field_pipeline(FSet(FieldCtx.prime(p), random.Random(80).sample(range(2, p - 1), 80)))
     assert trace.selected["branch"] == "degenerate" and built == []
     p = 3001
-    trace = finite_field_pipeline(FSet(FieldCtx.prime(p), random.Random(1).sample(range(2, p - 1), 51)))
+    dense = FSet(FieldCtx.prime(p), random.Random(1).sample(range(2, p - 1), 51))
+    trace = finite_field_pipeline(dense)
     assert trace.selected["branch"] == "ReqFp" and built == [3001]
+    # a second pipeline over 3001 in the process builds none
+    assert finite_field_pipeline(dense).to_bytes() == trace.to_bytes()
+    assert built == [3001]
 
 
 def test_q_never_reaches_the_cost_model(monkeypatch):
@@ -585,6 +608,87 @@ def test_q_never_reaches_the_cost_model(monkeypatch):
                         multiplicative_energy(inst.a1, inst.aa1))
     check("R5", A=inst, B=b)
     check("R6", A=inst, B=b)
+
+
+# -- one table per prime per process ------------------------------------------------------
+
+def test_two_instances_over_one_prime_build_one_table(monkeypatch):
+    a, b = pin_sets()
+    tables = count_tables(monkeypatch)
+    for A in (a, b):
+        inst = Instance(A)
+        assert inst.logs is sets.discrete_log(40009)
+        check("R11", A=inst)
+    assert tables == [40009]
+
+
+def test_a_search_over_two_sizes_builds_one_table(tmp_path, monkeypatch):
+    # exhaustive search over F_61 takes log masks at both sizes
+    monkeypatch.chdir(tmp_path)
+    tables = count_tables(monkeypatch)
+    assert main(["search", "--p", "61", "--n", "3", "4", "--mode", "exhaustive",
+                 "--out", "found.csv"]) == 0
+    assert tables == [61]
+
+
+def test_past_the_bound_the_least_recently_asked_prime_is_built_again(monkeypatch):
+    tables = count_tables(monkeypatch)
+    primes = [101, 103, 107, 109, 113, 127][:sets.LOG_TABLE_PRIMES + 1]
+    first = list(sets.discrete_log(primes[0]).log)
+    for p in primes[1:]:
+        assert not sets.discrete_log(p).built
+        sets.discrete_log(p).log
+        assert sets.discrete_log(p).built
+    assert tables == primes
+    # the last prime pushed the first out; asking for the first again pushes
+    # out the second, the least recently asked, and keeps the rest
+    logs = sets.discrete_log(primes[0])
+    assert not logs.built and list(logs.log) == first and logs.built
+    assert tables == primes + primes[:1]
+    assert all(sets.discrete_log(p).built for p in primes[2:] + primes[:1])
+    assert not sets.discrete_log(primes[1]).built
+
+
+def test_f_p_outputs_are_the_same_bytes_cold_warm_and_in_a_fresh_process(tmp_path, monkeypatch):
+    # warm, each F_p Instance takes log kernels the cold run priced out
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "A.json").write_text(json.dumps({"field": "fp", "p": 40009, "elements": PIN_A}))
+    p = 3001
+    dense = random.Random(1).sample(range(2, p - 1), 51)
+    (tmp_path / "D.json").write_text(json.dumps({"field": "fp", "p": p, "elements": dense}))
+    src = Path(sets.__file__).resolve().parents[1]
+    for argv in (["verify", "A.json", "--all"], ["pipeline", "D.json", "--mode", "fp"]):
+        sets.discrete_log.cache_clear()
+        outs = []
+        for run in ("cold", "warm"):
+            main([*argv, "--out", f"{run}.json"])
+            outs.append((tmp_path / f"{run}.json").read_bytes())
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "expanderlab.cli", *argv, "--out", "fresh.json"],
+            capture_output=True, cwd=tmp_path,
+            env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert outs[0] == outs[1] == (tmp_path / "fresh.json").read_bytes()
+
+
+def test_only_sets_builds_a_discrete_log():
+    # every other module takes the process's one from `sets.discrete_log`,
+    # so no table is built twice for one prime
+    home = Path(sets.__file__).parent
+    builds = []
+    for path in sorted(home.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "sets.py":
+            accessor = next(node for node in tree.body
+                            if isinstance(node, ast.FunctionDef) and node.name == "discrete_log")
+            allowed = {id(node) for node in ast.walk(accessor)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if isinstance(node, ast.Call) and name == "DiscreteLog" and id(node) not in allowed:
+                builds.append((path.name, node.lineno))
+    assert builds == []
 
 
 # -- report bytes where the slot kernel fires ----------------------------------------------

@@ -110,20 +110,28 @@ def test_full_branch_reqfp():
     (109, [1, 5, 10, 31, 36, 40, 43], "degenerate"),
     (401, list(range(5, 15)), "RneqFp"),
     (REQ_P, REQ_A, "ReqFp"),
+    # 130 powers of 2: a self graph that lacks some pairs
+    (19997, [pow(2, k, 19997) for k in range(130)], "degenerate"),
 ])
 def test_each_partial_difference_set_is_built_once(monkeypatch, p, vals, branch):
-    # every call on one graph returns the one set built for it; the spy keeps
-    # each graph alive, so no id is reused
-    real = cons.partial_combine
-    calls = []
-    monkeypatch.setattr(cons, "partial_combine",
-                        lambda g: calls.append((g, real(g))) or calls[-1][1])
+    # R8, the partial triangle, fp-diff-assumed and the "-" cover read
+    # |A -_G B|: a complete graph's is counted once, as |A - B|, with no set
+    # built; an incomplete graph's set is built once.  The spies keep each
+    # set and graph alive, so no id is reused
+    real_size, real_diff = sets.sumset_size, sets.partial_combine
+    counted, calls = [], []
+    monkeypatch.setattr(sets, "sumset_size",
+                        lambda a, b, op: counted.append((a, b, op)) or real_size(a, b, op))
+    for module in (sets, cons):
+        monkeypatch.setattr(module, "partial_combine",
+                            lambda g: calls.append((g, real_diff(g))) or calls[-1][1])
     trace = finite_field_pipeline(FSet(FieldCtx.prime(p), vals))
     assert trace.selected["branch"] == branch
-    built = {}
-    for g, pdiff in calls:
-        assert pdiff is built.setdefault(id(g), pdiff)
-    assert len(calls) > len(built)
+    pairs = [(id(a), id(b)) for a, b, _ in counted]
+    assert {op for *_, op in counted} <= {"diff"} and len(set(pairs)) == len(pairs)
+    assert all(not g.is_complete for g, _ in calls)
+    assert len({id(g) for g, _ in calls}) == len(calls)
+    assert calls if p == 19997 else counted
 
 
 def test_fp_trace_deterministic():

@@ -72,9 +72,10 @@ MODULES = {
     },
     "sets": {
         "COMBINE_OPS", "Combination", "DiscreteLog", "FSet", "KERNELS", "KERNEL_COSTS",
-        "LOG_MASK_OPS", "PairGraph", "affine_image", "choose", "combine", "dilate",
-        "expander_set", "kfold_size", "load_set", "log_mask", "negate", "partial_combine",
-        "save_set", "sumset_size", "translate",
+        "LOG_MASK_OPS", "LOG_TABLE_PRIMES", "PairGraph", "affine_image", "choose", "combine",
+        "dilate", "discrete_log", "expander_set", "kfold_size", "load_set", "log_mask",
+        "negate", "partial_combine", "partial_diff_size", "save_set", "sumset_size",
+        "translate",
     },
     "verify": {
         "FAILS", "HOLDS", "INCONCLUSIVE", "InequalityReport", "Instance", "PLUNNECKE_BUDGET",
